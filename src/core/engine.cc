@@ -203,11 +203,38 @@ struct U32Hash {
 using WordTable = NvmHashTable<uint32_t, uint64_t, U32Hash>;
 using GramTable = NvmHashTable<NgramKey, uint64_t, NgramKeyHash>;
 
-/// Direct-or-transactional writer for traversal steps.
-///
-/// Three regimes, selected at construction:
-///   * no log              — volatile/phase persistence: plain device
-///     writes, no transactions;
+/// Where the durable traversal cursor stands: its stage (0 fresh, 1/2
+/// strategy-specific, 3 done), the next step within the stage, and the
+/// top-down queue tail.
+struct Cursor {
+  uint64_t stage = 0;
+  uint64_t a = 0;
+  uint64_t b = 0;
+};
+
+/// Borrows an immutable local-gram payload zero-copy. A step's counter and
+/// log writes never target the init-phase payload region (that is the
+/// integrity-hash invariant), so the borrow stays valid across the step.
+Result<std::span<const GramEntry>> BorrowGrams(nvm::NvmDevice* device,
+                                               const GramMeta& gm) {
+  if (gm.count == 0) return std::span<const GramEntry>();
+  if (gm.off > device->capacity() ||
+      gm.count > (device->capacity() - gm.off) / sizeof(GramEntry) ||
+      gm.off % alignof(GramEntry) != 0) {
+    return Status::DataLoss("gram payload descriptor out of bounds");
+  }
+  NTADOC_ASSIGN_OR_RETURN(
+      const GramEntry* buf,
+      device->TryReadTypedSpan<GramEntry>(gm.off, gm.count));
+  return std::span<const GramEntry>(buf, gm.count);
+}
+
+/// The one place where a traversal step's stores meet the persistence
+/// mode. Four regimes, selected at construction:
+///   * no log              — volatile run: plain device writes;
+///   * no log, phase flush — phase-level persistence: plain device writes,
+///     and the traversal state is bulk-flushed once at the phase boundary
+///     (see PersistTraversalState);
 ///   * commit_interval 1   — strict libpmemobj-style operation
 ///     persistence: each step is one redo-log transaction
 ///     (Begin/Stage/Commit), bit-for-bit the historical per-step
@@ -226,21 +253,28 @@ using GramTable = NvmHashTable<NgramKey, uint64_t, NgramKeyHash>;
 ///     under one drain.
 class StepWriter {
  public:
-  StepWriter(nvm::NvmDevice* device, nvm::RedoLog* log,
-             uint32_t commit_interval = 1, NTadocRunInfo* info = nullptr)
+  StepWriter(nvm::NvmDevice* device, nvm::NvmPool* pool, nvm::RedoLog* log,
+             uint64_t cursor_off, bool phase_flush, uint32_t commit_interval,
+             NTadocRunInfo* info)
       : device_(device),
+        pool_(pool),
         log_(log),
+        cursor_off_(cursor_off),
+        phase_flush_(phase_flush),
         interval_(log != nullptr ? std::max<uint32_t>(1, commit_interval)
                                  : 1),
         info_(info) {}
 
   bool transactional() const { return log_ != nullptr; }
   bool epoch_mode() const { return interval_ > 1; }
-  nvm::RedoLog* log() { return log_; }
+  bool phase_flush() const { return phase_flush_; }
 
+  /// Opens a step: a strict step begins its transaction (epochs span
+  /// steps), and the pending counter updates start empty.
   void Begin() {
-    if (log_ == nullptr || epoch_mode()) return;  // epochs span steps
-    log_->Begin();
+    word_pending_.Clear();
+    gram_pending_.Clear();
+    if (log_ != nullptr && !epoch_mode()) log_->Begin();
   }
 
   void Write(uint64_t off, const void* data, uint32_t len) {
@@ -261,36 +295,182 @@ class StepWriter {
     Write(off, &v, sizeof(T));
   }
 
-  /// Epoch mode only: the caller wrote `len` in-place bytes at `off`
-  /// (bulk data bypassing the log) and relies on this epoch's commit for
-  /// their durability — the lines join the epoch's one batched flush.
-  void DeferDataFlush(uint64_t off, uint64_t len) {
-    if (len == 0) return;
-    const uint64_t first = off / kLine;
-    const uint64_t last = (off + len - 1) / kLine;
-    for (uint64_t l = first; l <= last; ++l) deferred_lines_.push_back(l);
-    line_events_ += last - first + 1;
+  /// Adds `delta` to `key`'s counter in `table` through the regime's
+  /// store path (AddDeltaVia / AddDeltaTx / AddDelta). A full table —
+  /// reachable only in the no-summation ablation — is rebuilt into a
+  /// doubled allocation, paying the redundant NVM reads/writes Algorithm 2
+  /// avoids, and the add is retried.
+  template <typename Table, typename K>
+  Status AddDelta(Table* table, const K& key, uint64_t delta) {
+    Status s;
+    if (epoch_mode()) {
+      s = table->AddDeltaVia(key, delta, this);
+    } else if (transactional()) {
+      s = table->AddDeltaTx(key, delta, log_, PendingOf(table));
+    } else {
+      s = table->AddDelta(key, delta);
+    }
+    if (s.code() == StatusCode::kResourceExhausted) {
+      NTADOC_ASSIGN_OR_RETURN(Table bigger,
+                              Table::Create(pool_, table->capacity()));
+      NTADOC_RETURN_IF_ERROR(table->RebuildInto(&bigger));
+      *table = bigger;
+      ++info_->counter_rebuilds;
+      s = table->AddDelta(key, delta);
+    }
+    return s;
   }
 
-  /// Commits the step. K=1 commits the step's transaction; epoch mode
+  /// Adds a payload's words, each scaled by `weight`.
+  Status AddWords(WordTable* table,
+                  const std::vector<std::pair<uint32_t, uint32_t>>& words,
+                  uint64_t weight) {
+    for (const auto& [word, freq] : words) {
+      NTADOC_RETURN_IF_ERROR(AddDelta(table, word, weight * freq));
+    }
+    return Status::OK();
+  }
+
+  /// Adds an immutable local-gram payload, each count scaled by `weight`.
+  Status AddGrams(GramTable* table, const GramMeta& gm, uint64_t weight) {
+    NTADOC_ASSIGN_OR_RETURN(const std::span<const GramEntry> grams,
+                            BorrowGrams(device_, gm));
+    for (const GramEntry& e : grams) {
+      NTADOC_RETURN_IF_ERROR(AddDelta(table, e.key, weight * e.count));
+    }
+    return Status::OK();
+  }
+
+  /// Writes bottom-up list `r` to its pool allocation. With summation the
+  /// bound always holds and the list is written once, sequentially; in the
+  /// ablation the list is appended incrementally with allocate-copy-grow
+  /// reconstructions on overflow.
+  template <typename Entry, typename Vec>
+  Status WriteList(NvmVector<ListMeta>* metas, uint32_t r, const Vec& acc,
+                   bool summation) {
+    auto make_entry = [](const auto& kv) {
+      if constexpr (std::is_same_v<Entry, WordEntry>) {
+        return WordEntry{kv.first, 0, kv.second};
+      } else {
+        return GramEntry{kv.first, kv.second};
+      }
+    };
+    ListMeta m = metas->Get(r);
+    if (acc.size() <= m.capacity) {
+      std::vector<Entry> buf;
+      buf.reserve(acc.size());
+      for (const auto& kv : acc) buf.push_back(make_entry(kv));
+      if (!buf.empty()) {
+        device_->WriteBytes(m.off, buf.data(), buf.size() * sizeof(Entry));
+        PersistInPlace(m.off, buf.size() * sizeof(Entry));
+      }
+    } else {
+      if (summation) {
+        return Status::Internal("bottom-up summation bound violated for R" +
+                                std::to_string(r));
+      }
+      uint64_t cap = m.capacity;
+      uint64_t off = m.off;
+      if (cap == 0) {
+        cap = 8;
+        NTADOC_ASSIGN_OR_RETURN(off, pool_->AllocArray<Entry>(cap));
+      }
+      uint64_t written = 0;
+      std::vector<Entry> tmp;
+      for (const auto& kv : acc) {
+        if (written == cap) {
+          const uint64_t new_cap = cap * 2;
+          NTADOC_ASSIGN_OR_RETURN(const nvm::PoolOffset new_off,
+                                  pool_->AllocArray<Entry>(new_cap));
+          tmp.resize(written);
+          device_->ReadBytes(off, tmp.data(), written * sizeof(Entry));
+          device_->WriteBytes(new_off, tmp.data(), written * sizeof(Entry));
+          off = new_off;
+          cap = new_cap;
+          ++info_->counter_rebuilds;
+        }
+        const Entry e = make_entry(kv);
+        device_->WriteBytes(off + written * sizeof(Entry), &e, sizeof(Entry));
+        ++written;
+      }
+      PersistInPlace(off, written * sizeof(Entry));
+      m.off = off;
+      m.capacity = cap;
+    }
+    m.size = acc.size();
+    WriteValue(metas->ElementOffset(r), m);
+    return Status::OK();
+  }
+
+  /// Stages the durable cursor into the step (logged steps only).
+  void StageCursor(const Cursor& c) {
+    if (log_ == nullptr) return;
+    CursorSlot slot{kCursorMagic, c.stage, c.a, c.b, 0};
+    slot.checksum = CursorChecksum(slot);
+    WriteValue(cursor_off_, slot);
+  }
+
+  /// Commits the step. A strict step commits its transaction; on a full
+  /// log it first performs the group checkpoint and retries. Epoch mode
   /// counts the step and commits the whole epoch when it is full, when
   /// the coalesced records approach the log reserve, or when `force` is
   /// set (phase boundaries: the cursor must be durable before the phase
   /// marker advances past it).
   Status Commit(bool force = false) {
     if (log_ == nullptr) return Status::OK();
-    if (!epoch_mode()) return log_->Commit();
-    ++steps_;
-    if (!force && steps_ < interval_ &&
-        pending_encoded_ < log_->capacity_bytes() / 4) {
-      return Status::OK();
+    if (epoch_mode()) {
+      ++steps_;
+      if (!force && steps_ < interval_ &&
+          pending_encoded_ < log_->capacity_bytes() / 4) {
+        return Status::OK();
+      }
+      return CommitEpoch();
     }
-    return CommitEpoch();
+    Status s = log_->Commit();
+    if (s.code() != StatusCode::kResourceExhausted) return s;
+    // The checkpoint's home flush is required for correctness: Commit()
+    // applies entries to their home locations WITHOUT flushing (the log
+    // guarantees durability), so home state must be made durable before
+    // the records that cover it are truncated. The log tracks exactly
+    // which home lines its applied entries dirtied and flushes only
+    // those. Epoch commits never get here: a mid-epoch checkpoint would
+    // leak uncommitted write-through state, so they manage their reserve
+    // themselves.
+    log_->FlushAppliedHome();
+    log_->Truncate();
+    return log_->Commit();
+  }
+
+  /// A commit point that stages only the cursor (stage starts and the
+  /// phase-end done-cursor).
+  Status CommitCursor(const Cursor& c, bool force = false) {
+    Begin();
+    StageCursor(c);
+    return Commit(force);
   }
 
  private:
   static constexpr uint64_t kLine = nvm::PersistCheck::kLine;
 
+  WordTable::Pending* PendingOf(WordTable*) { return &word_pending_; }
+  GramTable::Pending* PendingOf(GramTable*) { return &gram_pending_; }
+
+  /// `len` in-place bytes were just written at `off` (bulk list data
+  /// bypasses the redo log). A strict step flushes them before its
+  /// meta/cursor commit; epoch mode relies on the epoch commit instead,
+  /// where all deferred lines share one deduplicated flush + drain.
+  void PersistInPlace(uint64_t off, uint64_t len) {
+    if (log_ == nullptr || len == 0) return;
+    if (!epoch_mode()) {
+      device_->FlushRange(off, len);
+      device_->Drain();
+      return;
+    }
+    const uint64_t first = off / kLine;
+    const uint64_t last = (off + len - 1) / kLine;
+    for (uint64_t l = first; l <= last; ++l) deferred_lines_.push_back(l);
+    line_events_ += last - first + 1;
+  }
   /// Coalesces [off, off+len) into the staged interval map: an interval
   /// fully containing the write is patched in place; otherwise every
   /// interval overlapping or adjacent to it is merged (newest bytes
@@ -444,9 +624,16 @@ class StepWriter {
   }
 
   nvm::NvmDevice* device_;
+  nvm::NvmPool* pool_;
   nvm::RedoLog* log_;
+  uint64_t cursor_off_;
+  bool phase_flush_;
   uint32_t interval_;
   NTadocRunInfo* info_;
+  // Staged counter updates of the open strict transaction, so later
+  // probes within the step see earlier staged inserts.
+  WordTable::Pending word_pending_;
+  GramTable::Pending gram_pending_;
   uint32_t steps_ = 0;  // steps since the last epoch commit
   // off -> bytes; pairwise disjoint, non-adjacent coalesced intervals.
   std::map<uint64_t, std::vector<uint8_t>> staged_;
@@ -455,94 +642,6 @@ class StepWriter {
   uint64_t line_events_ = 0;      // line flushes the strict path would pay
   std::vector<uint64_t> deferred_lines_;
 };
-
-
-/// No-summation ablation: rebuilds a full table into a doubled
-/// allocation, paying the redundant NVM reads/writes Algorithm 2 avoids.
-template <typename Table>
-Status GrowTable(Table* table, nvm::NvmPool* pool, uint64_t* rebuilds) {
-  NTADOC_ASSIGN_OR_RETURN(Table bigger,
-                          Table::Create(pool, table->capacity()));
-  NTADOC_RETURN_IF_ERROR(table->RebuildInto(&bigger));
-  *table = bigger;
-  ++*rebuilds;
-  return Status::OK();
-}
-
-/// Writes one bottom-up list to its pool allocation. With summation the
-/// bound always holds and the list is written once, sequentially; in the
-/// ablation the list is appended incrementally with allocate-copy-grow
-/// reconstructions on overflow.
-template <typename Entry, typename Vec>
-Status WriteList(NvmVector<ListMeta>* metas, nvm::NvmPool* pool,
-                 nvm::NvmDevice* device, uint32_t r, const Vec& acc,
-                 StepWriter* writer, bool summation, uint64_t* rebuilds) {
-  auto make_entry = [](const auto& kv) {
-    if constexpr (std::is_same_v<Entry, WordEntry>) {
-      return WordEntry{kv.first, 0, kv.second};
-    } else {
-      return GramEntry{kv.first, kv.second};
-    }
-  };
-  ListMeta m = metas->Get(r);
-  if (acc.size() <= m.capacity) {
-    std::vector<Entry> buf;
-    buf.reserve(acc.size());
-    for (const auto& kv : acc) buf.push_back(make_entry(kv));
-    if (!buf.empty()) {
-      device->WriteBytes(m.off, buf.data(), buf.size() * sizeof(Entry));
-      if (writer->epoch_mode()) {
-        // List data bypasses the redo log (large objects are written in
-        // place); epoch mode defers its durability to the epoch commit,
-        // where all deferred lines share one deduplicated flush + drain.
-        writer->DeferDataFlush(m.off, buf.size() * sizeof(Entry));
-      } else if (writer->transactional()) {
-        // List data bypasses the redo log (large objects are written in
-        // place); it must be durable before the meta/cursor commit.
-        device->FlushRange(m.off, buf.size() * sizeof(Entry));
-        device->Drain();
-      }
-    }
-  } else {
-    if (summation) {
-      return Status::Internal("bottom-up summation bound violated for R" +
-                              std::to_string(r));
-    }
-    uint64_t cap = m.capacity;
-    uint64_t off = m.off;
-    if (cap == 0) {
-      cap = 8;
-      NTADOC_ASSIGN_OR_RETURN(off, pool->AllocArray<Entry>(cap));
-    }
-    uint64_t written = 0;
-    std::vector<Entry> tmp;
-    for (const auto& kv : acc) {
-      if (written == cap) {
-        const uint64_t new_cap = cap * 2;
-        NTADOC_ASSIGN_OR_RETURN(const nvm::PoolOffset new_off,
-                                pool->AllocArray<Entry>(new_cap));
-        tmp.resize(written);
-        device->ReadBytes(off, tmp.data(), written * sizeof(Entry));
-        device->WriteBytes(new_off, tmp.data(), written * sizeof(Entry));
-        off = new_off;
-        cap = new_cap;
-        ++*rebuilds;
-      }
-      const Entry e = make_entry(kv);
-      device->WriteBytes(off + written * sizeof(Entry), &e, sizeof(Entry));
-      ++written;
-    }
-    if (writer->transactional() && written > 0) {
-      device->FlushRange(off, written * sizeof(Entry));
-      device->Drain();
-    }
-    m.off = off;
-    m.capacity = cap;
-  }
-  m.size = acc.size();
-  writer->WriteValue(metas->ElementOffset(r), m);
-  return Status::OK();
-}
 
 /// Combines duplicate (id, freq) pairs (needed when pruning is disabled).
 void CombineEntries(std::vector<std::pair<uint32_t, uint32_t>>* v) {
@@ -611,10 +710,6 @@ struct NTadocEngine::State {
   uint64_t qhead = 0;
   uint64_t qtail = 0;
 
-  // Pending table mutations of the current transaction.
-  WordTable::Pending word_pending;
-  GramTable::Pending gram_pending;
-
   // Whether the traversal phase wrote any RuleMeta weight (a fresh run
   // over an edge-free grammar never does); gates the phase-end flush of
   // the metadata array.
@@ -637,16 +732,17 @@ struct NTadocEngine::State {
 // Decoded-rule DRAM cache
 // ---------------------------------------------------------------------------
 
-/// Bounded LRU cache of decoded payloads (options.dram_cache_bytes). The
-/// pool payloads are immutable after init, so a decoded copy can be
-/// reused for the whole traversal; a hit replays the payload's device
-/// extents against a DRAM cost model that shares the looking-up run's
-/// SimClock, so the simulated run still pays (cheap DRAM) access costs
-/// rather than getting the data for free. A private cache is cleared at
-/// every InitPhase entry (a fresh init or salvage rewrites the pool under
-/// the cached offsets); a SharedRuleCache survives across sessions over
-/// one sealed pool — deterministic init makes the offsets stable — and is
-/// explicitly invalidated whenever any session repairs or salvages.
+/// Bounded LRU cache of decoded payloads, the state behind a
+/// SharedRuleCache. The pool payloads are immutable after init, so a
+/// decoded copy can be reused for the whole traversal; a hit replays the
+/// payload's device extents against a DRAM cost model that shares the
+/// looking-up run's SimClock, so the simulated run still pays (cheap DRAM)
+/// access costs rather than getting the data for free. A session-owned
+/// cache is cleared at every InitPhase entry (a fresh init or salvage
+/// rewrites the pool under the cached offsets); a cache shared by the
+/// sessions over one sealed pool survives across them — deterministic
+/// init makes the offsets stable — and is explicitly invalidated whenever
+/// any session repairs or salvages.
 struct NTadocEngine::RuleCache {
   struct Entry {
     DecodedPayload payload;
@@ -817,11 +913,14 @@ struct NTadocEngine::SessionContext {
   uint64_t deadline_ns = 0;
 
   std::unique_ptr<State> state;
-  std::unique_ptr<RuleCache> rule_cache;  // private per-session cache
   std::unique_ptr<BatchShared> batch_shared;
 
-  // DRAM replay model for decoded-rule cache hits. Charges this session's
-  // clock lane even when the hit came from a SharedRuleCache.
+  // Decoded-rule cache: the serving layer's shared one
+  // (options.shared_cache), else one this session owns when
+  // options.dram_cache_bytes asks for it; null = no cache.
+  std::shared_ptr<SharedRuleCache> rule_cache;
+  // DRAM replay model for cache hits. Charges this session's clock lane
+  // even when the hit came from a cache other sessions share.
   std::optional<nvm::MemoryModel> cache_dram;
 
   // Satellite (b): init cost this run consumed from a shared prefix
@@ -837,26 +936,20 @@ struct NTadocEngine::SessionContext {
 
 DecodedPayload NTadocEngine::ReadPayloadCached(State* st, bool segment,
                                                uint32_t id) {
-  SharedRuleCache* shared = options_.shared_cache.get();
-  RuleCache* cache =
-      shared ? shared->cache_.get() : ses_->rule_cache.get();
-  if (!cache || !ses_->cache_dram) {
+  SharedRuleCache* cache = ses_->rule_cache.get();
+  if (cache == nullptr) {
     return segment ? ReadSegmentPayload(st->dag, &*st->pool, id)
                    : ReadRulePayload(st->dag, &*st->pool, id);
   }
-  if (shared) {
+  {
     // Lookup under the cache lock; the DRAM replay charges this
     // session's model (its own clock lane), never a sibling's.
-    util::MutexLock lock(&shared->mu_);
+    util::MutexLock lock(&cache->mu_);
     if (const DecodedPayload* hit =
-            cache->Lookup(segment, id, &*ses_->cache_dram)) {
+            cache->cache_->Lookup(segment, id, &*ses_->cache_dram)) {
       ++ses_->run_info.rule_cache_hits;
       return *hit;  // copied into the return value before unlock
     }
-  } else if (const DecodedPayload* hit =
-                 cache->Lookup(segment, id, &*ses_->cache_dram)) {
-    ++ses_->run_info.rule_cache_hits;
-    return *hit;
   }
   ++ses_->run_info.rule_cache_misses;
   PayloadExtent extent;
@@ -869,13 +962,9 @@ DecodedPayload NTadocEngine::ReadPayloadCached(State* st, bool segment,
   // came back empty with the media error counter bumped, and the caller
   // is about to salvage.
   if (device_->media_error_count() != ses_->media_errors_seen) return payload;
-  if (shared) {
-    util::MutexLock lock(&shared->mu_);
-    if (cache->ShouldAdmit(segment, id, extent, decode_ns)) {
-      cache->Insert(segment, id, payload, extent);
-    }
-  } else if (cache->ShouldAdmit(segment, id, extent, decode_ns)) {
-    cache->Insert(segment, id, payload, extent);
+  util::MutexLock lock(&cache->mu_);
+  if (cache->cache_->ShouldAdmit(segment, id, extent, decode_ns)) {
+    cache->cache_->Insert(segment, id, payload, extent);
   }
   return payload;
 }
@@ -958,49 +1047,7 @@ void PersistTraversalState(nvm::NvmDevice* device, StateT* st) {
   if (st->use_file_gram_table) {
     collect_table(st->file_gram_table, NgramKey{}, uint64_t{});
   }
-  std::sort(lines.begin(), lines.end());
-  lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-  for (size_t i = 0; i < lines.size();) {
-    size_t j = i + 1;
-    while (j < lines.size() && lines[j] == lines[j - 1] + 1) ++j;
-    device->FlushRange(lines[i] * nvm::PersistCheck::kLine,
-                       (j - i) * nvm::PersistCheck::kLine);
-    i = j;
-  }
-  device->Drain();
-  for (size_t i = 0; i < lines.size();) {
-    size_t j = i + 1;
-    while (j < lines.size() && lines[j] == lines[j - 1] + 1) ++j;
-    device->AssertPersisted(lines[i] * nvm::PersistCheck::kLine,
-                            (j - i) * nvm::PersistCheck::kLine);
-    i = j;
-  }
-}
-
-/// Commits a step transaction; on a full log performs the group
-/// checkpoint and retries. The home flush is required for correctness:
-/// Commit() applies entries to their home locations WITHOUT flushing
-/// (the log guarantees durability), so home state must be made durable
-/// before the records that cover it are truncated. The log tracks
-/// exactly which home lines its applied entries dirtied, so the
-/// checkpoint flushes those and nothing else — the former wholesale
-/// PersistTraversalState here clwb'd mostly clean lines (in-place list
-/// data is already flushed at its write site, and the cursor is staged
-/// through the log).
-template <typename StateT, typename Writer>
-Status CommitWithCheckpoint(nvm::NvmDevice* device, StateT* st,
-                            Writer* writer, bool force = false) {
-  (void)device;
-  Status s = writer->Commit(force);
-  if (s.code() != StatusCode::kResourceExhausted) return s;
-  // Only the strict per-step protocol reaches this retry: epoch commits
-  // handle their reserve internally (a mid-epoch checkpoint would leak
-  // uncommitted write-through state) and never return ResourceExhausted.
-  if (st->log) {
-    st->log->FlushAppliedHome();
-    st->log->Truncate();
-  }
-  return writer->Commit(force);
+  device->FlushLineRuns(lines);
 }
 
 /// Byte extents of pool state that legitimately mutates during the
@@ -1095,142 +1142,80 @@ Result<uint64_t> HashImmutableRegion(nvm::NvmDevice* device, uint64_t begin,
   return h;
 }
 
-/// Labels every pool region the engine allocated so a scrub can map a
-/// damaged block back to its owning object (ScrubReport::damage). List
-/// data stays unlabeled: RepairDamage classifies it through the mutable
-/// extents, not through owner names.
+/// Walks every pool structure the run allocated, in one fixed order, as
+/// fn(offset, length, owner name, placement class). Both consumers use
+/// this one walk: owner labels let a scrub map a damaged block back to
+/// its object (ScrubReport::damage), and the tiered pool places the same
+/// extents by class. List data stays unlabeled: RepairDamage classifies
+/// it through the mutable extents, not through owner names.
+template <typename StateT, typename Fn>
+void ForEachStructure(const StateT& st, uint64_t catalog_off, Fn fn) {
+  using nvm::TierClass;
+  const uint32_t nr = st.dag.num_rules;
+  const uint32_t nf = st.dag.num_files;
+  fn(catalog_off, sizeof(Catalog), "catalog", TierClass::kMeta);
+  fn(st.dag.rule_meta.offset(), nr * sizeof(RuleMeta), "rule_meta",
+     TierClass::kMeta);
+  fn(st.dag.seg_meta.offset(), nf * sizeof(SegmentMeta), "seg_meta",
+     TierClass::kMeta);
+  if (st.dag.payload_end > st.dag.payload_begin) {
+    fn(st.dag.payload_begin, st.dag.payload_end - st.dag.payload_begin,
+       "payload", TierClass::kPayload);
+  }
+  if (st.use_local_grams) {
+    fn(st.local_gram_meta.offset(), nr * sizeof(GramMeta), "local_gram_meta",
+       TierClass::kMeta);
+    fn(st.seg_gram_meta.offset(), nf * sizeof(GramMeta), "seg_gram_meta",
+       TierClass::kMeta);
+  }
+  if (st.gram_end > st.gram_begin) {
+    fn(st.gram_begin, st.gram_end - st.gram_begin, "gram_payload",
+       TierClass::kGramPayload);
+  }
+  if (st.use_queue) {
+    fn(st.queue.offset(), nr * sizeof(uint32_t), "queue", TierClass::kQueue);
+    fn(st.indeg.offset(), nr * sizeof(uint32_t), "indeg", TierClass::kQueue);
+  }
+  auto table = [&fn](const auto& t, uint64_t key_size, uint64_t val_size,
+                     const char* name) {
+    fn(t.status_offset(), t.capacity(), name, TierClass::kTable);
+    fn(t.keys_offset(), t.capacity() * key_size, name, TierClass::kTable);
+    fn(t.values_offset(), t.capacity() * val_size, name, TierClass::kTable);
+  };
+  if (st.use_word_table) {
+    table(st.word_table, sizeof(uint32_t), sizeof(uint64_t), "word_table");
+  }
+  if (st.use_gram_table) {
+    table(st.gram_table, sizeof(NgramKey), sizeof(uint64_t), "gram_table");
+  }
+  if (st.use_file_table) {
+    table(st.file_table, sizeof(uint32_t), sizeof(uint64_t), "file_table");
+  }
+  if (st.use_file_gram_table) {
+    table(st.file_gram_table, sizeof(NgramKey), sizeof(uint64_t),
+          "file_gram_table");
+  }
+  if (st.use_word_lists) {
+    fn(st.word_list_meta.offset(), nr * sizeof(ListMeta), "word_list_meta",
+       TierClass::kMeta);
+  }
+  if (st.use_gram_lists) {
+    fn(st.gram_list_meta.offset(), nr * sizeof(ListMeta), "gram_list_meta",
+       TierClass::kMeta);
+  }
+  fn(st.cursor_off, 64, "cursor", TierClass::kCursor);
+  fn(st.integrity_off, 64, "integrity", TierClass::kCursor);
+}
+
 template <typename StateT>
 void RegisterPoolOwners(nvm::NvmPool* pool, const StateT& st,
                         uint64_t catalog_off) {
   pool->ClearOwners();
-  const uint32_t nr = st.dag.num_rules;
-  const uint32_t nf = st.dag.num_files;
-  pool->RegisterOwner(catalog_off, sizeof(Catalog), "catalog");
-  pool->RegisterOwner(st.dag.rule_meta.offset(), nr * sizeof(RuleMeta),
-                      "rule_meta");
-  pool->RegisterOwner(st.dag.seg_meta.offset(), nf * sizeof(SegmentMeta),
-                      "seg_meta");
-  if (st.dag.payload_end > st.dag.payload_begin) {
-    pool->RegisterOwner(st.dag.payload_begin,
-                        st.dag.payload_end - st.dag.payload_begin, "payload");
-  }
-  if (st.use_local_grams) {
-    pool->RegisterOwner(st.local_gram_meta.offset(), nr * sizeof(GramMeta),
-                        "local_gram_meta");
-    pool->RegisterOwner(st.seg_gram_meta.offset(), nf * sizeof(GramMeta),
-                        "seg_gram_meta");
-  }
-  if (st.gram_end > st.gram_begin) {
-    pool->RegisterOwner(st.gram_begin, st.gram_end - st.gram_begin,
-                        "gram_payload");
-  }
-  if (st.use_queue) {
-    pool->RegisterOwner(st.queue.offset(), nr * sizeof(uint32_t), "queue");
-    pool->RegisterOwner(st.indeg.offset(), nr * sizeof(uint32_t), "indeg");
-  }
-  auto reg_table = [pool](const auto& t, uint64_t key_size, uint64_t val_size,
-                          const char* name) {
-    pool->RegisterOwner(t.status_offset(), t.capacity(), name);
-    pool->RegisterOwner(t.keys_offset(), t.capacity() * key_size, name);
-    pool->RegisterOwner(t.values_offset(), t.capacity() * val_size, name);
-  };
-  if (st.use_word_table) {
-    reg_table(st.word_table, sizeof(uint32_t), sizeof(uint64_t),
-              "word_table");
-  }
-  if (st.use_gram_table) {
-    reg_table(st.gram_table, sizeof(NgramKey), sizeof(uint64_t),
-              "gram_table");
-  }
-  if (st.use_file_table) {
-    reg_table(st.file_table, sizeof(uint32_t), sizeof(uint64_t),
-              "file_table");
-  }
-  if (st.use_file_gram_table) {
-    reg_table(st.file_gram_table, sizeof(NgramKey), sizeof(uint64_t),
-              "file_gram_table");
-  }
-  if (st.use_word_lists) {
-    pool->RegisterOwner(st.word_list_meta.offset(), nr * sizeof(ListMeta),
-                        "word_list_meta");
-  }
-  if (st.use_gram_lists) {
-    pool->RegisterOwner(st.gram_list_meta.offset(), nr * sizeof(ListMeta),
-                        "gram_list_meta");
-  }
-  pool->RegisterOwner(st.cursor_off, 64, "cursor");
-  pool->RegisterOwner(st.integrity_off, 64, "integrity");
-}
-
-/// Tier-placement sibling of RegisterPoolOwners: registers the same
-/// structure extents with the session TieredPool, mapped onto placement
-/// classes. Must stay in lockstep with RegisterPoolOwners — an extent
-/// only one of them knows about either escapes repair or escapes
-/// placement.
-template <typename StateT>
-void RegisterTierExtents(nvm::TieredPool* tiered, const StateT& st,
-                         uint64_t catalog_off) {
-  using nvm::TierClass;
-  tiered->ResetExtents();
-  const uint32_t nr = st.dag.num_rules;
-  const uint32_t nf = st.dag.num_files;
-  tiered->RegisterExtent(catalog_off, sizeof(Catalog), TierClass::kMeta);
-  tiered->RegisterExtent(st.dag.rule_meta.offset(), nr * sizeof(RuleMeta),
-                         TierClass::kMeta);
-  tiered->RegisterExtent(st.dag.seg_meta.offset(), nf * sizeof(SegmentMeta),
-                         TierClass::kMeta);
-  if (st.dag.payload_end > st.dag.payload_begin) {
-    tiered->RegisterExtent(st.dag.payload_begin,
-                           st.dag.payload_end - st.dag.payload_begin,
-                           TierClass::kPayload);
-  }
-  if (st.use_local_grams) {
-    tiered->RegisterExtent(st.local_gram_meta.offset(), nr * sizeof(GramMeta),
-                           TierClass::kMeta);
-    tiered->RegisterExtent(st.seg_gram_meta.offset(), nf * sizeof(GramMeta),
-                           TierClass::kMeta);
-  }
-  if (st.gram_end > st.gram_begin) {
-    tiered->RegisterExtent(st.gram_begin, st.gram_end - st.gram_begin,
-                           TierClass::kGramPayload);
-  }
-  if (st.use_queue) {
-    tiered->RegisterExtent(st.queue.offset(), nr * sizeof(uint32_t),
-                           TierClass::kQueue);
-    tiered->RegisterExtent(st.indeg.offset(), nr * sizeof(uint32_t),
-                           TierClass::kQueue);
-  }
-  auto reg_table = [tiered](const auto& t, uint64_t key_size,
-                            uint64_t val_size) {
-    tiered->RegisterExtent(t.status_offset(), t.capacity(),
-                           TierClass::kTable);
-    tiered->RegisterExtent(t.keys_offset(), t.capacity() * key_size,
-                           TierClass::kTable);
-    tiered->RegisterExtent(t.values_offset(), t.capacity() * val_size,
-                           TierClass::kTable);
-  };
-  if (st.use_word_table) {
-    reg_table(st.word_table, sizeof(uint32_t), sizeof(uint64_t));
-  }
-  if (st.use_gram_table) {
-    reg_table(st.gram_table, sizeof(NgramKey), sizeof(uint64_t));
-  }
-  if (st.use_file_table) {
-    reg_table(st.file_table, sizeof(uint32_t), sizeof(uint64_t));
-  }
-  if (st.use_file_gram_table) {
-    reg_table(st.file_gram_table, sizeof(NgramKey), sizeof(uint64_t));
-  }
-  if (st.use_word_lists) {
-    tiered->RegisterExtent(st.word_list_meta.offset(), nr * sizeof(ListMeta),
-                           TierClass::kMeta);
-  }
-  if (st.use_gram_lists) {
-    tiered->RegisterExtent(st.gram_list_meta.offset(), nr * sizeof(ListMeta),
-                           TierClass::kMeta);
-  }
-  tiered->RegisterExtent(st.cursor_off, 64, TierClass::kCursor);
-  tiered->RegisterExtent(st.integrity_off, 64, TierClass::kCursor);
+  ForEachStructure(st, catalog_off,
+                   [pool](uint64_t off, uint64_t len, const char* owner,
+                          nvm::TierClass) {
+                     pool->RegisterOwner(off, len, owner);
+                   });
 }
 
 }  // namespace
@@ -1247,6 +1232,14 @@ NTadocEngine::NTadocEngine(const CompressedCorpus* corpus,
       ses_(std::make_unique<SessionContext>()) {
   NTADOC_CHECK(corpus != nullptr);
   NTADOC_CHECK(device != nullptr);
+  ses_->rule_cache = options_.shared_cache;
+  if (ses_->rule_cache == nullptr && options_.dram_cache_bytes > 0) {
+    ses_->rule_cache =
+        std::make_shared<SharedRuleCache>(options_.dram_cache_bytes);
+  }
+  if (ses_->rule_cache != nullptr) {
+    ses_->cache_dram.emplace(nvm::DramProfile(), device_->clock_ptr());
+  }
 }
 
 NTadocEngine::~NTadocEngine() {
@@ -1272,9 +1265,8 @@ Status NTadocEngine::CheckSessionLimits() const {
   return Status::OK();
 }
 
-void NTadocEngine::InvalidateRuleCaches() {
-  if (ses_->rule_cache) ses_->rule_cache->Clear();
-  if (options_.shared_cache) options_.shared_cache->Invalidate();
+void NTadocEngine::InvalidateRuleCache() {
+  if (ses_->rule_cache) ses_->rule_cache->Invalidate();
 }
 
 Status NTadocEngine::SetupTiering(State* st, uint64_t catalog_off,
@@ -1286,7 +1278,12 @@ Status NTadocEngine::SetupTiering(State* st, uint64_t catalog_off,
   // exists. Attach loads the committed prefix instead, so a recovered
   // run resumes with every persistent-tier placement intact.
   NTADOC_RETURN_IF_ERROR(tiered->InitRegion(fresh));
-  RegisterTierExtents(tiered, *st, catalog_off);
+  tiered->ResetExtents();
+  ForEachStructure(*st, catalog_off,
+                   [tiered](uint64_t off, uint64_t len, const char*,
+                            nvm::TierClass cls) {
+                     tiered->RegisterExtent(off, len, cls);
+                   });
   return tiered->ApplyInitialPlacement();
 }
 
@@ -1295,11 +1292,11 @@ Status NTadocEngine::MaybeMigrate(State* st) {
   if (tiered == nullptr) return Status::OK();
   NTADOC_RETURN_IF_ERROR(tiered->MaybeMigrate(st->tx_log()));
   if (tiered->TakePayloadDemotion()) {
-    // Demoted payload units invalidate the decoded-rule caches: their
+    // Demoted payload units invalidate the decoded-rule cache: its
     // admission decisions were priced against the faster tier. mu_ is
     // not held here (lock order: repair/cache locks never nest inside
     // the migration mutex).
-    InvalidateRuleCaches();
+    InvalidateRuleCache();
   }
   return Status::OK();
 }
@@ -1375,7 +1372,7 @@ void NTadocEngine::CommitPhase(uint64_t phase) {
   marker.CommitPhase(phase);
 }
 
-Status NTadocEngine::MaybeInjectCrash(State* st) {
+Status NTadocEngine::MaybeInjectCrash() {
   if (options_.crash_after_traversal_steps != 0 &&
       ses_->run_info.traversal_steps >= options_.crash_after_traversal_steps) {
     device_->SimulateCrash();
@@ -1383,7 +1380,6 @@ Status NTadocEngine::MaybeInjectCrash(State* st) {
                             std::to_string(ses_->run_info.traversal_steps) +
                             " traversal steps");
   }
-  (void)st;
   return Status::OK();
 }
 
@@ -1404,23 +1400,6 @@ Status NTadocEngine::CheckMediaErrors() {
 }
 
 namespace {
-
-/// Writes the durable cursor through the step writer.
-void StageCursor(StepWriter* w, uint64_t cursor_off, uint64_t stage,
-                 uint64_t a, uint64_t b) {
-  CursorSlot c{kCursorMagic, stage, a, b, 0};
-  c.checksum = CursorChecksum(c);
-  w->WriteValue(cursor_off, c);
-}
-
-/// Reads the cursor; stage 0 if torn/unwritten.
-CursorSlot ReadCursor(nvm::NvmDevice* device, uint64_t cursor_off) {
-  CursorSlot c = device->Read<CursorSlot>(cursor_off);
-  if (c.magic != kCursorMagic || c.checksum != CursorChecksum(c)) {
-    return CursorSlot{kCursorMagic, 0, 0, 0, 0};
-  }
-  return c;
-}
 
 /// Epoch-mode error unwinding. A step that fails mid-epoch (media damage
 /// surfacing as DataLoss — never an injected crash, which must not write
@@ -1989,9 +1968,8 @@ bool NTadocEngine::RepairDamage(
     device_->Drain();
   }
   // The repair rewrote pool payloads under the offsets the decoded-rule
-  // caches are keyed by; drop them (private and shared) before anything
-  // replays a stale entry.
-  InvalidateRuleCaches();
+  // cache is keyed by; drop it before anything replays a stale entry.
+  InvalidateRuleCache();
   return true;
 }
 
@@ -2018,27 +1996,14 @@ std::pair<uint64_t, uint64_t> NTadocEngine::payload_region() const {
 Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
                                State* st, bool force_fresh) {
   const auto& grammar = corpus_->grammar;
-  // A private cache is keyed by (kind, id) against the pool this phase
-  // lays out; anything decoded from a previous attempt (or a salvaged
-  // pool) is stale now. A shared cache is NOT cleared here: concurrent
-  // sessions init private clones of one deterministic sealed layout, so
-  // cross-session entries stay valid until a repair/salvage explicitly
-  // invalidates them.
-  if (options_.shared_cache) {
-    ses_->rule_cache.reset();
-    if (!ses_->cache_dram) {
-      ses_->cache_dram.emplace(nvm::DramProfile(), device_->clock_ptr());
-    }
-  } else if (options_.dram_cache_bytes > 0) {
-    if (!ses_->rule_cache) {
-      ses_->rule_cache =
-          std::make_unique<RuleCache>(options_.dram_cache_bytes);
-    } else {
-      ses_->rule_cache->Clear();
-    }
-    if (!ses_->cache_dram) {
-      ses_->cache_dram.emplace(nvm::DramProfile(), device_->clock_ptr());
-    }
+  // A session-owned cache is keyed by (kind, id) against the pool this
+  // phase lays out; anything decoded from a previous attempt (or a
+  // salvaged pool) is stale now. A shared cache is NOT cleared here:
+  // concurrent sessions init private clones of one deterministic sealed
+  // layout, so cross-session entries stay valid until a repair/salvage
+  // explicitly invalidates them.
+  if (ses_->rule_cache != nullptr && options_.shared_cache == nullptr) {
+    ses_->rule_cache->Invalidate();
   }
   st->task = task;
   st->opts = opts;
@@ -2474,8 +2439,6 @@ Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
   // *reachable rule set* (a rule contributes distinct items once, no
   // matter how often it occurs).
   std::vector<uint8_t> reach_seen(nr, 0);
-  uint64_t reach_epoch_guard = 0;
-  (void)reach_epoch_guard;
   auto reachable_sum =
       [&](const std::vector<std::pair<uint32_t, uint32_t>>& roots,
           const std::vector<uint64_t>& own) {
@@ -2716,6 +2679,13 @@ Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
 
 namespace {
 
+/// Host-side form of a bottom-up list: (word or n-gram key, count) pairs
+/// sorted by key.
+template <typename Entry>
+using ListOf = tracked::vector<std::pair<
+    std::conditional_t<std::is_same_v<Entry, WordEntry>, uint32_t, NgramKey>,
+    uint64_t>>;
+
 /// Reads a bottom-up list back into a host vector through one zero-copy
 /// borrowed span (bulk-charged, same as the staging read it replaces).
 template <typename Entry, typename Vec>
@@ -2723,13 +2693,9 @@ void ReadList(nvm::NvmDevice* device, const ListMeta& m, Vec* out) {
   // Corrupt descriptor: read nothing; the caller's media-error check
   // turns the poisoned descriptor read into DataLoss. The alignment
   // check keeps a torn descriptor from producing a misaligned borrow.
-  if (m.off > device->capacity() ||
+  if (m.size == 0 || m.off > device->capacity() ||
       m.size > (device->capacity() - m.off) / sizeof(Entry) ||
       m.off % alignof(Entry) != 0) {
-    out->clear();
-    return;
-  }
-  if (m.size == 0) {
     out->clear();
     return;
   }
@@ -2751,18 +2717,201 @@ void ReadList(nvm::NvmDevice* device, const ListMeta& m, Vec* out) {
   }
 }
 
+/// Results of the per-file tasks (term vectors, inverted index, ranked
+/// inverted index), collected one file at a time by either traversal
+/// strategy and assembled once at the end.
+class PerFileResults {
+ public:
+  PerFileResults(Task task, uint32_t num_files, uint32_t dict_size,
+                 uint32_t top_k)
+      : top_k_(top_k) {
+    out_.task = task;
+    if (task == Task::kTermVector) out_.term_vectors.resize(num_files);
+    if (task == Task::kInvertedIndex) postings_.resize(dict_size);
+  }
+
+  /// File `f`'s word counts (term vector or inverted index) or n-gram
+  /// counts (ranked inverted index), in any order.
+  template <typename Vec>
+  void Add(uint32_t f, const Vec& counts) {
+    if constexpr (std::is_same_v<typename Vec::value_type::first_type,
+                                 NgramKey>) {
+      for (const auto& [k, c] : counts) {
+        if (c == 0) continue;
+        auto [it, inserted] = gram_slot_.try_emplace(
+            k, static_cast<uint32_t>(gram_keys_.size()));
+        if (inserted) {
+          gram_keys_.push_back(k);
+          gram_postings_.emplace_back();
+        }
+        gram_postings_[it->second].emplace_back(f, c);
+      }
+    } else if (out_.task == Task::kTermVector) {
+      out_.term_vectors[f] = CanonicalTopK(counts, top_k_);
+    } else {
+      for (const auto& [w, c] : counts) {
+        if (c != 0) postings_[w].push_back(f);
+      }
+    }
+  }
+
+  AnalyticsOutput Assemble() && {
+    for (WordId w = compress::kFirstWordId; w < postings_.size(); ++w) {
+      if (!postings_[w].empty()) {
+        out_.inverted_index.emplace_back(w, std::move(postings_[w]));
+      }
+    }
+    std::vector<uint32_t> order(gram_keys_.size());
+    for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return gram_keys_[a] < gram_keys_[b];
+    });
+    for (uint32_t idx : order) {
+      RankPostings(&gram_postings_[idx]);
+      out_.ranked_index.emplace_back(gram_keys_[idx],
+                                     std::move(gram_postings_[idx]));
+    }
+    return std::move(out_);
+  }
+
+ private:
+  uint32_t top_k_;
+  AnalyticsOutput out_;
+  std::vector<std::vector<uint32_t>> postings_;
+  std::unordered_map<NgramKey, uint32_t, NgramKeyHash> gram_slot_;
+  std::vector<NgramKey> gram_keys_;
+  std::vector<std::vector<std::pair<uint32_t, uint64_t>>> gram_postings_;
+};
+
 }  // namespace
 
-Result<AnalyticsOutput> NTadocEngine::TraversalPhase(
-    Task task, const AnalyticsOptions& opts, State* st) {
+/// The traversal step driver. Every kernel is a frontier — its loops pick
+/// the next step, and the step's reducer returns where the durable cursor
+/// stands after it — plus that per-step reducer. StepLoop owns everything
+/// around the reducer, in one fixed order:
+///   Begin -> reduce -> media check -> stage cursor -> count the step ->
+///   crash injection -> deadline/cancel -> commit -> migration tick.
+/// How a step's stores become durable is the StepWriter's business; the
+/// phase end (result extraction, the done-cursor or the phase-level bulk
+/// flush, the phase marker) is Finish(). Per-file top-down steps are
+/// constructed non-durable: their counters are written unlogged and they
+/// stage no cursor, commit nothing and skip the migration tick.
+class NTadocEngine::StepLoop {
+ public:
+  StepLoop(NTadocEngine* engine, State* st, bool durable)
+      : engine_(engine),
+        st_(st),
+        durable_(durable),
+        // Only operation-level persistence opens a redo log.
+        writer_(engine->device_, &*st->pool,
+                durable ? st->tx_log() : nullptr, st->cursor_off,
+                engine->options_.persistence == PersistenceMode::kPhase,
+                engine->options_.commit_interval,
+                &engine->ses_->run_info),
+        results_(st->task, st->dag.num_files,
+                 engine->corpus_->grammar.dict_size, st->opts.top_k) {}
+
+  StepWriter& writer() { return writer_; }
+  PerFileResults& results() { return results_; }
+
+  /// Where the traversal resumes: the durable cursor under operation-level
+  /// persistence, stage 0 otherwise. A torn or unwritten slot, and a
+  /// completed run's done-cursor, both start over.
+  Cursor ReadCursor() const {
+    if (!writer_.transactional()) return Cursor{};
+    const CursorSlot c =
+        engine_->device_->Read<CursorSlot>(st_->cursor_off);
+    if (c.magic != kCursorMagic || c.checksum != CursorChecksum(c) ||
+        c.stage == 3) {
+      return Cursor{};
+    }
+    return Cursor{c.stage, c.a, c.b};
+  }
+
+  /// Commit point after a kernel's (already flushed) stage-0 reset: the
+  /// cursor moves to the start of stage 1.
+  Status CommitReset() {
+    NTADOC_RETURN_IF_ERROR(writer_.CommitCursor(Cursor{1, 0, 0}));
+    return engine_->MaybeMigrate(st_);
+  }
+
+  /// A rule's or file segment's decoded payload, with duplicate (id, freq)
+  /// pairs combined (only unpruned payloads have any).
+  DecodedPayload ReadPayload(bool segment, uint32_t id) {
+    DecodedPayload p = engine_->ReadPayloadCached(st_, segment, id);
+    if (!st_->dag.pruned) {
+      CombineEntries(&p.subrules);
+      CombineEntries(&p.words);
+    }
+    return p;
+  }
+
+  /// Runs one step. `reduce` does the kernel's work for it and returns the
+  /// cursor that resumes right after it.
+  template <typename Reduce>
+  Status Step(Reduce reduce) {
+    writer_.Begin();
+    NTADOC_ASSIGN_OR_RETURN(const Cursor next, reduce());
+    NTADOC_RETURN_IF_ERROR(engine_->CheckMediaErrors());
+    writer_.StageCursor(next);
+    ++engine_->ses_->run_info.traversal_steps;
+    NTADOC_RETURN_IF_ERROR(engine_->MaybeInjectCrash());
+    NTADOC_RETURN_IF_ERROR(engine_->CheckSessionLimits());
+    if (!durable_) return Status::OK();
+    NTADOC_RETURN_IF_ERROR(writer_.Commit());
+    return engine_->MaybeMigrate(st_);
+  }
+
+  /// Phase end: global counters are extracted from their pool table and
+  /// per-file results assembled; then the phase boundary persists.
+  Result<AnalyticsOutput> Finish() {
+    AnalyticsOutput out = std::move(results_).Assemble();
+    const Task task = st_->task;
+    if (task == Task::kWordCount || task == Task::kSort) {
+      tadoc::WordCountResult counts;
+      st_->word_table.Extract(&counts);
+      std::sort(counts.begin(), counts.end());
+      if (task == Task::kSort) {
+        out.sorted_words = CanonicalSort(counts, engine_->corpus_->dict);
+      } else {
+        out.word_counts = std::move(counts);
+      }
+    } else if (task == Task::kSequenceCount) {
+      std::vector<std::pair<NgramKey, uint64_t>> counts;
+      st_->gram_table.Extract(&counts);
+      std::sort(counts.begin(), counts.end());
+      out.sequence_counts = std::move(counts);
+    }
+    // The extracted counters must be real data, not poison fill.
+    NTADOC_RETURN_IF_ERROR(engine_->CheckMediaErrors());
+    if (writer_.transactional()) {
+      // Forced: the done-cursor (and any open epoch) must be durable
+      // before the phase marker advances.
+      NTADOC_RETURN_IF_ERROR(
+          writer_.CommitCursor(Cursor{3, 0, 0}, /*force=*/true));
+    } else if (writer_.phase_flush()) {
+      PersistTraversalState(engine_->device_, st_);
+    }
+    engine_->CommitPhase(2);
+    return out;
+  }
+
+ private:
+  NTadocEngine* engine_;
+  State* st_;
+  bool durable_;
+  StepWriter writer_;
+  PerFileResults results_;
+};
+
+Result<AnalyticsOutput> NTadocEngine::TraversalPhase(State* st) {
   auto result = [&]() -> Result<AnalyticsOutput> {
     if (st->strategy == TraversalStrategy::kBottomUp) {
-      return BottomUp(task, opts, st);
+      return tadoc::IsSequenceTask(st->task) ? BottomUp<GramEntry>(st)
+                                             : BottomUp<WordEntry>(st);
     }
-    if (tadoc::IsPerFileTask(task)) {
-      return TopDownPerFile(task, opts, st);
-    }
-    return TopDownGlobal(task, opts, st);
+    if (tadoc::IsPerFileTask(st->task)) return TopDownPerFile(st);
+    return TopDownGlobal(st);
   }();
   if (!result.ok() && result.status().code() == StatusCode::kDataLoss &&
       options_.persistence == PersistenceMode::kOperation &&
@@ -2772,19 +2921,14 @@ Result<AnalyticsOutput> NTadocEngine::TraversalPhase(
   return result;
 }
 
-Result<AnalyticsOutput> NTadocEngine::TopDownGlobal(
-    Task task, const AnalyticsOptions& opts, State* st) {
-  (void)opts;  // global tasks take no task parameters beyond the defaults
+Result<AnalyticsOutput> NTadocEngine::TopDownGlobal(State* st) {
   const uint32_t nr = st->dag.num_rules;
   const uint32_t nf = st->dag.num_files;
-  const bool op = options_.persistence == PersistenceMode::kOperation;
-  StepWriter writer(device_, op ? st->tx_log() : nullptr,
-                    options_.commit_interval, &ses_->run_info);
+  StepLoop loop(this, st, /*durable=*/true);
+  StepWriter& w = loop.writer();
 
   // Resume point (operation level) or fresh working state.
-  CursorSlot cur = op ? ReadCursor(device_, st->cursor_off)
-                      : CursorSlot{kCursorMagic, 0, 0, 0, 0};
-  if (cur.stage == 3) cur.stage = 0;  // stale completed run: start over
+  const Cursor cur = loop.ReadCursor();
   // A checksummed-but-impossible cursor means the persisted state lies.
   if (cur.stage > 3 || (cur.stage == 1 && (cur.a > nf || cur.b > nr)) ||
       (cur.stage == 2 && (cur.a > cur.b || cur.b > nr))) {
@@ -2809,7 +2953,7 @@ Result<AnalyticsOutput> NTadocEngine::TopDownGlobal(
     if (st->use_word_table) st->word_table.Clear();
     if (st->use_gram_table) st->gram_table.Clear();
     st->qhead = st->qtail = 0;
-    if (op) {
+    if (w.transactional()) {
       // The reset must be durable before the cursor says "stage 1", or a
       // crash would resume against rolled-back working state. On a fresh
       // run the weights are already zero and Clear() touches only the
@@ -2821,10 +2965,7 @@ Result<AnalyticsOutput> NTadocEngine::TopDownGlobal(
       if (st->use_word_table) st->word_table.PersistStatus();
       if (st->use_gram_table) st->gram_table.PersistStatus();
       device_->Drain();
-      writer.Begin();
-      StageCursor(&writer, st->cursor_off, 1, 0, 0);
-      NTADOC_RETURN_IF_ERROR(CommitWithCheckpoint(device_, st, &writer));
-      NTADOC_RETURN_IF_ERROR(MaybeMigrate(st));
+      NTADOC_RETURN_IF_ERROR(loop.CommitReset());
     }
   } else if (cur.stage == 1) {
     seg_start = cur.a;
@@ -2838,199 +2979,79 @@ Result<AnalyticsOutput> NTadocEngine::TopDownGlobal(
     ses_->run_info.resumed_at_step = cur.a;
   }
 
+  // The reducer: pushes weight `wr` along a payload's edges (a child
+  // whose in-degree reaches zero joins the queue), then adds the
+  // payload's words or local n-grams (`grams[id]`), scaled by `wr`, to
+  // the global counters.
   const uint64_t weight_field = offsetof(RuleMeta, weight);
-
-  // One traversal step: apply a payload's edges with multiplier `wr`.
-  auto apply_edges = [&](const DecodedPayload& payload, uint64_t wr,
-                         StepWriter* w) -> Status {
-    auto subs = payload.subrules;
-    if (!st->dag.pruned) CombineEntries(&subs);
-    for (const auto& [child, freq] : subs) {
+  auto propagate = [&](const DecodedPayload& payload, uint64_t wr,
+                       const NvmVector<GramMeta>& grams,
+                       uint32_t id) -> Status {
+    for (const auto& [child, freq] : payload.subrules) {
       if (child == 0 || child >= nr) {
         return Status::DataLoss("payload references rule out of range");
       }
       const RuleMeta cm = st->dag.rule_meta.Get(child);
-      const uint64_t new_weight = cm.weight + wr * freq;
-      w->WriteValue(st->dag.rule_meta.ElementOffset(child) + weight_field,
-                    new_weight);
+      w.WriteValue(st->dag.rule_meta.ElementOffset(child) + weight_field,
+                   cm.weight + wr * freq);
       st->rule_meta_dirty = true;
       const uint32_t dec = st->dag.pruned ? 1u : freq;
       const uint32_t in = st->indeg.Get(child);
       if (in < dec) {
         return Status::DataLoss("in-degree underflow (corrupt metadata)");
       }
-      w->WriteValue(st->indeg.ElementOffset(child), in - dec);
+      w.WriteValue(st->indeg.ElementOffset(child), in - dec);
       if (in - dec == 0) {
         if (st->qtail >= nr) {
           return Status::DataLoss("traversal queue overflow (corrupt state)");
         }
-        w->WriteValue(st->queue.ElementOffset(st->qtail),
-                      static_cast<uint32_t>(child));
+        w.WriteValue(st->queue.ElementOffset(st->qtail),
+                     static_cast<uint32_t>(child));
         ++st->qtail;
       }
     }
-    return Status::OK();
-  };
-
-  auto add_words = [&](const DecodedPayload& payload, uint64_t wr,
-                       StepWriter* w) -> Status {
-    if (!st->use_word_table) return Status::OK();
-    auto words = payload.words;
-    if (!st->dag.pruned) CombineEntries(&words);
-    for (const auto& [word, freq] : words) {
-      Status s;
-      if (w->epoch_mode()) {
-        s = st->word_table.AddDeltaVia(word, wr * freq, w);
-      } else if (w->transactional()) {
-        s = st->word_table.AddDeltaTx(word, wr * freq, w->log(),
-                                      &st->word_pending);
-      } else {
-        s = st->word_table.AddDelta(word, wr * freq);
-      }
-      if (s.code() == StatusCode::kResourceExhausted) {
-        NTADOC_RETURN_IF_ERROR(GrowTable(&st->word_table, &*st->pool,
-                                          &ses_->run_info.counter_rebuilds));
-        s = st->word_table.AddDelta(word, wr * freq);
-      }
-      NTADOC_RETURN_IF_ERROR(s);
+    if (st->use_word_table) {
+      NTADOC_RETURN_IF_ERROR(w.AddWords(&st->word_table, payload.words, wr));
     }
-    return Status::OK();
-  };
-
-  auto add_grams = [&](const GramMeta& gm, uint64_t wr,
-                       StepWriter* w) -> Status {
-    if (!st->use_gram_table || gm.count == 0) return Status::OK();
-    if (gm.off > device_->capacity() ||
-        gm.count > (device_->capacity() - gm.off) / sizeof(GramEntry) ||
-        gm.off % alignof(GramEntry) != 0) {
-      return Status::DataLoss("gram payload descriptor out of bounds");
-    }
-    // Zero-copy borrow of the immutable gram payload. The table/log
-    // writes below never target the init-phase payload region (that is
-    // the integrity-hash invariant), so the borrow stays valid across
-    // the whole loop.
-    NTADOC_ASSIGN_OR_RETURN(
-        const GramEntry* buf,
-        device_->TryReadTypedSpan<GramEntry>(gm.off, gm.count));
-    for (uint64_t i = 0; i < gm.count; ++i) {
-      const GramEntry e = buf[i];
-      Status s;
-      if (w->epoch_mode()) {
-        s = st->gram_table.AddDeltaVia(e.key, wr * e.count, w);
-      } else if (w->transactional()) {
-        s = st->gram_table.AddDeltaTx(e.key, wr * e.count, w->log(),
-                                      &st->gram_pending);
-      } else {
-        s = st->gram_table.AddDelta(e.key, wr * e.count);
-      }
-      if (s.code() == StatusCode::kResourceExhausted) {
-        NTADOC_RETURN_IF_ERROR(GrowTable(&st->gram_table, &*st->pool,
-                                          &ses_->run_info.counter_rebuilds));
-        s = st->gram_table.AddDelta(e.key, wr * e.count);
-      }
-      NTADOC_RETURN_IF_ERROR(s);
+    if (st->use_gram_table) {
+      NTADOC_RETURN_IF_ERROR(w.AddGrams(&st->gram_table, grams.Get(id), wr));
     }
     return Status::OK();
   };
 
   // Stage 1: seed from the root's file segments (weight 1 each).
   for (uint64_t f = seg_start; f < nf; ++f) {
-    writer.Begin();
-    st->word_pending.Clear();
-    st->gram_pending.Clear();
-    const DecodedPayload payload =
-        ReadPayloadCached(st, /*segment=*/true, static_cast<uint32_t>(f));
-    NTADOC_RETURN_IF_ERROR(apply_edges(payload, 1, &writer));
-    NTADOC_RETURN_IF_ERROR(add_words(payload, 1, &writer));
-    if (st->use_gram_table) {
-      NTADOC_RETURN_IF_ERROR(add_grams(
-          st->seg_gram_meta.Get(static_cast<uint32_t>(f)), 1, &writer));
-    }
-    NTADOC_RETURN_IF_ERROR(CheckMediaErrors());
-    if (op) StageCursor(&writer, st->cursor_off, 1, f + 1, st->qtail);
-    ++ses_->run_info.traversal_steps;
-    NTADOC_RETURN_IF_ERROR(MaybeInjectCrash(st));
-    NTADOC_RETURN_IF_ERROR(CheckSessionLimits());
-    NTADOC_RETURN_IF_ERROR(CommitWithCheckpoint(device_, st, &writer));
-    NTADOC_RETURN_IF_ERROR(MaybeMigrate(st));
+    NTADOC_RETURN_IF_ERROR(loop.Step([&]() -> Result<Cursor> {
+      const uint32_t file = static_cast<uint32_t>(f);
+      NTADOC_RETURN_IF_ERROR(propagate(loop.ReadPayload(/*segment=*/true, file),
+                                       1, st->seg_gram_meta, file));
+      return Cursor{1, f + 1, st->qtail};
+    }));
   }
 
   // Stage 2: Kahn queue over the pruned DAG.
   while (st->qhead < st->qtail) {
-    writer.Begin();
-    st->word_pending.Clear();
-    st->gram_pending.Clear();
-    const uint32_t r = st->queue.Get(st->qhead);
-    if (r == 0 || r >= nr) {
-      return Status::DataLoss("traversal queue entry out of range");
-    }
-    ++st->qhead;
-    const uint64_t wr = st->dag.rule_meta.Get(r).weight;
-    const DecodedPayload payload = ReadPayloadCached(st, /*segment=*/false, r);
-    NTADOC_RETURN_IF_ERROR(apply_edges(payload, wr, &writer));
-    NTADOC_RETURN_IF_ERROR(add_words(payload, wr, &writer));
-    if (st->use_gram_table) {
-      NTADOC_RETURN_IF_ERROR(add_grams(st->local_gram_meta.Get(r), wr,
-                                       &writer));
-    }
-    NTADOC_RETURN_IF_ERROR(CheckMediaErrors());
-    if (op) StageCursor(&writer, st->cursor_off, 2, st->qhead, st->qtail);
-    ++ses_->run_info.traversal_steps;
-    NTADOC_RETURN_IF_ERROR(MaybeInjectCrash(st));
-    NTADOC_RETURN_IF_ERROR(CheckSessionLimits());
-    NTADOC_RETURN_IF_ERROR(CommitWithCheckpoint(device_, st, &writer));
-    NTADOC_RETURN_IF_ERROR(MaybeMigrate(st));
+    NTADOC_RETURN_IF_ERROR(loop.Step([&]() -> Result<Cursor> {
+      const uint32_t r = st->queue.Get(st->qhead);
+      if (r == 0 || r >= nr) {
+        return Status::DataLoss("traversal queue entry out of range");
+      }
+      ++st->qhead;
+      const uint64_t wr = st->dag.rule_meta.Get(r).weight;
+      NTADOC_RETURN_IF_ERROR(propagate(loop.ReadPayload(/*segment=*/false, r),
+                                       wr, st->local_gram_meta, r));
+      return Cursor{2, st->qhead, st->qtail};
+    }));
   }
-
-  // Results.
-  AnalyticsOutput out;
-  out.task = task;
-  if (task == Task::kWordCount || task == Task::kSort) {
-    tadoc::WordCountResult counts;
-    st->word_table.Extract(&counts);
-    std::sort(counts.begin(), counts.end());
-    if (task == Task::kSort) {
-      out.sorted_words = CanonicalSort(counts, corpus_->dict);
-    } else {
-      out.word_counts = std::move(counts);
-    }
-  } else {  // sequence count
-    std::vector<std::pair<NgramKey, uint64_t>> counts;
-    st->gram_table.Extract(&counts);
-    std::sort(counts.begin(), counts.end());
-    out.sequence_counts = std::move(counts);
-  }
-  // The extracted counters must be real data, not poison fill.
-  NTADOC_RETURN_IF_ERROR(CheckMediaErrors());
-
-  // Phase boundary. The final commit is forced: the done-cursor (and any
-  // open epoch) must be durable before the phase marker advances.
-  if (op) {
-    writer.Begin();
-    StageCursor(&writer, st->cursor_off, 3, 0, 0);
-    NTADOC_RETURN_IF_ERROR(
-        CommitWithCheckpoint(device_, st, &writer, /*force=*/true));
-  } else if (options_.persistence == PersistenceMode::kPhase) {
-    PersistTraversalState(device_, st);
-  }
-  CommitPhase(2);
-  return out;
+  return loop.Finish();
 }
 
-Result<AnalyticsOutput> NTadocEngine::TopDownPerFile(
-    Task task, const AnalyticsOptions& opts, State* st) {
+Result<AnalyticsOutput> NTadocEngine::TopDownPerFile(State* st) {
+  const uint32_t nr = st->dag.num_rules;
   const uint32_t nf = st->dag.num_files;
-  const bool rii = task == Task::kRankedInvertedIndex;
-  AnalyticsOutput out;
-  out.task = task;
-  if (task == Task::kTermVector) out.term_vectors.resize(nf);
-  std::vector<std::vector<uint32_t>> postings;
-  if (task == Task::kInvertedIndex) {
-    postings.resize(corpus_->grammar.dict_size);
-  }
-  std::unordered_map<NgramKey, uint32_t, NgramKeyHash> gram_slot;
-  std::vector<NgramKey> gram_keys;
-  std::vector<std::vector<std::pair<uint32_t, uint64_t>>> gram_postings;
+  const bool rii = st->task == Task::kRankedInvertedIndex;
+  StepLoop loop(this, st, /*durable=*/false);
+  StepWriter& w = loop.writer();
 
   // Per-file top-down traversal: rule weights live in the pool-resident
   // metadata (the paper's "weight of the rule"), so every file walks the
@@ -3047,172 +3068,70 @@ Result<AnalyticsOutput> NTadocEngine::TopDownPerFile(
     device_->Write(st->dag.rule_meta.ElementOffset(r) + weight_field, w);
     st->rule_meta_dirty = true;
   };
-
-  for (uint32_t f = 0; f < nf; ++f) {
-    // Zero the weights of every rule for this file's walk.
-    for (uint32_t r : st->dag.layout_order) {
-      if (r != 0 && read_weight(r) != 0) write_weight(r, 0);
-    }
-    if (rii) {
-      st->file_gram_table.Clear();
-    } else {
-      st->file_table.Clear();
-    }
-
-    auto add_word = [&](uint32_t word, uint64_t delta) -> Status {
-      Status s = st->file_table.AddDelta(word, delta);
-      if (s.code() == StatusCode::kResourceExhausted) {
-        NTADOC_RETURN_IF_ERROR(GrowTable(&st->file_table, &*st->pool,
-                                          &ses_->run_info.counter_rebuilds));
-        s = st->file_table.AddDelta(word, delta);
-      }
-      return s;
-    };
-    auto add_gram_payload = [&](const GramMeta& gm,
-                                uint64_t wr) -> Status {
-      if (gm.count == 0) return Status::OK();
-      if (gm.off > device_->capacity() ||
-          gm.count > (device_->capacity() - gm.off) / sizeof(GramEntry) ||
-          gm.off % alignof(GramEntry) != 0) {
-        return Status::DataLoss("gram payload descriptor out of bounds");
-      }
-      // Zero-copy borrow (see add_grams in TopDownGlobal): the counter
-      // writes never touch the immutable payload region.
-      NTADOC_ASSIGN_OR_RETURN(
-          const GramEntry* buf,
-          device_->TryReadTypedSpan<GramEntry>(gm.off, gm.count));
-      for (uint64_t i = 0; i < gm.count; ++i) {
-        const GramEntry e = buf[i];
-        Status s = st->file_gram_table.AddDelta(e.key, wr * e.count);
-        if (s.code() == StatusCode::kResourceExhausted) {
-          NTADOC_RETURN_IF_ERROR(GrowTable(&st->file_gram_table, &*st->pool,
-                                            &ses_->run_info.counter_rebuilds));
-          s = st->file_gram_table.AddDelta(e.key, wr * e.count);
-        }
-        NTADOC_RETURN_IF_ERROR(s);
-      }
-      return Status::OK();
-    };
-
-    // Seed from the file's segment.
-    DecodedPayload seg = ReadPayloadCached(st, /*segment=*/true, f);
-    if (!st->dag.pruned) {
-      CombineEntries(&seg.subrules);
-      CombineEntries(&seg.words);
-    }
-    for (const auto& [child, freq] : seg.subrules) {
-      if (child == 0 || child >= st->dag.num_rules) {
+  // The reducer's core: adds weight `wt` to a payload's children, and its
+  // words or local n-grams (`grams[id]`), scaled by `wt`, to the file's
+  // counters.
+  auto propagate = [&](const DecodedPayload& payload, uint64_t wt,
+                       const NvmVector<GramMeta>& grams,
+                       uint32_t id) -> Status {
+    for (const auto& [child, freq] : payload.subrules) {
+      if (child == 0 || child >= nr) {
         return Status::DataLoss("payload references rule out of range");
       }
-      write_weight(child, read_weight(child) + freq);
+      write_weight(child, read_weight(child) + wt * freq);
     }
-    if (rii) {
-      NTADOC_RETURN_IF_ERROR(add_gram_payload(st->seg_gram_meta.Get(f), 1));
-    } else {
-      for (const auto& [word, freq] : seg.words) {
-        NTADOC_RETURN_IF_ERROR(add_word(word, freq));
-      }
-    }
+    if (rii) return w.AddGrams(&st->file_gram_table, grams.Get(id), wt);
+    return w.AddWords(&st->file_table, payload.words, wt);
+  };
 
-    // Propagate through the DAG in layout (topological) order; every
-    // rule's weight is checked on NVM whether it participates or not.
-    for (uint32_t r : st->dag.layout_order) {
-      if (r == 0) continue;
-      const uint64_t w = read_weight(r);
-      if (w == 0) continue;
-      DecodedPayload payload = ReadPayloadCached(st, /*segment=*/false, r);
-      if (!st->dag.pruned) {
-        CombineEntries(&payload.subrules);
-        CombineEntries(&payload.words);
-      }
-      for (const auto& [child, freq] : payload.subrules) {
-        if (child == 0 || child >= st->dag.num_rules) {
-          return Status::DataLoss("payload references rule out of range");
-        }
-        write_weight(child, read_weight(child) + w * freq);
+  for (uint32_t f = 0; f < nf; ++f) {
+    NTADOC_RETURN_IF_ERROR(loop.Step([&]() -> Result<Cursor> {
+      // Zero the weights of every rule for this file's walk.
+      for (uint32_t r : st->dag.layout_order) {
+        if (r != 0 && read_weight(r) != 0) write_weight(r, 0);
       }
       if (rii) {
-        NTADOC_RETURN_IF_ERROR(
-            add_gram_payload(st->local_gram_meta.Get(r), w));
+        st->file_gram_table.Clear();
       } else {
-        for (const auto& [word, freq] : payload.words) {
-          NTADOC_RETURN_IF_ERROR(add_word(word, w * freq));
-        }
+        st->file_table.Clear();
       }
-    }
-
-    // Harvest this file's results.
-    if (task == Task::kTermVector) {
-      tadoc::WordCountResult counts;
-      st->file_table.Extract(&counts);
-      out.term_vectors[f] = CanonicalTopK(std::move(counts), opts.top_k);
-    } else if (task == Task::kInvertedIndex) {
-      tadoc::WordCountResult counts;
-      st->file_table.Extract(&counts);
-      std::sort(counts.begin(), counts.end());
-      for (const auto& [w, c] : counts) {
-        if (c != 0) postings[w].push_back(f);
+      // Seed from the file's segment, then propagate through the DAG in
+      // layout (topological) order; every rule's weight is checked on NVM
+      // whether it participates or not.
+      NTADOC_RETURN_IF_ERROR(propagate(loop.ReadPayload(/*segment=*/true, f),
+                                       1, st->seg_gram_meta, f));
+      for (uint32_t r : st->dag.layout_order) {
+        if (r == 0) continue;
+        const uint64_t wt = read_weight(r);
+        if (wt == 0) continue;
+        NTADOC_RETURN_IF_ERROR(propagate(loop.ReadPayload(/*segment=*/false, r),
+                                         wt, st->local_gram_meta, r));
       }
-    } else {
-      std::vector<std::pair<NgramKey, uint64_t>> counts;
-      st->file_gram_table.Extract(&counts);
-      std::sort(counts.begin(), counts.end());
-      for (const auto& [k, c] : counts) {
-        if (c == 0) continue;
-        auto [it, inserted] = gram_slot.try_emplace(
-            k, static_cast<uint32_t>(gram_keys.size()));
-        if (inserted) {
-          gram_keys.push_back(k);
-          gram_postings.emplace_back();
-        }
-        gram_postings[it->second].emplace_back(f, c);
+      // Harvest this file's results.
+      if (rii) {
+        std::vector<std::pair<NgramKey, uint64_t>> counts;
+        st->file_gram_table.Extract(&counts);
+        loop.results().Add(f, counts);
+      } else {
+        tadoc::WordCountResult counts;
+        st->file_table.Extract(&counts);
+        loop.results().Add(f, counts);
       }
-    }
-    NTADOC_RETURN_IF_ERROR(CheckMediaErrors());
-    ++ses_->run_info.traversal_steps;
-    NTADOC_RETURN_IF_ERROR(MaybeInjectCrash(st));
-    NTADOC_RETURN_IF_ERROR(CheckSessionLimits());
+      return Cursor{};  // per-file steps keep no cursor
+    }));
   }
-
-  if (task == Task::kInvertedIndex) {
-    for (WordId w = compress::kFirstWordId; w < postings.size(); ++w) {
-      if (!postings[w].empty()) {
-        out.inverted_index.emplace_back(w, std::move(postings[w]));
-      }
-    }
-  } else if (rii) {
-    std::vector<uint32_t> order(gram_keys.size());
-    for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      return gram_keys[a] < gram_keys[b];
-    });
-    for (uint32_t idx : order) {
-      RankPostings(&gram_postings[idx]);
-      out.ranked_index.emplace_back(gram_keys[idx],
-                                    std::move(gram_postings[idx]));
-    }
-  }
-
-  if (options_.persistence == PersistenceMode::kPhase) {
-    PersistTraversalState(device_, st);
-  }
-  CommitPhase(2);
-  return out;
+  return loop.Finish();
 }
 
-Result<AnalyticsOutput> NTadocEngine::BottomUp(Task task,
-                                               const AnalyticsOptions& opts,
-                                               State* st) {
+template <typename Entry>
+Result<AnalyticsOutput> NTadocEngine::BottomUp(State* st) {
+  constexpr bool kWords = std::is_same_v<Entry, WordEntry>;
   const uint32_t nr = st->dag.num_rules;
   const uint32_t nf = st->dag.num_files;
-  const bool op = options_.persistence == PersistenceMode::kOperation;
-  const bool seq = tadoc::IsSequenceTask(task);
-  StepWriter writer(device_, op ? st->tx_log() : nullptr,
-                    options_.commit_interval, &ses_->run_info);
+  StepLoop loop(this, st, /*durable=*/true);
+  StepWriter& w = loop.writer();
 
-  CursorSlot cur = op ? ReadCursor(device_, st->cursor_off)
-                      : CursorSlot{kCursorMagic, 0, 0, 0, 0};
-  if (cur.stage == 3) cur.stage = 0;
+  const Cursor cur = loop.ReadCursor();
   if (cur.stage > 3 || (cur.stage == 1 && cur.a > nr) ||
       (cur.stage == 2 && cur.a > nf)) {
     return Status::DataLoss("traversal cursor out of bounds");
@@ -3226,268 +3145,92 @@ Result<AnalyticsOutput> NTadocEngine::BottomUp(Task task,
     rule_start = nr;  // list building complete
     // Per-file host results cannot survive a crash; only global tasks
     // resume mid-aggregation.
-    file_start = tadoc::IsPerFileTask(task) ? 0 : cur.a;
+    file_start = tadoc::IsPerFileTask(st->task) ? 0 : cur.a;
     ses_->run_info.resumed_at_step = cur.a;
   } else {
     if (st->use_word_table) st->word_table.Clear();
     if (st->use_gram_table) st->gram_table.Clear();
-    if (op) {
+    if (w.transactional()) {
       // Same durability requirement as the top-down reset. Clear() only
       // rewrites the slot-status bytes, so only those need a flush.
       if (st->use_word_table) st->word_table.PersistStatus();
       if (st->use_gram_table) st->gram_table.PersistStatus();
-      writer.Begin();
-      StageCursor(&writer, st->cursor_off, 1, 0, 0);
-      NTADOC_RETURN_IF_ERROR(CommitWithCheckpoint(device_, st, &writer));
-      NTADOC_RETURN_IF_ERROR(MaybeMigrate(st));
+      NTADOC_RETURN_IF_ERROR(loop.CommitReset());
     }
   }
+
+  // The reducer's core: a node's own words (or local n-grams, `grams[id]`)
+  // merged with every child's list, scaled by the edge frequency.
+  NvmVector<ListMeta>& lists = kWords ? st->word_list_meta : st->gram_list_meta;
+  auto merge = [&](const DecodedPayload& payload,
+                   const NvmVector<GramMeta>& grams,
+                   uint32_t id) -> Result<ListOf<Entry>> {
+    ListOf<Entry> acc;
+    if constexpr (kWords) {
+      acc.reserve(payload.words.size());
+      for (const auto& [word, c] : payload.words) acc.emplace_back(word, c);
+    } else {
+      NTADOC_ASSIGN_OR_RETURN(const std::span<const GramEntry> own,
+                              BorrowGrams(device_, grams.Get(id)));
+      acc.reserve(own.size());
+      for (const GramEntry& e : own) acc.emplace_back(e.key, e.count);
+    }
+    for (const auto& [child, freq] : payload.subrules) {
+      if (child == 0 || child >= nr) {
+        return Status::DataLoss("payload references rule out of range");
+      }
+      ListOf<Entry> child_list;
+      ReadList<Entry>(device_, lists.Get(child), &child_list);
+      MergeSortedCounts(&acc, child_list, freq);
+    }
+    return acc;
+  };
 
   // ---- Stage 1: per-rule lists, reverse layout order ----
   // layout_order is topological (parents first); children are therefore
   // visited first when iterating from the back.
   for (uint64_t p = rule_start; p + 1 < nr; ++p) {
     const uint32_t r = st->dag.layout_order[nr - 1 - static_cast<uint32_t>(p)];
-    if (r == 0) {
-      // Root is handled per segment in stage 2; keep step numbering
-      // stable by treating it as a no-op step.
-      continue;
-    }
-    writer.Begin();
-    DecodedPayload payload = ReadPayloadCached(st, /*segment=*/false, r);
-    if (!st->dag.pruned) {
-      CombineEntries(&payload.subrules);
-      CombineEntries(&payload.words);
-    }
-    if (!seq) {
-      tracked::vector<std::pair<uint32_t, uint64_t>> acc;
-      acc.reserve(payload.words.size());
-      for (const auto& [w, c] : payload.words) acc.emplace_back(w, c);
-      // Pruned payload words are sorted by id already; raw were combined.
-      for (const auto& [child, freq] : payload.subrules) {
-        if (child == 0 || child >= nr) {
-          return Status::DataLoss("payload references rule out of range");
-        }
-        tracked::vector<std::pair<uint32_t, uint64_t>> child_list;
-        ReadList<WordEntry>(device_, st->word_list_meta.Get(child),
-                            &child_list);
-        MergeSortedCounts(&acc, child_list, freq);
-      }
-      NTADOC_RETURN_IF_ERROR(WriteList<WordEntry>(
-          &st->word_list_meta, &*st->pool, device_, r, acc, &writer,
-          options_.enable_summation, &ses_->run_info.counter_rebuilds));
-    } else {
-      tracked::vector<std::pair<NgramKey, uint64_t>> acc;
-      const GramMeta gm = st->local_gram_meta.Get(r);
-      if (gm.off > device_->capacity() ||
-          gm.count > (device_->capacity() - gm.off) / sizeof(GramEntry) ||
-          gm.off % alignof(GramEntry) != 0) {
-        return Status::DataLoss("gram payload descriptor out of bounds");
-      }
-      acc.resize(gm.count);
-      if (gm.count > 0) {
-        // Zero-copy borrow, fully copied into `acc` before any write.
-        NTADOC_ASSIGN_OR_RETURN(
-            const GramEntry* buf,
-            device_->TryReadTypedSpan<GramEntry>(gm.off, gm.count));
-        for (uint64_t i = 0; i < gm.count; ++i) {
-          acc[i] = {buf[i].key, buf[i].count};
-        }
-      }
-      for (const auto& [child, freq] : payload.subrules) {
-        if (child == 0 || child >= nr) {
-          return Status::DataLoss("payload references rule out of range");
-        }
-        tracked::vector<std::pair<NgramKey, uint64_t>> child_list;
-        ReadList<GramEntry>(device_, st->gram_list_meta.Get(child),
-                            &child_list);
-        MergeSortedCounts(&acc, child_list, freq);
-      }
-      NTADOC_RETURN_IF_ERROR(WriteList<GramEntry>(
-          &st->gram_list_meta, &*st->pool, device_, r, acc, &writer,
-          options_.enable_summation, &ses_->run_info.counter_rebuilds));
-    }
-    NTADOC_RETURN_IF_ERROR(CheckMediaErrors());
-    if (op) StageCursor(&writer, st->cursor_off, 1, p + 1, 0);
-    ++ses_->run_info.traversal_steps;
-    NTADOC_RETURN_IF_ERROR(MaybeInjectCrash(st));
-    NTADOC_RETURN_IF_ERROR(CheckSessionLimits());
-    NTADOC_RETURN_IF_ERROR(CommitWithCheckpoint(device_, st, &writer));
-    NTADOC_RETURN_IF_ERROR(MaybeMigrate(st));
+    // Root is handled per segment in stage 2; keep step numbering stable
+    // by treating it as a no-op step.
+    if (r == 0) continue;
+    NTADOC_RETURN_IF_ERROR(loop.Step([&]() -> Result<Cursor> {
+      NTADOC_ASSIGN_OR_RETURN(
+          const ListOf<Entry> acc,
+          merge(loop.ReadPayload(/*segment=*/false, r), st->local_gram_meta,
+                r));
+      NTADOC_RETURN_IF_ERROR(
+          w.WriteList<Entry>(&lists, r, acc, options_.enable_summation));
+      return Cursor{1, p + 1, 0};
+    }));
   }
 
   // ---- Stage 2: per-file aggregation from the root's segments ----
-  AnalyticsOutput out;
-  out.task = task;
-  if (task == Task::kTermVector) out.term_vectors.resize(nf);
-  std::vector<std::vector<uint32_t>> postings;
-  if (task == Task::kInvertedIndex) {
-    postings.resize(corpus_->grammar.dict_size);
-  }
-  std::unordered_map<NgramKey, uint32_t, NgramKeyHash> gram_slot;
-  std::vector<NgramKey> gram_keys;
-  std::vector<std::vector<std::pair<uint32_t, uint64_t>>> gram_postings;
-
+  auto& table = [st]() -> auto& {
+    if constexpr (kWords) {
+      return st->word_table;
+    } else {
+      return st->gram_table;
+    }
+  }();
   for (uint64_t f = file_start; f < nf; ++f) {
-    writer.Begin();
-    st->word_pending.Clear();
-    st->gram_pending.Clear();
-    DecodedPayload seg =
-        ReadPayloadCached(st, /*segment=*/true, static_cast<uint32_t>(f));
-    if (!st->dag.pruned) {
-      CombineEntries(&seg.subrules);
-      CombineEntries(&seg.words);
-    }
-    if (!seq) {
-      tracked::vector<std::pair<uint32_t, uint64_t>> acc;
-      for (const auto& [w, c] : seg.words) acc.emplace_back(w, c);
-      for (const auto& [child, freq] : seg.subrules) {
-        if (child == 0 || child >= nr) {
-          return Status::DataLoss("payload references rule out of range");
-        }
-        tracked::vector<std::pair<uint32_t, uint64_t>> child_list;
-        ReadList<WordEntry>(device_, st->word_list_meta.Get(child),
-                            &child_list);
-        MergeSortedCounts(&acc, child_list, freq);
-      }
-      if (task == Task::kWordCount || task == Task::kSort) {
-        for (const auto& [w, c] : acc) {
-          Status s;
-          if (writer.epoch_mode()) {
-            s = st->word_table.AddDeltaVia(w, c, &writer);
-          } else if (writer.transactional()) {
-            s = st->word_table.AddDeltaTx(w, c, writer.log(),
-                                          &st->word_pending);
-          } else {
-            s = st->word_table.AddDelta(w, c);
-          }
-          if (s.code() == StatusCode::kResourceExhausted) {
-            NTADOC_RETURN_IF_ERROR(GrowTable(&st->word_table, &*st->pool,
-                                          &ses_->run_info.counter_rebuilds));
-            s = st->word_table.AddDelta(w, c);
-          }
-          NTADOC_RETURN_IF_ERROR(s);
-        }
-      } else if (task == Task::kTermVector) {
-        out.term_vectors[f] = CanonicalTopK(acc, opts.top_k);
-      } else {  // inverted index
-        for (const auto& [w, c] : acc) {
-          if (c != 0) postings[w].push_back(static_cast<uint32_t>(f));
-        }
-      }
-    } else {
-      tracked::vector<std::pair<NgramKey, uint64_t>> acc;
-      const GramMeta gm = st->seg_gram_meta.Get(static_cast<uint32_t>(f));
-      if (gm.off > device_->capacity() ||
-          gm.count > (device_->capacity() - gm.off) / sizeof(GramEntry) ||
-          gm.off % alignof(GramEntry) != 0) {
-        return Status::DataLoss("gram payload descriptor out of bounds");
-      }
-      acc.resize(gm.count);
-      if (gm.count > 0) {
-        // Zero-copy borrow, fully copied into `acc` before any write.
-        NTADOC_ASSIGN_OR_RETURN(
-            const GramEntry* buf,
-            device_->TryReadTypedSpan<GramEntry>(gm.off, gm.count));
-        for (uint64_t i = 0; i < gm.count; ++i) {
-          acc[i] = {buf[i].key, buf[i].count};
-        }
-      }
-      for (const auto& [child, freq] : seg.subrules) {
-        if (child == 0 || child >= nr) {
-          return Status::DataLoss("payload references rule out of range");
-        }
-        tracked::vector<std::pair<NgramKey, uint64_t>> child_list;
-        ReadList<GramEntry>(device_, st->gram_list_meta.Get(child),
-                            &child_list);
-        MergeSortedCounts(&acc, child_list, freq);
-      }
-      if (task == Task::kSequenceCount) {
+    NTADOC_RETURN_IF_ERROR(loop.Step([&]() -> Result<Cursor> {
+      const uint32_t file = static_cast<uint32_t>(f);
+      NTADOC_ASSIGN_OR_RETURN(
+          const ListOf<Entry> acc,
+          merge(loop.ReadPayload(/*segment=*/true, file), st->seg_gram_meta,
+                file));
+      if (tadoc::IsPerFileTask(st->task)) {
+        loop.results().Add(file, acc);
+      } else {
         for (const auto& [k, c] : acc) {
-          Status s;
-          if (writer.epoch_mode()) {
-            s = st->gram_table.AddDeltaVia(k, c, &writer);
-          } else if (writer.transactional()) {
-            s = st->gram_table.AddDeltaTx(k, c, writer.log(),
-                                          &st->gram_pending);
-          } else {
-            s = st->gram_table.AddDelta(k, c);
-          }
-          if (s.code() == StatusCode::kResourceExhausted) {
-            NTADOC_RETURN_IF_ERROR(GrowTable(&st->gram_table, &*st->pool,
-                                          &ses_->run_info.counter_rebuilds));
-            s = st->gram_table.AddDelta(k, c);
-          }
-          NTADOC_RETURN_IF_ERROR(s);
-        }
-      } else {  // ranked inverted index
-        for (const auto& [k, c] : acc) {
-          if (c == 0) continue;
-          auto [it, inserted] = gram_slot.try_emplace(
-              k, static_cast<uint32_t>(gram_keys.size()));
-          if (inserted) {
-            gram_keys.push_back(k);
-            gram_postings.emplace_back();
-          }
-          gram_postings[it->second].emplace_back(static_cast<uint32_t>(f),
-                                                 c);
+          NTADOC_RETURN_IF_ERROR(w.AddDelta(&table, k, c));
         }
       }
-    }
-    NTADOC_RETURN_IF_ERROR(CheckMediaErrors());
-    if (op) StageCursor(&writer, st->cursor_off, 2, f + 1, 0);
-    ++ses_->run_info.traversal_steps;
-    NTADOC_RETURN_IF_ERROR(MaybeInjectCrash(st));
-    NTADOC_RETURN_IF_ERROR(CheckSessionLimits());
-    NTADOC_RETURN_IF_ERROR(CommitWithCheckpoint(device_, st, &writer));
-    NTADOC_RETURN_IF_ERROR(MaybeMigrate(st));
+      return Cursor{2, f + 1, 0};
+    }));
   }
-
-  // ---- Results ----
-  if (task == Task::kWordCount || task == Task::kSort) {
-    tadoc::WordCountResult counts;
-    st->word_table.Extract(&counts);
-    std::sort(counts.begin(), counts.end());
-    if (task == Task::kSort) {
-      out.sorted_words = CanonicalSort(counts, corpus_->dict);
-    } else {
-      out.word_counts = std::move(counts);
-    }
-  } else if (task == Task::kSequenceCount) {
-    std::vector<std::pair<NgramKey, uint64_t>> counts;
-    st->gram_table.Extract(&counts);
-    std::sort(counts.begin(), counts.end());
-    out.sequence_counts = std::move(counts);
-  } else if (task == Task::kInvertedIndex) {
-    for (WordId w = compress::kFirstWordId; w < postings.size(); ++w) {
-      if (!postings[w].empty()) {
-        out.inverted_index.emplace_back(w, std::move(postings[w]));
-      }
-    }
-  } else if (task == Task::kRankedInvertedIndex) {
-    std::vector<uint32_t> order(gram_keys.size());
-    for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      return gram_keys[a] < gram_keys[b];
-    });
-    for (uint32_t idx : order) {
-      RankPostings(&gram_postings[idx]);
-      out.ranked_index.emplace_back(gram_keys[idx],
-                                    std::move(gram_postings[idx]));
-    }
-  }
-  NTADOC_RETURN_IF_ERROR(CheckMediaErrors());
-
-  if (op) {
-    writer.Begin();
-    StageCursor(&writer, st->cursor_off, 3, 0, 0);
-    NTADOC_RETURN_IF_ERROR(
-        CommitWithCheckpoint(device_, st, &writer, /*force=*/true));
-  } else if (options_.persistence == PersistenceMode::kPhase) {
-    PersistTraversalState(device_, st);
-  }
-  CommitPhase(2);
-  return out;
+  return loop.Finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -3586,7 +3329,7 @@ Result<AnalyticsOutput> NTadocEngine::Run(Task task,
       // it so every remaining task of the batch does a full init, and
       // drop decoded-rule caches built over the doomed layout.
       ses_->batch_shared.reset();
-      InvalidateRuleCaches();
+      InvalidateRuleCache();
       ++ses_->run_info.corruption_detected;
       ++ses_->run_info.salvage_restarts;
       ++salvage_attempts;
@@ -3606,7 +3349,7 @@ Result<AnalyticsOutput> NTadocEngine::Run(Task task,
     auto try_degrade = [&] {
       if (!options_.allow_degraded || ses_->degraded) return false;
       ses_->batch_shared.reset();
-      InvalidateRuleCaches();
+      InvalidateRuleCache();
       NTADOC_LOG(Warning)
           << "repair and salvage exhausted; rerunning degraded";
       ses_->degraded = true;
@@ -3617,6 +3360,28 @@ Result<AnalyticsOutput> NTadocEngine::Run(Task task,
       }
       return true;
     };
+    // The ladder for a failed phase; true means run the attempt again.
+    auto recover = [&](const Status& s) {
+      if (s.code() != StatusCode::kDataLoss) return false;
+      // Scoped repair first: damage in state a fresh rebuild never
+      // rewrites (e.g. a poisoned block under allocator padding, found by
+      // the integrity hash) can only be cleared by repair — salvage
+      // restarts would hit it again forever. Repaired in place, the next
+      // attempt re-attaches to the persisted state and resumes (no
+      // force_fresh).
+      if (options_.persistence != PersistenceMode::kNone &&
+          scoped_attempts < options_.max_scoped_repairs &&
+          TryScopedRepair()) {
+        ses_->batch_shared.reset();  // prefix repaired under the batch's feet
+        ++scoped_attempts;
+        return true;
+      }
+      if (salvage_attempts < options_.max_salvage_restarts) {
+        salvage(s);
+        return true;
+      }
+      return try_degrade();
+    };
 
     timer.Reset();
     const uint64_t sim0 = device_->clock().NowNanos();
@@ -3625,24 +3390,7 @@ Result<AnalyticsOutput> NTadocEngine::Run(Task task,
     const uint64_t init_wall = timer.ElapsedNanos();
     const uint64_t init_sim = device_->clock().NowNanos() - sim0;
     if (!init_status.ok()) {
-      if (init_status.code() == StatusCode::kDataLoss) {
-        // Scoped repair first: damage in state a fresh rebuild never
-        // rewrites (e.g. a poisoned block under allocator padding, found
-        // by the integrity hash) can only be cleared by repair — salvage
-        // restarts would hit it again forever.
-        if (options_.persistence != PersistenceMode::kNone &&
-            scoped_attempts < options_.max_scoped_repairs &&
-            TryScopedRepair()) {
-          ses_->batch_shared.reset();  // prefix repaired under the batch's feet
-          ++scoped_attempts;
-          continue;
-        }
-        if (salvage_attempts < options_.max_salvage_restarts) {
-          salvage(init_status);
-          continue;
-        }
-        if (try_degrade()) continue;
-      }
+      if (recover(init_status)) continue;
       finish_info();
       return init_status;
     }
@@ -3653,24 +3401,9 @@ Result<AnalyticsOutput> NTadocEngine::Run(Task task,
 
     timer.Reset();
     const uint64_t trav_sim0 = device_->clock().NowNanos();
-    auto result = TraversalPhase(task, opts, ses_->state.get());
+    auto result = TraversalPhase(ses_->state.get());
     if (!result.ok()) {
-      if (result.status().code() == StatusCode::kDataLoss) {
-        if (options_.persistence != PersistenceMode::kNone &&
-            scoped_attempts < options_.max_scoped_repairs &&
-            TryScopedRepair()) {
-          // Repaired in place: the next attempt re-attaches to the
-          // persisted state and resumes (no force_fresh).
-          ses_->batch_shared.reset();
-          ++scoped_attempts;
-          continue;
-        }
-        if (salvage_attempts < options_.max_salvage_restarts) {
-          salvage(result.status());
-          continue;
-        }
-        if (try_degrade()) continue;
-      }
+      if (recover(result.status())) continue;
       finish_info();
       return result;
     }

@@ -105,10 +105,11 @@ struct NTadocOptions {
 
   /// DRAM budget (bytes) for the decoded-rule cache; 0 disables it. When
   /// enabled, decoded rule/segment payloads are kept in a host-side LRU
-  /// cache: a hit replays the payload's device extents against a DRAM
-  /// cost profile (sharing the run's SimClock) instead of re-reading NVM.
-  /// With the default 0 the simulated costs are bit-identical to a build
-  /// without the cache.
+  /// cache (a SharedRuleCache this engine owns, cleared at every init): a
+  /// hit replays the payload's device extents against a DRAM cost profile
+  /// (sharing the run's SimClock) instead of re-reading NVM. With the
+  /// default 0 the simulated costs are bit-identical to a build without
+  /// the cache.
   uint64_t dram_cache_bytes = 0;
 
   /// Bound on scoped repairs (re-derive + remap of damaged blocks) within
@@ -205,7 +206,7 @@ struct NTadocRunInfo {
   uint64_t degraded_queries = 0;     // 1 if this run completed degraded
   double completeness = 1.0;         // fraction of clean traversal steps
 
-  // Decoded-rule DRAM cache (options.dram_cache_bytes > 0).
+  // Decoded-rule DRAM cache (dram_cache_bytes > 0 or shared_cache set).
   uint64_t rule_cache_hits = 0;
   uint64_t rule_cache_misses = 0;
 
@@ -283,6 +284,7 @@ class NTadocEngine {
   struct State;        // pool-resident structure handles + host scratch
   struct RuleCache;    // decoded-payload DRAM cache (engine.cc)
   struct BatchShared;  // cross-task init state for RunBatch (engine.cc)
+  class StepLoop;      // the traversal step driver (engine.cc)
   // All per-run mutable state — cursors, RunInfo counters, degraded/
   // repair flags, cache handles, deadline — lives here rather than in
   // engine-wide members, so one engine instance is exactly one session
@@ -306,18 +308,14 @@ class NTadocEngine {
   // clear, which is returned as DataLoss.
   Result<bool> TryAttach(State* st, uint64_t pool_base);
 
-  // Phase 2 dispatchers.
-  Result<AnalyticsOutput> TraversalPhase(Task task,
-                                         const AnalyticsOptions& opts,
-                                         State* st);
-  Result<AnalyticsOutput> TopDownGlobal(Task task,
-                                        const AnalyticsOptions& opts,
-                                        State* st);
-  Result<AnalyticsOutput> TopDownPerFile(Task task,
-                                         const AnalyticsOptions& opts,
-                                         State* st);
-  Result<AnalyticsOutput> BottomUp(Task task, const AnalyticsOptions& opts,
-                                   State* st);
+  // Phase 2: runs the task's traversal kernel. Each kernel is a frontier
+  // plus a per-step reducer; StepLoop drives the steps.
+  Result<AnalyticsOutput> TraversalPhase(State* st);
+  Result<AnalyticsOutput> TopDownGlobal(State* st);
+  Result<AnalyticsOutput> TopDownPerFile(State* st);
+  // Bottom-up list merging over word or n-gram list entries.
+  template <typename Entry>
+  Result<AnalyticsOutput> BottomUp(State* st);
 
   // Scoped repair: re-derives the contents of each damaged block from the
   // compressed container (payloads, local n-gram lists) or resets it
@@ -332,8 +330,7 @@ class NTadocEngine {
 
   // Persistence helpers.
   void CommitPhase(uint64_t phase);
-  Status StepCommit(State* st);  // operation-level: commit current txn
-  Status MaybeInjectCrash(State* st);
+  Status MaybeInjectCrash();
 
   // DataLoss if any read since the last call hit an unreadable block
   // (the data the caller just consumed is poison, not real).
@@ -344,9 +341,10 @@ class NTadocEngine {
   // every traversal step and inside the init estimator loops.
   Status CheckSessionLimits() const;
 
-  // Drops decoded-rule cache entries (private and shared) after a
-  // repair/salvage rewrote pool payloads under the cached offsets.
-  void InvalidateRuleCaches();
+  // Drops the session's decoded-rule cache entries (session-owned or
+  // shared) after a repair/salvage rewrote pool payloads under the
+  // cached offsets.
+  void InvalidateRuleCache();
 
   // Tiered placement (options_.tiering != nullptr; no-ops otherwise).
   // SetupTiering runs at the end of every init (fresh or attach):
@@ -354,8 +352,8 @@ class NTadocEngine {
   // extents with the session TieredPool, and applies initial placement.
   Status SetupTiering(State* st, uint64_t catalog_off, bool fresh);
   // Per-traversal-step migration hook, called after each step's commit
-  // point; invalidates decoded-rule caches when a payload unit was
-  // demoted (their admission costs were measured against the old tier).
+  // point; invalidates the decoded-rule cache when a payload unit was
+  // demoted (its admission costs were measured against the old tier).
   Status MaybeMigrate(State* st);
 
   // Decoded-payload reads routed through the DRAM cache when enabled
@@ -368,13 +366,14 @@ class NTadocEngine {
   std::unique_ptr<SessionContext> ses_;
 };
 
-/// Thread-safe decoded-rule DRAM cache shared by concurrent sessions over
-/// one sealed pool (NTadocOptions::shared_cache). The sealed payload
-/// layout is deterministic, so an entry decoded by one session is valid
-/// for every sibling; the hit replay is charged to the *looking-up*
-/// session's clock through its own DRAM model. Repair or salvage in any
-/// session invalidates the cache (the only cross-session effect repairs
-/// are allowed to have).
+/// Thread-safe decoded-rule DRAM cache. Concurrent sessions over one
+/// sealed pool share one (NTadocOptions::shared_cache); an engine handed
+/// none owns its own, sized by NTadocOptions::dram_cache_bytes. The
+/// sealed payload layout is deterministic, so an entry decoded by one
+/// session is valid for every sibling; the hit replay is charged to the
+/// *looking-up* session's clock through its own DRAM model. Repair or
+/// salvage in any session invalidates the cache (the only cross-session
+/// effect repairs are allowed to have).
 class SharedRuleCache {
  public:
   /// `budget_bytes` bounds the decoded payloads held in host memory.

@@ -56,10 +56,6 @@ ServingEngine::ServingEngine(const SealedPool* pool, ServingOptions options)
   NTADOC_CHECK(pool_ != nullptr);
   NTADOC_CHECK(pool_->image != nullptr);
   if (options_.workers == 0) options_.workers = 1;
-  if (options_.shared_cache_bytes > 0) {
-    shared_cache_ =
-        std::make_shared<core::SharedRuleCache>(options_.shared_cache_bytes);
-  }
   repair_lock_ = std::make_shared<util::Mutex>();
   lanes_.reserve(options_.workers);
   for (uint32_t w = 0; w < options_.workers; ++w) {
@@ -70,12 +66,11 @@ ServingEngine::ServingEngine(const SealedPool* pool, ServingOptions options)
     // it alive). Its identity is the container generation the pool was
     // sealed from (0 when not container-backed).
     util::MutexLock lock(&mu_);
-    auto g = std::make_unique<Generation>();
-    g->id = pool_->options.engine.container_generation;
-    g->pool = std::shared_ptr<const SealedPool>(
-        std::shared_ptr<const void>(), pool_);
-    g->cancel = std::make_shared<std::atomic<bool>>(false);
-    generations_.push_back(std::move(g));
+    generations_.push_back(NewGeneration(
+        pool_->options.engine.container_generation,
+        std::shared_ptr<const SealedPool>(std::shared_ptr<const void>(),
+                                          pool_),
+        nullptr));
     current_gen_ = 0;
   }
   util::WorkerPool::Options popts;
@@ -87,6 +82,21 @@ ServingEngine::ServingEngine(const SealedPool* pool, ServingOptions options)
 }
 
 ServingEngine::~ServingEngine() { Shutdown(); }
+
+std::unique_ptr<ServingEngine::Generation> ServingEngine::NewGeneration(
+    uint64_t id, std::shared_ptr<const SealedPool> pool,
+    std::shared_ptr<const void> keepalive) const {
+  auto g = std::make_unique<Generation>();
+  g->id = id;
+  g->pool = std::move(pool);
+  g->keepalive = std::move(keepalive);
+  g->cancel = std::make_shared<std::atomic<bool>>(false);
+  if (options_.shared_cache_bytes > 0) {
+    g->rule_cache =
+        std::make_shared<core::SharedRuleCache>(options_.shared_cache_bytes);
+  }
+  return g;
+}
 
 Result<uint64_t> ServingEngine::Submit(QueryRequest request) {
   util::MutexLock lock(&mu_);
@@ -146,20 +156,14 @@ void ServingEngine::PublishGeneration(std::shared_ptr<const SealedPool> pool,
       // Nothing was in flight: retire the old image immediately.
       old->pool.reset();
       old->keepalive.reset();
+      old->rule_cache.reset();
     }
-    auto g = std::make_unique<Generation>();
-    g->id = id;
-    g->pool = std::move(pool);
-    g->keepalive = std::move(keepalive);
-    g->cancel = std::make_shared<std::atomic<bool>>(false);
-    generations_.push_back(std::move(g));
+    generations_.push_back(
+        NewGeneration(id, std::move(pool), std::move(keepalive)));
     current_gen_ = static_cast<uint32_t>(generations_.size() - 1);
     ++stats_.generations_published;
     EnforceDrainDeadlines();
   }
-  // Cached decoded rules describe the old generation's payload layout;
-  // a new-generation session must never hit them.
-  if (shared_cache_) shared_cache_->Invalidate();
   gen_cv_.NotifyAll();
 }
 
@@ -243,6 +247,7 @@ void ServingEngine::Execute(uint32_t w, uint64_t ticket) {
   std::shared_ptr<const SealedPool> pool;
   std::shared_ptr<const void> keepalive;
   std::shared_ptr<std::atomic<bool>> cancel;
+  std::shared_ptr<core::SharedRuleCache> rule_cache;
   uint64_t gen_id = 0;
   {
     util::MutexLock lock(&mu_);
@@ -254,6 +259,7 @@ void ServingEngine::Execute(uint32_t w, uint64_t ticket) {
     pool = g.pool;
     keepalive = g.keepalive;
     cancel = g.cancel;
+    rule_cache = g.rule_cache;
     gen_id = g.id;
   }
 
@@ -284,11 +290,7 @@ void ServingEngine::Execute(uint32_t w, uint64_t ticket) {
     eng_opts.cancel = cancel.get();
     eng_opts.sealed_prefix = pool->prefix;
     eng_opts.repair_lock = repair_lock_;
-    if (shared_cache_) {
-      eng_opts.shared_cache = shared_cache_;
-    } else {
-      eng_opts.dram_cache_bytes = options_.dram_cache_bytes;
-    }
+    eng_opts.shared_cache = std::move(rule_cache);
     if (req.allow_degraded) eng_opts.allow_degraded = true;
 
     core::NTadocEngine engine(pool->corpus, device->get(), eng_opts);
@@ -325,9 +327,11 @@ void ServingEngine::Execute(uint32_t w, uint64_t ticket) {
     if (g.draining) {
       ++stats_.drained_sessions;
       if (g.pinned == 0) {
-        // Last straggler gone: release the retired image and corpus.
+        // Last straggler gone: release the retired image, corpus and
+        // cache.
         g.pool.reset();
         g.keepalive.reset();
+        g.rule_cache.reset();
       }
     }
     // Lane time advanced: stragglers on other draining generations may

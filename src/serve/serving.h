@@ -8,10 +8,11 @@
 //     one *session*: a private NvmDevice cloned from the sealed image, a
 //     private NTadocEngine (one engine instance = one SessionContext),
 //     and the worker's persistent SimClock lane. Sessions share only the
-//     immutable image/prefix, an optional thread-safe decoded-rule cache,
-//     and the pool-level repair lock — so media faults, repairs, salvage
-//     and degraded mode stay scoped to the session that hit them, and a
-//     failing session can never corrupt a sibling's answer or counters.
+//     immutable image/prefix, their generation's optional thread-safe
+//     decoded-rule cache, and the pool-level repair lock — so media
+//     faults, repairs, salvage and degraded mode stay scoped to the
+//     session that hit them, and a failing session can never corrupt a
+//     sibling's answer or counters.
 //   * Admission control bounds the pending queue: Submit fast-rejects
 //     with ResourceExhausted when the queue is full, and load-sheds
 //     sheddable requests above the shed watermark. Expired per-session
@@ -156,12 +157,9 @@ struct ServingOptions {
   /// (with round-robin placement) for bit-deterministic per-lane timing.
   bool work_stealing = true;
 
-  /// Thread-safe decoded-rule cache shared by all sessions; 0 disables.
-  /// Mutually exclusive with dram_cache_bytes (shared wins).
+  /// Budget of the thread-safe decoded-rule cache shared by the sessions
+  /// of one generation (each generation gets its own); 0 disables.
   uint64_t shared_cache_bytes = 0;
-
-  /// Private per-session decoded-rule cache; 0 disables.
-  uint64_t dram_cache_bytes = 0;
 
   /// Construct workers parked; no query runs until Start(). Lets tests
   /// fill the queue deterministically to exercise rejection/shedding.
@@ -237,8 +235,9 @@ class ServingEngine {
   /// when the fleet makespan advances that far past the publish point,
   /// still-running old-generation sessions are cooperatively cancelled
   /// (DeadlineExceeded) at their next cancellation point; 0 waits
-  /// forever. The shared rule cache is invalidated — its entries decode
-  /// the old generation's payload layout.
+  /// forever. The new generation starts with its own, empty shared rule
+  /// cache: entries decoded from the old generation's payload layout stay
+  /// with the sessions still draining on it.
   void PublishGeneration(std::shared_ptr<const SealedPool> pool, uint64_t id,
                          std::shared_ptr<const void> keepalive = nullptr,
                          uint64_t drain_deadline_sim_ns = 0)
@@ -276,6 +275,10 @@ class ServingEngine {
     std::shared_ptr<const SealedPool> pool;
     std::shared_ptr<const void> keepalive;  // owns pool->corpus backing
     std::shared_ptr<std::atomic<bool>> cancel;
+    // Decoded-rule cache of this generation's sessions (null when
+    // ServingOptions::shared_cache_bytes is 0). Per generation because
+    // entries are keyed by payload offsets in this generation's pool.
+    std::shared_ptr<core::SharedRuleCache> rule_cache;
     uint64_t pinned = 0;      // admitted-but-unfinished sessions
     bool draining = false;    // a newer generation replaced this one
     uint64_t drain_deadline_sim_ns = 0;  // 0 = wait forever
@@ -289,12 +292,17 @@ class ServingEngine {
   /// session start/finish — the points where lane time advances.
   void EnforceDrainDeadlines() NTADOC_REQUIRES(mu_);
 
+  /// A generation table entry for `pool` with a fresh cancel flag and
+  /// rule cache.
+  std::unique_ptr<Generation> NewGeneration(
+      uint64_t id, std::shared_ptr<const SealedPool> pool,
+      std::shared_ptr<const void> keepalive) const;
+
   // Immutable after construction; shared with sessions only through
-  // thread-safe types (SharedRuleCache locks internally, the repair lock
-  // is itself a mutex, SimClock lanes are atomic accumulators).
+  // thread-safe types (the repair lock is itself a mutex, SimClock lanes
+  // are atomic accumulators).
   const SealedPool* pool_;
   ServingOptions options_;
-  std::shared_ptr<core::SharedRuleCache> shared_cache_;
   std::shared_ptr<util::Mutex> repair_lock_;
   std::vector<nvm::SimClockPtr> lanes_;  // one persistent clock per worker
 

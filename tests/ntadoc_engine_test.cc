@@ -36,6 +36,7 @@ struct EngineCase {
   uint32_t tokens_per_file;
   TraversalStrategy strategy;
   PersistenceMode persistence;
+  uint32_t commit_interval = 1;  // > 1: epoch group commit (operation level)
 };
 
 class NTadocEquivalenceTest
@@ -51,12 +52,14 @@ TEST_P(NTadocEquivalenceTest, MatchesReference) {
   NTadocOptions nopts;
   nopts.traversal = c.strategy;
   nopts.persistence = c.persistence;
+  nopts.commit_interval = c.commit_interval;
   NTadocEngine engine(&corpus, device.get(), nopts);
   auto got = engine.Run(task, opts);
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(*got, expected)
       << TaskToString(task) << " strat=" << TraversalStrategyToString(c.strategy)
-      << " persist=" << PersistenceModeToString(c.persistence) << "\n"
+      << " persist=" << PersistenceModeToString(c.persistence)
+      << " ci=" << c.commit_interval << "\n"
       << SummarizeOutput(*got) << " vs " << SummarizeOutput(expected);
 }
 
@@ -77,7 +80,11 @@ INSTANTIATE_TEST_SUITE_P(
             EngineCase{26, 100, 40, 60, TraversalStrategy::kAuto,
                        PersistenceMode::kPhase},
             EngineCase{27, 15, 5, 800, TraversalStrategy::kBottomUp,
-                       PersistenceMode::kNone}),
+                       PersistenceMode::kNone},
+            EngineCase{28, 50, 8, 150, TraversalStrategy::kTopDown,
+                       PersistenceMode::kOperation, 8},
+            EngineCase{29, 50, 8, 150, TraversalStrategy::kBottomUp,
+                       PersistenceMode::kOperation, 8}),
         ::testing::ValuesIn(tadoc::kAllTasks)),
     [](const auto& info) {
       std::string name =

@@ -18,6 +18,7 @@
 #include "reference_impl.h"
 #include "serve/refresh.h"
 #include "serve/serving.h"
+#include "textgen/generator.h"
 #include "util/logging.h"
 
 namespace ntadoc::serve {
@@ -506,70 +507,83 @@ TEST(SealedPrefixTest, ContainerGenerationKeysPrefixReuse) {
 
 // Sessions are pinned to the generation current at Submit time: queries
 // admitted before a publish finish on the old pool (and count as
-// drained), queries submitted after land on the new one.
+// drained), queries submitted after land on the new one. With the shared
+// rule cache on, every generation caches into its own: entries decoded
+// from the old payload layout by sessions still draining after the
+// publish must never reach a new-generation session.
 TEST(GenerationTest, PublishPinsSubmittedSessionsToOldGeneration) {
-  const auto corpus_a = RandomCorpus(53, 20, 4, 220);
-  const auto corpus_b = RandomCorpus(54, 22, 5, 200);
+  // Documents large enough for the cache to admit entries. Generation 2
+  // adds one document to generation 1's, which moves the payload layout.
+  std::vector<compress::InputFile> files =
+      textgen::GenerateCorpus(textgen::DatasetC(0.05));
+  ASSERT_GT(files.size(), 1u);
+  auto corpus_b = compress::Compress(files);
+  ASSERT_TRUE(corpus_b.ok()) << corpus_b.status();
+  files.pop_back();
+  auto corpus_a = compress::Compress(files);
+  ASSERT_TRUE(corpus_a.ok()) << corpus_a.status();
   auto so = BaseSealOptions();
   so.engine.container_generation = 1;
-  auto sealed_a = SealPool(&corpus_a, so);
+  auto sealed_a = SealPool(&*corpus_a, so);
   ASSERT_TRUE(sealed_a.ok()) << sealed_a.status();
   auto so_b = BaseSealOptions();
   so_b.engine.container_generation = 2;
-  auto sealed_b = SealPool(&corpus_b, so_b);
+  auto sealed_b = SealPool(&*corpus_b, so_b);
   ASSERT_TRUE(sealed_b.ok()) << sealed_b.status();
 
   ServingOptions sopts;
-  sopts.workers = 2;
+  sopts.workers = 1;  // every generation-1 session runs before generation 2's
+  sopts.shared_cache_bytes = 8ull << 20;
   sopts.start_paused = true;  // pin deterministically before anything runs
   ServingEngine server(&*sealed_a, sopts);
   EXPECT_EQ(server.current_generation(), 1u);
 
+  auto submit_all_tasks = [&](std::vector<uint64_t>* tickets) {
+    for (tadoc::Task task : tadoc::kAllTasks) {
+      QueryRequest req;
+      req.task = task;
+      auto t = server.Submit(std::move(req));
+      ASSERT_TRUE(t.ok());
+      tickets->push_back(*t);
+    }
+  };
   std::vector<uint64_t> old_gen;
-  for (int i = 0; i < 4; ++i) {
-    QueryRequest req;
-    req.task = tadoc::Task::kWordCount;
-    auto t = server.Submit(std::move(req));
-    ASSERT_TRUE(t.ok());
-    old_gen.push_back(*t);
-  }
-
+  submit_all_tasks(&old_gen);
   server.PublishGeneration(
       std::make_shared<const SealedPool>(std::move(*sealed_b)), 2);
   EXPECT_EQ(server.current_generation(), 2u);
-
   std::vector<uint64_t> new_gen;
-  for (int i = 0; i < 3; ++i) {
-    QueryRequest req;
-    req.task = tadoc::Task::kWordCount;
-    auto t = server.Submit(std::move(req));
-    ASSERT_TRUE(t.ok());
-    new_gen.push_back(*t);
-  }
+  submit_all_tasks(&new_gen);
 
   server.Start();
   server.Drain();
   server.WaitGenerationDrained();
 
-  const auto expected_a = ReferenceRun(corpus_a, tadoc::Task::kWordCount, {});
-  const auto expected_b = ReferenceRun(corpus_b, tadoc::Task::kWordCount, {});
-  for (uint64_t t : old_gen) {
-    const QueryResult& r = server.result(t);
-    ASSERT_TRUE(r.status.ok()) << r.status;
-    EXPECT_EQ(r.generation, 1u);
-    // Draining sessions answer from the generation they were admitted
-    // under — bit-identical to a solo run over the old pool.
-    EXPECT_EQ(r.output, expected_a);
-  }
-  for (uint64_t t : new_gen) {
-    const QueryResult& r = server.result(t);
-    ASSERT_TRUE(r.status.ok()) << r.status;
-    EXPECT_EQ(r.generation, 2u);
-    EXPECT_EQ(r.output, expected_b);
-  }
+  uint64_t cache_hits = 0;
+  auto check = [&](const std::vector<uint64_t>& tickets,
+                   const compress::CompressedCorpus& corpus,
+                   uint64_t generation) {
+    for (size_t i = 0; i < tickets.size(); ++i) {
+      const tadoc::Task task = tadoc::kAllTasks[i];
+      const QueryResult& r = server.result(tickets[i]);
+      ASSERT_TRUE(r.status.ok()) << tadoc::TaskToString(task) << ": "
+                                 << r.status;
+      EXPECT_EQ(r.generation, generation);
+      // Draining sessions answer from the generation they were admitted
+      // under — bit-identical to a solo run over the old pool.
+      EXPECT_EQ(r.output, ReferenceRun(corpus, task, {}))
+          << tadoc::TaskToString(task) << " on generation " << generation;
+      EXPECT_EQ(r.info.corruption_detected, 0u) << tadoc::TaskToString(task);
+      EXPECT_EQ(r.info.salvage_restarts, 0u) << tadoc::TaskToString(task);
+      cache_hits += r.info.rule_cache_hits;
+    }
+  };
+  check(old_gen, *corpus_a, 1);
+  check(new_gen, *corpus_b, 2);
+  EXPECT_GT(cache_hits, 0u);  // the cache really was in play
   const ServingStats st = server.stats();
   EXPECT_EQ(st.generations_published, 1u);
-  EXPECT_EQ(st.drained_sessions, 4u);
+  EXPECT_EQ(st.drained_sessions, old_gen.size());
   EXPECT_EQ(st.completed, old_gen.size() + new_gen.size());
   EXPECT_EQ(st.failed, 0u);
 }
