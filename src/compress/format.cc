@@ -37,12 +37,12 @@ class Reader {
   }
 
   Result<uint32_t> ReadU32() {
-    uint32_t v;
+    uint32_t v = 0;
     NTADOC_RETURN_IF_ERROR(ReadRaw(&v, sizeof(v)));
     return v;
   }
   Result<uint64_t> ReadU64() {
-    uint64_t v;
+    uint64_t v = 0;
     NTADOC_RETURN_IF_ERROR(ReadRaw(&v, sizeof(v)));
     return v;
   }

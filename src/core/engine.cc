@@ -4,11 +4,11 @@
 #include <atomic>
 #include <cstddef>
 #include <list>
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/record_arena.h"
 #include "core/summation.h"
 #include "tadoc/canonical.h"
 #include "tadoc/epoch_counts.h"
@@ -284,9 +284,12 @@ class StepWriter {
       log_->Stage(off, data, len);
     } else {
       // Write through now; the epoch's commit record restores the value
-      // after a crash. Recording coalesces repeated/adjacent writes.
+      // after a crash. The epoch commit coalesces the recorded writes.
       device_->WriteBytes(off, data, len);
-      Record(off, static_cast<const uint8_t*>(data), len);
+      if (len > 0) {
+        line_events_ += (off + len - 1) / kLine - off / kLine + 1;
+        arena_.Add(off, data, len);
+      }
     }
   }
 
@@ -421,7 +424,7 @@ class StepWriter {
     if (epoch_mode()) {
       ++steps_;
       if (!force && steps_ < interval_ &&
-          pending_encoded_ < log_->capacity_bytes() / 4) {
+          arena_.EncodedBelow(log_->capacity_bytes() / 4)) {
         return Status::OK();
       }
       return CommitEpoch();
@@ -471,54 +474,6 @@ class StepWriter {
     for (uint64_t l = first; l <= last; ++l) deferred_lines_.push_back(l);
     line_events_ += last - first + 1;
   }
-  /// Coalesces [off, off+len) into the staged interval map: an interval
-  /// fully containing the write is patched in place; otherwise every
-  /// interval overlapping or adjacent to it is merged (newest bytes
-  /// win). Intervals stay pairwise disjoint and non-adjacent.
-  void Record(uint64_t off, const uint8_t* data, uint32_t len) {
-    if (len == 0) return;
-    ++writes_recorded_;
-    const uint64_t end = off + len;
-    line_events_ += (end - 1) / kLine - off / kLine + 1;
-    auto it = staged_.upper_bound(off);
-    if (it != staged_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->first <= off && prev->first + prev->second.size() >= end) {
-        std::copy(data, data + len,
-                  prev->second.begin() + (off - prev->first));
-        return;
-      }
-    }
-    // Candidates start at most one interval before upper_bound(off);
-    // everything they do not cover of [nb, ne) is covered by the new
-    // write, so the merged buffer has no gaps.
-    auto first = staged_.upper_bound(off);
-    if (first != staged_.begin()) {
-      auto prev = std::prev(first);
-      if (prev->first + prev->second.size() >= off) first = prev;
-    }
-    auto last = first;
-    uint64_t nb = off;
-    uint64_t ne = end;
-    while (last != staged_.end() && last->first <= end) {
-      nb = std::min(nb, last->first);
-      ne = std::max(ne, last->first + last->second.size());
-      pending_encoded_ -= nvm::RedoLog::EncodedRecordBytes(
-          static_cast<uint32_t>(last->second.size()));
-      ++last;
-    }
-    std::vector<uint8_t> buf(ne - nb);
-    for (auto i = first; i != last; ++i) {
-      std::copy(i->second.begin(), i->second.end(),
-                buf.begin() + (i->first - nb));
-    }
-    std::copy(data, data + len, buf.begin() + (off - nb));
-    staged_.erase(first, last);
-    pending_encoded_ +=
-        nvm::RedoLog::EncodedRecordBytes(static_cast<uint32_t>(buf.size()));
-    staged_.emplace(nb, std::move(buf));
-  }
-
   /// Commits the accumulated epoch: flushes deferred in-place data under
   /// one drain, stages the coalesced records as one transaction, and
   /// publishes the durable commit record. The group checkpoint happens
@@ -527,24 +482,19 @@ class StepWriter {
   /// never leak an uncommitted write-through value to durable home.
   Status CommitEpoch() {
     steps_ = 0;
-    if (staged_.empty() && deferred_lines_.empty()) return Status::OK();
+    if (arena_.empty() && deferred_lines_.empty()) return Status::OK();
 
     // 1. Deferred data first: the commit record publishes metadata that
     // points at it, so the data must be durable before the record is.
-    std::vector<uint64_t> deferred;
-    deferred.swap(deferred_lines_);
-    std::sort(deferred.begin(), deferred.end());
-    deferred.erase(std::unique(deferred.begin(), deferred.end()),
-                   deferred.end());
+    // FlushLineRuns leaves the lines sorted and deduplicated.
     uint64_t flushed_now = 0;
-    if (!deferred.empty()) {
-      std::vector<uint64_t> runs = deferred;  // FlushLineRuns consumes
-      flushed_now = device_->FlushLineRuns(runs);
+    if (!deferred_lines_.empty()) {
+      flushed_now = device_->FlushLineRuns(deferred_lines_);
       // Those lines are clean now; no later checkpoint may re-flush
       // them (including stale entries from earlier epochs).
-      log_->NoteHomeLinesFlushed(deferred);
+      log_->NoteHomeLinesFlushed(deferred_lines_);
     }
-    if (staged_.empty()) {
+    if (arena_.empty()) {
       if (info_ != nullptr) {
         info_->coalesced_flush_lines += line_events_ - flushed_now;
       }
@@ -552,32 +502,28 @@ class StepWriter {
       return Status::OK();
     }
 
-    // 2. One transaction for the epoch's coalesced records.
+    // 2. One transaction for the epoch's coalesced records. The intervals
+    // come sorted and disjoint, so their home lines arrive in order and
+    // only a line shared by neighbouring intervals repeats. Lines the
+    // deferred flush above already made durable stay out of the
+    // checkpoint set (list data packs against its descriptor array, so
+    // sharing a 64 B line is routine).
+    arena_.Coalesce();
     log_->Begin();
-    std::vector<uint64_t> home_lines;
-    for (const auto& [off, buf] : staged_) {
-      log_->Stage(off, buf.data(), static_cast<uint32_t>(buf.size()));
-      for (uint64_t l = off / kLine; l <= (off + buf.size() - 1) / kLine;
+    home_lines_.clear();
+    auto flushed = deferred_lines_.cbegin();
+    for (const RecordArena::Record& r : arena_.records()) {
+      log_->Stage(r.off, arena_.bytes(r), r.len);
+      for (uint64_t l = r.off / kLine; l <= (r.off + r.len - 1) / kLine;
            ++l) {
-        home_lines.push_back(l);
+        if (!home_lines_.empty() && home_lines_.back() == l) continue;
+        while (flushed != deferred_lines_.cend() && *flushed < l) ++flushed;
+        if (flushed != deferred_lines_.cend() && *flushed == l) continue;
+        home_lines_.push_back(l);
       }
     }
-    std::sort(home_lines.begin(), home_lines.end());
-    home_lines.erase(std::unique(home_lines.begin(), home_lines.end()),
-                     home_lines.end());
-    if (!deferred.empty()) {
-      // Lines the deferred flush above already made durable stay out of
-      // the checkpoint set (list data packs against its descriptor
-      // array, so sharing a 64 B line is routine).
-      std::vector<uint64_t> kept;
-      kept.reserve(home_lines.size());
-      std::set_difference(home_lines.begin(), home_lines.end(),
-                          deferred.begin(), deferred.end(),
-                          std::back_inserter(kept));
-      home_lines = std::move(kept);
-    }
-    const uint64_t home_kept = home_lines.size();
-    Status s = log_->CommitApplied(std::move(home_lines));
+    const uint64_t home_kept = home_lines_.size();
+    Status s = log_->CommitApplied(home_lines_);
     if (!s.ok()) {
       if (s.code() == StatusCode::kResourceExhausted) {
         // The per-step protocol checkpoints and retries here, but a
@@ -597,7 +543,7 @@ class StepWriter {
     }
     if (info_ != nullptr) {
       ++info_->epoch_commits;
-      info_->coalesced_records += writes_recorded_ - staged_.size();
+      info_->coalesced_records += arena_.writes() - arena_.records().size();
       info_->coalesced_flush_lines +=
           line_events_ - (flushed_now + home_kept);
     }
@@ -616,10 +562,8 @@ class StepWriter {
   }
 
   void DropEpoch() {
-    staged_.clear();
+    arena_.Clear();
     deferred_lines_.clear();
-    pending_encoded_ = 0;
-    writes_recorded_ = 0;
     line_events_ = 0;
   }
 
@@ -635,12 +579,10 @@ class StepWriter {
   WordTable::Pending word_pending_;
   GramTable::Pending gram_pending_;
   uint32_t steps_ = 0;  // steps since the last epoch commit
-  // off -> bytes; pairwise disjoint, non-adjacent coalesced intervals.
-  std::map<uint64_t, std::vector<uint8_t>> staged_;
-  uint64_t pending_encoded_ = 0;  // Σ EncodedRecordBytes over staged_
-  uint64_t writes_recorded_ = 0;  // Write() calls this epoch
-  uint64_t line_events_ = 0;      // line flushes the strict path would pay
+  RecordArena arena_;         // the open epoch's write-through records
+  uint64_t line_events_ = 0;  // line flushes the strict path would pay
   std::vector<uint64_t> deferred_lines_;
+  std::vector<uint64_t> home_lines_;  // CommitEpoch scratch
 };
 
 /// Combines duplicate (id, freq) pairs (needed when pruning is disabled).

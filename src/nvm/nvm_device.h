@@ -219,9 +219,9 @@ class NvmDevice {
   /// Batched durability for a set of (possibly duplicated, unsorted) 64 B
   /// line indices: dedupes, coalesces adjacent lines into contiguous
   /// runs, issues one FlushRange per run, a single Drain(), and asserts
-  /// the persistence contract per run. `lines` is consumed (sorted in
-  /// place). Returns the number of distinct lines made durable. An empty
-  /// set is a no-op (no fence is charged).
+  /// the persistence contract per run. `lines` is left sorted and
+  /// deduplicated. Returns the number of distinct lines made durable. An
+  /// empty set is a no-op (no fence is charged).
   uint64_t FlushLineRuns(std::vector<uint64_t>& lines);
 
   /// Durability contract: declares that [offset, offset+len) must be

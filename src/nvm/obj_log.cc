@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_set>
 
 #include "util/hash.h"
 #include "util/logging.h"
@@ -152,7 +151,7 @@ Status RedoLog::Commit() {
   return Status::OK();
 }
 
-Status RedoLog::CommitApplied(std::vector<uint64_t> home_lines) {
+Status RedoLog::CommitApplied(std::span<const uint64_t> home_lines) {
   NTADOC_CHECK(in_txn_) << "CommitApplied outside transaction";
   if (staged_.empty()) {
     in_txn_ = false;
@@ -218,11 +217,11 @@ Status RedoLog::CommitApplied(std::vector<uint64_t> home_lines) {
   return Status::OK();
 }
 
-void RedoLog::NoteHomeLinesFlushed(const std::vector<uint64_t>& lines) {
+void RedoLog::NoteHomeLinesFlushed(std::span<const uint64_t> lines) {
   if (applied_home_lines_.empty() || lines.empty()) return;
-  const std::unordered_set<uint64_t> drop(lines.begin(), lines.end());
-  std::erase_if(applied_home_lines_,
-                [&drop](uint64_t l) { return drop.contains(l); });
+  std::erase_if(applied_home_lines_, [lines](uint64_t l) {
+    return std::binary_search(lines.begin(), lines.end(), l);
+  });
 }
 
 void RedoLog::FlushAppliedHome() {

@@ -20,6 +20,7 @@
 #define NTADOC_NVM_OBJ_LOG_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nvm/nvm_device.h"
@@ -85,13 +86,14 @@ class RedoLog {
   /// covers them at the next group checkpoint (callers subtract lines
   /// they already made durable — re-flushing a clean line would trip the
   /// persist checker). Same failure contract as Commit().
-  Status CommitApplied(std::vector<uint64_t> home_lines);
+  Status CommitApplied(std::span<const uint64_t> home_lines);
 
-  /// Epoch mode: the caller made these 64 B home lines durable itself
-  /// (in-place data flushed ahead of the epoch's commit record), so they
-  /// are dropped from the pending checkpoint set — FlushAppliedHome()
-  /// must never clwb a line with no store since its last flush.
-  void NoteHomeLinesFlushed(const std::vector<uint64_t>& lines);
+  /// Epoch mode: the caller made these 64 B home lines (sorted, as
+  /// NvmDevice::FlushLineRuns leaves them) durable itself — in-place data
+  /// flushed ahead of the epoch's commit record — so they are dropped
+  /// from the pending checkpoint set: FlushAppliedHome() must never clwb
+  /// a line with no store since its last flush.
+  void NoteHomeLinesFlushed(std::span<const uint64_t> lines);
 
   /// Flushes every home line written by entries applied since the last
   /// Truncate(), fences, and asserts durability. Commit() applies

@@ -80,7 +80,9 @@ TEST_P(TornFlushSweepTest, RecoveryIsExactOrSalvaged) {
   const auto* inj = (*device)->fault_injector();
   ASSERT_NE(inj, nullptr);
   // Early ordinals always have a qualifying flush before the crash.
-  if (torn_at <= 3) EXPECT_EQ(inj->stats().torn_flushes, 1u);
+  if (torn_at <= 3) {
+    EXPECT_EQ(inj->stats().torn_flushes, 1u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "util/dram_tracker.h"
 #include "util/hash.h"
 #include "util/random.h"
@@ -83,6 +86,46 @@ TEST(HashTest, NextPowerOfTwo) {
   EXPECT_EQ(NextPowerOfTwo(3), 4u);
   EXPECT_EQ(NextPowerOfTwo(1024), 1024u);
   EXPECT_EQ(NextPowerOfTwo(1025), 2048u);
+}
+
+/// Byte-at-a-time CRC-32 (reflected 0xEDB88320), bit by bit: the
+/// definition Crc32 must match.
+uint32_t ReferenceCrc32(const uint8_t* p, size_t len, uint32_t seed) {
+  uint32_t c = ~seed;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+TEST(HashTest, Crc32StandardCheckValue) {
+  const char kCheck[] = "123456789";
+  EXPECT_EQ(Crc32(kCheck, 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(kCheck, 0), 0u);
+  // Chaining over a split equals one pass.
+  EXPECT_EQ(Crc32(kCheck + 4, 5, Crc32(kCheck, 4)), 0xCBF43926u);
+}
+
+TEST(HashTest, Crc32MatchesByteAtATimeReference) {
+  Rng rng(7);
+  std::vector<uint8_t> buf(300 + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const uint8_t* p = buf.data() + align;
+      const uint32_t seed = static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(Crc32(p, len), ReferenceCrc32(p, len, 0))
+          << "align " << align << " len " << len;
+      ASSERT_EQ(Crc32(p, len, seed), ReferenceCrc32(p, len, seed))
+          << "align " << align << " len " << len << " seed " << seed;
+      // A chain split anywhere equals one pass.
+      const size_t cut = len == 0 ? 0 : rng.Uniform(len + 1);
+      ASSERT_EQ(Crc32(p + cut, len - cut, Crc32(p, cut, seed)),
+                ReferenceCrc32(p, len, seed))
+          << "align " << align << " len " << len << " cut " << cut;
+    }
+  }
 }
 
 TEST(RngTest, DeterministicPerSeed) {

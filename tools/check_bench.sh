@@ -2,8 +2,9 @@
 # Bench smoke + sim-clock regression gate: runs bench_hotpath at a small
 # fixed scale and compares the deterministic simulated-time records (the
 # "SIM"/"SIMK" lines) against the committed baseline. Any entry drifting
-# more than 1% — or appearing/disappearing — fails. Wall-clock times are
-# machine-dependent and are not checked.
+# more than 1% — or appearing/disappearing — fails. Absolute wall-clock
+# times are machine-dependent and are never compared with a baseline;
+# the one wall gate below is a ratio of two rows of the same run.
 #
 # On top of baseline drift, three relational gates run on the current
 # output itself (so they hold regardless of baseline refreshes):
@@ -18,6 +19,14 @@
 #   * RunBatch: summed over the non-first tasks of each batch config,
 #     init sim time is under 60% of the standalone inits (the remainder
 #     is per-task persistence flushing and the sequence gram scan).
+#
+# Epoch wall gate (host time, a ratio within one run, so it holds on any
+# host): operation-level traversal at commit_interval=8 costs at most
+# 1.1x the wall time of the per-step protocol on word_count and sort.
+# bench_hotpath --json at scale 0.25, raw traversal_wall_ns, minimum of 5
+# repeats; the per-step rows must take >= 10 ms, or timer noise decides.
+# sequence_count stays ungated: bulk list writes, which both protocols
+# flush exactly once, bound its traversal.
 #
 # Chunk-parallel ingest gates (bench_ingest, dataset D at scale 1.0 —
 # container bytes are only deterministic at full scale):
@@ -99,6 +108,31 @@ awk '
   }
 ' <(printf '%s\n' "$CURRENT") || { echo "FAIL: relational perf gates" >&2; exit 1; }
 echo "perf gates OK: epoch >=2x, cache non-regressing, batch init reuse"
+
+# Epoch wall gate (see header).
+WALL_JSON="$BUILD_DIR/bench_hotpath_wall.json"
+"$BUILD_DIR/bench/bench_hotpath" --scale=0.25 --datasets=C \
+    --cache-dir="$BUILD_DIR/bench_smoke_cache" --repeat=5 \
+    --json="$WALL_JSON" >/dev/null
+sed -n 's/.*"task": "\([a-z_]*\)", "persistence": "operation-level", "variant": "\([a-z0-9]*\)".*"traversal_wall_ns": \([0-9]*\),.*/\1 \2 \3/p' \
+    "$WALL_JSON" | awk '
+  { wall[$1 " " $2] = $3 }
+  END {
+    bad = 0
+    n = split("word_count sort", heavy, " ")
+    for (i = 1; i <= n; ++i) {
+      t = heavy[i]
+      std = wall[t " std"] + 0
+      ci = wall[t " ci8"] + 0
+      if (std == 0 || ci == 0) { printf "FAIL: missing operation-level std/ci8 wall rows for %s\n", t; bad = 1 }
+      else if (std < 10000000) { printf "FAIL: %s per-step traversal %d ns < 10 ms: raise the scale\n", t, std; bad = 1 }
+      else if (10 * ci > 11 * std) { printf "FAIL: epoch commit >1.1x per-step wall on %s traversal: std %d ns, ci8 %d ns\n", t, std, ci; bad = 1 }
+      else printf "  %s traversal wall: std %.1f ms, ci8 %.1f ms (%.2fx)\n", t, std / 1e6, ci / 1e6, ci / std
+    }
+    exit bad ? 1 : 0
+  }
+' || { echo "FAIL: epoch wall gate" >&2; exit 1; }
+echo "epoch wall gate OK: ci8 traversal <=1.1x per-step wall"
 
 # Serving gates (relational, no baseline): concurrent sessions over one
 # sealed pool must actually scale, and the fault-isolated escalation
