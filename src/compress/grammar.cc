@@ -55,6 +55,20 @@ std::vector<Symbol> Grammar::ExpandAll() const {
   return out;
 }
 
+std::vector<std::pair<uint32_t, uint32_t>> Grammar::RootSegments() const {
+  std::vector<std::pair<uint32_t, uint32_t>> segments;
+  if (rules.empty()) return segments;
+  const std::vector<Symbol>& root = rules[0];
+  uint32_t begin = 0;
+  for (uint32_t i = 0; i < root.size(); ++i) {
+    if (IsWord(root[i]) && IsFileSep(root[i])) {
+      segments.emplace_back(begin, i);
+      begin = i + 1;
+    }
+  }
+  return segments;
+}
+
 Status Grammar::Validate() const {
   if (rules.empty()) return Status::InvalidArgument("grammar has no rules");
   const uint32_t n = NumRules();

@@ -4,6 +4,7 @@
 #define NTADOC_COMPRESS_GRAMMAR_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "compress/symbols.h"
@@ -37,6 +38,11 @@ struct Grammar {
 
   /// Expands the whole corpus (R0).
   std::vector<Symbol> ExpandAll() const;
+
+  /// The root's file segments, TADOC's per-file unit: one [begin, end)
+  /// index range into rules[0] per file separator, in file order, the
+  /// separator itself excluded.
+  std::vector<std::pair<uint32_t, uint32_t>> RootSegments() const;
 
   /// Structural validation: root exists, symbol references in range,
   /// rule graph acyclic, every non-root rule referenced, separators only

@@ -22,17 +22,13 @@ RandomAccessReader::RandomAccessReader(const CompressedCorpus* corpus)
   }
   // Root file segments and their token lengths.
   const auto& root = g.rules[0];
-  uint32_t begin = 0;
-  for (uint32_t i = 0; i < root.size(); ++i) {
-    if (IsWord(root[i]) && IsFileSep(root[i])) {
-      segments_.emplace_back(begin, i);
-      uint64_t len = 0;
-      for (uint32_t j = begin; j < i; ++j) {
-        len += IsRule(root[j]) ? rule_len_[RuleIndex(root[j])] : 1;
-      }
-      file_len_.push_back(len);
-      begin = i + 1;
+  segments_ = g.RootSegments();
+  for (const auto& [begin, end] : segments_) {
+    uint64_t len = 0;
+    for (uint32_t j = begin; j < end; ++j) {
+      len += IsRule(root[j]) ? rule_len_[RuleIndex(root[j])] : 1;
     }
+    file_len_.push_back(len);
   }
 }
 

@@ -22,9 +22,7 @@
 
 namespace ntadoc::core {
 
-using compress::IsFileSep;
 using compress::IsRule;
-using compress::IsWord;
 using compress::RuleIndex;
 using compress::Symbol;
 using compress::WordId;
@@ -82,7 +80,15 @@ uint64_t CursorChecksum(const CursorSlot& c) {
   return Fnv1a64(&c, offsetof(CursorSlot, checksum));
 }
 
+/// Catalog slot of one counter table: NvmHashTable::Attach's arguments.
+struct TableRef {
+  uint64_t status, keys, vals, cap;
+};
+
 /// Pool catalog: every offset needed to re-attach after a restart.
+/// CatalogOf builds it from a run's State and TryAttach reads it back
+/// field for field. `tables` and `list_meta_off` are indexed in
+/// ForEachTable / ForEachList order; a slot the task does not use is 0.
 struct Catalog {
   uint64_t magic;
   uint64_t signature;
@@ -90,12 +96,8 @@ struct Catalog {
   uint64_t seg_meta_off;
   uint64_t queue_off;
   uint64_t indeg_off;
-  uint64_t word_status, word_keys, word_vals, word_cap;
-  uint64_t gram_status, gram_keys, gram_vals, gram_cap;
-  uint64_t ftbl_status, ftbl_keys, ftbl_vals, ftbl_cap;
-  uint64_t fgram_status, fgram_keys, fgram_vals, fgram_cap;
-  uint64_t word_list_meta_off;
-  uint64_t gram_list_meta_off;
+  TableRef tables[4];         // word, gram, file, file-gram counters
+  uint64_t list_meta_off[2];  // word lists, gram lists
   uint64_t local_gram_meta_off;
   uint64_t seg_gram_meta_off;
   uint64_t cursor_off;
@@ -105,7 +107,21 @@ struct Catalog {
   uint64_t pruned;
   uint64_t checksum;
 };
+// The persisted layout, which attach must read from any existing pool:
+// 34 words, the table slots from word 6 and the list slots from word 22.
+static_assert(sizeof(Catalog) == 272);
+static_assert(offsetof(Catalog, tables) == 48);
+static_assert(offsetof(Catalog, list_meta_off) == 176);
+static_assert(offsetof(Catalog, local_gram_meta_off) == 192);
+static_assert(offsetof(Catalog, checksum) == 264);
 constexpr uint64_t kCatalogMagic = 0x4E5441444343544CULL;  // "NTADCCTL"
+
+/// The catalog is the pool's first allocation, in the slot right after
+/// the pool header; the init integrity hash covers the pool from here up
+/// to the init-time top.
+uint64_t CatalogOffset(const nvm::NvmPool& pool) {
+  return pool.base() + nvm::NvmPool::kHeaderSlot;
+}
 
 uint64_t CatalogChecksum(const Catalog& c) {
   return Fnv1a64(&c, offsetof(Catalog, checksum));
@@ -211,6 +227,13 @@ struct Cursor {
   uint64_t a = 0;
   uint64_t b = 0;
 };
+
+/// The checksummed durable slot of `c` (a default Cursor is stage 0).
+CursorSlot SlotOf(const Cursor& c) {
+  CursorSlot slot{kCursorMagic, c.stage, c.a, c.b, 0};
+  slot.checksum = CursorChecksum(slot);
+  return slot;
+}
 
 /// Borrows an immutable local-gram payload zero-copy. A step's counter and
 /// log writes never target the init-phase payload region (that is the
@@ -407,10 +430,7 @@ class StepWriter {
 
   /// Stages the durable cursor into the step (logged steps only).
   void StageCursor(const Cursor& c) {
-    if (log_ == nullptr) return;
-    CursorSlot slot{kCursorMagic, c.stage, c.a, c.b, 0};
-    slot.checksum = CursorChecksum(slot);
-    WriteValue(cursor_off_, slot);
+    if (log_ != nullptr) WriteValue(cursor_off_, SlotOf(c));
   }
 
   /// Commits the step. A strict step commits its transaction; on a full
@@ -602,18 +622,62 @@ void CombineEntries(std::vector<std::pair<uint32_t, uint32_t>>* v) {
   v->resize(out);
 }
 
+/// Algorithm 2's host-side inputs and bounds. They depend only on the
+/// grammar and the pruning setting, never on the task, so RunBatch and
+/// sealed-prefix sessions reuse them without touching the device.
+struct Estimates {
+  DagChildren children;             // combined (child, freq) per rule
+  std::vector<uint64_t> own_words;  // distinct own words per rule
+  std::vector<uint64_t> own_len;    // own word occurrences per rule
+  std::vector<uint64_t> explen;     // expansion length per rule
+  std::vector<uint64_t> word_ub;    // distinct-word bound per rule
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> seg_children;
+  std::vector<uint64_t> seg_explen;
+  std::vector<uint64_t> seg_word_ub;
+  std::vector<uint64_t> seg_own_distinct;  // distinct own words per segment
+};
+
+/// One rule body's or root segment's local n-gram list, exactly as init
+/// lays it out in the pool and scoped repair re-derives it: every window
+/// the scanner emits, sorted by key with duplicates combined.
+std::vector<GramEntry> LocalGrams(tadoc::WindowScanner& scanner,
+                                  std::span<const Symbol> seq) {
+  std::vector<std::pair<NgramKey, uint64_t>> local;
+  scanner.Scan(seq, [&](const NgramKey& k) { local.emplace_back(k, 1); });
+  SortAndCombine(&local);
+  std::vector<GramEntry> entries;
+  entries.reserve(local.size());
+  for (const auto& [k, c] : local) entries.push_back(GramEntry{k, c});
+  return entries;
+}
+
+/// Each mode's display name and its --persistence= flag value.
+struct PersistenceName {
+  PersistenceMode mode;
+  const char* name;
+  const char* flag;
+};
+constexpr PersistenceName kPersistenceNames[] = {
+    {PersistenceMode::kNone, "none", "none"},
+    {PersistenceMode::kPhase, "phase-level", "phase"},
+    {PersistenceMode::kOperation, "operation-level", "operation"},
+};
+
 }  // namespace
 
 const char* PersistenceModeToString(PersistenceMode m) {
-  switch (m) {
-    case PersistenceMode::kNone:
-      return "none";
-    case PersistenceMode::kPhase:
-      return "phase-level";
-    case PersistenceMode::kOperation:
-      return "operation-level";
+  for (const PersistenceName& n : kPersistenceNames) {
+    if (n.mode == m) return n.name;
   }
   return "?";
+}
+
+Result<PersistenceMode> ParsePersistenceMode(std::string_view name) {
+  for (const PersistenceName& n : kPersistenceNames) {
+    if (name == n.flag || name == n.name) return n.mode;
+  }
+  return Status::InvalidArgument("unknown persistence mode '" +
+                                 std::string(name) + "'");
 }
 
 // ---------------------------------------------------------------------------
@@ -795,7 +859,6 @@ struct NTadocEngine::RuleCache {
 struct NTadocEngine::BatchShared {
   bool valid = false;
   uint64_t pool_base = 0;
-  uint64_t catalog_off = 0;
   uint64_t dag_top = 0;  // pool top right after BuildPrunedDag
   PrunedDag dag;         // NvmVector handles are re-attached on reuse
   PruneStats prune;
@@ -805,16 +868,7 @@ struct NTadocEngine::BatchShared {
   uint64_t shared_sim_ns = 0;
   uint64_t gram_sim_ns = 0;  // extra cost of the gram-region extension
 
-  // Task-independent estimator scratch (Algorithm 2 inputs/outputs).
-  DagChildren children;
-  std::vector<uint64_t> own_words;
-  std::vector<uint64_t> own_len;
-  std::vector<uint64_t> explen;
-  std::vector<uint64_t> word_ub;
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> seg_children;
-  std::vector<uint64_t> seg_explen;
-  std::vector<uint64_t> seg_word_ub;
-  std::vector<uint64_t> seg_own_distinct;  // distinct own words per segment
+  Estimates est;  // task-independent estimator scratch
 
   // Local n-gram prefix extension (valid only until a non-sequence task
   // allocates over it).
@@ -826,11 +880,6 @@ struct NTadocEngine::BatchShared {
   uint64_t gram_begin = 0;
   uint64_t gram_end = 0;
   std::vector<uint64_t> gram_ub;
-
-  void Invalidate() {
-    valid = false;
-    gram_valid = false;
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -913,6 +962,77 @@ DecodedPayload NTadocEngine::ReadPayloadCached(State* st, bool segment,
 
 namespace {
 
+/// Walks the counter tables the run uses, in catalog order, as
+/// fn(catalog slot, table, owner name). Every walk over the tables goes
+/// through here — catalog fill and attach, validation, the phase-end
+/// flush, the integrity exclusions, owner labels and tier extents — so
+/// each keeps the one device-access order (the LRU block buffer makes
+/// order part of the sim cost). Only allocation, whose bounds differ per
+/// table, names them one by one.
+template <typename StateT, typename Fn>
+void ForEachTable(StateT& st, Fn fn) {
+  if (st.use_word_table) fn(0, st.word_table, "word_table");
+  if (st.use_gram_table) fn(1, st.gram_table, "gram_table");
+  if (st.use_file_table) fn(2, st.file_table, "file_table");
+  if (st.use_file_gram_table) fn(3, st.file_gram_table, "file_gram_table");
+}
+
+/// The same walk over the bottom-up list-descriptor arrays, as
+/// fn(catalog slot, descriptor array, entry size, owner name).
+template <typename StateT, typename Fn>
+void ForEachList(StateT& st, Fn fn) {
+  if (st.use_word_lists) {
+    fn(0, st.word_list_meta, sizeof(WordEntry), "word_list_meta");
+  }
+  if (st.use_gram_lists) {
+    fn(1, st.gram_list_meta, sizeof(GramEntry), "gram_list_meta");
+  }
+}
+
+/// A counter table's three pool buffers as fn(offset, length): status
+/// bytes, keys, values.
+template <typename Table, typename Fn>
+void ForEachBuffer(const Table& t, Fn fn) {
+  fn(t.status_offset(), t.capacity());
+  fn(t.keys_offset(), t.capacity() * sizeof(typename Table::Key));
+  fn(t.values_offset(), t.capacity() * sizeof(typename Table::Value));
+}
+
+/// The catalog describing `st`'s pool layout, checksummed.
+template <typename StateT>
+Catalog CatalogOf(const StateT& st) {
+  Catalog cat{};
+  cat.magic = kCatalogMagic;
+  cat.signature = st.signature;
+  cat.rule_meta_off = st.dag.rule_meta.offset();
+  cat.seg_meta_off = st.dag.seg_meta.offset();
+  if (st.use_queue) {
+    cat.queue_off = st.queue.offset();
+    cat.indeg_off = st.indeg.offset();
+  }
+  ForEachTable(st, [&cat](int i, const auto& t, const char*) {
+    cat.tables[i] = TableRef{t.status_offset(), t.keys_offset(),
+                             t.values_offset(), t.capacity()};
+  });
+  ForEachList(st, [&cat](int i, const NvmVector<ListMeta>& metas, uint64_t,
+                         const char*) {
+    cat.list_meta_off[i] = metas.offset();
+  });
+  if (st.use_local_grams) {
+    cat.local_gram_meta_off = st.local_gram_meta.offset();
+    cat.seg_gram_meta_off = st.seg_gram_meta.offset();
+  }
+  cat.cursor_off = st.cursor_off;
+  cat.integrity_off = st.integrity_off;
+  cat.payload_begin = st.dag.payload_begin;
+  cat.payload_end = st.dag.payload_end;
+  cat.gram_begin = st.gram_begin;
+  cat.gram_end = st.gram_end;
+  cat.pruned = st.dag.pruned ? 1 : 0;
+  cat.checksum = CatalogChecksum(cat);
+  return cat;
+}
+
 /// Phase-level persistence at the end of the traversal phase: flush only
 /// the traversal-phase data (weights, working arrays, counters, lists) —
 /// the init-phase data was persisted at the init boundary already.
@@ -940,8 +1060,8 @@ void PersistTraversalState(nvm::NvmDevice* device, StateT* st) {
   // the per-descriptor loop it replaces). An unreadable descriptor block
   // skips the list-data lines: the old path would have collected garbage
   // extents from poisoned descriptors, so nothing durable is lost.
-  auto collect_lists = [&](const NvmVector<ListMeta>& metas,
-                           uint64_t entry_size) {
+  ForEachList(*st, [&](int, const NvmVector<ListMeta>& metas,
+                       uint64_t entry_size, const char*) {
     if (auto span = metas.ReadSpan(0, nr); span.ok()) {
       const ListMeta* m = *span;
       for (uint32_t r = 0; r < nr; ++r) {
@@ -949,13 +1069,7 @@ void PersistTraversalState(nvm::NvmDevice* device, StateT* st) {
       }
     }
     collect(metas.offset(), nr * sizeof(ListMeta));
-  };
-  if (st->use_word_lists) {
-    collect_lists(st->word_list_meta, sizeof(WordEntry));
-  }
-  if (st->use_gram_lists) {
-    collect_lists(st->gram_list_meta, sizeof(GramEntry));
-  }
+  });
   // Only top-down traversals propagate weights into RuleMeta, and a
   // traversal of an edge-free grammar over a fresh device never touches
   // them at all (the stage-0 reset skips weights that are already zero),
@@ -970,25 +1084,13 @@ void PersistTraversalState(nvm::NvmDevice* device, StateT* st) {
   // A table's status buffer is always dirtied by the stage-0 Clear(),
   // but its key/value buffers are only written on insert — an empty
   // table's keys and values are clean.
-  auto collect_table = [&](const auto& t, auto key_tag, auto val_tag) {
-    collect(t.status_offset(), t.capacity());
+  ForEachTable(*st, [&](int, const auto& t, const char*) {
     if (t.size() > 0) {
-      collect(t.keys_offset(), t.capacity() * sizeof(decltype(key_tag)));
-      collect(t.values_offset(), t.capacity() * sizeof(decltype(val_tag)));
+      ForEachBuffer(t, collect);
+    } else {
+      collect(t.status_offset(), t.capacity());
     }
-  };
-  if (st->use_word_table) {
-    collect_table(st->word_table, uint32_t{}, uint64_t{});
-  }
-  if (st->use_gram_table) {
-    collect_table(st->gram_table, NgramKey{}, uint64_t{});
-  }
-  if (st->use_file_table) {
-    collect_table(st->file_table, uint32_t{}, uint64_t{});
-  }
-  if (st->use_file_gram_table) {
-    collect_table(st->file_gram_table, NgramKey{}, uint64_t{});
-  }
+  });
   device->FlushLineRuns(lines);
 }
 
@@ -999,8 +1101,7 @@ void PersistTraversalState(nvm::NvmDevice* device, StateT* st) {
 /// and ListMeta::size change under the summation estimator, so a torn
 /// flush in any other field is caught.
 template <typename StateT>
-std::vector<ByteRange> CollectMutableExtents(const StateT& st,
-                                             uint64_t integrity_off) {
+std::vector<ByteRange> CollectMutableExtents(const StateT& st) {
   std::vector<ByteRange> v;
   auto add = [&v](uint64_t off, uint64_t len) {
     if (len > 0) v.push_back(ByteRange{off, off + len});
@@ -1014,29 +1115,15 @@ std::vector<ByteRange> CollectMutableExtents(const StateT& st,
     add(st.queue.offset(), nr * sizeof(uint32_t));
     add(st.indeg.offset(), nr * sizeof(uint32_t));
   }
-  auto add_table = [&](const auto& t, uint64_t key_size, uint64_t val_size) {
-    add(t.status_offset(), t.capacity());
-    add(t.keys_offset(), t.capacity() * key_size);
-    add(t.values_offset(), t.capacity() * val_size);
-  };
-  if (st.use_word_table) {
-    add_table(st.word_table, sizeof(uint32_t), sizeof(uint64_t));
-  }
-  if (st.use_gram_table) {
-    add_table(st.gram_table, sizeof(NgramKey), sizeof(uint64_t));
-  }
-  if (st.use_file_table) {
-    add_table(st.file_table, sizeof(uint32_t), sizeof(uint64_t));
-  }
-  if (st.use_file_gram_table) {
-    add_table(st.file_gram_table, sizeof(NgramKey), sizeof(uint64_t));
-  }
+  ForEachTable(st, [&](int, const auto& t, const char*) {
+    ForEachBuffer(t, add);
+  });
   // One borrowed span over the descriptor array (same charging as the
   // per-descriptor loop). On unreadable media no extents are excluded;
   // the integrity hash then mismatches, which is the right outcome for a
   // region that cannot even be read.
-  auto add_lists = [&](const NvmVector<ListMeta>& metas,
-                       uint64_t entry_size) {
+  ForEachList(st, [&](int, const NvmVector<ListMeta>& metas,
+                      uint64_t entry_size, const char*) {
     auto span = metas.ReadSpan(0, nr);
     if (!span.ok()) return;
     const ListMeta* m = *span;
@@ -1045,11 +1132,9 @@ std::vector<ByteRange> CollectMutableExtents(const StateT& st,
       add(metas.ElementOffset(r) + offsetof(ListMeta, size),
           sizeof(uint64_t));
     }
-  };
-  if (st.use_word_lists) add_lists(st.word_list_meta, sizeof(WordEntry));
-  if (st.use_gram_lists) add_lists(st.gram_list_meta, sizeof(GramEntry));
+  });
   add(st.cursor_off, 64);
-  add(integrity_off, 64);
+  add(st.integrity_off, 64);
   return v;
 }
 
@@ -1084,6 +1169,15 @@ Result<uint64_t> HashImmutableRegion(nvm::NvmDevice* device, uint64_t begin,
   return h;
 }
 
+/// The init integrity hash of `st`'s pool up to `init_top`: everything
+/// from the catalog on that the traversal never mutates.
+template <typename StateT>
+Result<uint64_t> HashInitRegion(nvm::NvmDevice* device, const StateT& st,
+                                uint64_t init_top) {
+  return HashImmutableRegion(device, CatalogOffset(*st.pool), init_top,
+                             CollectMutableExtents(st));
+}
+
 /// Walks every pool structure the run allocated, in one fixed order, as
 /// fn(offset, length, owner name, placement class). Both consumers use
 /// this one walk: owner labels let a scrub map a damaged block back to
@@ -1091,11 +1185,11 @@ Result<uint64_t> HashImmutableRegion(nvm::NvmDevice* device, uint64_t begin,
 /// extents by class. List data stays unlabeled: RepairDamage classifies
 /// it through the mutable extents, not through owner names.
 template <typename StateT, typename Fn>
-void ForEachStructure(const StateT& st, uint64_t catalog_off, Fn fn) {
+void ForEachStructure(const StateT& st, Fn fn) {
   using nvm::TierClass;
   const uint32_t nr = st.dag.num_rules;
   const uint32_t nf = st.dag.num_files;
-  fn(catalog_off, sizeof(Catalog), "catalog", TierClass::kMeta);
+  fn(CatalogOffset(*st.pool), sizeof(Catalog), "catalog", TierClass::kMeta);
   fn(st.dag.rule_meta.offset(), nr * sizeof(RuleMeta), "rule_meta",
      TierClass::kMeta);
   fn(st.dag.seg_meta.offset(), nf * sizeof(SegmentMeta), "seg_meta",
@@ -1118,46 +1212,26 @@ void ForEachStructure(const StateT& st, uint64_t catalog_off, Fn fn) {
     fn(st.queue.offset(), nr * sizeof(uint32_t), "queue", TierClass::kQueue);
     fn(st.indeg.offset(), nr * sizeof(uint32_t), "indeg", TierClass::kQueue);
   }
-  auto table = [&fn](const auto& t, uint64_t key_size, uint64_t val_size,
-                     const char* name) {
-    fn(t.status_offset(), t.capacity(), name, TierClass::kTable);
-    fn(t.keys_offset(), t.capacity() * key_size, name, TierClass::kTable);
-    fn(t.values_offset(), t.capacity() * val_size, name, TierClass::kTable);
-  };
-  if (st.use_word_table) {
-    table(st.word_table, sizeof(uint32_t), sizeof(uint64_t), "word_table");
-  }
-  if (st.use_gram_table) {
-    table(st.gram_table, sizeof(NgramKey), sizeof(uint64_t), "gram_table");
-  }
-  if (st.use_file_table) {
-    table(st.file_table, sizeof(uint32_t), sizeof(uint64_t), "file_table");
-  }
-  if (st.use_file_gram_table) {
-    table(st.file_gram_table, sizeof(NgramKey), sizeof(uint64_t),
-          "file_gram_table");
-  }
-  if (st.use_word_lists) {
-    fn(st.word_list_meta.offset(), nr * sizeof(ListMeta), "word_list_meta",
-       TierClass::kMeta);
-  }
-  if (st.use_gram_lists) {
-    fn(st.gram_list_meta.offset(), nr * sizeof(ListMeta), "gram_list_meta",
-       TierClass::kMeta);
-  }
+  ForEachTable(st, [&fn](int, const auto& t, const char* name) {
+    ForEachBuffer(t, [&](uint64_t off, uint64_t len) {
+      fn(off, len, name, TierClass::kTable);
+    });
+  });
+  ForEachList(st, [&](int, const NvmVector<ListMeta>& metas, uint64_t,
+                      const char* name) {
+    fn(metas.offset(), nr * sizeof(ListMeta), name, TierClass::kMeta);
+  });
   fn(st.cursor_off, 64, "cursor", TierClass::kCursor);
   fn(st.integrity_off, 64, "integrity", TierClass::kCursor);
 }
 
 template <typename StateT>
-void RegisterPoolOwners(nvm::NvmPool* pool, const StateT& st,
-                        uint64_t catalog_off) {
+void RegisterPoolOwners(nvm::NvmPool* pool, const StateT& st) {
   pool->ClearOwners();
-  ForEachStructure(st, catalog_off,
-                   [pool](uint64_t off, uint64_t len, const char* owner,
-                          nvm::TierClass) {
-                     pool->RegisterOwner(off, len, owner);
-                   });
+  ForEachStructure(st, [pool](uint64_t off, uint64_t len, const char* owner,
+                              nvm::TierClass) {
+    pool->RegisterOwner(off, len, owner);
+  });
 }
 
 }  // namespace
@@ -1211,8 +1285,7 @@ void NTadocEngine::InvalidateRuleCache() {
   if (ses_->rule_cache) ses_->rule_cache->Invalidate();
 }
 
-Status NTadocEngine::SetupTiering(State* st, uint64_t catalog_off,
-                                  bool fresh) {
+Status NTadocEngine::SetupTiering(State* st, bool fresh) {
   nvm::TieredPool* tiered = ses_->tiered.get();
   if (tiered == nullptr) return Status::OK();
   // Fresh inits (including salvage restarts) reformat the placement
@@ -1221,11 +1294,10 @@ Status NTadocEngine::SetupTiering(State* st, uint64_t catalog_off,
   // run resumes with every persistent-tier placement intact.
   NTADOC_RETURN_IF_ERROR(tiered->InitRegion(fresh));
   tiered->ResetExtents();
-  ForEachStructure(*st, catalog_off,
-                   [tiered](uint64_t off, uint64_t len, const char*,
-                            nvm::TierClass cls) {
-                     tiered->RegisterExtent(off, len, cls);
-                   });
+  ForEachStructure(*st, [tiered](uint64_t off, uint64_t len, const char*,
+                                 nvm::TierClass cls) {
+    tiered->RegisterExtent(off, len, cls);
+  });
   return tiered->ApplyInitialPlacement();
 }
 
@@ -1270,17 +1342,6 @@ uint64_t SharedRuleCache::invalidations() const {
 
 SealedPrefix::SealedPrefix() = default;
 SealedPrefix::~SealedPrefix() = default;
-
-TraversalStrategy NTadocEngine::ResolveStrategy(Task task) const {
-  if (options_.traversal != TraversalStrategy::kAuto) {
-    return options_.traversal;
-  }
-  if (tadoc::IsPerFileTask(task) &&
-      corpus_->num_files() > options_.many_files_threshold) {
-    return TraversalStrategy::kBottomUp;
-  }
-  return TraversalStrategy::kTopDown;
-}
 
 namespace {
 
@@ -1343,23 +1404,27 @@ Status NTadocEngine::CheckMediaErrors() {
 
 namespace {
 
-/// Epoch-mode error unwinding. A step that fails mid-epoch (media damage
-/// surfacing as DataLoss — never an injected crash, which must not write
-/// post-crash) leaves uncommitted write-through values in home with no
-/// power loss to roll them back; scoped repair would then resume
-/// mid-phase and re-apply deltas on top of them. Reset to a clean
-/// boundary instead: drop any open transaction, checkpoint the committed
-/// state, and move the durable cursor back to stage 0 so the next
-/// attempt re-runs the phase from its idempotent reset (which rewrites
-/// every line the abandoned epoch dirtied).
+/// Moves the durable cursor back to stage 0, so the next attempt re-runs
+/// the traversal phase from its idempotent reset (which rewrites every
+/// line an abandoned step dirtied). The redo log, if any, is emptied
+/// first: its committed transactions hold the old cursor, and replaying
+/// them on re-attach would resurrect the abandoned resume point. Two
+/// callers:
+///   * epoch-mode error unwinding — a step that fails mid-epoch (media
+///     damage surfacing as DataLoss; never an injected crash, which must
+///     not write post-crash) leaves uncommitted write-through values in
+///     home with no power loss to roll them back, and resuming mid-phase
+///     would re-apply deltas on top of them;
+///   * scoped repair — zero-filled traversal state invalidates any
+///     resume point.
 void AbortToPhaseStart(nvm::NvmDevice* device, nvm::RedoLog* log,
                        uint64_t cursor_off) {
-  if (log->in_transaction()) log->Abort();
-  log->FlushAppliedHome();
-  log->Truncate();
-  CursorSlot fresh{kCursorMagic, 0, 0, 0, 0};
-  fresh.checksum = CursorChecksum(fresh);
-  device->Write(cursor_off, fresh);
+  if (log != nullptr) {
+    if (log->in_transaction()) log->Abort();
+    log->FlushAppliedHome();
+    log->Truncate();
+  }
+  device->Write(cursor_off, SlotOf(Cursor{}));
   device->FlushRange(cursor_off, sizeof(CursorSlot));
   device->Drain();
   device->AssertPersisted(cursor_off, sizeof(CursorSlot));
@@ -1378,7 +1443,7 @@ Result<bool> NTadocEngine::TryAttach(State* st, uint64_t pool_base) {
   // Every detected-corruption exit funnels through here: count it, log
   // it, and fall back to a fresh init (which rewrites — and thereby
   // heals — the damaged state).
-  auto corrupt = [&](const char* what) -> bool {
+  auto corrupt = [&](std::string_view what) -> bool {
     ++ses_->run_info.corruption_detected;
     NTADOC_LOG(Warning) << "recovery attach rejected: " << what
                         << "; restarting from the compressed container";
@@ -1398,10 +1463,14 @@ Result<bool> NTadocEngine::TryAttach(State* st, uint64_t pool_base) {
     }
     return mirror ? &*mirror : nullptr;
   };
-  auto failover = [&](const char* what) {
+  auto restore = [&](const char* what, uint64_t off, const void* copy,
+                     uint64_t len) {
     ++ses_->run_info.corruption_detected;
     ++ses_->run_info.scoped_repairs;
     NTADOC_LOG(Warning) << what << "; restored from the metadata mirror";
+    device_->WriteBytes(off, copy, len);
+    device_->FlushRange(off, len);
+    device_->Drain();
   };
 
   {
@@ -1409,10 +1478,8 @@ Result<bool> NTadocEngine::TryAttach(State* st, uint64_t pool_base) {
     if (!device_->TryReadBytes(kMarkerOffset, region, sizeof(region)).ok()) {
       MetaMirror* m = get_mirror();
       if (m == nullptr) return corrupt("phase marker unreadable");
-      failover("phase marker unreadable");
-      device_->WriteBytes(kMarkerOffset, m->marker, sizeof(m->marker));
-      device_->FlushRange(kMarkerOffset, sizeof(m->marker));
-      device_->Drain();
+      restore("phase marker unreadable", kMarkerOffset, m->marker,
+              sizeof(m->marker));
     }
   }
   nvm::PhaseMarker marker(device_, kMarkerOffset);
@@ -1423,17 +1490,15 @@ Result<bool> NTadocEngine::TryAttach(State* st, uint64_t pool_base) {
   if (!pool.ok()) {
     MetaMirror* m = get_mirror();
     if (m != nullptr) {
-      failover("pool header corrupt");
-      device_->WriteBytes(pool_base, m->pool_header, sizeof(m->pool_header));
-      device_->FlushRange(pool_base, sizeof(m->pool_header));
-      device_->Drain();
+      restore("pool header corrupt", pool_base, m->pool_header,
+              sizeof(m->pool_header));
       pool = nvm::NvmPool::Open(device_, pool_base);
     }
     if (!pool.ok()) return corrupt("pool header corrupt");
   }
   st->pool.emplace(std::move(pool).value());
 
-  const uint64_t catalog_off = pool_base + 64;  // first allocation
+  const uint64_t catalog_off = CatalogOffset(*st->pool);
   Catalog cat;
   const bool cat_ok =
       device_->TryReadBytes(catalog_off, &cat, sizeof(cat)).ok() &&
@@ -1441,65 +1506,42 @@ Result<bool> NTadocEngine::TryAttach(State* st, uint64_t pool_base) {
   if (!cat_ok) {
     MetaMirror* m = get_mirror();
     if (m == nullptr) return corrupt("catalog unreadable or corrupt");
-    failover("catalog unreadable or corrupt");
     cat = m->catalog;
-    device_->Write(catalog_off, cat);
-    device_->FlushRange(catalog_off, sizeof(cat));
-    device_->Drain();
+    restore("catalog unreadable or corrupt", catalog_off, &cat, sizeof(cat));
   }
   if (cat.signature != st->signature) {
     return false;  // a different run's state — stale, not corrupt
   }
 
+  // Read the catalog back field for field (CatalogOf wrote it).
   const uint32_t nr = grammar.NumRules();
   const uint32_t nf = grammar.num_files;
+  nvm::NvmPool* p = &*st->pool;
   st->dag.pruned = cat.pruned != 0;
   st->dag.num_rules = nr;
   st->dag.num_files = nf;
   st->dag.layout_order = grammar.TopologicalOrder();
-  st->dag.rule_meta =
-      NvmVector<RuleMeta>::Attach(&*st->pool, cat.rule_meta_off, nr, nr);
+  st->dag.rule_meta = NvmVector<RuleMeta>::Attach(p, cat.rule_meta_off, nr, nr);
   st->dag.seg_meta =
-      NvmVector<SegmentMeta>::Attach(&*st->pool, cat.seg_meta_off, nf, nf);
+      NvmVector<SegmentMeta>::Attach(p, cat.seg_meta_off, nf, nf);
   if (st->use_queue) {
-    st->queue =
-        NvmVector<uint32_t>::Attach(&*st->pool, cat.queue_off, nr, nr);
-    st->indeg =
-        NvmVector<uint32_t>::Attach(&*st->pool, cat.indeg_off, nr, nr);
+    st->queue = NvmVector<uint32_t>::Attach(p, cat.queue_off, nr, nr);
+    st->indeg = NvmVector<uint32_t>::Attach(p, cat.indeg_off, nr, nr);
   }
-  if (st->use_word_table) {
-    st->word_table = WordTable::Attach(&*st->pool, cat.word_status,
-                                       cat.word_keys, cat.word_vals,
-                                       cat.word_cap);
-  }
-  if (st->use_gram_table) {
-    st->gram_table = GramTable::Attach(&*st->pool, cat.gram_status,
-                                       cat.gram_keys, cat.gram_vals,
-                                       cat.gram_cap);
-  }
-  if (st->use_file_table) {
-    st->file_table = WordTable::Attach(&*st->pool, cat.ftbl_status,
-                                       cat.ftbl_keys, cat.ftbl_vals,
-                                       cat.ftbl_cap);
-  }
-  if (st->use_file_gram_table) {
-    st->file_gram_table =
-        GramTable::Attach(&*st->pool, cat.fgram_status, cat.fgram_keys,
-                          cat.fgram_vals, cat.fgram_cap);
-  }
-  if (st->use_word_lists) {
-    st->word_list_meta = NvmVector<ListMeta>::Attach(
-        &*st->pool, cat.word_list_meta_off, nr, nr);
-  }
-  if (st->use_gram_lists) {
-    st->gram_list_meta = NvmVector<ListMeta>::Attach(
-        &*st->pool, cat.gram_list_meta_off, nr, nr);
-  }
+  ForEachTable(*st, [&](int i, auto& t, const char*) {
+    const TableRef& ref = cat.tables[i];
+    t = std::decay_t<decltype(t)>::Attach(p, ref.status, ref.keys, ref.vals,
+                                          ref.cap);
+  });
+  ForEachList(*st, [&](int i, NvmVector<ListMeta>& metas, uint64_t,
+                       const char*) {
+    metas = NvmVector<ListMeta>::Attach(p, cat.list_meta_off[i], nr, nr);
+  });
   if (st->use_local_grams) {
-    st->local_gram_meta = NvmVector<GramMeta>::Attach(
-        &*st->pool, cat.local_gram_meta_off, nr, nr);
-    st->seg_gram_meta = NvmVector<GramMeta>::Attach(
-        &*st->pool, cat.seg_gram_meta_off, nf, nf);
+    st->local_gram_meta =
+        NvmVector<GramMeta>::Attach(p, cat.local_gram_meta_off, nr, nr);
+    st->seg_gram_meta =
+        NvmVector<GramMeta>::Attach(p, cat.seg_gram_meta_off, nf, nf);
   }
   st->cursor_off = cat.cursor_off;
   st->integrity_off = cat.integrity_off;
@@ -1531,7 +1573,7 @@ Result<bool> NTadocEngine::TryAttach(State* st, uint64_t pool_base) {
   // repaired in place (re-derived and remapped) when every damaged byte
   // is re-derivable, so a single bad block costs one object's repair
   // instead of a full restart.
-  RegisterPoolOwners(&*st->pool, *st, catalog_off);
+  RegisterPoolOwners(p, *st);
   const auto scrub = st->pool->Scrub();
   if (!scrub.ok()) return corrupt("pool scrub failed");
   if (scrub.value().bad_blocks > 0) {
@@ -1542,44 +1584,34 @@ Result<bool> NTadocEngine::TryAttach(State* st, uint64_t pool_base) {
   }
 
   // Structural invariants: a torn flush in a list descriptor would
-  // otherwise send WriteList to a wild offset.
+  // otherwise send WriteList to a wild offset. Descriptors are read as
+  // one borrowed span (the scrub above already proved the pool readable,
+  // so a span failure here is itself corruption).
   const uint64_t dev_cap = device_->capacity();
-  auto lists_ok = [&](const NvmVector<ListMeta>& metas,
-                      uint64_t entry_size) {
-    // One borrowed span over the descriptors (the scrub above already
-    // proved the pool readable, so a span failure here is itself
-    // corruption).
+  const char* broken = nullptr;
+  ForEachList(*st, [&](int, const NvmVector<ListMeta>& metas,
+                       uint64_t entry_size, const char* name) {
+    if (broken != nullptr) return;
     auto span = metas.ReadSpan(0, nr);
-    if (!span.ok()) return false;
+    if (!span.ok()) {
+      broken = name;
+      return;
+    }
     const ListMeta* m = *span;
-    for (uint32_t r = 0; r < nr; ++r) {
-      if (m[r].size > m[r].capacity) return false;
-      if (m[r].capacity > 0 &&
-          (m[r].off < pool_base + 64 ||
-           m[r].off % alignof(uint64_t) != 0 ||
-           m[r].off + m[r].capacity * entry_size > dev_cap)) {
-        return false;
+    for (uint32_t r = 0; r < nr && broken == nullptr; ++r) {
+      if (m[r].size > m[r].capacity ||
+          (m[r].capacity > 0 &&
+           (m[r].off < catalog_off || m[r].off % alignof(uint64_t) != 0 ||
+            m[r].off + m[r].capacity * entry_size > dev_cap))) {
+        broken = name;
       }
     }
-    return true;
-  };
-  if (st->use_word_lists && !lists_ok(st->word_list_meta, sizeof(WordEntry))) {
-    return corrupt("word list descriptor out of bounds");
-  }
-  if (st->use_gram_lists && !lists_ok(st->gram_list_meta, sizeof(GramEntry))) {
-    return corrupt("gram list descriptor out of bounds");
-  }
-  if (st->use_word_table && !st->word_table.Validate().ok()) {
-    return corrupt("word table buffers corrupt");
-  }
-  if (st->use_gram_table && !st->gram_table.Validate().ok()) {
-    return corrupt("gram table buffers corrupt");
-  }
-  if (st->use_file_table && !st->file_table.Validate().ok()) {
-    return corrupt("file table buffers corrupt");
-  }
-  if (st->use_file_gram_table && !st->file_gram_table.Validate().ok()) {
-    return corrupt("file gram table buffers corrupt");
+  });
+  ForEachTable(*st, [&](int, const auto& t, const char* name) {
+    if (broken == nullptr && !t.Validate().ok()) broken = name;
+  });
+  if (broken != nullptr) {
+    return corrupt(std::string(broken) + " out of bounds or unreadable");
   }
 
   // End-to-end integrity: recompute the hash of everything the traversal
@@ -1596,21 +1628,18 @@ Result<bool> NTadocEngine::TryAttach(State* st, uint64_t pool_base) {
     MetaMirror* m = get_mirror();
     if (m != nullptr && m->integrity.magic == kIntegrityMagic &&
         m->integrity.checksum == IntegrityChecksum(m->integrity)) {
-      failover("init integrity record corrupt");
       ii = m->integrity;
-      device_->Write(cat.integrity_off, ii);
-      device_->FlushRange(cat.integrity_off, sizeof(ii));
-      device_->Drain();
+      restore("init integrity record corrupt", cat.integrity_off, &ii,
+              sizeof(ii));
       ii_ok = true;
     }
   }
   if (!ii_ok) return corrupt("init integrity record unreadable or corrupt");
-  if (ii.init_top < pool_base + 128 || ii.init_top > st->pool->top()) {
+  if (ii.init_top < catalog_off + sizeof(Catalog) ||
+      ii.init_top > st->pool->top()) {
     return corrupt("init integrity bounds corrupt");
   }
-  const auto hash =
-      HashImmutableRegion(device_, pool_base + 64, ii.init_top,
-                          CollectMutableExtents(*st, cat.integrity_off));
+  const auto hash = HashInitRegion(device_, *st, ii.init_top);
   if (!hash.ok()) return corrupt("immutable region unreadable");
   if (hash.value() != ii.region_hash) {
     return corrupt("immutable region hash mismatch (torn write or bit rot)");
@@ -1638,7 +1667,7 @@ bool NTadocEngine::RepairDamage(
   nvm::NvmPool& pool = *st->pool;
   const auto& grammar = corpus_->grammar;
   constexpr uint64_t kBlock = nvm::NvmPool::kMediaBlock;
-  const uint64_t catalog_off = pool.base() + nvm::NvmPool::kHeaderSlot;
+  const uint64_t catalog_off = CatalogOffset(pool);
   const uint64_t top = pool.top();
   const uint32_t nr = st->dag.num_rules;
   const uint32_t nf = st->dag.num_files;
@@ -1654,86 +1683,61 @@ bool NTadocEngine::RepairDamage(
     Kind kind;
   };
   std::vector<Obj> objs;
+  const ByteRange payloads{st->dag.payload_begin, st->dag.payload_end};
+  const ByteRange grams{st->gram_begin, st->gram_end};
+  auto add = [&objs](uint64_t off, uint64_t len, const ByteRange& region,
+                     uint32_t id, Obj::Kind kind) {
+    if (len > 0 && off >= region.begin && off + len <= region.end) {
+      objs.push_back(Obj{off, off + len, id, kind});
+    }
+  };
+  const uint64_t entry = st->dag.pruned ? sizeof(PrunedEntry) : sizeof(Symbol);
   for (uint32_t r = 1; r < nr; ++r) {
     const RuleMeta m = st->dag.rule_meta.Get(r);
-    const uint64_t len =
-        st->dag.pruned
-            ? (uint64_t{m.num_subrules} + m.num_words) * sizeof(PrunedEntry)
-            : uint64_t{m.raw_len} * sizeof(Symbol);
-    if (len == 0 || m.payload_off < st->dag.payload_begin ||
-        m.payload_off + len > st->dag.payload_end) {
-      continue;
-    }
-    objs.push_back(Obj{m.payload_off, m.payload_off + len, r, Obj::kRule});
+    const uint64_t n = st->dag.pruned
+                           ? uint64_t{m.num_subrules} + m.num_words
+                           : uint64_t{m.raw_len};
+    add(m.payload_off, n * entry, payloads, r, Obj::kRule);
   }
   for (uint32_t f = 0; f < nf; ++f) {
     const SegmentMeta m = st->dag.seg_meta.Get(f);
-    const uint64_t len = (uint64_t{m.num_subrules} + m.num_words) *
-                         (st->dag.pruned ? sizeof(PrunedEntry)
-                                         : sizeof(Symbol));
-    if (len == 0 || m.payload_off < st->dag.payload_begin ||
-        m.payload_off + len > st->dag.payload_end) {
-      continue;
-    }
-    objs.push_back(Obj{m.payload_off, m.payload_off + len, f, Obj::kSeg});
+    add(m.payload_off, (uint64_t{m.num_subrules} + m.num_words) * entry,
+        payloads, f, Obj::kSeg);
   }
   if (st->use_local_grams) {
     for (uint32_t r = 1; r < nr; ++r) {
       const GramMeta gm = st->local_gram_meta.Get(r);
-      const uint64_t len = gm.count * sizeof(GramEntry);
-      if (len == 0 || gm.off < st->gram_begin ||
-          gm.off + len > st->gram_end) {
-        continue;
-      }
-      objs.push_back(Obj{gm.off, gm.off + len, r, Obj::kLocalGram});
+      add(gm.off, gm.count * sizeof(GramEntry), grams, r, Obj::kLocalGram);
     }
     for (uint32_t f = 0; f < nf; ++f) {
       const GramMeta gm = st->seg_gram_meta.Get(f);
-      const uint64_t len = gm.count * sizeof(GramEntry);
-      if (len == 0 || gm.off < st->gram_begin ||
-          gm.off + len > st->gram_end) {
-        continue;
-      }
-      objs.push_back(Obj{gm.off, gm.off + len, f, Obj::kSegGram});
+      add(gm.off, gm.count * sizeof(GramEntry), grams, f, Obj::kSegGram);
     }
   }
 
-  const std::vector<ByteRange> mut =
-      CollectMutableExtents(*st, st->integrity_off);
+  const std::vector<ByteRange> mut = CollectMutableExtents(*st);
 
   // Gram re-derivation machinery, built only when a gram payload is
-  // actually damaged (the head/tail table is the expensive part).
+  // actually damaged (the head/tail table is the expensive part); the
+  // lists come from the same LocalGrams init wrote them with.
   std::optional<tadoc::HeadTailTable> ht;
   std::optional<tadoc::WindowScanner> scanner;
-  auto gram_entries =
-      [&](std::span<const Symbol> seq) -> std::vector<GramEntry> {
+  std::vector<std::pair<uint32_t, uint32_t>> segments;
+  auto local_grams = [&](const Obj& o) -> std::vector<GramEntry> {
     if (!ht) {
       ht.emplace(tadoc::HeadTailTable::Build(grammar, st->opts.ngram));
       scanner.emplace(&*ht, st->opts.ngram);
+      segments = grammar.RootSegments();
     }
-    std::vector<std::pair<NgramKey, uint64_t>> local;
-    scanner->Scan(seq, [&](const NgramKey& k) { local.emplace_back(k, 1); });
-    SortAndCombine(&local);
-    std::vector<GramEntry> entries;
-    entries.reserve(local.size());
-    for (const auto& [k, c] : local) entries.push_back(GramEntry{k, c});
-    return entries;
-  };
-  // Separator-delimited root segment spans, exactly as init laid them out.
-  auto root_segment = [&](uint32_t f) -> std::span<const Symbol> {
-    const auto& root = grammar.rules[0];
-    uint32_t begin = 0;
-    uint32_t seg = 0;
-    for (uint32_t i = 0; i < root.size(); ++i) {
-      if (IsWord(root[i]) && IsFileSep(root[i])) {
-        if (seg == f) {
-          return std::span<const Symbol>(root.data() + begin, i - begin);
-        }
-        begin = i + 1;
-        ++seg;
-      }
+    std::span<const Symbol> seq;
+    if (o.kind == Obj::kLocalGram) {
+      seq = grammar.rules[o.id];
+    } else if (o.id < segments.size()) {
+      const auto [begin, end] = segments[o.id];
+      seq = std::span<const Symbol>(grammar.rules[0]).subspan(begin,
+                                                              end - begin);
     }
-    return {};
+    return LocalGrams(*scanner, seq);
   };
 
   const uint64_t cursor_b = st->cursor_off;
@@ -1768,10 +1772,8 @@ bool NTadocEngine::RepairDamage(
     cover(catalog_off, catalog_off + sizeof(Catalog));
     cover(cursor_b, cursor_e);
     cover(integ_b, integ_e);
-    if (st->dag.payload_end > st->dag.payload_begin) {
-      cover(st->dag.payload_begin, st->dag.payload_end);
-    }
-    if (st->gram_end > st->gram_begin) cover(st->gram_begin, st->gram_end);
+    cover(payloads.begin, payloads.end);
+    cover(grams.begin, grams.end);
     for (const ByteRange& e : mut) cover(e.begin, e.end);
     std::sort(covered.begin(), covered.end(),
               [](const ByteRange& a, const ByteRange& b) {
@@ -1809,10 +1811,8 @@ bool NTadocEngine::RepairDamage(
       device_->WriteBytes(a, kZeros, b - a);
       device_->FlushRange(a, b - a);
     };
-    if (st->dag.payload_end > st->dag.payload_begin) {
-      zero(st->dag.payload_begin, st->dag.payload_end);
-    }
-    if (st->gram_end > st->gram_begin) zero(st->gram_begin, st->gram_end);
+    zero(payloads.begin, payloads.end);
+    zero(grams.begin, grams.end);
     for (const ByteRange& e : padding) zero(e.begin, e.end);
     for (const ByteRange& e : mut) {
       // The cursor and integrity slots get real contents below.
@@ -1842,10 +1842,7 @@ bool NTadocEngine::RepairDamage(
           break;
         case Obj::kLocalGram:
         case Obj::kSegGram: {
-          const std::vector<GramEntry> entries =
-              o.kind == Obj::kLocalGram
-                  ? gram_entries(std::span<const Symbol>(grammar.rules[o.id]))
-                  : gram_entries(root_segment(o.id));
+          const std::vector<GramEntry> entries = local_grams(o);
           if (entries.size() * sizeof(GramEntry) != o.end - o.begin) {
             return false;  // metadata inconsistent with re-derivation
           }
@@ -1858,10 +1855,8 @@ bool NTadocEngine::RepairDamage(
 
     // Restore replicated metadata the block overlaps.
     if (overlaps(cursor_b, cursor_e)) {
-      CursorSlot fresh{kCursorMagic, 0, 0, 0, 0};
-      fresh.checksum = CursorChecksum(fresh);
-      device_->Write(st->cursor_off, fresh);
-      device_->FlushRange(st->cursor_off, sizeof(fresh));
+      device_->Write(st->cursor_off, SlotOf(Cursor{}));
+      device_->FlushRange(st->cursor_off, sizeof(CursorSlot));
       cursor_reset = true;
     }
     if (overlaps(catalog_off, catalog_off + sizeof(Catalog)) ||
@@ -1895,19 +1890,8 @@ bool NTadocEngine::RepairDamage(
 
   if (cursor_reset) {
     // Zero-filled traversal state invalidates any resume point: restart
-    // the traversal from stage 0 against the repaired init state. The
-    // redo log must be emptied first — its committed transactions hold
-    // the old cursor, and replaying it on re-attach would resurrect a
-    // resume point into state the repair just reset.
-    if (st->log) {
-      st->log->FlushAppliedHome();
-      st->log->Truncate();
-    }
-    CursorSlot fresh{kCursorMagic, 0, 0, 0, 0};
-    fresh.checksum = CursorChecksum(fresh);
-    device_->Write(st->cursor_off, fresh);
-    device_->FlushRange(st->cursor_off, sizeof(fresh));
-    device_->Drain();
+    // the traversal from stage 0 against the repaired init state.
+    AbortToPhaseStart(device_, st->tx_log(), st->cursor_off);
   }
   // The repair rewrote pool payloads under the offsets the decoded-rule
   // cache is keyed by; drop it before anything replays a stale entry.
@@ -1921,9 +1905,7 @@ bool NTadocEngine::RepairDamage(
 bool NTadocEngine::TryScopedRepair() {
   if (!ses_->state || !ses_->state->pool) return false;
   State* st = ses_->state.get();
-  const uint64_t catalog_off =
-      st->pool->base() + nvm::NvmPool::kHeaderSlot;
-  RegisterPoolOwners(&*st->pool, *st, catalog_off);
+  RegisterPoolOwners(&*st->pool, *st);
   const auto scrub = st->pool->Scrub();
   if (!scrub.ok()) return false;
   if (scrub.value().bad_blocks == 0) return false;  // damage not in pool
@@ -1933,6 +1915,11 @@ bool NTadocEngine::TryScopedRepair() {
 std::pair<uint64_t, uint64_t> NTadocEngine::payload_region() const {
   if (!ses_->state) return {0, 0};
   return {ses_->state->dag.payload_begin, ses_->state->dag.payload_end};
+}
+
+std::pair<uint64_t, uint64_t> NTadocEngine::gram_region() const {
+  if (!ses_->state) return {0, 0};
+  return {ses_->state->gram_begin, ses_->state->gram_end};
 }
 
 Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
@@ -1949,7 +1936,8 @@ Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
   }
   st->task = task;
   st->opts = opts;
-  st->strategy = ResolveStrategy(task);
+  st->strategy =
+      tadoc::ResolveStrategy(options_.traversal, task, corpus_->num_files());
   st->signature =
       ComputeSignature(*corpus_, task, opts, st->strategy, options_);
 
@@ -2033,11 +2021,7 @@ Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
   // image's init half, and per-task structures are reallocated anyway.
   if (!force_fresh && reuse_src == nullptr) {
     NTADOC_ASSIGN_OR_RETURN(const bool attached, TryAttach(st, pool_base));
-    if (attached) {
-      NTADOC_RETURN_IF_ERROR(
-          SetupTiering(st, pool_base + 64, /*fresh=*/false));
-      return Status::OK();
-    }
+    if (attached) return SetupTiering(st, /*fresh=*/false);
   }
 
   // ---- Fresh initialization ----
@@ -2067,11 +2051,6 @@ Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
         nvm::RedoLog::Create(device_, kMarkerRegion, options_.redo_log_bytes));
     st->log.emplace(std::move(log));
   }
-  Catalog cat{};
-  cat.magic = kCatalogMagic;
-  cat.signature = st->signature;
-  cat.pruned = options_.enable_pruning ? 1 : 0;
-  uint64_t catalog_off = 0;
   if (batch_reuse) {
     // Re-open the pool over the previous task's layout and roll the bump
     // pointer back to the end of the shared prefix; the catalog slot and
@@ -2086,7 +2065,6 @@ Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
     // prefix's sessions each overwrite a private device clone, never the
     // shared image.
     if (!gram_reuse && own_reuse) ses_->batch_shared->gram_valid = false;
-    catalog_off = reuse_src->catalog_off;
     st->dag = reuse_src->dag;
     st->dag.rule_meta = NvmVector<RuleMeta>::Attach(
         &*st->pool, reuse_src->dag.rule_meta.offset(),
@@ -2117,7 +2095,9 @@ Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
         auto pool, nvm::NvmPool::Create(device_, pool_base, pool_size,
                                         pool_opts));
     st->pool.emplace(std::move(pool));
-    NTADOC_ASSIGN_OR_RETURN(catalog_off, st->pool->Alloc(sizeof(Catalog), 64));
+    NTADOC_ASSIGN_OR_RETURN(const nvm::PoolOffset catalog_off,
+                            st->pool->Alloc(sizeof(Catalog), 64));
+    NTADOC_DCHECK_EQ(catalog_off, CatalogOffset(*st->pool));
 
     // Pruning with NVM pool management (Algorithm 1).
     NTADOC_ASSIGN_OR_RETURN(
@@ -2125,64 +2105,42 @@ Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
                                 &ses_->run_info.prune));
     if (ses_->batch_shared) {
       ses_->batch_shared->pool_base = pool_base;
-      ses_->batch_shared->catalog_off = catalog_off;
       ses_->batch_shared->dag_top = st->pool->top();
       ses_->batch_shared->dag = st->dag;
       ses_->batch_shared->prune = ses_->run_info.prune;
       ses_->batch_shared->gram_valid = false;
     }
   }
-  cat.rule_meta_off = st->dag.rule_meta.offset();
-  cat.seg_meta_off = st->dag.seg_meta.offset();
-  cat.payload_begin = st->dag.payload_begin;
-  cat.payload_end = st->dag.payload_end;
-
   const uint32_t nr = grammar.NumRules();
   const uint32_t nf = grammar.num_files;
 
-  // Host-side adjacency and per-rule item counts for the estimator.
-  DagChildren children;
-  std::vector<uint64_t> own_words;
-  std::vector<uint64_t> own_len;  // occurrences, not distinct
-  std::vector<uint64_t> explen;
-  std::vector<uint64_t> word_ub;
-  std::vector<uint64_t> seg_word_ub;
-  std::vector<uint64_t> seg_explen;
-  std::vector<uint64_t> seg_own_distinct;
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> seg_children;
-  if (batch_reuse) {
-    // The scratch depends only on the grammar and the pruning setting,
-    // never on the task — reuse it without touching the device.
-    children = reuse_src->children;
-    own_words = reuse_src->own_words;
-    own_len = reuse_src->own_len;
-    explen = reuse_src->explen;
-    word_ub = reuse_src->word_ub;
-    seg_children = reuse_src->seg_children;
-    seg_explen = reuse_src->seg_explen;
-    seg_word_ub = reuse_src->seg_word_ub;
-    seg_own_distinct = reuse_src->seg_own_distinct;
-  } else {
-    children.resize(nr);
-    own_words.assign(nr, 0);
-    own_len.assign(nr, 0);
+  // Algorithm 2's host-side scratch: taken from the shared prefix (it
+  // depends only on the grammar and the pruning setting, never on the
+  // task, so reuse touches no device), or derived from the payloads.
+  Estimates derived;
+  const Estimates& est = batch_reuse ? reuse_src->est : derived;
+  if (!batch_reuse) {
+    Estimates& e = derived;
+    e.children.resize(nr);
+    e.own_words.assign(nr, 0);
+    e.own_len.assign(nr, 0);
     for (uint32_t r = 1; r < nr; ++r) {
       NTADOC_RETURN_IF_ERROR(CheckSessionLimits());
       const DecodedPayload p = ReadPayloadCached(st, /*segment=*/false, r);
-      children[r] = p.subrules;
-      if (!st->dag.pruned) CombineEntries(&children[r]);
+      e.children[r] = p.subrules;
+      if (!st->dag.pruned) CombineEntries(&e.children[r]);
       // Distinct own words (pruned payloads are already unique).
       if (st->dag.pruned) {
-        own_words[r] = p.words.size();
+        e.own_words[r] = p.words.size();
         for (const auto& [w, f] : p.words) {
           (void)w;
-          own_len[r] += f;
+          e.own_len[r] += f;
         }
       } else {
         auto w = p.words;
-        own_len[r] = w.size();
+        e.own_len[r] = w.size();
         CombineEntries(&w);
-        own_words[r] = w.size();
+        e.own_words[r] = w.size();
       }
     }
     // Poisoned payload reads above would feed garbage rule ids into the
@@ -2192,31 +2150,31 @@ Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
     // Expansion lengths (occurrence counts), children first: a structure
     // can never hold more entries than the expansion has tokens, so these
     // sharpen the distinct-item bounds below.
-    explen.assign(nr, 0);
+    e.explen.assign(nr, 0);
     for (auto it = st->dag.layout_order.rbegin();
          it != st->dag.layout_order.rend(); ++it) {
       const uint32_t r = *it;
       if (r == 0) continue;
-      explen[r] = own_len[r];
-      for (const auto& [child, freq] : children[r]) {
-        explen[r] += explen[child] * freq;
+      e.explen[r] = e.own_len[r];
+      for (const auto& [child, freq] : e.children[r]) {
+        e.explen[r] += e.explen[child] * freq;
       }
     }
 
     // Bottom-up summation (Algorithm 2): distinct-word upper bounds,
     // capped by the expansion length and the dictionary size.
-    word_ub = BottomUpSummation(children, own_words);
+    e.word_ub = BottomUpSummation(e.children, e.own_words);
     for (uint32_t r = 0; r < nr; ++r) {
-      word_ub[r] = std::min<uint64_t>(
-          std::min<uint64_t>(word_ub[r], grammar.dict_size),
-          r == 0 ? word_ub[r] : std::max<uint64_t>(explen[r], 1));
+      e.word_ub[r] = std::min<uint64_t>(
+          std::min<uint64_t>(e.word_ub[r], grammar.dict_size),
+          r == 0 ? e.word_ub[r] : std::max<uint64_t>(e.explen[r], 1));
     }
 
     // Segment bounds, capped by the segment's expansion length.
-    seg_word_ub.assign(nf, 0);
-    seg_explen.assign(nf, 0);
-    seg_own_distinct.assign(nf, 0);
-    seg_children.assign(nf, {});
+    e.seg_word_ub.assign(nf, 0);
+    e.seg_explen.assign(nf, 0);
+    e.seg_own_distinct.assign(nf, 0);
+    e.seg_children.assign(nf, {});
     for (uint32_t f = 0; f < nf; ++f) {
       NTADOC_RETURN_IF_ERROR(CheckSessionLimits());
       DecodedPayload p = ReadPayloadCached(st, /*segment=*/true, f);
@@ -2225,33 +2183,25 @@ Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
         CombineEntries(&p.subrules);
         CombineEntries(&p.words);
       }
-      seg_children[f] = p.subrules;
-      seg_own_distinct[f] = p.words.size();
+      e.seg_children[f] = p.subrules;
+      e.seg_own_distinct[f] = p.words.size();
       uint64_t own = 0;
       for (const auto& [w, freq] : p.words) {
         (void)w;
         own += freq;
       }
-      seg_explen[f] = own;
+      e.seg_explen[f] = own;
       for (const auto& [child, freq] : p.subrules) {
-        seg_explen[f] += explen[child] * freq;
+        e.seg_explen[f] += e.explen[child] * freq;
       }
-      seg_word_ub[f] = std::min<uint64_t>(
+      e.seg_word_ub[f] = std::min<uint64_t>(
           std::min<uint64_t>(
-              SpanUpperBound(p.subrules, p.words.size(), word_ub),
+              SpanUpperBound(p.subrules, p.words.size(), e.word_ub),
               grammar.dict_size),
-          std::max<uint64_t>(seg_explen[f], 1));
+          std::max<uint64_t>(e.seg_explen[f], 1));
     }
     if (ses_->batch_shared) {
-      ses_->batch_shared->children = children;
-      ses_->batch_shared->own_words = own_words;
-      ses_->batch_shared->own_len = own_len;
-      ses_->batch_shared->explen = explen;
-      ses_->batch_shared->word_ub = word_ub;
-      ses_->batch_shared->seg_children = seg_children;
-      ses_->batch_shared->seg_explen = seg_explen;
-      ses_->batch_shared->seg_word_ub = seg_word_ub;
-      ses_->batch_shared->seg_own_distinct = seg_own_distinct;
+      ses_->batch_shared->est = derived;
       ses_->batch_shared->valid = true;
       // Everything charged since init_sim_t0 is the shared portion
       // (container load, DAG build, estimator reads); per-task costs
@@ -2275,8 +2225,6 @@ Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
         &*st->pool, reuse_src->seg_gram_meta_off, nf, nf);
     st->gram_begin = reuse_src->gram_begin;
     st->gram_end = reuse_src->gram_end;
-    cat.local_gram_meta_off = st->local_gram_meta.offset();
-    cat.seg_gram_meta_off = st->seg_gram_meta.offset();
     gram_ub = reuse_src->gram_ub;
   } else if (st->use_local_grams) {
     const uint64_t gram_sim_t0 = device_->clock().NowNanos();
@@ -2292,57 +2240,43 @@ Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
     st->gram_begin = st->pool->top();
     std::vector<uint64_t> own_grams(nr, 0);
 
-    auto write_local = [&](std::span<const Symbol> seq)
-        -> Result<std::pair<uint64_t, uint64_t>> {
-      std::vector<std::pair<NgramKey, uint64_t>> local;
-      scanner.Scan(seq, [&](const NgramKey& k) { local.emplace_back(k, 1); });
-      SortAndCombine(&local);
+    // Allocates and writes one local list; scoped repair re-derives the
+    // same bytes through LocalGrams.
+    auto write_local = [&](std::span<const Symbol> seq) -> Result<GramMeta> {
+      const std::vector<GramEntry> entries = LocalGrams(scanner, seq);
       NTADOC_ASSIGN_OR_RETURN(
           const nvm::PoolOffset off,
-          st->pool->template AllocArray<GramEntry>(local.size()));
+          st->pool->template AllocArray<GramEntry>(entries.size()));
       // One staged bulk store instead of a store per entry; the quantum
       // keeps the charged cost identical to the per-entry loop.
-      std::vector<GramEntry> entries;
-      entries.reserve(local.size());
-      for (const auto& [k, c] : local) entries.push_back(GramEntry{k, c});
       if (!entries.empty()) {
         device_->WriteBytes(off, entries.data(),
                             entries.size() * sizeof(GramEntry),
                             /*quantum=*/sizeof(GramEntry));
       }
-      return std::make_pair(static_cast<uint64_t>(off),
-                            static_cast<uint64_t>(local.size()));
+      return GramMeta{off, entries.size()};
     };
 
     for (uint32_t r : st->dag.layout_order) {
       if (r == 0) continue;
       NTADOC_RETURN_IF_ERROR(CheckSessionLimits());
-      NTADOC_ASSIGN_OR_RETURN(const auto loc, write_local(grammar.rules[r]));
-      st->local_gram_meta.Set(r, GramMeta{loc.first, loc.second});
-      own_grams[r] = loc.second;
+      NTADOC_ASSIGN_OR_RETURN(const GramMeta gm, write_local(grammar.rules[r]));
+      st->local_gram_meta.Set(r, gm);
+      own_grams[r] = gm.count;
     }
-    // Root segments.
-    const auto& root = grammar.rules[0];
-    uint32_t begin = 0;
-    uint32_t f = 0;
-    for (uint32_t i = 0; i < root.size(); ++i) {
-      if (IsWord(root[i]) && IsFileSep(root[i])) {
-        NTADOC_ASSIGN_OR_RETURN(
-            const auto loc,
-            write_local(std::span<const Symbol>(root.data() + begin,
-                                                i - begin)));
-        st->seg_gram_meta.Set(f, GramMeta{loc.first, loc.second});
-        begin = i + 1;
-        ++f;
-      }
+    const std::span<const Symbol> root(grammar.rules[0]);
+    const auto segments = grammar.RootSegments();
+    for (uint32_t f = 0; f < segments.size(); ++f) {
+      const auto [begin, end] = segments[f];
+      NTADOC_ASSIGN_OR_RETURN(const GramMeta gm,
+                              write_local(root.subspan(begin, end - begin)));
+      st->seg_gram_meta.Set(f, gm);
     }
     st->gram_end = st->pool->top();
-    cat.local_gram_meta_off = st->local_gram_meta.offset();
-    cat.seg_gram_meta_off = st->seg_gram_meta.offset();
-    gram_ub = BottomUpSummation(children, own_grams);
+    gram_ub = BottomUpSummation(est.children, own_grams);
     for (uint32_t r = 1; r < nr; ++r) {
       gram_ub[r] = std::min<uint64_t>(gram_ub[r],
-                                      std::max<uint64_t>(explen[r], 1));
+                                      std::max<uint64_t>(est.explen[r], 1));
     }
     // Written right after the DAG (nothing allocated between), so the
     // reusable prefix can extend over the gram region for later sequence
@@ -2369,13 +2303,11 @@ Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
     NTADOC_ASSIGN_OR_RETURN(st->indeg,
                             NvmVector<uint32_t>::Create(&*st->pool, nr));
     st->indeg.Resize(nr);
-    cat.queue_off = st->queue.offset();
-    cat.indeg_off = st->indeg.offset();
   }
 
   const uint64_t small = options_.enable_summation ? 0 : 8;
   uint64_t total_tokens = 0;
-  for (uint64_t e : seg_explen) total_tokens += e;
+  for (uint64_t e : est.seg_explen) total_tokens += e;
 
   // Tight per-file bound: sum of per-rule item counts over the file's
   // *reachable rule set* (a rule contributes distinct items once, no
@@ -2399,7 +2331,7 @@ Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
           const uint32_t r = stack.back();
           stack.pop_back();
           total += own[r];
-          for (const auto& [c, f] : children[r]) {
+          for (const auto& [c, f] : est.children[r]) {
             (void)f;
             if (!reach_seen[c]) {
               reach_seen[c] = 1;
@@ -2411,42 +2343,43 @@ Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
         for (uint32_t v : visited) reach_seen[v] = 0;
         return total;
       };
+  // The gram tables' bounds need each rule's and segment's local n-gram
+  // count, read back from the gram metadata as borrowed spans (charged
+  // like per-element loops; no other table's allocation precedes them,
+  // since only sequence tasks have gram tables). An unreadable block
+  // contributes 0 and the media check at the end of InitPhase turns the
+  // poisoned estimate into a salvage.
+  std::vector<uint64_t> rule_grams(nr, 0);
+  std::vector<uint64_t> seg_grams(nf, 0);
+  if (st->use_gram_table || st->use_file_gram_table) {
+    if (nr > 1) {
+      if (auto span = st->local_gram_meta.ReadSpan(1, nr - 1); span.ok()) {
+        for (uint32_t r = 1; r < nr; ++r) rule_grams[r] = (*span)[r - 1].count;
+      }
+    }
+    if (nf > 0) {
+      if (auto span = st->seg_gram_meta.ReadSpan(0, nf); span.ok()) {
+        for (uint32_t f = 0; f < nf; ++f) seg_grams[f] = (*span)[f].count;
+      }
+    }
+  }
   if (st->use_word_table) {
     uint64_t expected = 0;
-    for (uint64_t ub : seg_word_ub) expected += ub;
+    for (uint64_t ub : est.seg_word_ub) expected += ub;
     expected = std::min<uint64_t>(
         std::min<uint64_t>(expected, grammar.dict_size), total_tokens);
     NTADOC_ASSIGN_OR_RETURN(
         st->word_table,
         WordTable::Create(&*st->pool, small ? small : expected));
-    cat.word_status = st->word_table.status_offset();
-    cat.word_keys = st->word_table.keys_offset();
-    cat.word_vals = st->word_table.values_offset();
-    cat.word_cap = st->word_table.capacity();
   }
   if (st->use_gram_table) {
     uint64_t expected = 0;
-    // Borrowed meta spans, charged like the per-element loops they
-    // replace; an unreadable block contributes 0 and the media check at
-    // the end of InitPhase turns the poisoned estimate into a salvage.
-    if (nr > 1) {
-      if (auto span = st->local_gram_meta.ReadSpan(1, nr - 1); span.ok()) {
-        for (uint32_t r = 0; r + 1 < nr; ++r) expected += (*span)[r].count;
-      }
-    }
-    if (nf > 0) {
-      if (auto span = st->seg_gram_meta.ReadSpan(0, nf); span.ok()) {
-        for (uint32_t f = 0; f < nf; ++f) expected += (*span)[f].count;
-      }
-    }
+    for (uint64_t n : rule_grams) expected += n;
+    for (uint64_t n : seg_grams) expected += n;
     expected = std::min<uint64_t>(expected, total_tokens);
     NTADOC_ASSIGN_OR_RETURN(
         st->gram_table,
         GramTable::Create(&*st->pool, small ? small : expected));
-    cat.gram_status = st->gram_table.status_offset();
-    cat.gram_keys = st->gram_table.keys_offset();
-    cat.gram_vals = st->gram_table.values_offset();
-    cat.gram_cap = st->gram_table.capacity();
   }
   if (st->use_file_table) {
     uint64_t expected = 0;
@@ -2455,8 +2388,8 @@ Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
       if (batch_reuse) {
         // The shared scratch already holds this segment's combined
         // adjacency and distinct-word count; no device reads needed.
-        root_items =
-            reachable_sum(seg_children[f], own_words) + seg_own_distinct[f];
+        root_items = reachable_sum(est.seg_children[f], est.own_words) +
+                     est.seg_own_distinct[f];
       } else {
         DecodedPayload p = ReadPayloadCached(st, /*segment=*/true, f);
         NTADOC_RETURN_IF_ERROR(CheckMediaErrors());
@@ -2464,111 +2397,71 @@ Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
           CombineEntries(&p.subrules);
           CombineEntries(&p.words);
         }
-        root_items = reachable_sum(p.subrules, own_words) + p.words.size();
+        root_items = reachable_sum(p.subrules, est.own_words) + p.words.size();
       }
       const uint64_t file_bound = std::min<uint64_t>(
-          std::min<uint64_t>(root_items, seg_word_ub[f]),
-          std::max<uint64_t>(seg_explen[f], 1));
+          std::min<uint64_t>(root_items, est.seg_word_ub[f]),
+          std::max<uint64_t>(est.seg_explen[f], 1));
       expected = std::max(expected, file_bound);
     }
     NTADOC_ASSIGN_OR_RETURN(
         st->file_table,
         WordTable::Create(&*st->pool, small ? small : expected));
-    cat.ftbl_status = st->file_table.status_offset();
-    cat.ftbl_keys = st->file_table.keys_offset();
-    cat.ftbl_vals = st->file_table.values_offset();
-    cat.ftbl_cap = st->file_table.capacity();
   }
   if (st->use_file_gram_table) {
-    std::vector<uint64_t> own_grams_counts(nr, 0);
-    if (nr > 1) {
-      if (auto span = st->local_gram_meta.ReadSpan(1, nr - 1); span.ok()) {
-        for (uint32_t r = 1; r < nr; ++r) {
-          own_grams_counts[r] = (*span)[r - 1].count;
-        }
-      }
-    }
-    // The per-file loop below is host-only (reachable_sum walks host
-    // adjacency), so hoisting the segment metas into one span keeps the
-    // device access sequence unchanged.
-    std::vector<uint64_t> seg_counts(nf, 0);
-    if (nf > 0) {
-      if (auto span = st->seg_gram_meta.ReadSpan(0, nf); span.ok()) {
-        for (uint32_t f = 0; f < nf; ++f) seg_counts[f] = (*span)[f].count;
-      }
-    }
     uint64_t expected = 0;
     for (uint32_t f = 0; f < nf; ++f) {
       const uint64_t file_bound = std::min<uint64_t>(
-          reachable_sum(seg_children[f], own_grams_counts) + seg_counts[f],
-          std::max<uint64_t>(seg_explen[f], 1));
+          reachable_sum(est.seg_children[f], rule_grams) + seg_grams[f],
+          std::max<uint64_t>(est.seg_explen[f], 1));
       expected = std::max(expected, file_bound);
     }
     NTADOC_ASSIGN_OR_RETURN(
         st->file_gram_table,
         GramTable::Create(&*st->pool, small ? small : expected));
-    cat.fgram_status = st->file_gram_table.status_offset();
-    cat.fgram_keys = st->file_gram_table.keys_offset();
-    cat.fgram_vals = st->file_gram_table.values_offset();
-    cat.fgram_cap = st->file_gram_table.capacity();
   }
-  if (st->use_word_lists) {
-    NTADOC_ASSIGN_OR_RETURN(st->word_list_meta,
+  // Bottom-up lists: one pool allocation per rule at its bound (a small
+  // starting allocation in the no-summation ablation); the root has none.
+  static_assert(alignof(WordEntry) == 8 && alignof(GramEntry) == 8,
+                "list entries are allocated 8-byte aligned");
+  auto alloc_lists = [&](NvmVector<ListMeta>* metas,
+                         const std::vector<uint64_t>& ub,
+                         uint64_t entry_size) -> Status {
+    NTADOC_ASSIGN_OR_RETURN(*metas,
                             NvmVector<ListMeta>::Create(&*st->pool, nr));
-    st->word_list_meta.Resize(nr);
+    metas->Resize(nr);
     for (uint32_t r = 0; r < nr; ++r) {
       const uint64_t capn =
           r == 0 ? 0
                  : (options_.enable_summation
-                        ? word_ub[r]
-                        : std::min<uint64_t>(8, std::max<uint64_t>(
-                                                    1, word_ub[r])));
+                        ? ub[r]
+                        : std::min<uint64_t>(8, std::max<uint64_t>(1, ub[r])));
       nvm::PoolOffset off = nvm::kNullPoolOffset;
       if (capn > 0) {
-        NTADOC_ASSIGN_OR_RETURN(
-            off, st->pool->template AllocArray<WordEntry>(capn));
+        NTADOC_ASSIGN_OR_RETURN(off, st->pool->Alloc(capn * entry_size, 8));
       }
-      st->word_list_meta.Set(r, ListMeta{off, capn, 0});
+      metas->Set(r, ListMeta{off, capn, 0});
     }
-    cat.word_list_meta_off = st->word_list_meta.offset();
+    return Status::OK();
+  };
+  if (st->use_word_lists) {
+    NTADOC_RETURN_IF_ERROR(
+        alloc_lists(&st->word_list_meta, est.word_ub, sizeof(WordEntry)));
   }
   if (st->use_gram_lists) {
-    NTADOC_ASSIGN_OR_RETURN(st->gram_list_meta,
-                            NvmVector<ListMeta>::Create(&*st->pool, nr));
-    st->gram_list_meta.Resize(nr);
-    for (uint32_t r = 0; r < nr; ++r) {
-      const uint64_t capn =
-          r == 0 ? 0
-                 : (options_.enable_summation
-                        ? gram_ub[r]
-                        : std::min<uint64_t>(8, std::max<uint64_t>(
-                                                    1, gram_ub[r])));
-      nvm::PoolOffset off = nvm::kNullPoolOffset;
-      if (capn > 0) {
-        NTADOC_ASSIGN_OR_RETURN(
-            off, st->pool->template AllocArray<GramEntry>(capn));
-      }
-      st->gram_list_meta.Set(r, ListMeta{off, capn, 0});
-    }
-    cat.gram_list_meta_off = st->gram_list_meta.offset();
+    NTADOC_RETURN_IF_ERROR(
+        alloc_lists(&st->gram_list_meta, gram_ub, sizeof(GramEntry)));
   }
 
   NTADOC_ASSIGN_OR_RETURN(st->cursor_off,
                           st->pool->Alloc(sizeof(CursorSlot), 64));
-  cat.cursor_off = st->cursor_off;
-  CursorSlot fresh{kCursorMagic, 0, 0, 0, 0};
-  fresh.checksum = CursorChecksum(fresh);
-  device_->Write(st->cursor_off, fresh);
+  device_->Write(st->cursor_off, SlotOf(Cursor{}));
 
-  NTADOC_ASSIGN_OR_RETURN(const uint64_t integrity_off,
+  NTADOC_ASSIGN_OR_RETURN(st->integrity_off,
                           st->pool->Alloc(sizeof(InitIntegrity), 64));
-  cat.integrity_off = integrity_off;
-  st->integrity_off = integrity_off;
-  cat.gram_begin = st->gram_begin;
-  cat.gram_end = st->gram_end;
 
-  cat.checksum = CatalogChecksum(cat);
-  device_->Write(catalog_off, cat);
+  const Catalog cat = CatalogOf(*st);
+  device_->Write(CatalogOffset(*st->pool), cat);
 
   // Seal the init phase: hash everything the traversal never mutates so
   // recovery can prove the re-attached state is bit-exact.
@@ -2576,9 +2469,7 @@ Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
   if (options_.persistence != PersistenceMode::kNone) {
     ii.magic = kIntegrityMagic;
     ii.init_top = st->pool->top();
-    const auto hash =
-        HashImmutableRegion(device_, pool_base + 64, ii.init_top,
-                            CollectMutableExtents(*st, integrity_off));
+    const auto hash = HashInitRegion(device_, *st, ii.init_top);
     if (hash.ok()) {
       ii.region_hash = hash.value();
     } else if (ses_->degraded) {
@@ -2591,10 +2482,10 @@ Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
       return hash.status();
     }
     ii.checksum = IntegrityChecksum(ii);
-    device_->Write(integrity_off, ii);
+    device_->Write(st->integrity_off, ii);
   }
 
-  NTADOC_RETURN_IF_ERROR(SetupTiering(st, catalog_off, /*fresh=*/true));
+  NTADOC_RETURN_IF_ERROR(SetupTiering(st, /*fresh=*/true));
 
   // Never commit an init phase built from poisoned reads.
   NTADOC_RETURN_IF_ERROR(CheckMediaErrors());

@@ -29,6 +29,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -62,6 +63,10 @@ enum class PersistenceMode : uint8_t { kNone = 0, kPhase, kOperation };
 
 const char* PersistenceModeToString(PersistenceMode m);
 
+/// Parses a --persistence= flag value ("none", "phase", "operation") or a
+/// PersistenceModeToString name; InvalidArgument for anything else.
+Result<PersistenceMode> ParsePersistenceMode(std::string_view name);
+
 class SealedPrefix;      // immutable cross-session init prefix (below)
 class SharedRuleCache;   // thread-safe decoded-rule cache (below)
 
@@ -78,9 +83,6 @@ struct NTadocOptions {
   /// rebuilt/doubled on overflow — the redundant NVM traffic the paper
   /// measures against).
   bool enable_summation = true;
-
-  /// kAuto switches per-file tasks to bottom-up above this file count.
-  uint32_t many_files_threshold = 32;
 
   /// Redo-log region size for operation-level persistence.
   uint64_t redo_log_bytes = 8ull << 20;
@@ -272,13 +274,15 @@ class NTadocEngine {
   /// Accounting for the most recent Run().
   const NTadocRunInfo& run_info() const;
 
-  /// Resolves kAuto for a task (mirrors the DRAM engine's policy).
-  TraversalStrategy ResolveStrategy(Task task) const;
-
   /// Device extent of the pruned payload region from the engine's current
   /// state ({0, 0} before the first init). Tests use it to aim media
   /// faults at re-derivable data.
   std::pair<uint64_t, uint64_t> payload_region() const;
+
+  /// Device extent of the local n-gram lists (rule lists in layout order,
+  /// then one per file segment) from the engine's current state; {0, 0}
+  /// before the first init and for tasks without n-grams.
+  std::pair<uint64_t, uint64_t> gram_region() const;
 
  private:
   struct State;        // pool-resident structure handles + host scratch
@@ -350,7 +354,7 @@ class NTadocEngine {
   // SetupTiering runs at the end of every init (fresh or attach):
   // formats/loads the placement region, registers the run's structure
   // extents with the session TieredPool, and applies initial placement.
-  Status SetupTiering(State* st, uint64_t catalog_off, bool fresh);
+  Status SetupTiering(State* st, bool fresh);
   // Per-traversal-step migration hook, called after each step's commit
   // point; invalidates the decoded-rule cache when a payload unit was
   // demoted (its admission costs were measured against the old tier).

@@ -33,6 +33,9 @@ class NvmHashTable {
   static_assert(std::is_trivially_copyable_v<K>);
   static_assert(std::is_trivially_copyable_v<V>);
 
+  using Key = K;
+  using Value = V;
+
   NvmHashTable() = default;
 
   /// Creates a table that can hold `expected_entries` at ~50% load. The

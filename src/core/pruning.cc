@@ -10,7 +10,6 @@ namespace ntadoc::core {
 
 using compress::IsFileSep;
 using compress::IsRule;
-using compress::IsWord;
 using compress::RuleIndex;
 
 namespace {
@@ -96,18 +95,9 @@ Result<PrunedDag> BuildPrunedDag(const Grammar& grammar, nvm::NvmPool* pool,
   uint64_t raw_symbols = 0;
   uint64_t pruned_entries = 0;
 
-  // Root segments (separator-delimited spans of the root body).
   const auto& root = grammar.rules[0];
-  std::vector<std::pair<uint32_t, uint32_t>> segments;
-  {
-    uint32_t begin = 0;
-    for (uint32_t i = 0; i < root.size(); ++i) {
-      if (IsWord(root[i]) && IsFileSep(root[i])) {
-        segments.emplace_back(begin, i);
-        begin = i + 1;
-      }
-    }
-  }
+  const std::vector<std::pair<uint32_t, uint32_t>> segments =
+      grammar.RootSegments();
   NTADOC_CHECK_EQ(segments.size(), dag.num_files);
 
   // Rule payloads, adjacent, in topological (traversal) order. The root's
@@ -375,17 +365,10 @@ Status RederiveSegmentPayload(const Grammar& grammar, const PrunedDag& dag,
   if (f >= dag.num_files || grammar.rules.empty()) {
     return Status::InvalidArgument("rederive: segment index out of range");
   }
-  // Recompute the separator-delimited segment spans of the root body,
-  // exactly as BuildPrunedDag laid them out.
+  // The segment spans exactly as BuildPrunedDag laid them out.
   const auto& root = grammar.rules[0];
-  std::vector<std::pair<uint32_t, uint32_t>> segments;
-  uint32_t begin = 0;
-  for (uint32_t i = 0; i < root.size(); ++i) {
-    if (IsWord(root[i]) && IsFileSep(root[i])) {
-      segments.emplace_back(begin, i);
-      begin = i + 1;
-    }
-  }
+  const std::vector<std::pair<uint32_t, uint32_t>> segments =
+      grammar.RootSegments();
   if (f >= segments.size()) {
     return Status::DataLoss("rederive: segment spans inconsistent");
   }

@@ -1,6 +1,7 @@
 #include "tadoc/engine.h"
 
 #include <algorithm>
+#include <string>
 #include <unordered_map>
 
 #include "tadoc/canonical.h"
@@ -47,18 +48,41 @@ CountList<K> MergeChildLists(std::span<const Symbol> seq,
   return own;
 }
 
+/// Each strategy's display name and its --traversal= flag value.
+struct StrategyName {
+  TraversalStrategy strategy;
+  const char* name;
+  const char* flag;
+};
+constexpr StrategyName kStrategyNames[] = {
+    {TraversalStrategy::kAuto, "auto", "auto"},
+    {TraversalStrategy::kTopDown, "top-down", "topdown"},
+    {TraversalStrategy::kBottomUp, "bottom-up", "bottomup"},
+};
+
 }  // namespace
 
 const char* TraversalStrategyToString(TraversalStrategy s) {
-  switch (s) {
-    case TraversalStrategy::kAuto:
-      return "auto";
-    case TraversalStrategy::kTopDown:
-      return "top-down";
-    case TraversalStrategy::kBottomUp:
-      return "bottom-up";
+  for (const StrategyName& n : kStrategyNames) {
+    if (n.strategy == s) return n.name;
   }
   return "?";
+}
+
+Result<TraversalStrategy> ParseTraversalStrategy(std::string_view name) {
+  for (const StrategyName& n : kStrategyNames) {
+    if (name == n.flag || name == n.name) return n.strategy;
+  }
+  return Status::InvalidArgument("unknown traversal strategy '" +
+                                 std::string(name) + "'");
+}
+
+TraversalStrategy ResolveStrategy(TraversalStrategy requested, Task task,
+                                  uint32_t num_files) {
+  if (requested != TraversalStrategy::kAuto) return requested;
+  return IsPerFileTask(task) && num_files > kManyFilesThreshold
+             ? TraversalStrategy::kBottomUp
+             : TraversalStrategy::kTopDown;
 }
 
 struct TadocEngine::Prepared {
@@ -71,17 +95,6 @@ TadocEngine::TadocEngine(const CompressedCorpus* corpus,
                          EngineOptions options)
     : corpus_(corpus), options_(options) {
   NTADOC_CHECK(corpus != nullptr);
-}
-
-TraversalStrategy TadocEngine::ResolveStrategy(Task task) const {
-  if (options_.traversal != TraversalStrategy::kAuto) {
-    return options_.traversal;
-  }
-  if (IsPerFileTask(task) &&
-      corpus_->num_files() > options_.many_files_threshold) {
-    return TraversalStrategy::kBottomUp;
-  }
-  return TraversalStrategy::kTopDown;
 }
 
 std::vector<uint64_t> TadocEngine::TopDownWeights(
@@ -108,15 +121,7 @@ std::vector<std::pair<uint32_t, uint32_t>> TadocEngine::FileSegments(
     const AccessCharger& charger) const {
   const auto& root = corpus_->grammar.rules[0];
   charger.Read(root.data(), root.size() * sizeof(Symbol));
-  std::vector<std::pair<uint32_t, uint32_t>> segments;
-  uint32_t begin = 0;
-  for (uint32_t i = 0; i < root.size(); ++i) {
-    if (IsWord(root[i]) && IsFileSep(root[i])) {
-      segments.emplace_back(begin, i);
-      begin = i + 1;
-    }
-  }
-  return segments;
+  return corpus_->grammar.RootSegments();
 }
 
 Result<AnalyticsOutput> TadocEngine::Run(Task task,
@@ -129,7 +134,8 @@ Result<AnalyticsOutput> TadocEngine::Run(Task task,
     return Status::InvalidArgument("top_k must be > 0");
   }
   const AccessCharger charger(options_.model);
-  const TraversalStrategy strategy = ResolveStrategy(task);
+  const TraversalStrategy strategy =
+      ResolveStrategy(options_.traversal, task, corpus_->num_files());
 
   WallTimer timer;
   const uint64_t sim0 =

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "compress/compressor.h"
@@ -34,6 +35,21 @@ enum class TraversalStrategy : uint8_t { kAuto = 0, kTopDown, kBottomUp };
 
 const char* TraversalStrategyToString(TraversalStrategy s);
 
+/// Parses a --traversal= flag value ("auto", "topdown", "bottomup") or a
+/// TraversalStrategyToString name; InvalidArgument for anything else.
+Result<TraversalStrategy> ParseTraversalStrategy(std::string_view name);
+
+/// kAuto switches per-file tasks to bottom-up above this many files: a
+/// per-file top-down pass re-walks the whole DAG once per file
+/// (Section VI-E).
+inline constexpr uint32_t kManyFilesThreshold = 32;
+
+/// The strategy a run over `num_files` files uses for `task`: kAuto
+/// resolved by the policy above, anything else as requested. Both the
+/// DRAM engine and N-TADOC resolve through this one function.
+TraversalStrategy ResolveStrategy(TraversalStrategy requested, Task task,
+                                  uint32_t num_files);
+
 /// Engine construction options.
 struct EngineOptions {
   /// Access-cost model; null disables charging (pure wall-clock runs).
@@ -41,9 +57,6 @@ struct EngineOptions {
 
   /// Traversal strategy; kAuto picks per task and file count.
   TraversalStrategy traversal = TraversalStrategy::kAuto;
-
-  /// kAuto switches per-file tasks to bottom-up above this file count.
-  uint32_t many_files_threshold = 32;
 
   /// Charge reading the compressed container from the source disk during
   /// initialization (the paper's timing includes dataset IO). Requires
@@ -94,9 +107,6 @@ class TadocEngine {
   /// excluded).
   std::vector<std::pair<uint32_t, uint32_t>> FileSegments(
       const AccessCharger& charger) const;
-
-  /// Resolves kAuto for a task.
-  TraversalStrategy ResolveStrategy(Task task) const;
 
  private:
   struct Prepared;  // per-run state (topo order, segments, head/tail)

@@ -17,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "core/engine.h"
 #include "reference_impl.h"
@@ -52,19 +54,21 @@ nvm::FaultSpec Transient(nvm::FaultTrigger trigger, uint64_t n,
   return s;
 }
 
-// Crashes a run mid-traversal and returns the payload region its
-// completed init laid out, so later runs can aim damage at re-derivable
-// data. Layout is deterministic: the same corpus + options + capacity
-// reproduce the same region on a fresh device.
+// Crashes a run mid-traversal and returns a region its completed init
+// laid out (the pruned payloads by default), so later runs can aim damage
+// at re-derivable data. Layout is deterministic: the same corpus +
+// options + capacity reproduce the same region on a fresh device.
 std::pair<uint64_t, uint64_t> CrashAndLocatePayload(
     const compress::CompressedCorpus& corpus, nvm::NvmDevice* device,
-    NTadocOptions opts, tadoc::Task task) {
+    NTadocOptions opts, tadoc::Task task,
+    std::pair<uint64_t, uint64_t> (NTadocEngine::*region)() const =
+        &NTadocEngine::payload_region) {
   // Per-file strategies count one traversal step per file, so the crash
   // point must stay below the corpus's file count to fire on every task.
   opts.crash_after_traversal_steps = 2;
   NTadocEngine engine(&corpus, device, opts);
   EXPECT_FALSE(engine.Run(task).ok());
-  return engine.payload_region();
+  return (engine.*region)();
 }
 
 // ---- Scenario A: transient faults are absorbed silently --------------
@@ -157,6 +161,82 @@ TEST_P(AttachRepairSoakTest, SingleBadBlockIsRemappedWithoutSalvage) {
 
 INSTANTIATE_TEST_SUITE_P(AllTasks, AttachRepairSoakTest,
                          ::testing::ValuesIn(tadoc::kAllTasks));
+
+// The same bar for the local n-gram lists, the other re-derivable init
+// structure: a bad block in them is rebuilt from the grammar byte for
+// byte, so the init integrity hash still verifies and the init is reused.
+// The region's first whole media block holds rule lists and its last one
+// file-segment lists; top-down runs add the lists into counter tables,
+// bottom-up runs merge them into list arrays.
+
+struct GramDamageCase {
+  tadoc::Task task;
+  tadoc::TraversalStrategy strategy;
+  bool last_block;  // else the first whole block of the region
+};
+
+class GramRepairSoakTest : public ::testing::TestWithParam<GramDamageCase> {
+};
+
+TEST_P(GramRepairSoakTest, DamagedGramBlockIsRederivedWithoutSalvage) {
+  const GramDamageCase& c = GetParam();
+  const auto corpus = RandomCorpus(ChaosSeed(), 20, 4, 220);
+  const auto expected = ReferenceRun(corpus, c.task, {});
+
+  auto device = MakeDevice();
+  ASSERT_TRUE(device.ok());
+
+  NTadocOptions opts;
+  opts.persistence = PersistenceMode::kPhase;
+  opts.traversal = c.strategy;
+  const auto [gbegin, gend] = CrashAndLocatePayload(
+      corpus, device->get(), opts, c.task, &NTadocEngine::gram_region);
+  constexpr uint64_t kBlock = 256;
+  const uint64_t first = (gbegin + kBlock - 1) & ~(kBlock - 1);
+  ASSERT_LE(first + kBlock, gend) << "no whole media block of gram lists";
+  const uint64_t block = c.last_block ? (gend & ~(kBlock - 1)) - kBlock
+                                      : first;
+  (*device)->PoisonForTesting(block, 1);
+
+  NTadocEngine engine(&corpus, device->get(), opts);
+  auto got = engine.Run(c.task);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, expected);
+
+  const NTadocRunInfo& info = engine.run_info();
+  EXPECT_GT(info.blocks_remapped, 0u);
+  EXPECT_EQ(info.salvage_restarts, 0u)
+      << "single-block gram damage must not cost a full restart";
+  EXPECT_TRUE(info.init_phase_reused)
+      << "the re-derived lists must reproduce the sealed init exactly";
+}
+
+std::vector<GramDamageCase> GramDamageCases() {
+  std::vector<GramDamageCase> cases;
+  for (tadoc::Task task :
+       {tadoc::Task::kSequenceCount, tadoc::Task::kRankedInvertedIndex}) {
+    for (tadoc::TraversalStrategy strategy :
+         {tadoc::TraversalStrategy::kTopDown,
+          tadoc::TraversalStrategy::kBottomUp}) {
+      for (bool last_block : {false, true}) {
+        cases.push_back(GramDamageCase{task, strategy, last_block});
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SequenceTasks, GramRepairSoakTest, ::testing::ValuesIn(GramDamageCases()),
+    [](const ::testing::TestParamInfo<GramDamageCase>& info) {
+      const GramDamageCase& c = info.param;
+      return std::string(c.task == tadoc::Task::kSequenceCount
+                             ? "SequenceCount"
+                             : "RankedInvertedIndex") +
+             (c.strategy == tadoc::TraversalStrategy::kTopDown ? "_TopDown"
+                                                               : "_BottomUp") +
+             (c.last_block ? "_LastBlock" : "_FirstBlock");
+    });
 
 // Same damage under operation-level persistence: the remap entry and
 // header bump commit through the run's redo log.

@@ -187,29 +187,45 @@ TEST_P(NTadocCrashTest, RecoversToCorrectResult) {
   EXPECT_TRUE(engine.run_info().init_phase_reused);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, NTadocCrashTest,
-    ::testing::Values(
-        CrashCase{Task::kWordCount, TraversalStrategy::kTopDown,
-                  PersistenceMode::kPhase, 3},
-        CrashCase{Task::kWordCount, TraversalStrategy::kTopDown,
-                  PersistenceMode::kOperation, 3},
-        CrashCase{Task::kWordCount, TraversalStrategy::kTopDown,
-                  PersistenceMode::kOperation, 10},
-        CrashCase{Task::kSequenceCount, TraversalStrategy::kTopDown,
-                  PersistenceMode::kPhase, 5},
-        CrashCase{Task::kSequenceCount, TraversalStrategy::kTopDown,
-                  PersistenceMode::kOperation, 7},
-        CrashCase{Task::kWordCount, TraversalStrategy::kBottomUp,
-                  PersistenceMode::kOperation, 4},
-        CrashCase{Task::kTermVector, TraversalStrategy::kBottomUp,
-                  PersistenceMode::kOperation, 6},
-        CrashCase{Task::kInvertedIndex, TraversalStrategy::kTopDown,
-                  PersistenceMode::kPhase, 2},
-        CrashCase{Task::kRankedInvertedIndex, TraversalStrategy::kBottomUp,
-                  PersistenceMode::kPhase, 5},
-        CrashCase{Task::kSort, TraversalStrategy::kTopDown,
-                  PersistenceMode::kOperation, 1}));
+std::vector<CrashCase> CrashCases() {
+  std::vector<CrashCase> cases = {
+      CrashCase{Task::kWordCount, TraversalStrategy::kTopDown,
+                PersistenceMode::kPhase, 3},
+      CrashCase{Task::kWordCount, TraversalStrategy::kTopDown,
+                PersistenceMode::kOperation, 3},
+      CrashCase{Task::kWordCount, TraversalStrategy::kTopDown,
+                PersistenceMode::kOperation, 10},
+      CrashCase{Task::kSequenceCount, TraversalStrategy::kTopDown,
+                PersistenceMode::kPhase, 5},
+      CrashCase{Task::kSequenceCount, TraversalStrategy::kTopDown,
+                PersistenceMode::kOperation, 7},
+      CrashCase{Task::kWordCount, TraversalStrategy::kBottomUp,
+                PersistenceMode::kOperation, 4},
+      CrashCase{Task::kTermVector, TraversalStrategy::kBottomUp,
+                PersistenceMode::kOperation, 6},
+      CrashCase{Task::kInvertedIndex, TraversalStrategy::kTopDown,
+                PersistenceMode::kPhase, 2},
+      CrashCase{Task::kRankedInvertedIndex, TraversalStrategy::kBottomUp,
+                PersistenceMode::kPhase, 5},
+      CrashCase{Task::kSort, TraversalStrategy::kTopDown,
+                PersistenceMode::kOperation, 1}};
+  // Every catalog slot is re-attached at least once: all six tasks under
+  // both strategies and both durable modes (every counter table and list
+  // array a task can use), crashing early in the traversal.
+  for (Task task : tadoc::kAllTasks) {
+    for (TraversalStrategy strategy :
+         {TraversalStrategy::kTopDown, TraversalStrategy::kBottomUp}) {
+      for (PersistenceMode mode :
+           {PersistenceMode::kPhase, PersistenceMode::kOperation}) {
+        cases.push_back(CrashCase{task, strategy, mode, 2});
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, NTadocCrashTest,
+                         ::testing::ValuesIn(CrashCases()));
 
 TEST(NTadocCrashTest, CrashDuringInitRestartsInit) {
   const auto corpus = RandomCorpus(42, 20, 3, 200);
@@ -282,6 +298,24 @@ TEST(NTadocCrashTest, AdversarialEvictionStillRecovers) {
 }
 
 // ---- Misc engine behaviour ----
+
+TEST(NTadocEngineTest, PersistenceNamesRoundTrip) {
+  for (PersistenceMode m : {PersistenceMode::kNone, PersistenceMode::kPhase,
+                            PersistenceMode::kOperation}) {
+    auto parsed = ParsePersistenceMode(PersistenceModeToString(m));
+    ASSERT_TRUE(parsed.ok()) << PersistenceModeToString(m);
+    EXPECT_EQ(*parsed, m);
+  }
+  // The --persistence= flag values.
+  EXPECT_EQ(*ParsePersistenceMode("none"), PersistenceMode::kNone);
+  EXPECT_EQ(*ParsePersistenceMode("phase"), PersistenceMode::kPhase);
+  EXPECT_EQ(*ParsePersistenceMode("operation"), PersistenceMode::kOperation);
+  for (const char* bad : {"", "Phase", "op", "operations", "strict"}) {
+    const auto parsed = ParsePersistenceMode(bad);
+    EXPECT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
 
 TEST(NTadocEngineTest, OperationLevelRequiresSummation) {
   const auto corpus = RandomCorpus(51, 10, 1, 50);

@@ -241,6 +241,7 @@ TEST(PersistCheckFrameworkTest, ContainersPersistClean) {
   ASSERT_TRUE(pool.ok());
   auto vec = core::NvmVector<uint64_t>::Create(&*pool, 100);
   ASSERT_TRUE(vec.ok());
+  vec->Resize(100);
   for (uint64_t i = 0; i < 100; ++i) vec->Set(i, i * 3);
   vec->Persist();
   struct U32Hash {

@@ -131,15 +131,41 @@ TEST(TadocEngineTest, InvalidOptionsRejected) {
 TEST(TadocEngineTest, AutoStrategySelection) {
   const auto few = RandomCorpus(2, 10, 2, 100);
   const auto many = RandomCorpus(3, 10, 50, 20);
-  TadocEngine few_engine(&few);
-  TadocEngine many_engine(&many);
-  EXPECT_EQ(few_engine.ResolveStrategy(Task::kTermVector),
-            TraversalStrategy::kTopDown);
-  EXPECT_EQ(many_engine.ResolveStrategy(Task::kTermVector),
-            TraversalStrategy::kBottomUp);
+  auto resolve = [](const compress::CompressedCorpus& corpus, Task task) {
+    return ResolveStrategy(TraversalStrategy::kAuto, task, corpus.num_files());
+  };
+  EXPECT_EQ(resolve(few, Task::kTermVector), TraversalStrategy::kTopDown);
+  EXPECT_EQ(resolve(many, Task::kTermVector), TraversalStrategy::kBottomUp);
   // Global tasks stay top-down regardless of file count.
-  EXPECT_EQ(many_engine.ResolveStrategy(Task::kWordCount),
+  EXPECT_EQ(resolve(many, Task::kWordCount), TraversalStrategy::kTopDown);
+  // An explicit strategy is kept.
+  EXPECT_EQ(ResolveStrategy(TraversalStrategy::kTopDown, Task::kTermVector,
+                            many.num_files()),
             TraversalStrategy::kTopDown);
+  // The engine runs the strategy the policy picks.
+  TadocEngine engine(&many);
+  RunMetrics m;
+  ASSERT_TRUE(engine.Run(Task::kTermVector, {}, &m).ok());
+  EXPECT_EQ(m.used_traversal, TraversalStrategy::kBottomUp);
+}
+
+TEST(TadocEngineTest, StrategyNamesRoundTrip) {
+  for (TraversalStrategy s :
+       {TraversalStrategy::kAuto, TraversalStrategy::kTopDown,
+        TraversalStrategy::kBottomUp}) {
+    auto parsed = ParseTraversalStrategy(TraversalStrategyToString(s));
+    ASSERT_TRUE(parsed.ok()) << TraversalStrategyToString(s);
+    EXPECT_EQ(*parsed, s);
+  }
+  // The --traversal= flag values.
+  EXPECT_EQ(*ParseTraversalStrategy("auto"), TraversalStrategy::kAuto);
+  EXPECT_EQ(*ParseTraversalStrategy("topdown"), TraversalStrategy::kTopDown);
+  EXPECT_EQ(*ParseTraversalStrategy("bottomup"), TraversalStrategy::kBottomUp);
+  for (const char* bad : {"", "TopDown", "top_down", "bottom", "?"}) {
+    const auto parsed = ParseTraversalStrategy(bad);
+    EXPECT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST(TadocEngineTest, MetricsPopulated) {

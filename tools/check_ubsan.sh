@@ -4,6 +4,9 @@
 # together; the pure-UBSan build exists because ASan shifts object
 # layouts and shadows some UB (notably misaligned loads on padded
 # structs), so a finding can surface here that the combined build hides.
+# It is also the one Debug build: every other lane builds Release or
+# RelWithDebInfo, which define NDEBUG and compile the NTADOC_DCHECK
+# contracts out, so only this lane runs them.
 #
 # Usage: tools/check_ubsan.sh [ctest args...]
 #   e.g. tools/check_ubsan.sh -R nvm_test
@@ -15,7 +18,7 @@ BUILD_DIR="${REPO_ROOT}/build-ubsan"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_BUILD_TYPE=Debug \
   -DNTADOC_SANITIZE=undefined
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 

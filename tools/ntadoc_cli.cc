@@ -91,6 +91,11 @@ int Usage() {
   return 2;
 }
 
+// --migrate=0|1; -1 for any other value.
+int ParseMigrate(const std::string& value) {
+  return value == "0" ? 0 : value == "1" ? 1 : -1;
+}
+
 Result<compress::CompressedCorpus> LoadOrFail(const std::string& path) {
   auto corpus = compress::LoadCorpus(path);
   if (!corpus.ok()) {
@@ -364,17 +369,13 @@ int CmdRun(int argc, char** argv) {
         return Usage();
       }
     } else if (arg.rfind("--persistence=", 0) == 0) {
-      const std::string p = arg.substr(14);
-      engine_opts.persistence =
-          p == "none"        ? core::PersistenceMode::kNone
-          : p == "operation" ? core::PersistenceMode::kOperation
-                             : core::PersistenceMode::kPhase;
+      auto mode = core::ParsePersistenceMode(arg.substr(14));
+      if (!mode.ok()) return Usage();
+      engine_opts.persistence = *mode;
     } else if (arg.rfind("--traversal=", 0) == 0) {
-      const std::string t = arg.substr(12);
-      engine_opts.traversal =
-          t == "topdown"    ? tadoc::TraversalStrategy::kTopDown
-          : t == "bottomup" ? tadoc::TraversalStrategy::kBottomUp
-                            : tadoc::TraversalStrategy::kAuto;
+      auto strategy = tadoc::ParseTraversalStrategy(arg.substr(12));
+      if (!strategy.ok()) return Usage();
+      engine_opts.traversal = *strategy;
     } else if (arg.rfind("--ngram=", 0) == 0) {
       opts.ngram = static_cast<uint32_t>(std::stoul(arg.substr(8)));
     } else if (arg.rfind("--topk=", 0) == 0) {
@@ -393,7 +394,8 @@ int CmdRun(int argc, char** argv) {
       tier_budget_mb = std::stoll(arg.substr(17));
       if (tier_budget_mb < 0) return Usage();
     } else if (arg.rfind("--migrate=", 0) == 0) {
-      migrate = arg.substr(10) == "0" ? 0 : 1;
+      migrate = ParseMigrate(arg.substr(10));
+      if (migrate < 0) return Usage();
     } else {
       return Usage();
     }
@@ -597,18 +599,17 @@ int CmdServe(int argc, char** argv) {
         return Usage();
       }
     } else if (arg.rfind("--persistence=", 0) == 0) {
-      const std::string p = arg.substr(14);
-      seal_opts.engine.persistence =
-          p == "none"        ? core::PersistenceMode::kNone
-          : p == "operation" ? core::PersistenceMode::kOperation
-                             : core::PersistenceMode::kPhase;
+      auto mode = core::ParsePersistenceMode(arg.substr(14));
+      if (!mode.ok()) return Usage();
+      seal_opts.engine.persistence = *mode;
     } else if (arg.rfind("--tiers=", 0) == 0) {
       tiers_spec = arg.substr(8);
     } else if (arg.rfind("--tier-budget-mb=", 0) == 0) {
       tier_budget_mb = std::stoll(arg.substr(17));
       if (tier_budget_mb < 0) return Usage();
     } else if (arg.rfind("--migrate=", 0) == 0) {
-      migrate = arg.substr(10) == "0" ? 0 : 1;
+      migrate = ParseMigrate(arg.substr(10));
+      if (migrate < 0) return Usage();
     } else if (arg.rfind("--", 0) == 0) {
       return Usage();
     } else {
