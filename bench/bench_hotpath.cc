@@ -11,6 +11,12 @@
 //   --repeat=N           repetitions per configuration; wall times keep
 //                        the minimum (least-noise) run (default 1)
 //
+// Operation-level runs also get a "ci8-tiered" variant: epoch group
+// commit at commit_interval=8 with the structures placed on DRAM+NVM
+// tiers (a DRAM top tier of 4 MiB x scale, 16 KiB units, migration on),
+// the tier configuration of perfbench's durable_oplog workload. Its wall
+// time against the untiered ci8 row is the cost of tier routing.
+//
 // Lines starting with "SIM " are a stable plain-text record of the
 // simulated times (task, mode, variant, cache MB, init ns, traversal
 // ns) for drift checking without a JSON parser.
@@ -24,6 +30,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,6 +38,7 @@
 #include "core/nvm_hash_table.h"
 #include "core/pruning.h"
 #include "nvm/nvm_pool.h"
+#include "nvm/tiered_pool.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -42,7 +50,8 @@ using namespace ntadoc::bench;
 struct HotpathResult {
   std::string task;
   std::string mode;
-  std::string variant;  // "std" or "nosum" (grow-and-rebuild ablation)
+  std::string variant;  // "std", "nosum" (grow-and-rebuild ablation),
+                        // "ci8" or "ci8-tiered"
   uint64_t dram_cache_mb = 0;
   uint64_t init_wall_ns = 0;
   uint64_t init_sim_ns = 0;
@@ -58,8 +67,13 @@ std::string SanitizeTask(const char* name) {
   return s;
 }
 
+// DRAM top-tier budget of the tiered variant, per unit of dataset scale.
+constexpr double kDramTierBytesPerScale = 4.0 * (1ull << 20);
+
+// `tiering` null runs untiered.
 HotpathResult RunOne(const DatasetBundle& d, Task task, PersistenceMode mode,
                      uint64_t cache_mb, bool nosum, uint32_t ci,
+                     const std::shared_ptr<const nvm::TierConfig>& tiering,
                      int repeat) {
   NTadocOptions engine_opts;
   engine_opts.persistence = mode;
@@ -67,6 +81,7 @@ HotpathResult RunOne(const DatasetBundle& d, Task task, PersistenceMode mode,
 #ifndef NTADOC_HOTPATH_COMPAT
   engine_opts.dram_cache_bytes = cache_mb << 20;
   engine_opts.commit_interval = ci;
+  engine_opts.tiering = tiering;
 #endif
   HotpathResult r;
   r.task = SanitizeTask(tadoc::TaskToString(task));
@@ -74,6 +89,7 @@ HotpathResult RunOne(const DatasetBundle& d, Task task, PersistenceMode mode,
   r.variant = nosum ? "nosum"
               : ci > 1 ? "ci" + std::to_string(ci)
                        : "std";
+  if (tiering != nullptr) r.variant += "-tiered";
   r.dram_cache_mb = cache_mb;
   r.init_wall_ns = ~0ull;
   r.traversal_wall_ns = ~0ull;
@@ -362,6 +378,15 @@ int main(int argc, char** argv) {
   const auto datasets = LoadDatasets(config);
   std::vector<HotpathResult> results;
 
+  auto tier_config = std::make_shared<nvm::TierConfig>();
+  tier_config->tiers = {
+      {nvm::MediumKind::kDram,
+       static_cast<uint64_t>(kDramTierBytesPerScale * config.scale)}};
+  tier_config->unit_bytes = 16 * 1024;
+  tier_config->migrate = true;
+  const std::shared_ptr<const nvm::TierConfig> tiering =
+      std::move(tier_config);
+
   for (const auto& d : datasets) {
     PrintTitle("Traversal hot path on dataset " + d.spec.name,
                "zero-copy extent reads + batched charging");
@@ -376,6 +401,7 @@ int main(int argc, char** argv) {
           uint64_t budget = 0;
           bool nosum = false;
           uint32_t ci = 1;
+          bool tiered = false;
         };
         std::vector<Variant> variants = {{}};
         if (mode == PersistenceMode::kNone) {
@@ -387,13 +413,15 @@ int main(int argc, char** argv) {
         }
 #ifndef NTADOC_HOTPATH_COMPAT
         if (mode == PersistenceMode::kOperation) {
-          // Epoch group commit: 8 steps per durable epoch.
+          // Epoch group commit: 8 steps per durable epoch, untiered and
+          // on DRAM+NVM tiers.
           variants.push_back({0, false, 8});
+          variants.push_back({0, false, 8, true});
         }
 #endif
-        for (const auto& [budget, nosum, ci] : variants) {
+        for (const auto& [budget, nosum, ci, tiered] : variants) {
           const HotpathResult r = RunOne(d, task, mode, budget, nosum, ci,
-                                         repeat);
+                                         tiered ? tiering : nullptr, repeat);
           PrintRow({r.task, r.mode, r.variant,
                     std::to_string(budget) + "MB", Secs(r.init_wall_ns),
                     Secs(r.init_sim_ns), Secs(r.traversal_wall_ns),
