@@ -207,7 +207,6 @@ Status TieredPool::InitRegion(bool fresh) {
     device_->FlushRange(region_off_, sizeof(header));
     device_->Drain();
   }
-  util::MutexLock lock(&mu_);
   loaded_entries_ = std::move(adopted);
   committed_entries_ = header.committed;
   generation_ = header.generation;
@@ -216,13 +215,12 @@ Status TieredPool::InitRegion(bool fresh) {
 }
 
 void TieredPool::ResetExtents() {
-  util::MutexLock lock(&mu_);
   prev_units_ = std::move(units_);
   units_.clear();
+  RebuildPageIndex();
 }
 
 void TieredPool::RegisterExtent(uint64_t begin, uint64_t len, TierClass cls) {
-  util::MutexLock lock(&mu_);
   const uint64_t end = begin + len;
   for (uint64_t pos = begin; pos < end; pos += config_.unit_bytes) {
     Unit unit;
@@ -244,10 +242,26 @@ void TieredPool::RegisterExtent(uint64_t begin, uint64_t len, TierClass cls) {
         [](const Unit& u, uint64_t v) { return u.begin < v; });
     units_.insert(at, unit);
   }
+  RebuildPageIndex();
+}
+
+void TieredPool::RebuildPageIndex() {
+  page_first_unit_.clear();
+  first_page_ = 0;
+  if (units_.empty()) return;
+  const Unit& last = units_.back();
+  first_page_ = units_.front().begin >> kPageShift;
+  const uint64_t last_page = (last.begin + last.len - 1) >> kPageShift;
+  page_first_unit_.resize(last_page - first_page_ + 1);
+  uint32_t i = 0;
+  for (uint64_t p = 0; p < page_first_unit_.size(); ++p) {
+    const uint64_t page_begin = (first_page_ + p) << kPageShift;
+    while (units_[i].begin + units_[i].len <= page_begin) ++i;
+    page_first_unit_[p] = i;
+  }
 }
 
 Status TieredPool::ApplyInitialPlacement() {
-  util::MutexLock lock(&mu_);
   if (!region_ready_) {
     return Status::FailedPrecondition("tiered_pool: InitRegion first");
   }
@@ -289,17 +303,24 @@ Status TieredPool::ApplyInitialPlacement() {
   return Status::OK();
 }
 
-size_t TieredPool::UnitIndexLocked(uint64_t offset) const {
-  const auto it = std::upper_bound(
-      units_.begin(), units_.end(), offset,
-      [](uint64_t v, const Unit& u) { return v < u.begin; });
-  if (it == units_.begin()) return SIZE_MAX;
-  const size_t i = static_cast<size_t>(it - units_.begin()) - 1;
-  if (units_[i].begin + units_[i].len <= offset) return SIZE_MAX;
+size_t TieredPool::FirstUnitEndingAfter(uint64_t offset) const {
+  const uint64_t page = offset >> kPageShift;
+  if (page < first_page_) return 0;
+  if (page - first_page_ >= page_first_unit_.size()) return units_.size();
+  // The page's first unit ends past the page start; skip the (short)
+  // units that end between the page start and `offset`.
+  size_t i = page_first_unit_[page - first_page_];
+  while (i < units_.size() && units_[i].begin + units_[i].len <= offset) ++i;
   return i;
 }
 
-int TieredPool::ResolveTierLocked(size_t unit_idx) const {
+size_t TieredPool::UnitIndex(uint64_t offset) const {
+  const size_t i = FirstUnitEndingAfter(offset);
+  if (i == units_.size() || units_[i].begin > offset) return SIZE_MAX;
+  return i;
+}
+
+int TieredPool::ResolveTier(size_t unit_idx) const {
   const uint8_t t = units_[unit_idx].tier;
   return t == kHomeTier ? home_tier_ : t;
 }
@@ -313,15 +334,11 @@ bool TieredPool::TierIsVolatile(int tier) const {
 }
 
 template <typename Fn>
-void TieredPool::ForEachRangeLocked(uint64_t offset, uint64_t len, bool heat,
-                                    Fn fn) {
+void TieredPool::ForEachRange(uint64_t offset, uint64_t len, bool heat,
+                              Fn fn) {
   uint64_t pos = offset;
   const uint64_t end = offset + len;
-  auto it = std::upper_bound(
-      units_.begin(), units_.end(), pos,
-      [](uint64_t v, const Unit& u) { return v < u.begin; });
-  size_t i = static_cast<size_t>(it - units_.begin());
-  if (i > 0 && units_[i - 1].begin + units_[i - 1].len > pos) --i;
+  size_t i = FirstUnitEndingAfter(pos);
   while (pos < end) {
     if (i >= units_.size() || units_[i].begin >= end) {
       fn(home_tier_, pos, end - pos);
@@ -332,59 +349,53 @@ void TieredPool::ForEachRangeLocked(uint64_t offset, uint64_t len, bool heat,
       fn(home_tier_, pos, u.begin - pos);
       pos = u.begin;
     }
+    // u is the first unit ending past pos, so the piece is never empty.
     const uint64_t sub_end = std::min<uint64_t>(end, u.begin + u.len);
-    if (sub_end > pos) {
-      if (heat) u.heat += sub_end - pos;
-      fn(u.tier == kHomeTier ? home_tier_ : u.tier, pos, sub_end - pos);
-      pos = sub_end;
-    }
+    if (heat) u.heat += sub_end - pos;
+    fn(u.tier == kHomeTier ? home_tier_ : u.tier, pos, sub_end - pos);
+    pos = sub_end;
     ++i;
   }
 }
 
 void TieredPool::TouchRead(uint64_t offset, uint64_t len) {
-  util::MutexLock lock(&mu_);
-  ForEachRangeLocked(offset, len, /*heat=*/true,
-                     [this](int tier, uint64_t off, uint64_t sub_len) {
-                       ModelOf(tier).TouchRead(off, sub_len);
-                     });
+  ForEachRange(offset, len, /*heat=*/true,
+               [this](int tier, uint64_t off, uint64_t sub_len) {
+                 ModelOf(tier).TouchRead(off, sub_len);
+               });
 }
 
 void TieredPool::TouchWrite(uint64_t offset, uint64_t len) {
-  util::MutexLock lock(&mu_);
-  ForEachRangeLocked(offset, len, /*heat=*/true,
-                     [this](int tier, uint64_t off, uint64_t sub_len) {
-                       ModelOf(tier).TouchWrite(off, sub_len);
-                     });
+  ForEachRange(offset, len, /*heat=*/true,
+               [this](int tier, uint64_t off, uint64_t sub_len) {
+                 ModelOf(tier).TouchWrite(off, sub_len);
+               });
 }
 
 void TieredPool::TouchReadExtent(uint64_t offset, uint64_t len,
                                  uint64_t quantum) {
-  util::MutexLock lock(&mu_);
-  ForEachRangeLocked(offset, len, /*heat=*/true,
-                     [this, quantum](int tier, uint64_t off, uint64_t sub_len) {
-                       ModelOf(tier).TouchReadExtent(off, sub_len, quantum);
-                     });
+  ForEachRange(offset, len, /*heat=*/true,
+               [this, quantum](int tier, uint64_t off, uint64_t sub_len) {
+                 ModelOf(tier).TouchReadExtent(off, sub_len, quantum);
+               });
 }
 
 void TieredPool::TouchWriteExtent(uint64_t offset, uint64_t len,
                                   uint64_t quantum) {
-  util::MutexLock lock(&mu_);
-  ForEachRangeLocked(offset, len, /*heat=*/true,
-                     [this, quantum](int tier, uint64_t off, uint64_t sub_len) {
-                       ModelOf(tier).TouchWriteExtent(off, sub_len, quantum);
-                     });
+  ForEachRange(offset, len, /*heat=*/true,
+               [this, quantum](int tier, uint64_t off, uint64_t sub_len) {
+                 ModelOf(tier).TouchWriteExtent(off, sub_len, quantum);
+               });
 }
 
 void TieredPool::ChargeFlush(uint64_t offset, uint64_t len) {
-  util::MutexLock lock(&mu_);
   // Persistence lives at home for volatile residents: flushing a line
   // whose unit sits in DRAM pays the home (durable) flush cost.
-  ForEachRangeLocked(offset, len, /*heat=*/false,
-                     [this](int tier, uint64_t, uint64_t sub_len) {
-                       const int target = TierIsVolatile(tier) ? home_tier_ : tier;
-                       ModelOf(target).ChargeFlush(sub_len);
-                     });
+  ForEachRange(offset, len, /*heat=*/false,
+               [this](int tier, uint64_t, uint64_t sub_len) {
+                 const int target = TierIsVolatile(tier) ? home_tier_ : tier;
+                 ModelOf(target).ChargeFlush(sub_len);
+               });
 }
 
 void TieredPool::ChargeDrain() {
@@ -392,7 +403,6 @@ void TieredPool::ChargeDrain() {
 }
 
 void TieredPool::InvalidateBuffers() {
-  util::MutexLock lock(&mu_);
   for (size_t i = 0; i < tiers_.size(); ++i) {
     if (tiers_[i].owned_model != nullptr) tiers_[i].owned_model->InvalidateBuffer();
   }
@@ -404,20 +414,17 @@ void TieredPool::InvalidateBuffers() {
 }
 
 int TieredPool::TierOf(uint64_t offset) const {
-  util::MutexLock lock(&mu_);
-  const size_t i = UnitIndexLocked(offset);
+  const size_t i = UnitIndex(offset);
   if (i == SIZE_MAX) return -1;
-  return ResolveTierLocked(i);
+  return ResolveTier(i);
 }
 
 uint64_t TieredPool::heat_of(uint64_t offset) const {
-  util::MutexLock lock(&mu_);
-  const size_t i = UnitIndexLocked(offset);
+  const size_t i = UnitIndex(offset);
   return i == SIZE_MAX ? 0 : units_[i].heat;
 }
 
 TierCounters TieredPool::counters() const {
-  util::MutexLock lock(&mu_);
   TierCounters c;
   c.promotions = promotions_;
   c.demotions = demotions_;
@@ -430,30 +437,21 @@ TierCounters TieredPool::counters() const {
   return c;
 }
 
-size_t TieredPool::unit_count() const {
-  util::MutexLock lock(&mu_);
-  return units_.size();
-}
+size_t TieredPool::unit_count() const { return units_.size(); }
 
 bool TieredPool::TakePayloadDemotion() {
-  util::MutexLock lock(&mu_);
   const bool pending = payload_demotion_pending_;
   payload_demotion_pending_ = false;
   return pending;
 }
 
 Status TieredPool::CommitPlacement(const PlacementEntry& e, RedoLog* log) {
-  // The entry slot and the header rewrite go through the device (and so
-  // through the attached router); mu_ must NOT be held here.
   RegionHeader header{};
   header.magic = kRegionMagic;
   header.version = kRegionVersion;
   header.entry_capacity = entry_capacity();
-  {
-    util::MutexLock lock(&mu_);
-    header.committed = committed_entries_ + 1;
-    header.generation = generation_;
-  }
+  header.committed = committed_entries_ + 1;
+  header.generation = generation_;
   header.checksum = HeaderChecksum(header);
   const uint64_t slot_off = entry_off(static_cast<uint32_t>(e.seq));
   if (log != nullptr && !log->in_transaction()) {
@@ -482,70 +480,52 @@ Status TieredPool::CommitPlacement(const PlacementEntry& e, RedoLog* log) {
 }
 
 Status TieredPool::MigrateUnit(size_t unit_idx, uint8_t target, RedoLog* log) {
-  PlacementEntry e{};
-  int source = 0;
-  uint64_t begin = 0;
-  uint64_t len = 0;
-  {
-    util::MutexLock lock(&mu_);
-    if (!region_ready_) {
-      return Status::FailedPrecondition("tiered_pool: InitRegion first");
-    }
-    if (unit_idx >= units_.size() || target >= tiers_.size()) {
-      return Status::InvalidArgument("tiered_pool: bad migration target");
-    }
-    if (committed_entries_ >= entry_capacity()) {
-      return Status::ResourceExhausted("tiered_pool: placement log full");
-    }
-    const Unit& u = units_[unit_idx];
-    source = ResolveTierLocked(unit_idx);
-    if (source == target) return Status::OK();
-    e.begin = u.begin;
-    e.len = u.len;
-    e.cls = static_cast<uint8_t>(u.cls);
-    e.tier = target;
-    e.seq = committed_entries_;
-    e.crc = EntryChecksum(generation_, e);
-    begin = u.begin;
-    len = u.len;
+  if (!region_ready_) {
+    return Status::FailedPrecondition("tiered_pool: InitRegion first");
   }
+  if (unit_idx >= units_.size() || target >= tiers_.size()) {
+    return Status::InvalidArgument("tiered_pool: bad migration target");
+  }
+  if (committed_entries_ >= entry_capacity()) {
+    return Status::ResourceExhausted("tiered_pool: placement log full");
+  }
+  Unit& u = units_[unit_idx];
+  const int source = ResolveTier(unit_idx);
+  if (source == target) return Status::OK();
+  PlacementEntry e{};
+  e.begin = u.begin;
+  e.len = u.len;
+  e.cls = static_cast<uint8_t>(u.cls);
+  e.tier = target;
+  e.seq = committed_entries_;
+  e.crc = EntryChecksum(generation_, e);
   // Copy to target: source read + target write, then make the target
   // copy durable when the target persists (volatile promotions keep the
   // home copy authoritative, so there is nothing to flush).
-  ModelOf(source).TouchReadExtent(begin, len, 0);
-  ModelOf(target).TouchWriteExtent(begin, len, 0);
+  ModelOf(source).TouchReadExtent(u.begin, u.len, 0);
+  ModelOf(target).TouchWriteExtent(u.begin, u.len, 0);
   if (!TierIsVolatile(target)) {
-    ModelOf(target).ChargeFlush(len);
+    ModelOf(target).ChargeFlush(u.len);
     ModelOf(target).ChargeDrain();
   }
   NTADOC_RETURN_IF_ERROR(CommitPlacement(e, log));
-  {
-    util::MutexLock lock(&mu_);
-    if (unit_idx < units_.size() && units_[unit_idx].begin == begin) {
-      units_[unit_idx].tier = target;
-      const TierClass cls = units_[unit_idx].cls;
-      if (target > source &&
-          (cls == TierClass::kPayload || cls == TierClass::kGramPayload)) {
-        payload_demotion_pending_ = true;
-      }
-    }
-    ++committed_entries_;
-    if (target < source) {
-      ++promotions_;
-    } else {
-      ++demotions_;
-    }
+  u.tier = target;
+  if (target > source &&
+      (u.cls == TierClass::kPayload || u.cls == TierClass::kGramPayload)) {
+    payload_demotion_pending_ = true;
+  }
+  ++committed_entries_;
+  if (target < source) {
+    ++promotions_;
+  } else {
+    ++demotions_;
   }
   return Status::OK();
 }
 
 Status TieredPool::MigrateRange(uint64_t begin, uint8_t target_tier,
                                 RedoLog* log) {
-  size_t idx = SIZE_MAX;
-  {
-    util::MutexLock lock(&mu_);
-    idx = UnitIndexLocked(begin);
-  }
+  const size_t idx = UnitIndex(begin);
   if (idx == SIZE_MAX) {
     return Status::NotFound("tiered_pool: no unit at offset");
   }
@@ -555,16 +535,13 @@ Status TieredPool::MigrateRange(uint64_t begin, uint8_t target_tier,
 Status TieredPool::PromoteHottest(RedoLog* log) {
   size_t best = SIZE_MAX;
   uint64_t best_heat = 0;
-  {
-    util::MutexLock lock(&mu_);
-    for (size_t i = 0; i < units_.size(); ++i) {
-      const Unit& u = units_[i];
-      if (!config_.policy[static_cast<int>(u.cls)].migratable) continue;
-      if (ResolveTierLocked(i) == 0) continue;
-      if (u.heat > best_heat) {
-        best = i;
-        best_heat = u.heat;
-      }
+  for (size_t i = 0; i < units_.size(); ++i) {
+    const Unit& u = units_[i];
+    if (!config_.policy[static_cast<int>(u.cls)].migratable) continue;
+    if (ResolveTier(i) == 0) continue;
+    if (u.heat > best_heat) {
+      best = i;
+      best_heat = u.heat;
     }
   }
   if (best == SIZE_MAX) {
@@ -573,13 +550,13 @@ Status TieredPool::PromoteHottest(RedoLog* log) {
   return MigrateUnit(best, 0, log);
 }
 
-std::vector<uint8_t> TieredPool::IdealPlacementLocked() const {
+std::vector<uint8_t> TieredPool::IdealPlacement() const {
   std::vector<uint8_t> ideal(units_.size());
   std::vector<uint64_t> resident(tiers_.size(), 0);
   // Pinned units keep their tier and consume its budget first.
   for (size_t i = 0; i < units_.size(); ++i) {
     const Unit& u = units_[i];
-    const int cur = ResolveTierLocked(i);
+    const int cur = ResolveTier(i);
     ideal[i] = static_cast<uint8_t>(cur);
     if (!config_.policy[static_cast<int>(u.cls)].migratable || u.heat == 0) {
       resident[static_cast<size_t>(cur)] += u.len;
@@ -614,76 +591,64 @@ std::vector<uint8_t> TieredPool::IdealPlacementLocked() const {
 }
 
 Status TieredPool::MaybeMigrate(RedoLog* log) {
-  {
-    util::MutexLock lock(&mu_);
-    ++step_counter_;
-    if (!config_.migrate || config_.migrate_interval == 0 ||
-        step_counter_ % config_.migrate_interval != 0) {
-      return Status::OK();
-    }
+  ++step_counter_;
+  if (!config_.migrate || config_.migrate_interval == 0 ||
+      step_counter_ % config_.migrate_interval != 0) {
+    return Status::OK();
   }
   return MigrationTick(log);
 }
 
 Status TieredPool::MigrationTick(RedoLog* log) {
+  if (!region_ready_ || units_.empty()) return Status::OK();
+  if (committed_entries_ >= entry_capacity()) {
+    // Placement log full: stop migrating rather than risk a torn
+    // compaction. Placement stays frozen at the last committed state.
+    return Status::OK();
+  }
   struct Move {
     size_t idx;
     uint8_t target;
-    bool promotion;
   };
-  std::vector<Move> moves;
-  {
-    util::MutexLock lock(&mu_);
-    if (!region_ready_ || units_.empty()) return Status::OK();
-    if (committed_entries_ >= entry_capacity()) {
-      // Placement log full: stop migrating rather than risk a torn
-      // compaction. Placement stays frozen at the last committed state.
-      return Status::OK();
+  const std::vector<uint8_t> ideal = IdealPlacement();
+  std::vector<Move> promotions;
+  std::vector<Move> demotions;
+  for (size_t i = 0; i < units_.size(); ++i) {
+    const int cur = ResolveTier(i);
+    if (ideal[i] == cur) continue;
+    if (ideal[i] < cur) {
+      promotions.push_back({i, ideal[i]});
+    } else {
+      demotions.push_back({i, ideal[i]});
     }
-    const std::vector<uint8_t> ideal = IdealPlacementLocked();
-    std::vector<Move> promotions;
-    std::vector<Move> demotions;
-    for (size_t i = 0; i < units_.size(); ++i) {
-      const int cur = ResolveTierLocked(i);
-      if (ideal[i] == cur) continue;
-      if (ideal[i] < cur) {
-        promotions.push_back({i, ideal[i], true});
-      } else {
-        demotions.push_back({i, ideal[i], false});
-      }
-    }
-    // Demotions first: they free top-tier budget the promotions need.
-    const auto hotter = [this](const Move& a, const Move& b) {
-      if (units_[a.idx].heat != units_[b.idx].heat) {
-        return units_[a.idx].heat > units_[b.idx].heat;
-      }
-      return units_[a.idx].begin < units_[b.idx].begin;
-    };
-    std::sort(promotions.begin(), promotions.end(), hotter);
-    std::sort(demotions.begin(), demotions.end(),
-              [&](const Move& a, const Move& b) { return hotter(b, a); });
-    const size_t cap = config_.max_moves_per_tick;
-    for (const Move& m : demotions) {
-      if (moves.size() >= cap) break;
-      moves.push_back(m);
-    }
-    for (const Move& m : promotions) {
-      if (moves.size() >= cap) break;
-      moves.push_back(m);
-    }
-    // Exponential decay: next interval's heat starts from half of this
-    // one, so sustained access dominates stale history.
-    for (Unit& u : units_) u.heat >>= 1;
   }
-  bool moved = false;
+  // Demotions first: they free top-tier budget the promotions need.
+  const auto hotter = [this](const Move& a, const Move& b) {
+    if (units_[a.idx].heat != units_[b.idx].heat) {
+      return units_[a.idx].heat > units_[b.idx].heat;
+    }
+    return units_[a.idx].begin < units_[b.idx].begin;
+  };
+  std::sort(promotions.begin(), promotions.end(), hotter);
+  std::sort(demotions.begin(), demotions.end(),
+            [&](const Move& a, const Move& b) { return hotter(b, a); });
+  std::vector<Move> moves;
+  const size_t cap = config_.max_moves_per_tick;
+  for (const Move& m : demotions) {
+    if (moves.size() >= cap) break;
+    moves.push_back(m);
+  }
+  for (const Move& m : promotions) {
+    if (moves.size() >= cap) break;
+    moves.push_back(m);
+  }
+  // Exponential decay: next interval's heat starts from half of this
+  // one, so sustained access dominates stale history.
+  for (Unit& u : units_) u.heat >>= 1;
   for (const Move& m : moves) {
     NTADOC_RETURN_IF_ERROR(MigrateUnit(m.idx, m.target, log));
-    moved = true;
   }
-  if (moved) {
-    util::MutexLock lock(&mu_);
-    ++migration_epochs_;
-  }
+  if (!moves.empty()) ++migration_epochs_;
   return Status::OK();
 }
 

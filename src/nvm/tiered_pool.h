@@ -31,11 +31,17 @@
 // source- or target-resident, never hybrid (crash_sweep_test
 // MigrationCommitSweepTest).
 //
-// Thread safety: a TieredPool is session-private like NvmPool, but its
-// mutable surface (units, heat, counters) is guarded by `mu_` so the
-// serving layer may read counters while a session runs. Lock order:
-// `mu_` is a leaf — never acquire the serving repair lock or a rule
-// cache mutex while holding it (DESIGN.md §10).
+// Routing: every charge finds the unit holding its first byte in O(1).
+// A page index maps each 4 KiB page of the registered span to the first
+// unit that ends past the page's start; units are at least 4 KiB (only
+// an extent's last unit may be shorter), so a lookup scans at most the
+// few short units that end inside one page. RegisterExtent rebuilds the
+// index; ResetExtents empties it.
+//
+// Thread safety: none. A TieredPool is session-confined like NvmPool:
+// only the thread running its session calls it, and the serving layer
+// reads tier counters from NTadocRunInfo after Run returns (DESIGN.md
+// §10).
 
 #ifndef NTADOC_NVM_TIERED_POOL_H_
 #define NTADOC_NVM_TIERED_POOL_H_
@@ -50,9 +56,7 @@
 #include "nvm/memory_model.h"
 #include "nvm/nvm_device.h"
 #include "nvm/obj_log.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace ntadoc::nvm {
 
@@ -129,6 +133,7 @@ struct TierCounters {
 class TieredPool {
  public:
   static constexpr uint64_t kHeaderSlot = 64;
+  static constexpr uint64_t kHeaderBytes = 40;
   static constexpr uint64_t kEntryBytes = 32;
 
   /// Bytes the engine must reserve for the placement region when a
@@ -158,63 +163,64 @@ class TieredPool {
   /// Drops all units (carrying heat and committed tier for extents that
   /// re-register at the same offset, so heat survives re-registration
   /// across Runs on one engine).
-  void ResetExtents() NTADOC_EXCLUDES(mu_);
+  void ResetExtents();
 
   /// Registers [begin, begin + len) as `cls`, split into unit_bytes
-  /// units. Extents must not overlap.
-  void RegisterExtent(uint64_t begin, uint64_t len, TierClass cls)
-      NTADOC_EXCLUDES(mu_);
+  /// units, and rebuilds the page index. Extents must not overlap.
+  void RegisterExtent(uint64_t begin, uint64_t len, TierClass cls);
 
   /// Places every unplaced unit per policy under the tier budgets
   /// (preferred tier, spilling down when full), after re-applying
   /// placements loaded by InitRegion(). Initial placement is a policy
   /// default, not a migration: nothing is committed to the region.
-  Status ApplyInitialPlacement() NTADOC_EXCLUDES(mu_);
+  Status ApplyInitialPlacement();
 
   // --- Device charging hot path (NvmDevice calls these when the
   // --- router is attached; offsets are device offsets).
-  void TouchRead(uint64_t offset, uint64_t len) NTADOC_EXCLUDES(mu_);
-  void TouchWrite(uint64_t offset, uint64_t len) NTADOC_EXCLUDES(mu_);
-  void TouchReadExtent(uint64_t offset, uint64_t len, uint64_t quantum)
-      NTADOC_EXCLUDES(mu_);
-  void TouchWriteExtent(uint64_t offset, uint64_t len, uint64_t quantum)
-      NTADOC_EXCLUDES(mu_);
-  void ChargeFlush(uint64_t offset, uint64_t len) NTADOC_EXCLUDES(mu_);
-  void ChargeDrain() NTADOC_EXCLUDES(mu_);
+  void TouchRead(uint64_t offset, uint64_t len);
+  void TouchWrite(uint64_t offset, uint64_t len);
+  void TouchReadExtent(uint64_t offset, uint64_t len, uint64_t quantum);
+  void TouchWriteExtent(uint64_t offset, uint64_t len, uint64_t quantum);
+  void ChargeFlush(uint64_t offset, uint64_t len);
+  void ChargeDrain();
   /// Crash / snapshot load: invalidates every non-home tier buffer (the
   /// device invalidates its own model itself) and folds volatile-tier
   /// residents back to home — a power cut empties DRAM.
-  void InvalidateBuffers() NTADOC_EXCLUDES(mu_);
+  void InvalidateBuffers();
 
   // --- Migration.
   /// Per-traversal-step hook: every migrate_interval steps runs one
   /// MigrationTick. No-op (one branch) between ticks.
-  Status MaybeMigrate(RedoLog* log) NTADOC_EXCLUDES(mu_);
+  Status MaybeMigrate(RedoLog* log);
   /// One migration epoch: decays heat, computes the ideal hot-to-fast
   /// packing under budgets, and commits up to max_moves_per_tick
   /// placement moves (each crash-atomic). `log` may be null (ordered
   /// protocol) and is ignored while a transaction is open.
-  Status MigrationTick(RedoLog* log) NTADOC_EXCLUDES(mu_);
+  Status MigrationTick(RedoLog* log);
   /// Forces the unit containing `begin` to `target_tier` with a durable
   /// placement commit. Test / bench surface.
-  Status MigrateRange(uint64_t begin, uint8_t target_tier, RedoLog* log)
-      NTADOC_EXCLUDES(mu_);
+  Status MigrateRange(uint64_t begin, uint8_t target_tier, RedoLog* log);
   /// Promotes the hottest migratable unit not already in the top tier
   /// (test surface for the promotion path).
-  Status PromoteHottest(RedoLog* log) NTADOC_EXCLUDES(mu_);
+  Status PromoteHottest(RedoLog* log);
 
   // --- Introspection.
   /// Forwarding lookup: resident tier index for a device offset, or -1
   /// when the offset is in no registered unit (such accesses charge
   /// home).
-  int TierOf(uint64_t offset) const NTADOC_EXCLUDES(mu_);
-  TierCounters counters() const NTADOC_EXCLUDES(mu_);
-  size_t unit_count() const NTADOC_EXCLUDES(mu_);
-  uint64_t heat_of(uint64_t offset) const NTADOC_EXCLUDES(mu_);
+  int TierOf(uint64_t offset) const;
+  TierCounters counters() const;
+  size_t unit_count() const;
+  uint64_t heat_of(uint64_t offset) const;
   /// True once since the last poll if a payload/gram-payload unit was
   /// demoted: the engine must invalidate decoded-rule caches, whose
   /// admission costs were measured against the old tier.
-  bool TakePayloadDemotion() NTADOC_EXCLUDES(mu_);
+  bool TakePayloadDemotion();
+  /// Access counters of tier `tier`'s cost model (the device's own
+  /// model for the home tier).
+  const AccessStats& tier_stats(int tier) const {
+    return ModelOf(tier).stats();
+  }
   int home_tier() const { return home_tier_; }
   const TierConfig& config() const { return config_; }
   uint64_t region_off() const { return region_off_; }
@@ -258,6 +264,7 @@ class TieredPool {
     uint64_t generation;
     uint64_t checksum;
   };
+  static_assert(sizeof(RegionHeader) == kHeaderBytes);
 
   TieredPool(NvmDevice* device, uint64_t region_off, uint64_t region_len,
              TierConfig config);
@@ -271,30 +278,33 @@ class TieredPool {
     return static_cast<uint32_t>((region_len_ - kHeaderSlot) / kEntryBytes);
   }
 
-  /// Binary search for the unit containing `offset`; SIZE_MAX if none.
-  size_t UnitIndexLocked(uint64_t offset) const NTADOC_REQUIRES(mu_);
+  /// Page-index granularity; no unit_bytes is smaller.
+  static constexpr int kPageShift = 12;
+
+  /// Rebuilds page_first_unit_ from units_.
+  void RebuildPageIndex();
+  /// Index of the first unit that ends past `offset` (units_.size() if
+  /// none); that unit contains `offset` unless it begins after it.
+  size_t FirstUnitEndingAfter(uint64_t offset) const;
+  /// The unit containing `offset`; SIZE_MAX if none.
+  size_t UnitIndex(uint64_t offset) const;
   /// Splits [offset, offset+len) at unit boundaries and calls
   /// fn(tier_index, sub_off, sub_len) per homogeneous sub-range,
   /// bumping unit heat by the covered bytes when `heat` is set.
   template <typename Fn>
-  void ForEachRangeLocked(uint64_t offset, uint64_t len, bool heat, Fn fn)
-      NTADOC_REQUIRES(mu_);
-  int ResolveTierLocked(size_t unit_idx) const NTADOC_REQUIRES(mu_);
+  void ForEachRange(uint64_t offset, uint64_t len, bool heat, Fn fn);
+  int ResolveTier(size_t unit_idx) const;
   MemoryModel& ModelOf(int tier) const;
   bool TierIsVolatile(int tier) const;
 
   /// Commits `unit` -> `target` durably (journaled or ordered), charges
   /// the copy costs (source read, target write, flush for persistent
   /// targets), and updates counters. Core of every Promote*/Migrate*.
-  /// Runs with mu_ RELEASED around the device writes: the commit goes
-  /// through the attached router, whose charging hooks take mu_.
-  Status MigrateUnit(size_t unit_idx, uint8_t target, RedoLog* log)
-      NTADOC_EXCLUDES(mu_);
-  Status CommitPlacement(const PlacementEntry& e, RedoLog* log)
-      NTADOC_EXCLUDES(mu_);
+  Status MigrateUnit(size_t unit_idx, uint8_t target, RedoLog* log);
+  Status CommitPlacement(const PlacementEntry& e, RedoLog* log);
   /// Ideal tier for each unit under budgets: hottest migratable units
   /// pack into the fastest tiers, pinned units stay put.
-  std::vector<uint8_t> IdealPlacementLocked() const NTADOC_REQUIRES(mu_);
+  std::vector<uint8_t> IdealPlacement() const;
 
   NvmDevice* device_;
   const uint64_t region_off_;
@@ -303,21 +313,21 @@ class TieredPool {
   std::vector<Tier> tiers_;
   int home_tier_ = 0;
 
-  /// Migration mutex: guards units, placement log tail, and counters.
-  /// Leaf lock — see DESIGN.md §10 for the order vs the serving repair
-  /// lock and rule-cache mutexes.
-  mutable util::Mutex mu_;
-  std::vector<Unit> units_ NTADOC_GUARDED_BY(mu_);       // sorted by begin
-  std::vector<Unit> prev_units_ NTADOC_GUARDED_BY(mu_);  // heat carry-over
-  std::vector<PlacementEntry> loaded_entries_ NTADOC_GUARDED_BY(mu_);
-  bool region_ready_ NTADOC_GUARDED_BY(mu_) = false;
-  uint32_t committed_entries_ NTADOC_GUARDED_BY(mu_) = 0;
-  uint64_t generation_ NTADOC_GUARDED_BY(mu_) = 0;
-  uint64_t step_counter_ NTADOC_GUARDED_BY(mu_) = 0;
-  uint64_t promotions_ NTADOC_GUARDED_BY(mu_) = 0;
-  uint64_t demotions_ NTADOC_GUARDED_BY(mu_) = 0;
-  uint64_t migration_epochs_ NTADOC_GUARDED_BY(mu_) = 0;
-  bool payload_demotion_pending_ NTADOC_GUARDED_BY(mu_) = false;
+  std::vector<Unit> units_;       // sorted by begin, non-overlapping
+  std::vector<Unit> prev_units_;  // heat carry-over
+  /// page_first_unit_[p] is the first unit ending past the start of page
+  /// first_page_ + p; the pages run from the first unit's to the last's.
+  std::vector<uint32_t> page_first_unit_;
+  uint64_t first_page_ = 0;
+  std::vector<PlacementEntry> loaded_entries_;
+  bool region_ready_ = false;
+  uint32_t committed_entries_ = 0;
+  uint64_t generation_ = 0;
+  uint64_t step_counter_ = 0;
+  uint64_t promotions_ = 0;
+  uint64_t demotions_ = 0;
+  uint64_t migration_epochs_ = 0;
+  bool payload_demotion_pending_ = false;
 };
 
 }  // namespace ntadoc::nvm

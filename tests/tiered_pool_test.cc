@@ -1,16 +1,22 @@
 // TieredPool unit tests: config parsing, policy-driven initial
 // placement with budget spill, heat accounting and decay, forwarding
 // (TierOf) lookups across migrations, budget enforcement during ticks,
-// and the durable placement region's commit/reopen roundtrip.
+// the durable placement region's commit/reopen roundtrip, and a seeded
+// differential check of the charge routing against a brute-force
+// reference router.
 
 #include "nvm/tiered_pool.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "nvm/nvm_device.h"
 #include "util/logging.h"
+#include "util/random.h"
 
 namespace ntadoc::nvm {
 namespace {
@@ -380,6 +386,428 @@ TEST(TieredPoolTest, HeatCarriesAcrossReRegistration) {
   ASSERT_TRUE(pool.ApplyInitialPlacement().ok());
   EXPECT_EQ(pool.heat_of(0), kUnit);
 }
+
+// ---- Differential check of the routing ------------------------------------
+
+// Brute-force model of a TieredPool attached to its device: every lookup
+// is a linear scan over the units, every charge is split at unit
+// boundaries and gaps and sent to the resident tier's own MemoryModel,
+// and placement (initial policy, migration ticks, forced moves, and the
+// placement commits' device traffic) follows the documented rules. It
+// shares no code with the pool's page index.
+class ReferenceRouter {
+ public:
+  ReferenceRouter(const TierConfig& config, int home, uint64_t region_off)
+      : config_(config), home_(home), region_off_(region_off) {
+    for (const TierSpec& spec : config_.tiers) {
+      models_.push_back(
+          std::make_unique<MemoryModel>(ProfileFor(spec.kind), clock_));
+    }
+  }
+
+  // TieredPool::InitRegion(fresh) on a never-formatted region: the
+  // header probe, then the formatted header made durable.
+  void InitRegion() {
+    Home().TouchRead(region_off_, TieredPool::kHeaderBytes);
+    Home().TouchWriteExtent(region_off_, TieredPool::kHeaderBytes, 0);
+    Flush(region_off_, TieredPool::kHeaderBytes);
+    Drain();
+  }
+
+  void Reset() {
+    prev_ = std::move(units_);
+    units_.clear();
+  }
+
+  void Register(uint64_t begin, uint64_t len, TierClass cls) {
+    for (uint64_t pos = begin; pos < begin + len; pos += config_.unit_bytes) {
+      Unit u{pos, std::min<uint64_t>(config_.unit_bytes, begin + len - pos),
+             cls, kHomeTier, 0};
+      for (const Unit& p : prev_) {
+        if (p.begin == u.begin && p.len == u.len && p.cls == cls) {
+          u.heat = p.heat;
+          u.tier = p.tier;
+        }
+      }
+      units_.push_back(u);
+    }
+    std::sort(units_.begin(), units_.end(),
+              [](const Unit& a, const Unit& b) { return a.begin < b.begin; });
+  }
+
+  void Place() {
+    std::vector<uint64_t> resident(models_.size(), 0);
+    for (const Unit& u : units_) {
+      if (u.tier != kHomeTier) resident[u.tier] += u.len;
+    }
+    for (Unit& u : units_) {
+      if (u.tier != kHomeTier) continue;
+      const uint8_t pref = config_.policy[static_cast<int>(u.cls)].preferred_tier;
+      size_t t = pref == kHomeTier || pref >= models_.size() ? home_ : pref;
+      t = Spill(t, u.len, resident);
+      u.tier = static_cast<uint8_t>(t);
+      resident[t] += u.len;
+    }
+  }
+
+  void Read(uint64_t off, uint64_t len) {
+    Route(off, len, true, [&](int t, uint64_t o, uint64_t l) {
+      Model(t).TouchRead(o, l);
+    });
+  }
+  void Write(uint64_t off, uint64_t len) {
+    Route(off, len, true, [&](int t, uint64_t o, uint64_t l) {
+      Model(t).TouchWrite(o, l);
+    });
+  }
+  void ReadExtent(uint64_t off, uint64_t len, uint64_t quantum) {
+    Route(off, len, true, [&](int t, uint64_t o, uint64_t l) {
+      Model(t).TouchReadExtent(o, l, quantum);
+    });
+  }
+  void WriteExtent(uint64_t off, uint64_t len, uint64_t quantum) {
+    Route(off, len, true, [&](int t, uint64_t o, uint64_t l) {
+      Model(t).TouchWriteExtent(o, l, quantum);
+    });
+  }
+  void Flush(uint64_t off, uint64_t len) {
+    Route(off, len, false, [&](int t, uint64_t, uint64_t l) {
+      Model(Volatile(t) ? home_ : t).ChargeFlush(l);
+    });
+  }
+  void Drain() { Home().ChargeDrain(); }
+
+  // TieredPool::MigrateRange: forces the unit holding `off` to `target`.
+  void MigrateRange(uint64_t off, uint8_t target) {
+    for (size_t i = 0; i < units_.size(); ++i) {
+      if (units_[i].begin <= off && off < units_[i].begin + units_[i].len) {
+        Migrate(i, target);
+      }
+    }
+  }
+
+  void Tick() {
+    if (units_.empty()) return;
+    // Ideal packing: pinned and cold units hold their tier's budget, hot
+    // migratable units fill the fastest tiers hottest first.
+    std::vector<uint64_t> resident(models_.size(), 0);
+    std::vector<size_t> hot;
+    for (size_t i = 0; i < units_.size(); ++i) {
+      if (Migratable(i) && units_[i].heat > 0) {
+        hot.push_back(i);
+      } else {
+        resident[Tier(i)] += units_[i].len;
+      }
+    }
+    std::sort(hot.begin(), hot.end(), [&](size_t a, size_t b) {
+      return Hotter(a, b);
+    });
+    std::vector<size_t> ideal(units_.size());
+    for (size_t i = 0; i < units_.size(); ++i) ideal[i] = Tier(i);
+    for (size_t i : hot) {
+      ideal[i] = Spill(0, units_[i].len, resident);
+      resident[ideal[i]] += units_[i].len;
+    }
+    std::vector<size_t> up, down;
+    for (size_t i = 0; i < units_.size(); ++i) {
+      if (ideal[i] < Tier(i)) up.push_back(i);
+      if (ideal[i] > Tier(i)) down.push_back(i);
+    }
+    std::sort(up.begin(), up.end(),
+              [&](size_t a, size_t b) { return Hotter(a, b); });
+    std::sort(down.begin(), down.end(),
+              [&](size_t a, size_t b) { return Hotter(b, a); });
+    std::vector<size_t> moves;
+    for (const auto* list : {&down, &up}) {
+      for (size_t i : *list) {
+        if (moves.size() < config_.max_moves_per_tick) moves.push_back(i);
+      }
+    }
+    for (Unit& u : units_) u.heat >>= 1;
+    for (size_t i : moves) Migrate(i, static_cast<uint8_t>(ideal[i]));
+  }
+
+  int TierOf(uint64_t off) const {
+    for (size_t i = 0; i < units_.size(); ++i) {
+      if (units_[i].begin <= off && off < units_[i].begin + units_[i].len) {
+        return static_cast<int>(Tier(i));
+      }
+    }
+    return -1;
+  }
+
+  struct Unit {
+    uint64_t begin;
+    uint64_t len;
+    TierClass cls;
+    uint8_t tier;
+    uint64_t heat;
+  };
+  const std::vector<Unit>& units() const { return units_; }
+  const AccessStats& stats(int tier) const { return Model(tier).stats(); }
+  uint64_t now() const { return clock_->NowNanos(); }
+
+ private:
+  MemoryModel& Model(int tier) const { return *models_[static_cast<size_t>(tier)]; }
+  MemoryModel& Home() const { return Model(home_); }
+  bool Volatile(int tier) const {
+    return !Model(tier).profile().persistent;
+  }
+  size_t Tier(size_t i) const {
+    return units_[i].tier == kHomeTier ? static_cast<size_t>(home_)
+                                       : units_[i].tier;
+  }
+  bool Migratable(size_t i) const {
+    return config_.policy[static_cast<int>(units_[i].cls)].migratable;
+  }
+  bool Hotter(size_t a, size_t b) const {
+    if (units_[a].heat != units_[b].heat) return units_[a].heat > units_[b].heat;
+    return units_[a].begin < units_[b].begin;
+  }
+  // First tier at or below `t` whose budget fits `len` more bytes; the
+  // bottom tier takes the rest.
+  size_t Spill(size_t t, uint64_t len,
+               const std::vector<uint64_t>& resident) const {
+    while (t + 1 < models_.size() && config_.tiers[t].budget_bytes != 0 &&
+           resident[t] + len > config_.tiers[t].budget_bytes) {
+      ++t;
+    }
+    return t;
+  }
+
+  // Splits [off, off + len) into the pieces held by one unit or by no
+  // unit (home) and calls fn(tier, piece_off, piece_len) in address order.
+  template <typename Fn>
+  void Route(uint64_t off, uint64_t len, bool heat, Fn fn) {
+    uint64_t pos = off;
+    const uint64_t end = off + len;
+    while (pos < end) {
+      size_t next = units_.size();  // first unit ending past pos
+      for (size_t i = 0; i < units_.size(); ++i) {
+        if (units_[i].begin + units_[i].len > pos) {
+          next = i;
+          break;
+        }
+      }
+      if (next == units_.size() || units_[next].begin >= end) {
+        fn(home_, pos, end - pos);
+        return;
+      }
+      Unit& u = units_[next];
+      if (pos < u.begin) {
+        fn(home_, pos, u.begin - pos);
+        pos = u.begin;
+      }
+      const uint64_t piece_end = std::min(end, u.begin + u.len);
+      if (heat) u.heat += piece_end - pos;
+      fn(static_cast<int>(Tier(next)), pos, piece_end - pos);
+      pos = piece_end;
+    }
+  }
+
+  // TieredPool::MigrateUnit with the ordered commit protocol (no log):
+  // the copy, then the entry and the header rewrite through the device.
+  void Migrate(size_t i, uint8_t target) {
+    const int source = static_cast<int>(Tier(i));
+    if (source == target) return;
+    Unit& u = units_[i];
+    Model(source).TouchReadExtent(u.begin, u.len, 0);
+    Model(target).TouchWriteExtent(u.begin, u.len, 0);
+    if (!Volatile(target)) {
+      Model(target).ChargeFlush(u.len);
+      Model(target).ChargeDrain();
+    }
+    const uint64_t slot = region_off_ + TieredPool::kHeaderSlot +
+                          committed_ * TieredPool::kEntryBytes;
+    WriteExtent(slot, TieredPool::kEntryBytes, 0);
+    Flush(slot, TieredPool::kEntryBytes);
+    Drain();
+    WriteExtent(region_off_, TieredPool::kHeaderBytes, 0);
+    Flush(region_off_, TieredPool::kHeaderBytes);
+    Drain();
+    ++committed_;
+    u.tier = target;
+  }
+
+  TierConfig config_;
+  int home_;
+  uint64_t region_off_;
+  SimClockPtr clock_ = MakeSimClock();
+  std::vector<std::unique_ptr<MemoryModel>> models_;
+  std::vector<Unit> units_;
+  std::vector<Unit> prev_;
+  uint64_t committed_ = 0;
+};
+
+void ExpectSameStats(const AccessStats& got, const AccessStats& want,
+                     const std::string& where) {
+  EXPECT_EQ(got.read_hits, want.read_hits) << where;
+  EXPECT_EQ(got.read_misses, want.read_misses) << where;
+  EXPECT_EQ(got.write_hits, want.write_hits) << where;
+  EXPECT_EQ(got.write_misses, want.write_misses) << where;
+  EXPECT_EQ(got.seeks, want.seeks) << where;
+  EXPECT_EQ(got.bytes_read, want.bytes_read) << where;
+  EXPECT_EQ(got.bytes_written, want.bytes_written) << where;
+  EXPECT_EQ(got.flushed_lines, want.flushed_lines) << where;
+  EXPECT_EQ(got.drains, want.drains) << where;
+}
+
+struct Extent {
+  uint64_t begin;
+  uint64_t len;
+  TierClass cls;
+};
+
+// Random 8-byte-aligned extents below and above the placement region:
+// unaligned begins, gaps of up to two units, adjacent extents, and
+// extents shorter than a unit.
+std::vector<Extent> RandomExtents(Rng& rng, uint64_t unit) {
+  std::vector<Extent> out;
+  const uint64_t spans[2][2] = {{8, kRegionOff},
+                                {kRegionOff + kRegionLen, 3ull << 20}};
+  for (const auto& span : spans) {
+    uint64_t pos = span[0] + 8 * rng.Uniform(64);
+    while (true) {
+      uint64_t len = 8 + 8 * rng.Uniform(64);  // shorter than a unit
+      if (rng.Bernoulli(0.6)) len = 8 + 8 * rng.Uniform(4 * unit / 8);
+      if (pos + len > span[1] || out.size() >= 48) break;
+      out.push_back({pos, len, static_cast<TierClass>(rng.Uniform(kNumTierClasses))});
+      pos += len;
+      if (rng.Bernoulli(0.6)) pos += 8 * rng.Uniform(2 * unit / 8);  // gap
+    }
+  }
+  return out;
+}
+
+// A charge range: anywhere, or straddling a unit boundary or gap edge.
+std::pair<uint64_t, uint64_t> RandomRange(Rng& rng,
+                                          const ReferenceRouter& ref,
+                                          uint64_t unit) {
+  uint64_t off = 0;
+  const auto& units = ref.units();
+  if (!units.empty() && rng.Bernoulli(0.7)) {
+    const auto& u = units[rng.Uniform(units.size())];
+    const uint64_t edge = rng.Bernoulli(0.5) ? u.begin : u.begin + u.len;
+    off = edge - std::min<uint64_t>(edge, rng.Uniform(300));
+  } else {
+    off = rng.Uniform(3ull << 20);
+  }
+  const uint64_t len = rng.Bernoulli(0.8) ? 1 + rng.Uniform(600)
+                                          : 1 + rng.Uniform(3 * unit);
+  return {off, len};
+}
+
+class TieredRoutingDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TieredRoutingDifferentialTest, MatchesBruteForceReference) {
+  Rng rng(GetParam());
+  const uint64_t unit = rng.Bernoulli(0.5) ? 4096 : 16384;
+  auto device = MakeDevice();
+  // DRAM over the Optane home over an SSD capacity tier, with budgets so
+  // placement spills and ticks both promote and demote.
+  TierConfig cfg = SmallUnitConfig({{MediumKind::kDram, 6 * unit},
+                                    {MediumKind::kOptane, 24 * unit},
+                                    {MediumKind::kSsd, 0}});
+  cfg.unit_bytes = unit;
+  cfg.max_moves_per_tick = 4;
+  auto made = MakePool(device.get(), cfg);
+  ASSERT_TRUE(made.ok()) << made.status();
+  TieredPool& pool = **made;
+  device->set_tier_router(&pool);
+  ReferenceRouter ref(pool.config(), pool.home_tier(), kRegionOff);
+  ASSERT_TRUE(pool.InitRegion(/*fresh=*/true).ok());
+  ref.InitRegion();
+
+  auto register_all = [&] {
+    pool.ResetExtents();
+    ref.Reset();
+    for (const Extent& e : RandomExtents(rng, unit)) {
+      pool.RegisterExtent(e.begin, e.len, e.cls);
+      ref.Register(e.begin, e.len, e.cls);
+    }
+    ASSERT_TRUE(pool.ApplyInitialPlacement().ok());
+    ref.Place();
+  };
+  register_all();
+
+  const int tiers = static_cast<int>(pool.config().tiers.size());
+  for (int op = 0; op < 4000; ++op) {
+    const auto [off, len] = RandomRange(rng, ref, unit);
+    const uint64_t quantum = std::vector<uint64_t>{0, 1, 4, 8, 64}[rng.Uniform(5)];
+    const std::string where = "op " + std::to_string(op);
+    switch (rng.Uniform(12)) {
+      case 0:
+      case 1:
+        pool.TouchRead(off, len);
+        ref.Read(off, len);
+        break;
+      case 2:
+        pool.TouchWrite(off, len);
+        ref.Write(off, len);
+        break;
+      case 3:
+      case 4:
+        pool.TouchReadExtent(off, len, quantum);
+        ref.ReadExtent(off, len, quantum);
+        break;
+      case 5:
+        pool.TouchWriteExtent(off, len, quantum);
+        ref.WriteExtent(off, len, quantum);
+        break;
+      case 6:
+        device->FlushRange(off, len);
+        ref.Flush(off, len);
+        break;
+      case 7:
+        device->Drain();
+        ref.Drain();
+        break;
+      case 8: {
+        const auto target = static_cast<uint8_t>(rng.Uniform(tiers));
+        const Status st = pool.MigrateRange(off, target, nullptr);
+        EXPECT_EQ(st.ok(), ref.TierOf(off) >= 0) << where << ": " << st;
+        ref.MigrateRange(off, target);
+        break;
+      }
+      case 9:
+      case 10:
+        ASSERT_TRUE(pool.MigrationTick(nullptr).ok()) << where;
+        ref.Tick();
+        break;
+      case 11:
+        if (rng.Bernoulli(0.1)) register_all();
+        break;
+    }
+    if (op % 16 != 15) continue;
+    for (int t = 0; t < tiers; ++t) {
+      ExpectSameStats(pool.tier_stats(t), ref.stats(t),
+                      where + " tier " + std::to_string(t));
+    }
+    ASSERT_EQ(device->clock().NowNanos(), ref.now()) << where;
+    ASSERT_EQ(pool.unit_count(), ref.units().size()) << where;
+    for (const auto& u : ref.units()) {
+      ASSERT_EQ(pool.heat_of(u.begin), u.heat) << where << " unit " << u.begin;
+      ASSERT_EQ(pool.heat_of(u.begin + u.len - 1), u.heat)
+          << where << " unit " << u.begin;
+    }
+    for (int probe = 0; probe < 64; ++probe) {
+      const uint64_t at = RandomRange(rng, ref, unit).first;
+      ASSERT_EQ(pool.TierOf(at), ref.TierOf(at)) << where << " offset " << at;
+    }
+    if (HasFailure()) break;
+  }
+  // The walk must have moved units and charged every tier.
+  const TierCounters tc = pool.counters();
+  EXPECT_GT(tc.promotions, 0u);
+  EXPECT_GT(tc.demotions, 0u);
+  for (int t = 0; t < tiers; ++t) {
+    EXPECT_GT(pool.tier_stats(t).TotalAccesses(), 0u) << "tier " << t;
+  }
+  device->set_tier_router(nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TieredRoutingDifferentialTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
 
 }  // namespace
 }  // namespace ntadoc::nvm
