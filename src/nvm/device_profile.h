@@ -34,6 +34,7 @@ struct DeviceProfile {
 
   /// Media access granularity in bytes: every access touches whole blocks
   /// (64 for DRAM cache lines, 256 for 3D-XPoint, 4096 for SSD/HDD pages).
+  /// Must be a power of two (MemoryModel checks).
   uint64_t block_size = 256;
 
   /// Latency to read one block that misses the device buffer.

@@ -1,5 +1,7 @@
 #include "nvm/memory_model.h"
 
+#include <bit>
+
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -8,7 +10,11 @@ namespace ntadoc::nvm {
 MemoryModel::MemoryModel(DeviceProfile profile, SimClockPtr clock)
     : profile_(std::move(profile)), clock_(std::move(clock)) {
   NTADOC_CHECK(clock_ != nullptr);
-  NTADOC_CHECK_GE(profile_.block_size, 1u);
+  // Block numbers are computed with a shift (every built-in profile has
+  // power-of-two blocks).
+  NTADOC_CHECK(std::has_single_bit(profile_.block_size))
+      << "block_size " << profile_.block_size << " is not a power of two";
+  block_shift_ = static_cast<uint32_t>(std::countr_zero(profile_.block_size));
   sets_ = profile_.buffer_blocks / kWays;
   if (sets_ == 0) sets_ = 1;
   // Power-of-two sets so block->set mapping is a cheap mask.
@@ -48,9 +54,8 @@ bool MemoryModel::TouchBlock(uint64_t block) {
 
 void MemoryModel::Access(uint64_t addr, uint64_t len, bool is_write) {
   if (len == 0) return;
-  const uint64_t bs = profile_.block_size;
-  const uint64_t first = addr / bs;
-  const uint64_t last = (addr + len - 1) / bs;
+  const uint64_t first = addr >> block_shift_;
+  const uint64_t last = (addr + len - 1) >> block_shift_;
   uint64_t charge = 0;
   for (uint64_t b = first; b <= last; ++b) {
     const bool hit = TouchBlock(b);
@@ -95,8 +100,8 @@ void MemoryModel::AccessExtent(uint64_t addr, uint64_t len, uint64_t quantum,
     return;
   }
   const uint64_t bs = profile_.block_size;
-  const uint64_t first = addr / bs;
-  const uint64_t last = (addr + len - 1) / bs;
+  const uint64_t first = addr >> block_shift_;
+  const uint64_t last = (addr + len - 1) >> block_shift_;
   const uint64_t n_words = (len + quantum - 1) / quantum;
   const uint64_t hit_ns = profile_.buffer_hit_ns;
   const uint64_t miss_ns =
@@ -113,7 +118,7 @@ void MemoryModel::AccessExtent(uint64_t addr, uint64_t len, uint64_t quantum,
     // last block). So only the first touch can miss; the remaining k-1
     // are guaranteed hits on the MRU entry and need no probe — only the
     // identical LRU-clock advance.
-    const uint64_t block_begin = b * bs;
+    const uint64_t block_begin = b << block_shift_;
     const uint64_t i_low =
         block_begin <= addr ? 0 : (block_begin - addr) / quantum;
     uint64_t i_high = (block_begin + bs - addr - 1) / quantum;

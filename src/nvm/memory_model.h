@@ -45,7 +45,8 @@ struct AccessStats {
 /// device-internal buffer as a 4-way set-associative LRU cache.
 class MemoryModel {
  public:
-  /// `clock` must outlive the model.
+  /// `clock` must outlive the model. `profile.block_size` must be a
+  /// power of two.
   MemoryModel(DeviceProfile profile, SimClockPtr clock);
 
   MemoryModel(const MemoryModel&) = delete;
@@ -113,6 +114,7 @@ class MemoryModel {
   AccessStats stats_;
   std::vector<BufferEntry> buffer_;  // sets_ * kWays entries
   uint64_t sets_ = 0;
+  uint32_t block_shift_ = 0;  // log2(profile_.block_size)
   uint64_t tick_ = 0;
   uint64_t last_block_ = ~0ULL;  // for HDD seek detection
   // Buffer entry of last_block_ (never dangles: buffer_ is fixed after

@@ -202,6 +202,19 @@ void ExpectDevicesEqual(NvmDevice& a, NvmDevice& b) {
   EXPECT_EQ(a.clock().NowNanos(), b.clock().NowNanos());
 }
 
+// MemoryModel computes block numbers with a shift, so every built-in
+// profile must have a power-of-two block size.
+TEST(DeviceProfileTest, EveryProfileHasPowerOfTwoBlocks) {
+  const DeviceProfile profiles[] = {DramProfile(), OptaneProfile(),
+                                    SsdProfile(),  HddProfile(),
+                                    ReRamProfile(), PcmProfile()};
+  for (const DeviceProfile& p : profiles) {
+    EXPECT_GT(p.block_size, 0u) << p.name;
+    EXPECT_EQ(p.block_size & (p.block_size - 1), 0u)
+        << p.name << " block_size " << p.block_size;
+  }
+}
+
 TEST(DeviceSpanTest, TryReadSpanChargesLikePerWordLoop) {
   DeviceOptions opts;
   opts.capacity = 1ull << 20;
