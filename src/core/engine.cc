@@ -30,7 +30,6 @@ using tadoc::CanonicalSort;
 using tadoc::CanonicalTopK;
 using tadoc::MergeSortedCounts;
 using tadoc::NgramKeyHash;
-using tadoc::RankPostings;
 using tadoc::SortAndCombine;
 
 namespace {
@@ -1307,9 +1306,7 @@ Status NTadocEngine::MaybeMigrate(State* st) {
   NTADOC_RETURN_IF_ERROR(tiered->MaybeMigrate(st->tx_log()));
   if (tiered->TakePayloadDemotion()) {
     // Demoted payload units invalidate the decoded-rule cache: its
-    // admission decisions were priced against the faster tier. mu_ is
-    // not held here (lock order: repair/cache locks never nest inside
-    // the migration mutex).
+    // admission decisions were priced against the faster tier.
     InvalidateRuleCache();
   }
   return Status::OK();
@@ -2570,14 +2567,7 @@ class PerFileResults {
     if constexpr (std::is_same_v<typename Vec::value_type::first_type,
                                  NgramKey>) {
       for (const auto& [k, c] : counts) {
-        if (c == 0) continue;
-        auto [it, inserted] = gram_slot_.try_emplace(
-            k, static_cast<uint32_t>(gram_keys_.size()));
-        if (inserted) {
-          gram_keys_.push_back(k);
-          gram_postings_.emplace_back();
-        }
-        gram_postings_[it->second].emplace_back(f, c);
+        if (c != 0) gram_postings_.push_back({k, f, c});
       }
     } else if (out_.task == Task::kTermVector) {
       out_.term_vectors[f] = CanonicalTopK(counts, top_k_);
@@ -2594,26 +2584,39 @@ class PerFileResults {
         out_.inverted_index.emplace_back(w, std::move(postings_[w]));
       }
     }
-    std::vector<uint32_t> order(gram_keys_.size());
-    for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      return gram_keys_[a] < gram_keys_[b];
-    });
-    for (uint32_t idx : order) {
-      RankPostings(&gram_postings_[idx]);
-      out_.ranked_index.emplace_back(gram_keys_[idx],
-                                     std::move(gram_postings_[idx]));
+    // One sort puts every n-gram's postings together in RankPostings
+    // order: count descending, ties by file ascending.
+    std::sort(gram_postings_.begin(), gram_postings_.end(),
+              [](const GramPosting& a, const GramPosting& b) {
+                if (a.key != b.key) return a.key < b.key;
+                if (a.count != b.count) return a.count > b.count;
+                return a.file < b.file;
+              });
+    for (size_t i = 0; i < gram_postings_.size();) {
+      const NgramKey& key = gram_postings_[i].key;
+      size_t j = i;
+      while (j < gram_postings_.size() && gram_postings_[j].key == key) ++j;
+      std::vector<std::pair<uint32_t, uint64_t>> ranked;
+      ranked.reserve(j - i);
+      for (; i < j; ++i) {
+        ranked.emplace_back(gram_postings_[i].file, gram_postings_[i].count);
+      }
+      out_.ranked_index.emplace_back(key, std::move(ranked));
     }
     return std::move(out_);
   }
 
  private:
+  struct GramPosting {
+    NgramKey key;
+    uint32_t file;
+    uint64_t count;
+  };
+
   uint32_t top_k_;
   AnalyticsOutput out_;
   std::vector<std::vector<uint32_t>> postings_;
-  std::unordered_map<NgramKey, uint32_t, NgramKeyHash> gram_slot_;
-  std::vector<NgramKey> gram_keys_;
-  std::vector<std::vector<std::pair<uint32_t, uint64_t>>> gram_postings_;
+  std::vector<GramPosting> gram_postings_;
 };
 
 }  // namespace
