@@ -484,9 +484,10 @@ TEST(ServingSoakTest, MigrationsUnderFireKeepSiblingsBitIdentical) {
   const auto corpus = RandomCorpus(ChaosSeed() + 4, 20, 4, 220);
   auto so = BaseSealOptions();
   // DRAM tier over the home medium, ticking every 16 traversal steps so
-  // every session migrates while its siblings run: the strongest data
-  // race bait the tiering layer offers (each session owns its TieredPool
-  // and the serving thread reads its counters concurrently).
+  // every session migrates while its siblings run. Each session owns its
+  // TieredPool and touches it only from its own worker; the serving
+  // layer sums tier counters from each session's NTadocRunInfo after
+  // Run returns.
   auto tiering = std::make_shared<nvm::TierConfig>();
   tiering->tiers = {{nvm::MediumKind::kDram, 1ull << 20}};
   tiering->unit_bytes = 4096;

@@ -4,8 +4,8 @@
 # serving_session_test, the soak-labelled serving_soak_test (work
 # stealing, shared decoded-rule cache, pool repair lock, the
 # refresh-under-fire generation cutover racing live worker lanes, and
-# tiering-under-fire: per-session online migrations plus cross-thread
-# TierCounters reads racing k-of-N faulted sessions), and
+# tiering-under-fire: per-session online migrations, each tiered pool
+# touched only by its own worker, racing k-of-N faulted sessions), and
 # parallel_compress_test (chunk-parallel ingest workers racing into
 # pre-sized result slots before the join barrier) — are in scope by
 # default).
