@@ -390,12 +390,23 @@ void TieredPool::TouchWriteExtent(uint64_t offset, uint64_t len,
 
 void TieredPool::ChargeFlush(uint64_t offset, uint64_t len) {
   // Persistence lives at home for volatile residents: flushing a line
-  // whose unit sits in DRAM pays the home (durable) flush cost.
+  // whose unit sits in DRAM pays the home (durable) flush cost. Unit
+  // boundaries are only 8-byte aligned, so the range is cut only where
+  // the flush target changes; a target that holds the whole range
+  // charges its lines once, exactly as the untiered device would.
+  int run_target = home_tier_;
+  uint64_t run_len = 0;
   ForEachRange(offset, len, /*heat=*/false,
-               [this](int tier, uint64_t, uint64_t sub_len) {
+               [&](int tier, uint64_t, uint64_t sub_len) {
                  const int target = TierIsVolatile(tier) ? home_tier_ : tier;
-                 ModelOf(target).ChargeFlush(sub_len);
+                 if (target != run_target && run_len != 0) {
+                   ModelOf(run_target).ChargeFlush(run_len);
+                   run_len = 0;
+                 }
+                 run_target = target;
+                 run_len += sub_len;
                });
+  ModelOf(run_target).ChargeFlush(run_len);
 }
 
 void TieredPool::ChargeDrain() {

@@ -16,7 +16,12 @@
 //
 // The tier whose medium matches the device profile is the HOME tier; it
 // charges the device's own MemoryModel, so a config whose only tier is
-// the home medium is bit-identical to running untiered. Tiers above
+// the home medium flushes exactly like the untiered device (a range's
+// lines are charged once, however many units it crosses). It still
+// differs from untiered in two ways: InitRegion formats the placement
+// region (one header read, write, flush and drain), and an access that
+// crosses a unit boundary inside a device block touches that block once
+// per piece (an extra buffer hit). Tiers above
 // home (e.g. DRAM over an Optane device) are INCLUSIVE: the durable
 // home copy remains authoritative and a crash silently folds volatile
 // residents back to home. Tiers below home (e.g. SSD capacity under an

@@ -387,6 +387,52 @@ TEST(TieredPoolTest, HeatCarriesAcrossReRegistration) {
   EXPECT_EQ(pool.heat_of(0), kUnit);
 }
 
+// A flush across a unit boundary charges its lines once: a home-only
+// router charges exactly what the device's own model charges, on random
+// 8-byte-aligned ranges that straddle unit boundaries and gaps.
+TEST(TieredPoolTest, HomeOnlyFlushChargesLikeUntieredDevice) {
+  auto tiered = MakeDevice();
+  auto plain = MakeDevice();
+  auto made = MakePool(tiered.get(), SmallUnitConfig({{MediumKind::kOptane, 0}}));
+  ASSERT_TRUE(made.ok()) << made.status();
+  TieredPool& pool = **made;
+  tiered->set_tier_router(&pool);
+  ASSERT_TRUE(pool.InitRegion(/*fresh=*/true).ok());
+  // The repro: a unit ends at 4104, so [4096, 4224) crosses it.
+  pool.RegisterExtent(8, 2 * kUnit, TierClass::kPayload);
+  ASSERT_TRUE(pool.ApplyInitialPlacement().ok());
+  uint64_t t0 = tiered->clock().NowNanos();
+  tiered->FlushRange(4096, 128);
+  EXPECT_EQ(tiered->clock().NowNanos() - t0, 200u) << "2 lines at 100 ns";
+
+  pool.ResetExtents();
+  Rng rng(7);
+  for (uint64_t pos = 8 * rng.Uniform(512); pos < kRegionOff;) {
+    const uint64_t len = 8 + 8 * rng.Uniform(3 * kUnit / 8);
+    pool.RegisterExtent(pos, std::min(len, kRegionOff - pos),
+                        TierClass::kPayload);
+    pos += len + (rng.Bernoulli(0.5) ? 8 * rng.Uniform(kUnit / 8) : 0);
+  }
+  ASSERT_TRUE(pool.ApplyInitialPlacement().ok());
+  const AccessStats& got = pool.tier_stats(pool.home_tier());
+  for (int i = 0; i < 2000; ++i) {
+    const uint64_t off = 8 * rng.Uniform(kRegionOff / 8);
+    const uint64_t len = 8 * (1 + rng.Uniform(rng.Bernoulli(0.8) ? 64 : 4 * kUnit / 8));
+    const uint64_t lines0 = got.flushed_lines;
+    const uint64_t want0 = plain->model().stats().flushed_lines;
+    t0 = tiered->clock().NowNanos();
+    const uint64_t p0 = plain->clock().NowNanos();
+    tiered->FlushRange(off, len);
+    plain->FlushRange(off, len);
+    ASSERT_EQ(got.flushed_lines - lines0,
+              plain->model().stats().flushed_lines - want0)
+        << "[" << off << ", " << off + len << ")";
+    ASSERT_EQ(tiered->clock().NowNanos() - t0, plain->clock().NowNanos() - p0)
+        << "[" << off << ", " << off + len << ")";
+  }
+  tiered->set_tier_router(nullptr);
+}
+
 // ---- Differential check of the routing ------------------------------------
 
 // Brute-force model of a TieredPool attached to its device: every lookup
@@ -470,10 +516,16 @@ class ReferenceRouter {
       Model(t).TouchWriteExtent(o, l, quantum);
     });
   }
+  // Lines are charged per run of pieces with one flush target (volatile
+  // residents flush at home).
   void Flush(uint64_t off, uint64_t len) {
+    std::vector<std::pair<int, uint64_t>> runs;
     Route(off, len, false, [&](int t, uint64_t, uint64_t l) {
-      Model(Volatile(t) ? home_ : t).ChargeFlush(l);
+      const int target = Volatile(t) ? home_ : t;
+      if (runs.empty() || runs.back().first != target) runs.push_back({target, 0});
+      runs.back().second += l;
     });
+    for (const auto& [target, bytes] : runs) Model(target).ChargeFlush(bytes);
   }
   void Drain() { Home().ChargeDrain(); }
 
