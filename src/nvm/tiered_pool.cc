@@ -148,9 +148,9 @@ Result<std::unique_ptr<TieredPool>> TieredPool::Make(NvmDevice* device,
     tier.profile = ProfileFor(pool->config_.tiers[i].kind);
     tier.budget = pool->config_.tiers[i].budget_bytes;
     if (static_cast<int>(i) == home) {
-      // Home charges the device's own model: a single-home-tier config
-      // is bit-identical to running untiered, and pre-attach charges
-      // (markers, log formatting) share the same buffer state.
+      // Home charges the device's own model, so home residents and
+      // pre-attach charges (markers, log formatting) share one buffer
+      // state, as they do untiered.
       tier.model = &device->model();
     } else {
       tier.owned_model =

@@ -21,11 +21,12 @@
 // differs from untiered in two ways: InitRegion formats the placement
 // region (one header read, write, flush and drain), and an access that
 // crosses a unit boundary inside a device block touches that block once
-// per piece (an extra buffer hit). Tiers above
-// home (e.g. DRAM over an Optane device) are INCLUSIVE: the durable
-// home copy remains authoritative and a crash silently folds volatile
-// residents back to home. Tiers below home (e.g. SSD capacity under an
-// Optane budget) are placement-exclusive in accounting.
+// per piece (an extra buffer hit).
+//
+// Tiers above home (e.g. DRAM over an Optane device) are INCLUSIVE: the
+// durable home copy remains authoritative and a crash silently folds
+// volatile residents back to home. Tiers below home (e.g. SSD capacity
+// under an Optane budget) are placement-exclusive in accounting.
 //
 // Placement is durable: the engine reserves a small region between the
 // pool and the meta mirror, and every migration commits a 32-byte
