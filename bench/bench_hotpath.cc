@@ -426,7 +426,8 @@ int main(int argc, char** argv) {
               rows.push_back(r);
               continue;
             }
-            rows[v].init_wall_ns = std::min(rows[v].init_wall_ns, r.init_wall_ns);
+            rows[v].init_wall_ns =
+                std::min(rows[v].init_wall_ns, r.init_wall_ns);
             rows[v].traversal_wall_ns =
                 std::min(rows[v].traversal_wall_ns, r.traversal_wall_ns);
           }

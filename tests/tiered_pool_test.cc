@@ -393,7 +393,8 @@ TEST(TieredPoolTest, HeatCarriesAcrossReRegistration) {
 TEST(TieredPoolTest, HomeOnlyFlushChargesLikeUntieredDevice) {
   auto tiered = MakeDevice();
   auto plain = MakeDevice();
-  auto made = MakePool(tiered.get(), SmallUnitConfig({{MediumKind::kOptane, 0}}));
+  auto made =
+      MakePool(tiered.get(), SmallUnitConfig({{MediumKind::kOptane, 0}}));
   ASSERT_TRUE(made.ok()) << made.status();
   TieredPool& pool = **made;
   tiered->set_tier_router(&pool);
@@ -417,7 +418,8 @@ TEST(TieredPoolTest, HomeOnlyFlushChargesLikeUntieredDevice) {
   const AccessStats& got = pool.tier_stats(pool.home_tier());
   for (int i = 0; i < 2000; ++i) {
     const uint64_t off = 8 * rng.Uniform(kRegionOff / 8);
-    const uint64_t len = 8 * (1 + rng.Uniform(rng.Bernoulli(0.8) ? 64 : 4 * kUnit / 8));
+    const uint64_t words = rng.Bernoulli(0.8) ? 64 : 4 * kUnit / 8;
+    const uint64_t len = 8 * (1 + rng.Uniform(words));
     const uint64_t lines0 = got.flushed_lines;
     const uint64_t want0 = plain->model().stats().flushed_lines;
     t0 = tiered->clock().NowNanos();
@@ -488,7 +490,8 @@ class ReferenceRouter {
     }
     for (Unit& u : units_) {
       if (u.tier != kHomeTier) continue;
-      const uint8_t pref = config_.policy[static_cast<int>(u.cls)].preferred_tier;
+      const uint8_t pref =
+          config_.policy[static_cast<int>(u.cls)].preferred_tier;
       size_t t = pref == kHomeTier || pref >= models_.size() ? home_ : pref;
       t = Spill(t, u.len, resident);
       u.tier = static_cast<uint8_t>(t);
@@ -522,7 +525,9 @@ class ReferenceRouter {
     std::vector<std::pair<int, uint64_t>> runs;
     Route(off, len, false, [&](int t, uint64_t, uint64_t l) {
       const int target = Volatile(t) ? home_ : t;
-      if (runs.empty() || runs.back().first != target) runs.push_back({target, 0});
+      if (runs.empty() || runs.back().first != target) {
+        runs.push_back({target, 0});
+      }
       runs.back().second += l;
     });
     for (const auto& [target, bytes] : runs) Model(target).ChargeFlush(bytes);
@@ -600,7 +605,9 @@ class ReferenceRouter {
   uint64_t now() const { return clock_->NowNanos(); }
 
  private:
-  MemoryModel& Model(int tier) const { return *models_[static_cast<size_t>(tier)]; }
+  MemoryModel& Model(int tier) const {
+    return *models_[static_cast<size_t>(tier)];
+  }
   MemoryModel& Home() const { return Model(home_); }
   bool Volatile(int tier) const {
     return !Model(tier).profile().persistent;
@@ -613,7 +620,9 @@ class ReferenceRouter {
     return config_.policy[static_cast<int>(units_[i].cls)].migratable;
   }
   bool Hotter(size_t a, size_t b) const {
-    if (units_[a].heat != units_[b].heat) return units_[a].heat > units_[b].heat;
+    if (units_[a].heat != units_[b].heat) {
+      return units_[a].heat > units_[b].heat;
+    }
     return units_[a].begin < units_[b].begin;
   }
   // First tier at or below `t` whose budget fits `len` more bytes; the
@@ -723,7 +732,8 @@ std::vector<Extent> RandomExtents(Rng& rng, uint64_t unit) {
       uint64_t len = 8 + 8 * rng.Uniform(64);  // shorter than a unit
       if (rng.Bernoulli(0.6)) len = 8 + 8 * rng.Uniform(4 * unit / 8);
       if (pos + len > span[1] || out.size() >= 48) break;
-      out.push_back({pos, len, static_cast<TierClass>(rng.Uniform(kNumTierClasses))});
+      const auto cls = static_cast<TierClass>(rng.Uniform(kNumTierClasses));
+      out.push_back({pos, len, cls});
       pos += len;
       if (rng.Bernoulli(0.6)) pos += 8 * rng.Uniform(2 * unit / 8);  // gap
     }
@@ -749,7 +759,8 @@ std::pair<uint64_t, uint64_t> RandomRange(Rng& rng,
   return {off, len};
 }
 
-class TieredRoutingDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+class TieredRoutingDifferentialTest
+    : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(TieredRoutingDifferentialTest, MatchesBruteForceReference) {
   Rng rng(GetParam());
@@ -785,7 +796,8 @@ TEST_P(TieredRoutingDifferentialTest, MatchesBruteForceReference) {
   const int tiers = static_cast<int>(pool.config().tiers.size());
   for (int op = 0; op < 4000; ++op) {
     const auto [off, len] = RandomRange(rng, ref, unit);
-    const uint64_t quantum = std::vector<uint64_t>{0, 1, 4, 8, 64}[rng.Uniform(5)];
+    constexpr uint64_t kQuanta[] = {0, 1, 4, 8, 64};
+    const uint64_t quantum = kQuanta[rng.Uniform(5)];
     const std::string where = "op " + std::to_string(op);
     switch (rng.Uniform(12)) {
       case 0:
