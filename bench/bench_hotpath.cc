@@ -20,11 +20,6 @@
 // Lines starting with "SIM " are a stable plain-text record of the
 // simulated times (task, mode, variant, cache MB, init ns, traversal
 // ns) for drift checking without a JSON parser.
-//
-// Compiled with -DNTADOC_HOTPATH_COMPAT the cache runs and rule-cache
-// counters are stubbed out so the same source builds against trees that
-// predate NTadocOptions::dram_cache_bytes (used to benchmark the pre-PR
-// binary with the identical driver).
 
 #include <algorithm>
 #include <chrono>
@@ -77,11 +72,9 @@ HotpathResult RunOne(const DatasetBundle& d, Task task, PersistenceMode mode,
   NTadocOptions engine_opts;
   engine_opts.persistence = mode;
   engine_opts.enable_summation = !nosum;
-#ifndef NTADOC_HOTPATH_COMPAT
   engine_opts.dram_cache_bytes = cache_mb << 20;
   engine_opts.commit_interval = ci;
   engine_opts.tiering = tiering;
-#endif
   HotpathResult r;
   r.task = SanitizeTask(tadoc::TaskToString(task));
   r.mode = core::PersistenceModeToString(mode);
@@ -98,14 +91,11 @@ HotpathResult RunOne(const DatasetBundle& d, Task task, PersistenceMode mode,
   r.traversal_wall_ns = run.metrics.traversal_wall_ns;
   r.init_sim_ns = run.metrics.init_sim_ns;
   r.traversal_sim_ns = run.metrics.traversal_sim_ns;
-#ifndef NTADOC_HOTPATH_COMPAT
   r.rule_cache_hits = info.rule_cache_hits;
   r.rule_cache_misses = info.rule_cache_misses;
-#endif
   return r;
 }
 
-#ifndef NTADOC_HOTPATH_COMPAT
 // All six tasks through RunBatch on one engine/device: the first task
 // pays the full initialization, the rest reuse the sealed DAG prefix and
 // the estimator scratch. One HotpathResult per task, variant "batch"
@@ -154,7 +144,6 @@ std::vector<HotpathResult> RunBatchRows(const DatasetBundle& d,
   }
   return rows;
 }
-#endif
 
 // ---- traversal kernels ----
 //
@@ -364,9 +353,6 @@ int main(int argc, char** argv) {
       repeat = std::max(1, std::atoi(a + 9));
     }
   }
-#ifdef NTADOC_HOTPATH_COMPAT
-  cache_mb = 0;  // pre-PR trees have no decoded-rule cache
-#endif
 
   const auto datasets = LoadDatasets(config);
   std::vector<HotpathResult> results;
@@ -404,14 +390,12 @@ int main(int argc, char** argv) {
           if (cache_mb > 0) variants.push_back({cache_mb, false, 1});
           variants.push_back({0, true, 1});
         }
-#ifndef NTADOC_HOTPATH_COMPAT
         if (mode == PersistenceMode::kOperation) {
           // Epoch group commit: 8 steps per durable epoch, untiered and
           // on DRAM+NVM tiers.
           variants.push_back({0, false, 8});
           variants.push_back({0, false, 8, true});
         }
-#endif
         // Repetitions take turns across the variants, so a burst of host
         // noise hits every variant of the task instead of one (the wall
         // gates compare variants of one run). Simulated times are
@@ -443,7 +427,6 @@ int main(int argc, char** argv) {
       }
     }
 
-#ifndef NTADOC_HOTPATH_COMPAT
     PrintTitle("RunBatch on dataset " + d.spec.name,
                "six tasks sharing one initialization");
     PrintRow({"Task", "Mode", "Variant", "InitWall", "InitSim", "TravWall",
@@ -464,7 +447,6 @@ int main(int argc, char** argv) {
         results.push_back(r);
       }
     }
-#endif
   }
 
   std::vector<KernelResult> kernels;
