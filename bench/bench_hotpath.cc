@@ -52,8 +52,7 @@ struct HotpathResult {
   uint64_t init_sim_ns = 0;
   uint64_t traversal_wall_ns = 0;
   uint64_t traversal_sim_ns = 0;
-  uint64_t rule_cache_hits = 0;
-  uint64_t rule_cache_misses = 0;
+  core::RunCounters counters;  // of the run; zero for RunBatch rows
 };
 
 std::string SanitizeTask(const char* name) {
@@ -91,8 +90,7 @@ HotpathResult RunOne(const DatasetBundle& d, Task task, PersistenceMode mode,
   r.traversal_wall_ns = run.metrics.traversal_wall_ns;
   r.init_sim_ns = run.metrics.init_sim_ns;
   r.traversal_sim_ns = run.metrics.traversal_sim_ns;
-  r.rule_cache_hits = info.rule_cache_hits;
-  r.rule_cache_misses = info.rule_cache_misses;
+  r.counters = info;
   return r;
 }
 
@@ -306,17 +304,18 @@ void EmitJson(const std::string& path, const std::string& dataset,
         "    {\"task\": \"%s\", \"persistence\": \"%s\", "
         "\"variant\": \"%s\", \"dram_cache_mb\": %llu, "
         "\"init_wall_ns\": %llu, \"init_sim_ns\": %llu, "
-        "\"traversal_wall_ns\": %llu, \"traversal_sim_ns\": %llu, "
-        "\"rule_cache_hits\": %llu, \"rule_cache_misses\": %llu}%s\n",
+        "\"traversal_wall_ns\": %llu, \"traversal_sim_ns\": %llu",
         r.task.c_str(), r.mode.c_str(), r.variant.c_str(),
         static_cast<unsigned long long>(r.dram_cache_mb),
         static_cast<unsigned long long>(r.init_wall_ns),
         static_cast<unsigned long long>(r.init_sim_ns),
         static_cast<unsigned long long>(r.traversal_wall_ns),
-        static_cast<unsigned long long>(r.traversal_sim_ns),
-        static_cast<unsigned long long>(r.rule_cache_hits),
-        static_cast<unsigned long long>(r.rule_cache_misses),
-        i + 1 < results.size() ? "," : "");
+        static_cast<unsigned long long>(r.traversal_sim_ns));
+    r.counters.ForEach([f](const char* name, uint64_t value) {
+      std::fprintf(f, ", \"%s\": %llu", name,
+                   static_cast<unsigned long long>(value));
+    });
+    std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"kernels\": [\n");
   for (size_t i = 0; i < kernels.size(); ++i) {
@@ -421,7 +420,7 @@ int main(int argc, char** argv) {
                     std::to_string(r.dram_cache_mb) + "MB",
                     Secs(r.init_wall_ns), Secs(r.init_sim_ns),
                     Secs(r.traversal_wall_ns), Secs(r.traversal_sim_ns),
-                    std::to_string(r.rule_cache_hits)});
+                    std::to_string(r.counters.rule_cache_hits)});
           results.push_back(r);
         }
       }

@@ -50,9 +50,8 @@ struct ServeResult {
   uint64_t p99_sim_ns = 0;
   uint64_t makespan_sim_ns = 0;
   uint64_t wall_ns = 0;
-  uint64_t scoped_repairs = 0;
-  uint64_t salvage_restarts = 0;
   uint64_t degraded = 0;
+  core::RunCounters sessions;  // summed over the fleet's sessions
 };
 
 uint64_t WallNowNs() {
@@ -123,9 +122,8 @@ ServeResult RunFleet(const serve::SealedPool& pool, uint32_t workers,
               ? static_cast<double>(queries) * 1e9 / r.makespan_sim_ns
               : 0;
   const serve::ServingStats st = server.stats();
-  r.scoped_repairs = st.scoped_repairs;
-  r.salvage_restarts = st.salvage_restarts;
   r.degraded = st.degraded;
+  r.sessions = st.sessions;
   return r;
 }
 
@@ -260,8 +258,8 @@ void EmitJson(const std::string& path, const std::string& dataset,
         static_cast<unsigned long long>(r.p99_sim_ns),
         static_cast<unsigned long long>(r.makespan_sim_ns),
         static_cast<unsigned long long>(r.wall_ns),
-        static_cast<unsigned long long>(r.scoped_repairs),
-        static_cast<unsigned long long>(r.salvage_restarts),
+        static_cast<unsigned long long>(r.sessions.scoped_repairs),
+        static_cast<unsigned long long>(r.sessions.salvage_restarts),
         static_cast<unsigned long long>(r.degraded),
         i + 1 < results.size() ? "," : "");
   }
@@ -334,7 +332,8 @@ int main(int argc, char** argv) {
                 std::to_string(r.queries),
                 std::to_string(r.qps).substr(0, 8), Secs(r.p50_sim_ns),
                 Secs(r.p99_sim_ns), Secs(r.makespan_sim_ns),
-                std::to_string(r.scoped_repairs + r.salvage_restarts)});
+                std::to_string(r.sessions.scoped_repairs +
+                               r.sessions.salvage_restarts)});
       results.push_back(r);
     }
   }

@@ -1642,7 +1642,7 @@ Result<bool> NTadocEngine::TryAttach(State* st, uint64_t pool_base) {
     return corrupt("immutable region hash mismatch (torn write or bit rot)");
   }
 
-  ses_->run_info.init_phase_reused = true;
+  ses_->run_info.init_phase_reused = 1;
   return true;
 }
 
@@ -3144,17 +3144,9 @@ Result<AnalyticsOutput> NTadocEngine::Run(Task task,
   for (;;) {
     // Fault accounting accumulates across repair/salvage attempts;
     // everything else describes the final (successful) attempt only.
-    const uint64_t corruption = ses_->run_info.corruption_detected;
-    const uint64_t salvages = ses_->run_info.salvage_restarts;
-    const uint64_t lost = ses_->run_info.blocks_lost;
-    const uint64_t remapped = ses_->run_info.blocks_remapped;
-    const uint64_t repairs = ses_->run_info.scoped_repairs;
+    const RunCounters carried = ses_->run_info.AcrossAttempts();
     ses_->run_info = NTadocRunInfo();
-    ses_->run_info.corruption_detected = corruption;
-    ses_->run_info.salvage_restarts = salvages;
-    ses_->run_info.blocks_lost = lost;
-    ses_->run_info.blocks_remapped = remapped;
-    ses_->run_info.scoped_repairs = repairs;
+    ses_->run_info += carried;
     ses_->state = std::make_unique<State>();
     ses_->media_errors_seen = device_->media_error_count();
     ses_->shared_init_sim_ns = 0;

@@ -187,41 +187,84 @@ struct NTadocOptions {
   std::shared_ptr<const nvm::TierConfig> tiering;
 };
 
-/// Aggregate accounting of one run, beyond RunMetrics.
-struct NTadocRunInfo {
+/// Every per-run event counter, one line each: X(name, scope). It makes
+/// RunCounters, and so the --stats keys, serve's sums and the bench JSON.
+/// kRun marks the fault counters, which accumulate across a Run's repair
+/// and salvage attempts; kAttempt counters describe the final attempt.
+#define NTADOC_RUN_COUNTERS(X)                                                 \
+  X(traversal_steps, kAttempt)                                                 \
+  X(init_phase_reused, kAttempt)     /* 1: recovery skipped a done init */     \
+  X(counter_rebuilds, kAttempt)      /* no-summation table rebuilds */         \
+  X(redo_logged_bytes, kAttempt)     /* operation-level write amp. */          \
+  X(group_checkpoints, kAttempt)     /* full-log flushes + truncations */      \
+  /* Media-fault accounting (see DESIGN.md "Fault model"). */                  \
+  X(corruption_detected, kRun)       /* corrupt persisted state found */       \
+  X(salvage_restarts, kRun)          /* full restarts from container */        \
+  X(blocks_lost, kRun)               /* unrepairable blocks (pre-salvage) */   \
+  X(transient_retries, kAttempt)     /* device retries absorbed */             \
+  X(blocks_remapped, kRun)           /* bad blocks moved to spares */          \
+  X(scoped_repairs, kRun)            /* objects re-derived in place */         \
+  X(degraded_queries, kAttempt)      /* 1: this run completed degraded */      \
+  /* Decoded-rule DRAM cache (dram_cache_bytes > 0 or shared_cache). */        \
+  X(rule_cache_hits, kAttempt)                                                 \
+  X(rule_cache_misses, kAttempt)                                               \
+  /* Epoch group commit (operation-level, commit_interval > 1). */             \
+  X(epoch_commits, kAttempt)         /* durable epoch transactions */          \
+  X(coalesced_records, kAttempt)     /* log records saved by merging */        \
+  X(coalesced_flush_lines, kAttempt) /* line flushes avoided */                \
+  X(batch_init_reuses, kAttempt)     /* RunBatch tasks that skipped init */    \
+  /* Tiered placement (options.tiering != nullptr). */                         \
+  X(promotions, kAttempt)            /* units moved to a faster tier */        \
+  X(demotions, kAttempt)             /* units moved to a slower tier */        \
+  X(migration_epochs, kAttempt)      /* ticks that committed moves */
+
+/// The event counters of one run (NTADOC_RUN_COUNTERS). They sum across
+/// runs: ServingStats::sessions is the field-wise sum of its sessions'.
+struct RunCounters {
+  enum Scope : uint8_t { kAttempt, kRun };
+  using Field = uint64_t RunCounters::*;
+
+#define NTADOC_RC_MEMBER(name, scope) uint64_t name = 0;
+  NTADOC_RUN_COUNTERS(NTADOC_RC_MEMBER)
+#undef NTADOC_RC_MEMBER
+
+  /// Calls f(name, field, scope) for every counter, in list order.
+  template <typename F>
+  static void ForEachField(F&& f) {
+#define NTADOC_RC_FIELD(name, scope) f(#name, &RunCounters::name, scope);
+    NTADOC_RUN_COUNTERS(NTADOC_RC_FIELD)
+#undef NTADOC_RC_FIELD
+  }
+
+  /// Calls visit(name, value) for every counter, in list order.
+  template <typename F>
+  void ForEach(F&& visit) const {
+    ForEachField([&](const char* n, Field m, Scope) { visit(n, this->*m); });
+  }
+
+  RunCounters& operator+=(const RunCounters& o) {
+    ForEachField([&](const char*, Field m, Scope) { this->*m += o.*m; });
+    return *this;
+  }
+
+  /// The kRun counters, every kAttempt counter zero: what a Run carries
+  /// from one repair or salvage attempt into the next.
+  RunCounters AcrossAttempts() const {
+    RunCounters kept;
+    ForEachField([&](const char*, Field m, Scope s) {
+      if (s == kRun) kept.*m = this->*m;
+    });
+    return kept;
+  }
+};
+
+/// Accounting of one run beyond RunMetrics: the event counters, plus
+/// levels that describe where the run ended and do not sum across runs.
+struct NTadocRunInfo : RunCounters {
   PruneStats prune;
   uint64_t pool_used_bytes = 0;
-  uint64_t traversal_steps = 0;
-  bool init_phase_reused = false;  // recovery skipped a completed init
-  uint64_t counter_rebuilds = 0;   // no-summation ablation: table rebuilds
-  uint64_t redo_logged_bytes = 0;  // operation-level write amplification
-  uint64_t resumed_at_step = 0;    // operation-level recovery resume point
-  uint64_t group_checkpoints = 0;  // full-log home flushes + truncations
-
-  // Media-fault accounting (see DESIGN.md "Fault model").
-  uint64_t corruption_detected = 0;  // corrupt persisted state found
-  uint64_t salvage_restarts = 0;     // full restarts from the container
-  uint64_t blocks_lost = 0;          // unrepairable blocks (pre-salvage)
-  uint64_t transient_retries = 0;    // device retries absorbed this run
-  uint64_t blocks_remapped = 0;      // bad blocks moved to spare media
-  uint64_t scoped_repairs = 0;       // objects re-derived in place
-  uint64_t degraded_queries = 0;     // 1 if this run completed degraded
-  double completeness = 1.0;         // fraction of clean traversal steps
-
-  // Decoded-rule DRAM cache (dram_cache_bytes > 0 or shared_cache set).
-  uint64_t rule_cache_hits = 0;
-  uint64_t rule_cache_misses = 0;
-
-  // Epoch group commit (operation-level, commit_interval > 1).
-  uint64_t epoch_commits = 0;       // durable epoch transactions
-  uint64_t coalesced_records = 0;   // log records saved by write merging
-  uint64_t coalesced_flush_lines = 0;  // duplicate line flushes avoided
-  uint64_t batch_init_reuses = 0;   // RunBatch tasks that skipped init work
-
-  // Tiered placement (options.tiering != nullptr).
-  uint64_t promotions = 0;        // units moved to a faster tier
-  uint64_t demotions = 0;         // units moved to a slower tier
-  uint64_t migration_epochs = 0;  // migration ticks that committed moves
+  uint64_t resumed_at_step = 0;  // operation-level recovery resume point
+  double completeness = 1.0;     // fraction of clean traversal steps
   /// Registered bytes resident per medium (MediumKind order:
   /// dram, nvm, ssd, hdd) at the end of the run.
   std::array<uint64_t, 4> tier_resident_bytes{};

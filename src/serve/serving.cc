@@ -317,11 +317,7 @@ void ServingEngine::Execute(uint32_t w, uint64_t ticket) {
     } else {
       ++stats_.failed;
     }
-    stats_.scoped_repairs += local.info.scoped_repairs;
-    stats_.salvage_restarts += local.info.salvage_restarts;
-    stats_.promotions += local.info.promotions;
-    stats_.demotions += local.info.demotions;
-    stats_.migration_epochs += local.info.migration_epochs;
+    stats_.sessions += local.info;
     Generation& g = *generations_[ticket_gen_[ticket]];
     --g.pinned;
     if (g.draining) {

@@ -176,8 +176,6 @@ struct ServingStats {
   uint64_t failed = 0;             // non-OK, non-deadline sessions
   uint64_t deadline_expired = 0;   // DeadlineExceeded sessions
   uint64_t degraded = 0;           // OK sessions with completeness < 1
-  uint64_t scoped_repairs = 0;     // summed across sessions
-  uint64_t salvage_restarts = 0;
   uint64_t stolen = 0;             // queries run off a sibling's queue
   uint64_t max_queue_depth = 0;
 
@@ -185,11 +183,8 @@ struct ServingStats {
   uint64_t generations_published = 0;  // cutovers served by this engine
   uint64_t drained_sessions = 0;  // sessions finished on a draining gen
 
-  // Tiered placement (zero unless NTadocOptions::tiering is set; summed
-  // across all sessions -- each session owns its own TieredPool).
-  uint64_t promotions = 0;
-  uint64_t demotions = 0;
-  uint64_t migration_epochs = 0;
+  /// Every run counter, summed over the finished sessions' infos.
+  core::RunCounters sessions;
 };
 
 /// Concurrent fault-isolated query server over one SealedPool (see file

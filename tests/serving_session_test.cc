@@ -54,6 +54,18 @@ std::pair<uint64_t, uint64_t> LocatePayload(
   return engine.payload_region();
 }
 
+// The serving invariant: stats().sessions is the field-wise sum of
+// result(t).info over every ticket, for every run counter.
+void ExpectSessionSums(const ServingEngine& server,
+                       const std::vector<uint64_t>& tickets) {
+  core::RunCounters sum;
+  for (uint64_t t : tickets) sum += server.result(t).info;
+  const core::RunCounters got = server.stats().sessions;
+  core::RunCounters::ForEachField([&](const char* name, auto field, auto) {
+    EXPECT_EQ(got.*field, sum.*field) << name;
+  });
+}
+
 // ---- Sealed prefix: cross-engine init reuse -------------------------
 
 TEST(SealedPrefixTest, SessionReusesInitAndMatchesSolo) {
@@ -173,41 +185,61 @@ TEST(SessionLimitsTest, CancelFlagStopsTheRun) {
 
 // ---- Serving: correctness and isolation -----------------------------
 
+// Runs twice: phase-level, and operation-level epoch commit (8 steps per
+// epoch) over migrating DRAM+NVM tiers.
 TEST(ServingEngineTest, ConcurrentSessionsMatchReference) {
   const auto corpus = RandomCorpus(45, 20, 4, 220);
-  auto sealed = SealPool(&corpus, BaseSealOptions());
-  ASSERT_TRUE(sealed.ok()) << sealed.status();
+  auto durable = BaseSealOptions();
+  durable.engine.persistence = PersistenceMode::kOperation;
+  durable.engine.commit_interval = 8;
+  auto tiering = std::make_shared<nvm::TierConfig>();
+  tiering->tiers = {{nvm::MediumKind::kDram, 1ull << 20}};
+  tiering->unit_bytes = 4096;
+  tiering->migrate_interval = 16;
+  durable.engine.tiering = tiering;
 
-  ServingOptions sopts;
-  sopts.workers = 4;
-  sopts.queue_capacity = 64;
-  ServingEngine server(&*sealed, sopts);
+  for (const SealOptions& so : {BaseSealOptions(), durable}) {
+    SCOPED_TRACE(core::PersistenceModeToString(so.engine.persistence));
+    auto sealed = SealPool(&corpus, so);
+    ASSERT_TRUE(sealed.ok()) << sealed.status();
 
-  std::vector<uint64_t> tickets;
-  for (int round = 0; round < 2; ++round) {
-    for (tadoc::Task task : tadoc::kAllTasks) {
-      QueryRequest req;
-      req.task = task;
-      auto t = server.Submit(std::move(req));
-      ASSERT_TRUE(t.ok()) << t.status();
-      tickets.push_back(*t);
+    ServingOptions sopts;
+    sopts.workers = 4;
+    sopts.queue_capacity = 64;
+    ServingEngine server(&*sealed, sopts);
+
+    std::vector<uint64_t> tickets;
+    for (int round = 0; round < 2; ++round) {
+      for (tadoc::Task task : tadoc::kAllTasks) {
+        QueryRequest req;
+        req.task = task;
+        auto t = server.Submit(std::move(req));
+        ASSERT_TRUE(t.ok()) << t.status();
+        tickets.push_back(*t);
+      }
+    }
+    server.Drain();
+
+    for (uint64_t t : tickets) {
+      const QueryResult& r = server.result(t);
+      ASSERT_TRUE(r.done);
+      ASSERT_TRUE(r.status.ok()) << r.status;
+      EXPECT_EQ(r.output, ReferenceRun(corpus, r.output.task, {}));
+      EXPECT_TRUE(r.metrics.init_shared);
+      EXPECT_GT(r.latency_sim_ns, 0u);
+    }
+    const ServingStats st = server.stats();
+    EXPECT_EQ(st.completed, tickets.size());
+    EXPECT_EQ(st.failed, 0u);
+    EXPECT_EQ(st.rejected_queue_full, 0u);
+    EXPECT_GT(server.makespan_sim_ns(), 0u);
+    ExpectSessionSums(server, tickets);
+    if (so.engine.persistence == PersistenceMode::kOperation) {
+      EXPECT_GT(st.sessions.epoch_commits, 0u);
+      EXPECT_GT(st.sessions.coalesced_records, 0u);
+      EXPECT_GT(st.sessions.redo_logged_bytes, 0u);
     }
   }
-  server.Drain();
-
-  for (uint64_t t : tickets) {
-    const QueryResult& r = server.result(t);
-    ASSERT_TRUE(r.done);
-    ASSERT_TRUE(r.status.ok()) << r.status;
-    EXPECT_EQ(r.output, ReferenceRun(corpus, r.output.task, {}));
-    EXPECT_TRUE(r.metrics.init_shared);
-    EXPECT_GT(r.latency_sim_ns, 0u);
-  }
-  const ServingStats st = server.stats();
-  EXPECT_EQ(st.completed, tickets.size());
-  EXPECT_EQ(st.failed, 0u);
-  EXPECT_EQ(st.rejected_queue_full, 0u);
-  EXPECT_GT(server.makespan_sim_ns(), 0u);
 }
 
 // ---- Admission control ----------------------------------------------
@@ -463,6 +495,9 @@ TEST(DegradedAccountingTest, DegradedSessionDoesNotBleedIntoSiblings) {
     EXPECT_EQ(r.info.salvage_restarts, 0u);
   }
   EXPECT_EQ(server.stats().degraded, 1u);
+  std::vector<uint64_t> all = clean;
+  all.push_back(*ft);
+  ExpectSessionSums(server, all);
 }
 
 // ---- Generations: prefix keying, pinning, drain, refresh -------------
@@ -559,7 +594,6 @@ TEST(GenerationTest, PublishPinsSubmittedSessionsToOldGeneration) {
   server.Drain();
   server.WaitGenerationDrained();
 
-  uint64_t cache_hits = 0;
   auto check = [&](const std::vector<uint64_t>& tickets,
                    const compress::CompressedCorpus& corpus,
                    uint64_t generation) {
@@ -575,13 +609,15 @@ TEST(GenerationTest, PublishPinsSubmittedSessionsToOldGeneration) {
           << tadoc::TaskToString(task) << " on generation " << generation;
       EXPECT_EQ(r.info.corruption_detected, 0u) << tadoc::TaskToString(task);
       EXPECT_EQ(r.info.salvage_restarts, 0u) << tadoc::TaskToString(task);
-      cache_hits += r.info.rule_cache_hits;
     }
   };
   check(old_gen, *corpus_a, 1);
   check(new_gen, *corpus_b, 2);
-  EXPECT_GT(cache_hits, 0u);  // the cache really was in play
   const ServingStats st = server.stats();
+  EXPECT_GT(st.sessions.rule_cache_hits, 0u);  // the cache was in play
+  std::vector<uint64_t> all = old_gen;
+  all.insert(all.end(), new_gen.begin(), new_gen.end());
+  ExpectSessionSums(server, all);
   EXPECT_EQ(st.generations_published, 1u);
   EXPECT_EQ(st.drained_sessions, old_gen.size());
   EXPECT_EQ(st.completed, old_gen.size() + new_gen.size());

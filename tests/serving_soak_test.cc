@@ -102,6 +102,18 @@ std::pair<uint64_t, uint64_t> LocatePayload(
   return engine.payload_region();
 }
 
+// The serving invariant: stats().sessions is the field-wise sum of
+// result(t).info over every ticket, for every run counter.
+void ExpectSessionSums(const ServingEngine& server,
+                       const std::vector<uint64_t>& tickets) {
+  core::RunCounters sum;
+  for (uint64_t t : tickets) sum += server.result(t).info;
+  const core::RunCounters got = server.stats().sessions;
+  core::RunCounters::ForEachField([&](const char* name, auto field, auto) {
+    EXPECT_EQ(got.*field, sum.*field) << name;
+  });
+}
+
 // ---- Scenario A: faulted minority, clean majority --------------------
 
 TEST(ServingSoakTest, FaultedMinorityLeavesSiblingsBitIdentical) {
@@ -218,7 +230,7 @@ TEST(ServingSoakTest, FaultedMinorityLeavesSiblingsBitIdentical) {
   EXPECT_EQ(st.completed, kN);
   EXPECT_EQ(st.failed, 0u);
   EXPECT_EQ(st.degraded, 1u);
-  EXPECT_GT(st.scoped_repairs + st.salvage_restarts, 0u);
+  EXPECT_GT(st.sessions.scoped_repairs + st.sessions.salvage_restarts, 0u);
 }
 
 // ---- Scenario B: deadlines never stall the queue ---------------------
@@ -578,8 +590,11 @@ TEST(ServingSoakTest, MigrationsUnderFireKeepSiblingsBitIdentical) {
   EXPECT_EQ(st.completed, kN);
   EXPECT_EQ(st.failed, 0u);
   // The point of the scenario: migrations actually raced the faults.
-  EXPECT_GT(st.promotions, 0u);
-  EXPECT_GT(st.migration_epochs, 0u);
+  EXPECT_GT(st.sessions.promotions, 0u);
+  EXPECT_GT(st.sessions.migration_epochs, 0u);
+  std::vector<uint64_t> all = clean_tickets;
+  all.insert(all.end(), faulted_tickets.begin(), faulted_tickets.end());
+  ExpectSessionSums(server, all);
 }
 
 }  // namespace

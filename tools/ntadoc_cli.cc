@@ -96,6 +96,11 @@ int ParseMigrate(const std::string& value) {
   return value == "0" ? 0 : value == "1" ? 1 : -1;
 }
 
+// One stable `key=value` line of --stats output (stdout, for scripts).
+void PrintStat(const char* key, uint64_t value) {
+  std::printf("%s=%llu\n", key, static_cast<unsigned long long>(value));
+}
+
 Result<compress::CompressedCorpus> LoadOrFail(const std::string& path) {
   auto corpus = compress::LoadCorpus(path);
   if (!corpus.ok()) {
@@ -258,15 +263,11 @@ int CmdCompress(int argc, char** argv) {
               (unsigned long long)stats.total_symbols,
               stats.compression_ratio);
   if (print_stats) {
-    // Stable key=value lines (consumed by scripts; do not reformat).
-    std::printf("threads=%u\n", pstats.threads);
-    std::printf("chunks=%u\n", pstats.chunks);
-    std::printf("merged_rules=%llu\n",
-                (unsigned long long)pstats.merged_rules);
-    std::printf("deduped_rules=%llu\n",
-                (unsigned long long)pstats.deduped_rules);
-    std::printf("append_epochs=%llu\n",
-                (unsigned long long)pstats.append_epochs);
+    PrintStat("threads", pstats.threads);
+    PrintStat("chunks", pstats.chunks);
+    PrintStat("merged_rules", pstats.merged_rules);
+    PrintStat("deduped_rules", pstats.deduped_rules);
+    PrintStat("append_epochs", pstats.append_epochs);
   }
   return 0;
 }
@@ -508,42 +509,18 @@ int CmdRun(int argc, char** argv) {
         (unsigned long long)engine.run_info().rule_cache_misses);
   }
   if (show_stats) {
-    // Stable key=value lines (stdout) for scripted consumers; keep the
-    // key set append-only.
+    // Every run counter in list order (NTADOC_RUN_COUNTERS), then the
+    // run's levels; resident bytes are keyed by medium in MediumKind
+    // order (zero without --tiers=).
     const core::NTadocRunInfo& info = engine.run_info();
-    auto kv = [](const char* key, uint64_t value) {
-      std::printf("%s=%llu\n", key, (unsigned long long)value);
-    };
-    kv("traversal_steps", info.traversal_steps);
-    kv("pool_used_bytes", info.pool_used_bytes);
-    kv("init_phase_reused", info.init_phase_reused ? 1 : 0);
-    kv("counter_rebuilds", info.counter_rebuilds);
-    kv("redo_logged_bytes", info.redo_logged_bytes);
-    kv("resumed_at_step", info.resumed_at_step);
-    kv("group_checkpoints", info.group_checkpoints);
-    kv("corruption_detected", info.corruption_detected);
-    kv("salvage_restarts", info.salvage_restarts);
-    kv("blocks_lost", info.blocks_lost);
-    kv("transient_retries", info.transient_retries);
-    kv("blocks_remapped", info.blocks_remapped);
-    kv("scoped_repairs", info.scoped_repairs);
-    kv("degraded_queries", info.degraded_queries);
+    info.ForEach(PrintStat);
+    PrintStat("pool_used_bytes", info.pool_used_bytes);
+    PrintStat("resumed_at_step", info.resumed_at_step);
     std::printf("completeness=%.6f\n", info.completeness);
-    kv("rule_cache_hits", info.rule_cache_hits);
-    kv("rule_cache_misses", info.rule_cache_misses);
-    kv("epoch_commits", info.epoch_commits);
-    kv("coalesced_records", info.coalesced_records);
-    kv("coalesced_flush_lines", info.coalesced_flush_lines);
-    kv("batch_init_reuses", info.batch_init_reuses);
-    // Tiered placement counters (zero without --tiers=); resident bytes
-    // are keyed by medium in MediumKind order.
-    kv("promotions", info.promotions);
-    kv("demotions", info.demotions);
-    kv("migration_epochs", info.migration_epochs);
-    kv("tier_resident_dram", info.tier_resident_bytes[0]);
-    kv("tier_resident_nvm", info.tier_resident_bytes[1]);
-    kv("tier_resident_ssd", info.tier_resident_bytes[2]);
-    kv("tier_resident_hdd", info.tier_resident_bytes[3]);
+    PrintStat("tier_resident_dram", info.tier_resident_bytes[0]);
+    PrintStat("tier_resident_nvm", info.tier_resident_bytes[1]);
+    PrintStat("tier_resident_ssd", info.tier_resident_bytes[2]);
+    PrintStat("tier_resident_hdd", info.tier_resident_bytes[3]);
   }
   if (const nvm::PersistCheck* check = (*device)->persist_check()) {
     std::fprintf(stderr, "%s", check->report().ToString().c_str());
@@ -736,35 +713,27 @@ int CmdServe(int argc, char** argv) {
                HumanDuration(makespan).c_str(),
                makespan > 0 ? tickets.size() * 1e9 / makespan : 0.0);
   if (show_stats) {
-    auto kv = [](const char* key, uint64_t value) {
-      std::printf("%s=%llu\n", key, (unsigned long long)value);
-    };
-    kv("submitted", st.submitted);
-    kv("accepted", st.accepted);
-    kv("rejected_queue_full", st.rejected_queue_full);
-    kv("shed", st.shed);
-    kv("completed", st.completed);
-    kv("failed", st.failed);
-    kv("deadline_expired", st.deadline_expired);
-    kv("degraded", st.degraded);
-    kv("scoped_repairs", st.scoped_repairs);
-    kv("salvage_restarts", st.salvage_restarts);
-    kv("stolen", st.stolen);
-    kv("max_queue_depth", st.max_queue_depth);
+    PrintStat("submitted", st.submitted);
+    PrintStat("accepted", st.accepted);
+    PrintStat("rejected_queue_full", st.rejected_queue_full);
+    PrintStat("shed", st.shed);
+    PrintStat("completed", st.completed);
+    PrintStat("failed", st.failed);
+    PrintStat("deadline_expired", st.deadline_expired);
+    PrintStat("degraded", st.degraded);
+    PrintStat("stolen", st.stolen);
+    PrintStat("max_queue_depth", st.max_queue_depth);
     // Refresh counters are always emitted (0 when no refresh ran) so
     // scripts can rely on the keys being present.
-    kv("generations_published", st.generations_published);
-    kv("drained_sessions", st.drained_sessions);
+    PrintStat("generations_published", st.generations_published);
+    PrintStat("drained_sessions", st.drained_sessions);
     const serve::RefreshStats rs =
         refresher != nullptr ? refresher->stats() : serve::RefreshStats{};
-    kv("refresh_retries", rs.refresh_retries);
-    kv("refresh_aborts", rs.refresh_aborts);
-    kv("degraded_refreshes", rs.degraded_refreshes);
-    // Tiered placement counters (zero without --tiers=), summed across
-    // sessions.
-    kv("promotions", st.promotions);
-    kv("demotions", st.demotions);
-    kv("migration_epochs", st.migration_epochs);
+    PrintStat("refresh_retries", rs.refresh_retries);
+    PrintStat("refresh_aborts", rs.refresh_aborts);
+    PrintStat("degraded_refreshes", rs.degraded_refreshes);
+    // Every run counter, summed over the finished sessions.
+    st.sessions.ForEach(PrintStat);
   }
   return st.failed == 0 ? 0 : 1;
 }
