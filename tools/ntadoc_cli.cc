@@ -42,10 +42,12 @@
 // line a durable append commits — the hook a co-located serving process
 // uses to trigger a refresh.
 
+#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "compress/compressor.h"
 #include "compress/format.h"
@@ -91,9 +93,48 @@ int Usage() {
   return 2;
 }
 
-// --migrate=0|1; -1 for any other value.
-int ParseMigrate(const std::string& value) {
-  return value == "0" ? 0 : value == "1" ? 1 : -1;
+// Accepted range of a numeric argument, and the unit it is scaled by
+// (1 << 20 for the --*-mb= flags, 1000 for --deadline-us=).
+struct NumberSpec {
+  uint64_t min = 0;
+  uint64_t max = std::numeric_limits<uint64_t>::max();
+  uint64_t unit = 1;
+};
+
+// Every numeric flag and positional: all of `text` as an unsigned decimal
+// in [spec.min, spec.max], stored times spec.unit in *out. False, with
+// *out untouched, on a sign, stray characters or a value T cannot hold.
+template <typename T>
+bool ParseNumber(std::string_view text, T* out, NumberSpec spec = {}) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  const uint64_t limit =
+      static_cast<uint64_t>(std::numeric_limits<T>::max()) / spec.unit;
+  if (ec != std::errc() || ptr != end || value < spec.min ||
+      value > spec.max || value > limit) {
+    return false;
+  }
+  *out = static_cast<T>(value * spec.unit);
+  return true;
+}
+
+// --medium=nvm|reram|pcm|ssd|hdd; false for any other name.
+bool ParseMedium(std::string_view name, nvm::DeviceProfile* profile) {
+  if (name == "nvm") {
+    *profile = nvm::OptaneProfile();
+  } else if (name == "reram") {
+    *profile = nvm::ReRamProfile();
+  } else if (name == "pcm") {
+    *profile = nvm::PcmProfile();
+  } else if (name == "ssd") {
+    *profile = nvm::SsdProfile();
+  } else if (name == "hdd") {
+    *profile = nvm::HddProfile();
+  } else {
+    return false;
+  }
+  return true;
 }
 
 // One stable `key=value` line of --stats output (stdout, for scripts).
@@ -203,12 +244,11 @@ int CmdCompress(int argc, char** argv) {
   std::vector<compress::InputFile> files;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
+    bool ok = true;
     if (arg.rfind("--threads=", 0) == 0) {
-      popts.threads = static_cast<uint32_t>(std::atoi(arg.c_str() + 10));
-      if (popts.threads == 0) return Usage();
+      ok = ParseNumber(arg.substr(10), &popts.threads, {.min = 1});
     } else if (arg.rfind("--chunks=", 0) == 0) {
-      popts.chunks = static_cast<uint32_t>(std::atoi(arg.c_str() + 9));
-      if (popts.chunks == 0) return Usage();
+      ok = ParseNumber(arg.substr(9), &popts.chunks, {.min = 1});
     } else if (arg == "--append") {
       append = true;
     } else if (arg == "--notify") {
@@ -227,6 +267,7 @@ int CmdCompress(int argc, char** argv) {
       text << in.rdbuf();
       files.push_back({argv[i], text.str()});
     }
+    if (!ok) return Usage();
   }
   if (files.empty()) return Usage();
   if (notify && !append) return Usage();  // hook fires on durable commit
@@ -296,17 +337,23 @@ int CmdStats(int argc, char** argv) {
 
 int CmdExtract(int argc, char** argv) {
   if (argc != 4 && argc != 6) return Usage();
+  uint32_t file = 0;
+  uint64_t offset = 0;
+  uint64_t count = 0;
+  if (!ParseNumber(argv[3], &file) ||
+      (argc == 6 &&
+       (!ParseNumber(argv[4], &offset) || !ParseNumber(argv[5], &count)))) {
+    return Usage();
+  }
   auto corpus = LoadOrFail(argv[2]);
   if (!corpus.ok()) return 1;
-  const uint32_t file = static_cast<uint32_t>(std::stoul(argv[3]));
   compress::RandomAccessReader reader(&*corpus);
   auto len = reader.FileLength(file);
   if (!len.ok()) {
     std::fprintf(stderr, "%s\n", len.status().ToString().c_str());
     return 1;
   }
-  const uint64_t offset = argc == 6 ? std::stoull(argv[4]) : 0;
-  const uint64_t count = argc == 6 ? std::stoull(argv[5]) : *len;
+  if (argc == 4) count = *len;
   auto text = reader.ExtractText(file, offset, count);
   if (!text.ok()) {
     std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
@@ -350,25 +397,13 @@ int CmdRun(int argc, char** argv) {
   int migrate = -1;
   for (int i = 4; i < argc; ++i) {
     const std::string arg = argv[i];
+    bool ok = true;
     if (arg == "--persist-check") {
       persist_check = true;
     } else if (arg == "--stats") {
       show_stats = true;
     } else if (arg.rfind("--medium=", 0) == 0) {
-      const std::string m = arg.substr(9);
-      if (m == "nvm") {
-        profile = nvm::OptaneProfile();
-      } else if (m == "reram") {
-        profile = nvm::ReRamProfile();
-      } else if (m == "pcm") {
-        profile = nvm::PcmProfile();
-      } else if (m == "ssd") {
-        profile = nvm::SsdProfile();
-      } else if (m == "hdd") {
-        profile = nvm::HddProfile();
-      } else {
-        return Usage();
-      }
+      ok = ParseMedium(arg.substr(9), &profile);
     } else if (arg.rfind("--persistence=", 0) == 0) {
       auto mode = core::ParsePersistenceMode(arg.substr(14));
       if (!mode.ok()) return Usage();
@@ -378,28 +413,27 @@ int CmdRun(int argc, char** argv) {
       if (!strategy.ok()) return Usage();
       engine_opts.traversal = *strategy;
     } else if (arg.rfind("--ngram=", 0) == 0) {
-      opts.ngram = static_cast<uint32_t>(std::stoul(arg.substr(8)));
+      ok = ParseNumber(arg.substr(8), &opts.ngram);
     } else if (arg.rfind("--topk=", 0) == 0) {
-      opts.top_k = static_cast<uint32_t>(std::stoul(arg.substr(7)));
+      ok = ParseNumber(arg.substr(7), &opts.top_k);
     } else if (arg.rfind("--limit=", 0) == 0) {
-      limit = std::stoull(arg.substr(8));
+      ok = ParseNumber(arg.substr(8), &limit);
     } else if (arg.rfind("--commit-interval=", 0) == 0) {
-      engine_opts.commit_interval =
-          static_cast<uint32_t>(std::stoul(arg.substr(18)));
-      if (engine_opts.commit_interval == 0) return Usage();
+      ok = ParseNumber(arg.substr(18), &engine_opts.commit_interval,
+                       {.min = 1});
     } else if (arg.rfind("--dram-cache-mb=", 0) == 0) {
-      engine_opts.dram_cache_bytes = std::stoull(arg.substr(16)) << 20;
+      ok = ParseNumber(arg.substr(16), &engine_opts.dram_cache_bytes,
+                       {.unit = 1ull << 20});
     } else if (arg.rfind("--tiers=", 0) == 0) {
       tiers_spec = arg.substr(8);
     } else if (arg.rfind("--tier-budget-mb=", 0) == 0) {
-      tier_budget_mb = std::stoll(arg.substr(17));
-      if (tier_budget_mb < 0) return Usage();
+      ok = ParseNumber(arg.substr(17), &tier_budget_mb);
     } else if (arg.rfind("--migrate=", 0) == 0) {
-      migrate = ParseMigrate(arg.substr(10));
-      if (migrate < 0) return Usage();
+      ok = ParseNumber(arg.substr(10), &migrate, {.max = 1});
     } else {
       return Usage();
     }
+    if (!ok) return Usage();
   }
   {
     auto tiering = BuildTierConfig(tiers_spec, tier_budget_mb, migrate);
@@ -545,36 +579,23 @@ int CmdServe(int argc, char** argv) {
   std::vector<compress::InputFile> refresh_files;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
+    bool ok = true;
     if (arg == "--stats") {
       show_stats = true;
     } else if (arg.rfind("--refresh-every=", 0) == 0) {
-      refresh_every = static_cast<uint32_t>(std::stoul(arg.substr(16)));
-      if (refresh_every == 0) return Usage();
+      ok = ParseNumber(arg.substr(16), &refresh_every, {.min = 1});
     } else if (arg.rfind("--workers=", 0) == 0) {
-      serving_opts.workers =
-          static_cast<uint32_t>(std::stoul(arg.substr(10)));
+      ok = ParseNumber(arg.substr(10), &serving_opts.workers);
     } else if (arg.rfind("--queries=", 0) == 0) {
-      queries = static_cast<uint32_t>(std::stoul(arg.substr(10)));
+      ok = ParseNumber(arg.substr(10), &queries);
     } else if (arg.rfind("--deadline-us=", 0) == 0) {
-      serving_opts.default_deadline_sim_ns =
-          std::stoull(arg.substr(14)) * 1000;
+      ok = ParseNumber(arg.substr(14), &serving_opts.default_deadline_sim_ns,
+                       {.unit = 1000});
     } else if (arg.rfind("--shared-cache-mb=", 0) == 0) {
-      serving_opts.shared_cache_bytes = std::stoull(arg.substr(18)) << 20;
+      ok = ParseNumber(arg.substr(18), &serving_opts.shared_cache_bytes,
+                       {.unit = 1ull << 20});
     } else if (arg.rfind("--medium=", 0) == 0) {
-      const std::string m = arg.substr(9);
-      if (m == "nvm") {
-        seal_opts.profile = nvm::OptaneProfile();
-      } else if (m == "reram") {
-        seal_opts.profile = nvm::ReRamProfile();
-      } else if (m == "pcm") {
-        seal_opts.profile = nvm::PcmProfile();
-      } else if (m == "ssd") {
-        seal_opts.profile = nvm::SsdProfile();
-      } else if (m == "hdd") {
-        seal_opts.profile = nvm::HddProfile();
-      } else {
-        return Usage();
-      }
+      ok = ParseMedium(arg.substr(9), &seal_opts.profile);
     } else if (arg.rfind("--persistence=", 0) == 0) {
       auto mode = core::ParsePersistenceMode(arg.substr(14));
       if (!mode.ok()) return Usage();
@@ -582,11 +603,9 @@ int CmdServe(int argc, char** argv) {
     } else if (arg.rfind("--tiers=", 0) == 0) {
       tiers_spec = arg.substr(8);
     } else if (arg.rfind("--tier-budget-mb=", 0) == 0) {
-      tier_budget_mb = std::stoll(arg.substr(17));
-      if (tier_budget_mb < 0) return Usage();
+      ok = ParseNumber(arg.substr(17), &tier_budget_mb);
     } else if (arg.rfind("--migrate=", 0) == 0) {
-      migrate = ParseMigrate(arg.substr(10));
-      if (migrate < 0) return Usage();
+      ok = ParseNumber(arg.substr(10), &migrate, {.max = 1});
     } else if (arg.rfind("--", 0) == 0) {
       return Usage();
     } else {
@@ -601,6 +620,7 @@ int CmdServe(int argc, char** argv) {
       text << in.rdbuf();
       refresh_files.push_back({argv[i], text.str()});
     }
+    if (!ok) return Usage();
   }
   if (refresh_every != 0 && refresh_files.empty()) return Usage();
   {
