@@ -1,8 +1,9 @@
 #include "core/container_store.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
+
+#include "nvm/pmem.h"
 
 namespace ntadoc::core {
 
@@ -16,38 +17,45 @@ constexpr uint64_t kLine = 64;
 ContainerStore::ContainerStore(nvm::NvmDevice* device, uint64_t base)
     : device_(device), base_(base) {}
 
+Result<ContainerStore::Header> ContainerStore::Layout(
+    const nvm::NvmDevice& device, uint64_t base, uint64_t size,
+    uint64_t log_bytes) {
+  constexpr uint64_t kMeta = 2 * kLine;  // header line + descriptor line
+  if (base % kLine != 0 || size % kLine != 0) {
+    return Status::InvalidArgument(
+        "ContainerStore: region must be 64 B aligned");
+  }
+  if (log_bytes % kLine != 0 || log_bytes < 512) {
+    return Status::InvalidArgument(
+        "ContainerStore: log_bytes must be >= 512 and 64 B aligned");
+  }
+  if (size < kMeta + 2 * kLine || size - kMeta - 2 * kLine < log_bytes) {
+    return Status::InvalidArgument(
+        "ContainerStore: region too small for layout");
+  }
+  if (size > device.capacity() || base > device.capacity() - size) {
+    return Status::OutOfRange(
+        "ContainerStore: region exceeds device capacity");
+  }
+  Header h;
+  h.magic = kStoreMagic;
+  h.region_size = size;
+  h.log_offset = base + kMeta;
+  h.log_bytes = log_bytes;
+  h.slot_capacity = ((size - kMeta - log_bytes) / 2) & ~(kLine - 1);
+  h.slot_offset[0] = h.log_offset + log_bytes;
+  h.slot_offset[1] = h.slot_offset[0] + h.slot_capacity;
+  return h;
+}
+
 Result<ContainerStore> ContainerStore::Create(
     nvm::NvmDevice* device, uint64_t base, uint64_t size,
     const compress::CompressedCorpus& corpus,
     const ContainerStoreOptions& opts) {
-  if (base % kLine != 0 || size % kLine != 0) {
-    return Status::InvalidArgument(
-        "ContainerStore::Create: region must be 64 B aligned");
-  }
-  if (opts.log_bytes % kLine != 0 || opts.log_bytes < 512) {
-    return Status::InvalidArgument(
-        "ContainerStore::Create: log_bytes must be >= 512 and 64 B aligned");
-  }
-  const uint64_t meta_bytes = 2 * kLine;  // header line + descriptor line
-  if (size < meta_bytes + opts.log_bytes + 2 * kLine) {
-    return Status::InvalidArgument(
-        "ContainerStore::Create: region too small for layout");
-  }
-  if (base + size > device->capacity()) {
-    return Status::OutOfRange(
-        "ContainerStore::Create: region exceeds device capacity");
-  }
-
   ContainerStore store(device, base);
-  Header& h = store.header_;
-  h.magic = kStoreMagic;
-  h.region_size = size;
-  h.log_offset = base + meta_bytes;
-  h.log_bytes = opts.log_bytes;
-  const uint64_t data_offset = h.log_offset + h.log_bytes;
-  h.slot_capacity = ((size - meta_bytes - h.log_bytes) / 2) & ~(kLine - 1);
-  h.slot_offset[0] = data_offset;
-  h.slot_offset[1] = data_offset + h.slot_capacity;
+  NTADOC_ASSIGN_OR_RETURN(store.header_,
+                          Layout(*device, base, size, opts.log_bytes));
+  const Header& h = store.header_;
 
   const std::string bytes = compress::SerializeCorpus(corpus);
   if (bytes.size() > h.slot_capacity) {
@@ -56,9 +64,8 @@ Result<ContainerStore> ContainerStore::Create(
   }
 
   // Initial container into slot 0, durable before any metadata names it.
-  device->WriteBytes(h.slot_offset[0], bytes.data(), bytes.size());
-  device->FlushRange(h.slot_offset[0], bytes.size());
-  device->Drain();
+  nvm::PmemMemcpyPersist(*device, h.slot_offset[0], bytes.data(),
+                         bytes.size());
 
   SlotDesc& d = store.desc_;
   d.active_slot = 0;
@@ -84,14 +91,16 @@ Result<ContainerStore> ContainerStore::Open(nvm::NvmDevice* device,
   if (h.magic != kStoreMagic) {
     return Status::DataLoss("ContainerStore::Open: bad magic");
   }
-  if (h.log_offset != base + 2 * kLine || h.slot_capacity == 0 ||
-      h.slot_offset[1] + h.slot_capacity > base + h.region_size) {
+  // The header is written once and carries no checksum: it must be
+  // exactly the layout its own size fields derive, inside the device.
+  const auto layout = Layout(*device, base, h.region_size, h.log_bytes);
+  if (!layout.ok() || !(*layout == h)) {
     return Status::DataLoss("ContainerStore::Open: corrupt geometry header");
   }
 
   // Recover the descriptor flip, if one was committed but its home line
-  // never made it to media: Recover() replays the committed prefix
-  // (including any sealed epoch suffix), flushes homes, and truncates.
+  // never made it to media: Recover() replays the committed prefix,
+  // flushes homes, and truncates.
   NTADOC_ASSIGN_OR_RETURN(nvm::RedoLog log,
                           nvm::RedoLog::Open(device, h.log_offset));
   NTADOC_RETURN_IF_ERROR(log.Recover().status());
@@ -114,26 +123,6 @@ Result<compress::CompressedCorpus> ContainerStore::Load() {
   return compress::DeserializeCorpus(bytes);
 }
 
-Status ContainerStore::CommitDescriptor(const SlotDesc& desc) {
-  // Write-through then epoch-commit: the home line carries the new value
-  // before the commit record seals it, so recovery either replays this
-  // exact value or never sees the epoch at all.
-  device_->Write(desc_offset(), desc);
-  log_->Begin();
-  log_->StageValue(desc_offset(), desc);
-  const std::vector<uint64_t> home_lines = {desc_offset() / kLine};
-  Status s = log_->CommitApplied(home_lines);
-  if (s.code() == StatusCode::kResourceExhausted) {
-    // Group checkpoint: make previously applied homes durable, reclaim
-    // the log, and retry — staged writes survive a failed commit.
-    log_->FlushAppliedHome();
-    log_->Truncate();
-    s = log_->CommitApplied(home_lines);
-  }
-  if (!s.ok()) log_->Abort();
-  return s;
-}
-
 Result<PendingAppend> ContainerStore::StageAppend(
     const std::vector<compress::InputFile>& new_files,
     const compress::ParallelCompressOptions& popts,
@@ -153,9 +142,8 @@ Result<PendingAppend> ContainerStore::StageAppend(
   // drained durable while the descriptor still names the old slot. A
   // crash anywhere up to the commit record loses only the append.
   const uint32_t target = 1 - desc_.active_slot;
-  device_->WriteBytes(header_.slot_offset[target], bytes.data(), bytes.size());
-  device_->FlushRange(header_.slot_offset[target], bytes.size());
-  device_->Drain();
+  nvm::PmemMemcpyPersist(*device_, header_.slot_offset[target], bytes.data(),
+                         bytes.size());
 
   PendingAppend pending;
   pending.merged = std::move(merged);
@@ -176,7 +164,11 @@ Status ContainerStore::CommitAppend(const PendingAppend& pending) {
   next.active_slot = pending.target_slot;
   next.sequence = pending.sequence;
   next.length = pending.length;
-  NTADOC_RETURN_IF_ERROR(CommitDescriptor(next));
+  // One strict redo transaction: a crash before its commit record keeps
+  // the old descriptor, one after it replays the flip.
+  NTADOC_RETURN_IF_ERROR(nvm::CommitAtomic(
+      *device_, &*log_, /*data=*/{}, /*body=*/{},
+      {desc_offset(), &next, sizeof(next)}));
   desc_ = next;
   ++append_epochs_;
   if (refresh_hook_) refresh_hook_(desc_.sequence);

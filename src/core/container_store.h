@@ -8,20 +8,16 @@
 // and keeps the serialized container (compress::SerializeCorpus bytes)
 // in one of two slots. AppendFiles merges new documents into the
 // in-memory grammar (see compress/parallel_compress.h); the store makes
-// that durable with a classic shadow-slot protocol under the epoch
-// group-commit machinery from the operation-level persistence work:
+// that durable with a classic shadow-slot protocol:
 //
 //   1. The merged container is serialized into the INACTIVE slot,
 //      flushed, and drained — new data is durable while the descriptor
 //      still points at the old slot.
 //   2. The slot descriptor (active slot, sequence number, length) flips
-//      in ONE redo-log epoch: the new value is written through to its
-//      home line and committed with RedoLog::CommitApplied, so the
-//      sealed commit record — not a home flush — is the durability
-//      point. Each append is exactly one epoch (`append_epochs`).
-//   3. If the log is full, the store checkpoints (FlushAppliedHome +
-//      Truncate) and retries, exactly like the engine's group-commit
-//      path.
+//      through nvm::CommitAtomic: one strict redo-log transaction whose
+//      commit record is the durability point (a full log is checkpointed
+//      and the commit retried). Each append is exactly one such commit
+//      (`append_epochs`).
 //
 // A crash before the commit record leaves the old descriptor: recovery
 // opens the old container, and the half-written inactive slot is
@@ -78,9 +74,10 @@ class ContainerStore {
                                        const compress::CompressedCorpus& corpus,
                                        const ContainerStoreOptions& opts = {});
 
-  /// Opens a formatted region after a restart: recovers the redo log
-  /// (replaying any committed-but-unapplied descriptor flip), then
-  /// validates the descriptor.
+  /// Opens a formatted region after a restart: validates the header
+  /// against the layout it describes (DataLoss otherwise), recovers the
+  /// redo log (replaying any committed-but-unapplied descriptor flip),
+  /// then validates the descriptor.
   static Result<ContainerStore> Open(nvm::NvmDevice* device, uint64_t base);
 
   ContainerStore(ContainerStore&&) = default;
@@ -94,7 +91,7 @@ class ContainerStore {
   /// comment for the crash protocol). On success the active container
   /// decodes identically to a full recompress of old+new files. `stats`
   /// (optional) receives the merge counters with `append_epochs` set to
-  /// this store's lifetime epoch count.
+  /// this store's lifetime descriptor-commit count.
   Status AppendFiles(const std::vector<compress::InputFile>& new_files,
                 const compress::ParallelCompressOptions& popts,
                 compress::ParallelCompressStats* stats = nullptr);
@@ -111,7 +108,7 @@ class ContainerStore {
       compress::ParallelCompressStats* stats = nullptr);
 
   /// Second half of AppendFiles: flips the descriptor to the staged slot
-  /// as one redo-log epoch. `pending` must come from this store's most
+  /// as one redo-log transaction. `pending` must come from this store's most
   /// recent StageAppend (enforced via the sequence guard); on failure the
   /// old descriptor stays live and the call may be retried.
   Status CommitAppend(const PendingAppend& pending);
@@ -141,7 +138,7 @@ class ContainerStore {
   /// Serialized bytes of the active container.
   uint64_t container_bytes() const { return desc_.length; }
 
-  /// Epoch commits performed by this store instance.
+  /// Descriptor commits performed by this store instance.
   uint64_t append_epochs() const { return append_epochs_; }
 
   /// Capacity of each slot under the current geometry.
@@ -156,9 +153,11 @@ class ContainerStore {
     uint64_t log_bytes = 0;
     uint64_t slot_offset[2] = {0, 0};
     uint64_t slot_capacity = 0;
+
+    bool operator==(const Header&) const = default;
   };
 
-  /// Mutable state, one 64 B line, flipped via one epoch per append.
+  /// Mutable state, one 64 B line, flipped by one commit per append.
   struct SlotDesc {
     uint32_t active_slot = 0;
     uint32_t padding = 0;
@@ -168,9 +167,12 @@ class ContainerStore {
 
   ContainerStore(nvm::NvmDevice* device, uint64_t base);
 
-  /// Commits `desc` as one redo-log epoch (write-through then
-  /// CommitApplied), checkpointing and retrying once on a full log.
-  Status CommitDescriptor(const SlotDesc& desc);
+  /// The header of a [base, base+size) region with a `log_bytes` redo
+  /// log: Create writes it, and Open accepts only a header equal to the
+  /// layout its own size fields derive. InvalidArgument or OutOfRange
+  /// when the region is misaligned, too small, or outside `device`.
+  static Result<Header> Layout(const nvm::NvmDevice& device, uint64_t base,
+                               uint64_t size, uint64_t log_bytes);
 
   uint64_t header_offset() const { return base_; }
   uint64_t desc_offset() const { return base_ + 64; }

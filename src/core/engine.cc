@@ -187,10 +187,7 @@ void WriteMetaMirror(nvm::NvmDevice* device, uint64_t signature,
   m.catalog = cat;
   m.integrity = ii;
   m.checksum = MirrorChecksum(m);
-  const uint64_t off = MirrorOffset(*device);
-  device->WriteBytes(off, &m, sizeof(m));
-  device->FlushRange(off, sizeof(m));
-  device->Drain();
+  nvm::PmemMemcpyPersist(*device, MirrorOffset(*device), &m, sizeof(m));
 }
 
 std::optional<MetaMirror> ReadMetaMirror(nvm::NvmDevice* device,
@@ -448,19 +445,7 @@ class StepWriter {
       }
       return CommitEpoch();
     }
-    Status s = log_->Commit();
-    if (s.code() != StatusCode::kResourceExhausted) return s;
-    // The checkpoint's home flush is required for correctness: Commit()
-    // applies entries to their home locations WITHOUT flushing (the log
-    // guarantees durability), so home state must be made durable before
-    // the records that cover it are truncated. The log tracks exactly
-    // which home lines its applied entries dirtied and flushes only
-    // those. Epoch commits never get here: a mid-epoch checkpoint would
-    // leak uncommitted write-through state, so they manage their reserve
-    // themselves.
-    log_->FlushAppliedHome();
-    log_->Truncate();
-    return log_->Commit();
+    return log_->CommitOrCheckpoint();
   }
 
   /// A commit point that stages only the cursor (stage starts and the
@@ -484,8 +469,7 @@ class StepWriter {
   void PersistInPlace(uint64_t off, uint64_t len) {
     if (log_ == nullptr || len == 0) return;
     if (!epoch_mode()) {
-      device_->FlushRange(off, len);
-      device_->Drain();
+      nvm::PmemPersist(*device_, off, len);
       return;
     }
     const uint64_t first = off / kLine;
@@ -1417,14 +1401,11 @@ namespace {
 void AbortToPhaseStart(nvm::NvmDevice* device, nvm::RedoLog* log,
                        uint64_t cursor_off) {
   if (log != nullptr) {
-    if (log->in_transaction()) log->Abort();
     log->FlushAppliedHome();
     log->Truncate();
   }
-  device->Write(cursor_off, SlotOf(Cursor{}));
-  device->FlushRange(cursor_off, sizeof(CursorSlot));
-  device->Drain();
-  device->AssertPersisted(cursor_off, sizeof(CursorSlot));
+  const CursorSlot start = SlotOf(Cursor{});
+  nvm::PmemMemcpyPersist(*device, cursor_off, &start, sizeof(start));
 }
 
 }  // namespace
@@ -1465,9 +1446,7 @@ Result<bool> NTadocEngine::TryAttach(State* st, uint64_t pool_base) {
     ++ses_->run_info.corruption_detected;
     ++ses_->run_info.scoped_repairs;
     NTADOC_LOG(Warning) << what << "; restored from the metadata mirror";
-    device_->WriteBytes(off, copy, len);
-    device_->FlushRange(off, len);
-    device_->Drain();
+    nvm::PmemMemcpyPersist(*device_, off, copy, len);
   };
 
   {
@@ -1796,6 +1775,23 @@ bool NTadocEngine::RepairDamage(
     }
     if (pos < b1 && !claim_gap(pos, b1)) return false;
 
+    // The steps below only store. Each line is flushed once, after its
+    // last store (a store to a flushed line before its fence leaves the
+    // persist order undefined): RemapBlock stores and flushes the block's
+    // lines, and `outside` collects those full-object rewrites store
+    // beyond the block.
+    constexpr uint64_t kLine = nvm::PersistCheck::kLine;
+    std::vector<uint64_t> outside;
+    auto stored = [&](uint64_t a, uint64_t b) {
+      for (uint64_t l = a / kLine; l <= (b - 1) / kLine; ++l) {
+        if (l < b0 / kLine || l > (b1 - 1) / kLine) outside.push_back(l);
+      }
+    };
+    auto store = [&](uint64_t off, const void* src, uint64_t len) {
+      device_->WriteBytes(off, src, len);
+      stored(off, off + len);
+    };
+
     // Reset baseline: zero the damaged slices of the payload/gram
     // regions (restores allocator padding to its never-written state)
     // and of the mutable traversal extents (the next stage-0 pass
@@ -1804,9 +1800,7 @@ bool NTadocEngine::RepairDamage(
       static constexpr uint8_t kZeros[nvm::NvmPool::kMediaBlock] = {};
       a = std::max(a, b0);
       b = std::min(b, b1);
-      if (a >= b) return;
-      device_->WriteBytes(a, kZeros, b - a);
-      device_->FlushRange(a, b - a);
+      if (a < b) store(a, kZeros, b - a);
     };
     zero(payloads.begin, payloads.end);
     zero(grams.begin, grams.end);
@@ -1831,11 +1825,13 @@ bool NTadocEngine::RepairDamage(
           if (!RederiveRulePayload(grammar, st->dag, &pool, o.id).ok()) {
             return false;
           }
+          stored(o.begin, o.end);
           break;
         case Obj::kSeg:
           if (!RederiveSegmentPayload(grammar, st->dag, &pool, o.id).ok()) {
             return false;
           }
+          stored(o.begin, o.end);
           break;
         case Obj::kLocalGram:
         case Obj::kSegGram: {
@@ -1843,8 +1839,7 @@ bool NTadocEngine::RepairDamage(
           if (entries.size() * sizeof(GramEntry) != o.end - o.begin) {
             return false;  // metadata inconsistent with re-derivation
           }
-          device_->WriteBytes(o.begin, entries.data(), o.end - o.begin);
-          device_->FlushRange(o.begin, o.end - o.begin);
+          store(o.begin, entries.data(), o.end - o.begin);
           break;
         }
       }
@@ -1852,8 +1847,8 @@ bool NTadocEngine::RepairDamage(
 
     // Restore replicated metadata the block overlaps.
     if (overlaps(cursor_b, cursor_e)) {
-      device_->Write(st->cursor_off, SlotOf(Cursor{}));
-      device_->FlushRange(st->cursor_off, sizeof(CursorSlot));
+      const CursorSlot start = SlotOf(Cursor{});
+      store(st->cursor_off, &start, sizeof(start));
       cursor_reset = true;
     }
     if (overlaps(catalog_off, catalog_off + sizeof(Catalog)) ||
@@ -1861,23 +1856,22 @@ bool NTadocEngine::RepairDamage(
       if (!mirror) mirror = ReadMetaMirror(device_, st->signature);
       if (!mirror) return false;
       if (overlaps(catalog_off, catalog_off + sizeof(Catalog))) {
-        device_->Write(catalog_off, mirror->catalog);
-        device_->FlushRange(catalog_off, sizeof(Catalog));
+        store(catalog_off, &mirror->catalog, sizeof(Catalog));
       }
       if (overlaps(integ_b, integ_e)) {
         if (mirror->integrity.magic != kIntegrityMagic) return false;
-        device_->Write(st->integrity_off, mirror->integrity);
-        device_->FlushRange(st->integrity_off, sizeof(InitIntegrity));
+        store(st->integrity_off, &mirror->integrity, sizeof(InitIntegrity));
       }
     }
 
-    // The writes above healed the block (the emulated controller
+    // The stores above healed the block (the emulated controller
     // rewrites whole ECC blocks on a store) and untouched bytes keep
-    // their original contents; read the authoritative block back and
-    // move it to a spare. A read that still fails means the media is
-    // dead beyond remapping (degraded-mode territory).
+    // their original contents; read the authoritative block back, still
+    // unflushed, and move it to a spare. A read that still fails means
+    // the media is dead beyond remapping (degraded-mode territory).
     uint8_t buf[nvm::NvmPool::kMediaBlock];
     if (!device_->TryReadBytes(b0, buf, b1 - b0).ok()) return false;
+    device_->FlushLines(outside);  // durable at the remap's first fence
     const auto slot = pool.RemapBlock(b0, buf, b1 - b0, st->tx_log());
     if (!slot.ok()) return false;  // out of spares / remap table full
     ++ses_->run_info.blocks_remapped;
@@ -2749,10 +2743,14 @@ Result<AnalyticsOutput> NTadocEngine::TraversalPhase(State* st) {
     if (tadoc::IsPerFileTask(st->task)) return TopDownPerFile(st);
     return TopDownGlobal(st);
   }();
-  if (!result.ok() && result.status().code() == StatusCode::kDataLoss &&
-      options_.persistence == PersistenceMode::kOperation &&
-      options_.commit_interval > 1 && st->log && st->cursor_off != 0) {
-    AbortToPhaseStart(device_, &*st->log, st->cursor_off);
+  if (!result.ok() && st->log) {
+    // A failed step never commits: close its open transaction, so the
+    // repair ladder can commit through the same log.
+    st->log->Abort();
+    if (result.status().code() == StatusCode::kDataLoss &&
+        options_.commit_interval > 1 && st->cursor_off != 0) {
+      AbortToPhaseStart(device_, &*st->log, st->cursor_off);
+    }
   }
   return result;
 }

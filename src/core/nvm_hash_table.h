@@ -19,6 +19,7 @@
 
 #include "nvm/nvm_pool.h"
 #include "nvm/obj_log.h"
+#include "nvm/pmem.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/status.h"
@@ -325,9 +326,7 @@ class NvmHashTable {
   /// else, so persisting a cleared table this way avoids redundantly
   /// flushing the untouched key/value buffers.
   void PersistStatus() {
-    pool_->device().FlushRange(status_off_, capacity_);
-    pool_->device().Drain();
-    pool_->device().AssertPersisted(status_off_, capacity_);
+    nvm::PmemPersist(pool_->device(), status_off_, capacity_);
   }
 
   /// Total pool bytes occupied.

@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "nvm/nvm_pool.h"
+#include "nvm/pmem.h"
 #include "util/logging.h"
 #include "util/status.h"
 
@@ -116,9 +117,7 @@ class NvmVector {
 
   /// Flushes the contents for persistence.
   void Persist() {
-    pool_->device().FlushRange(offset_, size_ * sizeof(T));
-    pool_->device().Drain();
-    pool_->device().AssertPersisted(offset_, size_ * sizeof(T));
+    nvm::PmemPersist(pool_->device(), offset_, size_ * sizeof(T));
   }
 
  private:

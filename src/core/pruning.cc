@@ -287,9 +287,9 @@ DecodedPayload ReadSegmentPayload(const PrunedDag& dag, nvm::NvmPool* pool,
 namespace {
 
 /// Rewrites one payload's bytes at its original offset after validating
-/// the (possibly damaged) metadata against the re-derivation. The encoded
-/// bytes are identical to what BuildPrunedDag wrote, so healed blocks
-/// still match the init-region integrity hash.
+/// the (possibly damaged) metadata against the re-derivation, without
+/// flushing them. The encoded bytes are identical to what BuildPrunedDag
+/// wrote, so healed blocks still match the init-region integrity hash.
 Status RewritePayload(const PrunedDag& dag, nvm::NvmPool* pool,
                       uint64_t payload_off, uint32_t num_subrules,
                       uint32_t num_words, std::span<const Symbol> body,
@@ -320,7 +320,6 @@ Status RewritePayload(const PrunedDag& dag, nvm::NvmPool* pool,
           payload_off + subrules.size() * sizeof(PrunedEntry), words.data(),
           words.size() * sizeof(PrunedEntry));
     }
-    pool->device().FlushRange(payload_off, bytes);
   } else {
     if (check_raw_len && raw_len != body.size()) return bad("raw length");
     uint32_t subs = 0;
@@ -340,7 +339,6 @@ Status RewritePayload(const PrunedDag& dag, nvm::NvmPool* pool,
     }
     if (!body.empty()) {
       pool->device().WriteBytes(payload_off, body.data(), bytes);
-      pool->device().FlushRange(payload_off, bytes);
     }
   }
   return Status::OK();

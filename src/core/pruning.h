@@ -142,6 +142,7 @@ DecodedPayload ReadSegmentPayload(const PrunedDag& dag, nvm::NvmPool* pool,
 /// (payload layout is deterministic, so the init-region integrity hash
 /// still verifies afterward). The rule's metadata must be readable and
 /// consistent with the re-derivation; returns DataLoss when it is not.
+/// The bytes are stored, not flushed: the caller flushes them.
 Status RederiveRulePayload(const Grammar& grammar, const PrunedDag& dag,
                            nvm::NvmPool* pool, uint32_t r);
 

@@ -317,28 +317,27 @@ void NvmDevice::AssertPersisted(uint64_t offset, uint64_t len) {
   if (check_ != nullptr) check_->AssertPersisted(offset, len);
 }
 
-uint64_t NvmDevice::FlushLineRuns(std::vector<uint64_t>& lines) {
+uint64_t NvmDevice::FlushLines(std::vector<uint64_t>& lines) {
   // Flush every dirtied line exactly once, after ALL the caller's writes:
   // per-write flushing would clwb lines a later write re-dirties before
   // the fence (a store-after-flush-before-drain hazard) and would clwb
   // shared lines repeatedly.
-  if (lines.empty()) return 0;
   std::sort(lines.begin(), lines.end());
   lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-  std::vector<std::pair<uint64_t, uint64_t>> runs;  // (first line, count)
   for (size_t i = 0; i < lines.size();) {
     size_t j = i + 1;
     while (j < lines.size() && lines[j] == lines[j - 1] + 1) ++j;
-    runs.emplace_back(lines[i], j - i);
+    FlushRange(lines[i] * kLine, (j - i) * kLine);
     i = j;
   }
-  for (const auto& [first, count] : runs) {
-    FlushRange(first * kLine, count * kLine);
-  }
+  return lines.size();
+}
+
+uint64_t NvmDevice::FlushLineRuns(std::vector<uint64_t>& lines) {
+  if (lines.empty()) return 0;
+  FlushLines(lines);
   Drain();
-  for (const auto& [first, count] : runs) {
-    AssertPersisted(first * kLine, count * kLine);
-  }
+  for (const uint64_t line : lines) AssertPersisted(line * kLine, kLine);
   return lines.size();
 }
 

@@ -216,12 +216,14 @@ class NvmDevice {
   /// Persistence fence (sfence); charges the drain cost.
   void Drain();
 
-  /// Batched durability for a set of (possibly duplicated, unsorted) 64 B
-  /// line indices: dedupes, coalesces adjacent lines into contiguous
-  /// runs, issues one FlushRange per run, a single Drain(), and asserts
-  /// the persistence contract per run. `lines` is left sorted and
-  /// deduplicated. Returns the number of distinct lines made durable. An
-  /// empty set is a no-op (no fence is charged).
+  /// Flushes a set of (possibly duplicated, unsorted) 64 B line indices
+  /// without a fence: dedupes, coalesces adjacent lines into contiguous
+  /// runs and issues one FlushRange per run. `lines` is left sorted and
+  /// deduplicated. Returns the number of distinct lines flushed.
+  uint64_t FlushLines(std::vector<uint64_t>& lines);
+
+  /// FlushLines(), one Drain(), and the persistence contract asserted per
+  /// line. Returns FlushLines()'s count; an empty set charges no fence.
   uint64_t FlushLineRuns(std::vector<uint64_t>& lines);
 
   /// Durability contract: declares that [offset, offset+len) must be

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "nvm/obj_log.h"
+#include "nvm/pmem.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -135,16 +136,11 @@ Result<PoolOffset> NvmPool::Alloc(uint64_t size, uint64_t align) {
 
 void NvmPool::PersistHeader() {
   const Header h = MakeHeader(remap_count_);
-  device_->Write(base_, h);
-  device_->FlushRange(base_, sizeof(Header));
-  device_->Drain();
-  device_->AssertPersisted(base_, sizeof(Header));
+  PmemMemcpyPersist(*device_, base_, &h, sizeof(h));
 }
 
 void NvmPool::PersistAll() {
-  device_->FlushRange(data_start(), UsedBytes());
-  device_->Drain();
-  device_->AssertPersisted(data_start(), UsedBytes());
+  PmemPersist(*device_, data_start(), UsedBytes());
   PersistHeader();
 }
 
@@ -176,55 +172,24 @@ Result<uint32_t> NvmPool::RemapBlock(uint64_t block_off, const void* content,
   }
   const uint32_t slot = remap_count_;
   const uint64_t spare_dst = spare_off_ + uint64_t{slot} * kMediaBlock;
-  // Recovered contents go to the spare block AND the home block: the
-  // emulated controller redirects the bad media on the store, so every
-  // existing absolute offset into the pool stays valid.
-  device_->WriteBytes(spare_dst, content, len);
-  device_->WriteBytes(block_off, content, len);
-  device_->FlushRange(spare_dst, len);
-  device_->FlushRange(block_off, len);
-
   RemapEntry entry{};
   entry.orig_off = block_off;
   entry.spare_slot = slot;
   entry.checksum = RemapChecksum(entry);
-  const uint64_t entry_off = remap_off_ + uint64_t{slot} * sizeof(RemapEntry);
-  const Header new_header = MakeHeader(remap_count_ + 1);
-
-  if (log != nullptr) {
-    // Journaled commit: contents are durable first, then the entry and
-    // the count bump become visible atomically through the log.
-    device_->Drain();
-    device_->AssertPersisted(spare_dst, len);
-    device_->AssertPersisted(block_off, len);
-    if (log->in_transaction()) log->Abort();
-    log->Begin();
-    log->StageValue(entry_off, entry);
-    log->StageValue(base_, new_header);
-    Status s = log->Commit();
-    if (s.code() == StatusCode::kResourceExhausted) {
-      log->FlushAppliedHome();
-      log->Truncate();
-      s = log->Commit();
-    }
-    NTADOC_RETURN_IF_ERROR(s);
-  } else {
-    // Ordered commit: spare copy + healed home + entry are durable
-    // before the header's count bump, which is a single-line write and
-    // therefore crash-atomic — recovery sees either the old count (entry
-    // ignored, media still bad, repair redone) or the new one.
-    device_->Write(entry_off, entry);
-    device_->FlushRange(entry_off, sizeof(entry));
-    device_->Drain();
-    device_->AssertPersisted(spare_dst, len);
-    device_->AssertPersisted(block_off, len);
-    device_->AssertPersisted(entry_off, sizeof(entry));
-    device_->Write(base_, new_header);
-    device_->FlushRange(base_, sizeof(new_header));
-    device_->Drain();
-    device_->AssertPersisted(base_, sizeof(new_header));
-  }
-  remap_count_ = remap_count_ + 1;
+  const Header next = MakeHeader(remap_count_ + 1);
+  // Recovered contents go to the spare block AND the home block: the
+  // emulated controller redirects the bad media on the store, so every
+  // existing absolute offset into the pool stays valid. Both are durable
+  // before the entry and the header's count bump commit; recovery that
+  // sees the old count ignores the entry, and the repair is redone.
+  const DurableWrite contents[] = {{spare_dst, content, len},
+                                   {block_off, content, len}};
+  const DurableWrite record[] = {
+      {remap_off_ + uint64_t{slot} * sizeof(RemapEntry), &entry,
+       sizeof(entry)}};
+  NTADOC_RETURN_IF_ERROR(CommitAtomic(*device_, log, contents, record,
+                                      {base_, &next, sizeof(next)}));
+  ++remap_count_;
   return slot;
 }
 

@@ -13,8 +13,8 @@
 // writes the recovered bytes to a spare block, records a checksummed
 // remap entry, rewrites the home block (the emulated controller redirects
 // the bad media to the spare, so the home offset stays valid for every
-// existing pointer), and durably bumps the header's remap count — either
-// with an ordered flush/fence sequence or journaled through a RedoLog.
+// existing pointer), and durably bumps the header's remap count through
+// CommitAtomic (nvm/pmem.h).
 
 #ifndef NTADOC_NVM_NVM_POOL_H_
 #define NTADOC_NVM_NVM_POOL_H_
@@ -129,9 +129,8 @@ class NvmPool {
   /// (`len` <= 256 bytes, the block's extent inside the pool): writes the
   /// recovered bytes to the next spare block, rewrites the home block
   /// (redirecting the bad media), appends a checksummed RemapEntry and
-  /// durably bumps the header count. With `log` the entry + header update
-  /// commit through the redo log; otherwise an ordered
-  /// flush-entry-then-header sequence makes the count bump atomic.
+  /// durably bumps the header count, all as one CommitAtomic update
+  /// (`log`, when given, must have no open transaction).
   /// Returns the spare slot used, ResourceExhausted when out of spares.
   Result<uint32_t> RemapBlock(uint64_t block_off, const void* content,
                               uint64_t len, RedoLog* log = nullptr);

@@ -3,10 +3,23 @@
 #include <algorithm>
 #include <cstring>
 
+#include "nvm/pmem.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
 namespace ntadoc::nvm {
+
+namespace {
+
+/// Appends the 64 B line numbers of [target, target + len) to `lines`.
+void AppendLines(uint64_t target, uint32_t len, std::vector<uint64_t>* lines) {
+  if (len == 0) return;
+  for (uint64_t l = target / 64; l <= (target + len - 1) / 64; ++l) {
+    lines->push_back(l);
+  }
+}
+
+}  // namespace
 
 uint64_t RedoLog::HeaderChecksum(const Header& h) {
   return Fnv1a64(&h, offsetof(Header, checksum));
@@ -71,10 +84,7 @@ void RedoLog::WriteHeader(uint32_t state, uint64_t used) {
   h.used = used;
   h.generation = generation_;
   h.checksum = HeaderChecksum(h);
-  device_->Write(base_, h);
-  device_->FlushRange(base_, sizeof(Header));
-  device_->Drain();
-  device_->AssertPersisted(base_, sizeof(Header));
+  PmemMemcpyPersist(*device_, base_, &h, sizeof(h));
 }
 
 void RedoLog::Begin() {
@@ -92,7 +102,12 @@ void RedoLog::Stage(uint64_t target, const void* data, uint32_t len) {
   staged_.push_back(StagedWrite{target, off, len});
 }
 
-Status RedoLog::AppendStaged(uint64_t* out_new_tail) {
+Status RedoLog::Commit() {
+  NTADOC_CHECK(in_txn_) << "Commit outside transaction";
+  if (staged_.empty()) {
+    in_txn_ = false;
+    return Status::OK();
+  }
   // Space check first: on a full log the staged writes are kept so the
   // caller can checkpoint, Truncate() and retry.
   uint64_t need = 0;
@@ -129,18 +144,6 @@ Status RedoLog::AppendStaged(uint64_t* out_new_tail) {
 
   // 2. Durability point: advance the commit record.
   WriteHeader(/*state=*/1, new_tail);
-  *out_new_tail = new_tail;
-  return Status::OK();
-}
-
-Status RedoLog::Commit() {
-  NTADOC_CHECK(in_txn_) << "Commit outside transaction";
-  if (staged_.empty()) {
-    in_txn_ = false;
-    return Status::OK();
-  }
-  uint64_t new_tail = 0;
-  NTADOC_RETURN_IF_ERROR(AppendStaged(&new_tail));
 
   // 3. Apply to home locations without flushing (the log is durable; the
   //    home side is flushed in bulk at checkpoint time).
@@ -149,6 +152,15 @@ Status RedoLog::Commit() {
   staged_.clear();
   ++committed_txns_;
   return Status::OK();
+}
+
+Status RedoLog::CommitOrCheckpoint() {
+  Status s = Commit();
+  if (s.code() != StatusCode::kResourceExhausted) return s;
+  // The staged writes survive a failed Commit().
+  FlushAppliedHome();
+  Truncate();
+  return Commit();
 }
 
 Status RedoLog::CommitApplied(std::span<const uint64_t> home_lines) {
@@ -271,12 +283,7 @@ uint64_t RedoLog::ApplyEntries(uint64_t from, uint64_t to) {
       continue;
     }
     device_->WriteBytes(eh.target, *src, eh.len);
-    if (eh.len > 0) {
-      for (uint64_t line = eh.target / 64;
-           line <= (eh.target + eh.len - 1) / 64; ++line) {
-        applied_home_lines_.push_back(line);
-      }
-    }
+    AppendLines(eh.target, eh.len, &applied_home_lines_);
     ++applied;
     off = payload + ((static_cast<uint64_t>(eh.len) + 7) & ~7ull);
   }
@@ -370,12 +377,7 @@ Result<uint64_t> RedoLog::VerifiedApply(uint64_t to) {
           return Status::DataLoss("epoch batch target out of range");
         }
         device_->WriteBytes(target, batch + pos, len);
-        if (len > 0) {
-          for (uint64_t line = target / 64;
-               line <= (target + len - 1) / 64; ++line) {
-            home_lines.push_back(line);
-          }
-        }
+        AppendLines(target, len, &home_lines);
         ++applied;
         pos += len;
       }
@@ -392,12 +394,7 @@ Result<uint64_t> RedoLog::VerifiedApply(uint64_t to) {
       return Status::DataLoss("redo log record checksum mismatch");
     }
     device_->WriteBytes(eh.target, src, eh.len);
-    if (eh.len > 0) {
-      for (uint64_t line = eh.target / 64;
-           line <= (eh.target + eh.len - 1) / 64; ++line) {
-        home_lines.push_back(line);
-      }
-    }
+    AppendLines(eh.target, eh.len, &home_lines);
     ++applied;
     off = payload + ((static_cast<uint64_t>(eh.len) + 7) & ~7ull);
   }

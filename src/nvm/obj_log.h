@@ -64,6 +64,12 @@ class RedoLog {
   /// home state, call Truncate(), and retry Commit().
   Status Commit();
 
+  /// Commit(), but a full log gets one group checkpoint
+  /// (FlushAppliedHome(), Truncate()) and a retry. Strict transactions
+  /// only: mid-epoch, a checkpoint would make uncommitted write-through
+  /// home values durable.
+  Status CommitOrCheckpoint();
+
   /// Epoch-commit variant: durably commits all staged writes WITHOUT
   /// applying them to their home locations — the caller guarantees every
   /// staged value has already been written through to its home (volatile
@@ -186,13 +192,6 @@ class RedoLog {
   /// locations without verification (we just wrote them) and without
   /// flushing — the log itself guarantees durability until checkpoint.
   uint64_t ApplyEntries(uint64_t from, uint64_t to);
-
-  /// Strict-commit prefix: space check, tail append of one record per
-  /// staged write, flush + fence, then the durable commit record
-  /// (WriteHeader — the durability point). On success `*out_new_tail`
-  /// holds the new committed extent; the caller applies and advances
-  /// tail_.
-  Status AppendStaged(uint64_t* out_new_tail);
 
   /// Scans forward from `from` for checksum-valid records of the current
   /// generation and returns the extent after the last epoch batch record

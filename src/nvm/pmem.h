@@ -4,13 +4,15 @@
 // at the end of each N-TADOC phase, amortizing persistence cost. This file
 // provides the thin flush/drain helpers plus PhaseMarker — a tiny
 // checksummed record that durably names the last completed phase, so
-// recovery after a crash restarts from that phase boundary.
+// recovery after a crash restarts from that phase boundary — and
+// CommitAtomic, the one commit for small durable updates.
 
 #ifndef NTADOC_NVM_PMEM_H_
 #define NTADOC_NVM_PMEM_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "nvm/nvm_device.h"
 #include "util/hash.h"
@@ -18,14 +20,7 @@
 
 namespace ntadoc::nvm {
 
-/// pmem_memcpy_persist analog: write + flush + drain in one call.
-inline void PmemMemcpyPersist(NvmDevice& device, uint64_t offset,
-                              const void* src, uint64_t len) {
-  device.WriteBytes(offset, src, len);
-  device.FlushRange(offset, len);
-  device.Drain();
-  device.AssertPersisted(offset, len);
-}
+class RedoLog;
 
 /// pmem_persist analog for data already stored.
 inline void PmemPersist(NvmDevice& device, uint64_t offset, uint64_t len) {
@@ -33,6 +28,36 @@ inline void PmemPersist(NvmDevice& device, uint64_t offset, uint64_t len) {
   device.Drain();
   device.AssertPersisted(offset, len);
 }
+
+/// pmem_memcpy_persist analog: write + flush + drain in one call.
+inline void PmemMemcpyPersist(NvmDevice& device, uint64_t offset,
+                              const void* src, uint64_t len) {
+  device.WriteBytes(offset, src, len);
+  PmemPersist(device, offset, len);
+}
+
+/// One store of a durable update: `len` bytes from `src` at device offset
+/// `off`.
+struct DurableWrite {
+  uint64_t off = 0;
+  const void* src = nullptr;
+  uint64_t len = 0;
+};
+
+/// The commit of every small durable update: the bad-block remap, the tier
+/// placement entry and the container descriptor flip (DESIGN.md §6). The
+/// `body` records and the `commit` record that makes them valid commit as
+/// one crash-atomic update: recovery sees the old commit record, or the
+/// new one with everything it covers. With `log` (no transaction open) it
+/// is one strict redo transaction; with null, the ordered protocol: body
+/// durable under one fence, then `commit`, which must lie in one 64 B
+/// line, under a second. `data` (bulk bytes the update publishes) is
+/// never logged: it is made durable in place before anything commits. On
+/// error nothing committed and the log is left closed.
+Status CommitAtomic(NvmDevice& device, RedoLog* log,
+                    std::span<const DurableWrite> data,
+                    std::span<const DurableWrite> body,
+                    const DurableWrite& commit);
 
 /// Durable "last completed phase" record at a fixed device offset.
 ///
@@ -62,9 +87,7 @@ class PhaseMarker {
     const Record zero{};
     device_->Write(offset_, zero);
     device_->Write(offset_ + kSlotSize, zero);
-    device_->FlushRange(offset_, kRegionSize);
-    device_->Drain();
-    device_->AssertPersisted(offset_, kRegionSize);
+    PmemPersist(*device_, offset_, kRegionSize);
     CommitPhase(0);
   }
 
@@ -81,11 +104,7 @@ class PhaseMarker {
     r.seq = seq + 1;
     r.phase = phase;
     r.crc = Checksum(r);
-    const uint64_t slot_off = offset_ + target * kSlotSize;
-    device_->Write(slot_off, r);
-    device_->FlushRange(slot_off, sizeof(Record));
-    device_->Drain();
-    device_->AssertPersisted(slot_off, sizeof(Record));
+    PmemMemcpyPersist(*device_, offset_ + target * kSlotSize, &r, sizeof(r));
   }
 
   /// Last durably completed phase; falls back to the older slot when the

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "nvm/pmem.h"
 #include "util/hash.h"
 
 namespace ntadoc::nvm {
@@ -203,9 +204,7 @@ Status TieredPool::InitRegion(bool fresh) {
     header.committed = 0;
     header.generation = valid ? existing.generation + 1 : 1;
     header.checksum = HeaderChecksum(header);
-    device_->WriteBytes(region_off_, &header, sizeof(header));
-    device_->FlushRange(region_off_, sizeof(header));
-    device_->Drain();
+    PmemMemcpyPersist(*device_, region_off_, &header, sizeof(header));
   }
   loaded_entries_ = std::move(adopted);
   committed_entries_ = header.committed;
@@ -464,30 +463,10 @@ Status TieredPool::CommitPlacement(const PlacementEntry& e, RedoLog* log) {
   header.committed = committed_entries_ + 1;
   header.generation = generation_;
   header.checksum = HeaderChecksum(header);
-  const uint64_t slot_off = entry_off(static_cast<uint32_t>(e.seq));
-  if (log != nullptr && !log->in_transaction()) {
-    // Journaled: entry + header commit as one failure-atomic epoch.
-    log->Begin();
-    log->StageValue(slot_off, e);
-    log->StageValue(region_off_, header);
-    Status committed = log->Commit();
-    if (committed.code() == StatusCode::kResourceExhausted) {
-      log->FlushAppliedHome();
-      log->Truncate();
-      committed = log->Commit();
-    }
-    NTADOC_RETURN_IF_ERROR(committed);
-  } else {
-    // Ordered: flush the entry, fence, then the header rewrite is the
-    // commit point (same shape as NvmPool::RemapBlock's fallback).
-    device_->WriteBytes(slot_off, &e, sizeof(e));
-    device_->FlushRange(slot_off, sizeof(e));
-    device_->Drain();
-    device_->WriteBytes(region_off_, &header, sizeof(header));
-    device_->FlushRange(region_off_, sizeof(header));
-    device_->Drain();
-  }
-  return Status::OK();
+  const DurableWrite entry[] = {
+      {entry_off(static_cast<uint32_t>(e.seq)), &e, sizeof(e)}};
+  return CommitAtomic(*device_, log, /*data=*/{}, entry,
+                      {region_off_, &header, sizeof(header)});
 }
 
 Status TieredPool::MigrateUnit(size_t unit_idx, uint8_t target, RedoLog* log) {

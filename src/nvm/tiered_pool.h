@@ -30,9 +30,9 @@
 //
 // Placement is durable: the engine reserves a small region between the
 // pool and the meta mirror, and every migration commits a 32-byte
-// placement entry there — journaled through the session RedoLog when
-// one is available outside a transaction, otherwise via the ordered
-// entry-then-header protocol NvmPool::RemapBlock uses. Recovery replays
+// placement entry there with CommitAtomic (nvm/pmem.h): through
+// the session RedoLog at operation level, ordered entry-then-header
+// otherwise, exactly like NvmPool::RemapBlock. Recovery replays
 // the committed prefix, so at every drain point a unit is exactly
 // source- or target-resident, never hybrid (crash_sweep_test
 // MigrationCommitSweepTest).
@@ -201,7 +201,7 @@ class TieredPool {
   /// One migration epoch: decays heat, computes the ideal hot-to-fast
   /// packing under budgets, and commits up to max_moves_per_tick
   /// placement moves (each crash-atomic). `log` may be null (ordered
-  /// protocol) and is ignored while a transaction is open.
+  /// protocol); otherwise it must have no open transaction.
   Status MigrationTick(RedoLog* log);
   /// Forces the unit containing `begin` to `target_tier` with a durable
   /// placement commit. Test / bench surface.
@@ -303,7 +303,7 @@ class TieredPool {
   MemoryModel& ModelOf(int tier) const;
   bool TierIsVolatile(int tier) const;
 
-  /// Commits `unit` -> `target` durably (journaled or ordered), charges
+  /// Commits `unit` -> `target` durably (CommitAtomic), charges
   /// the copy costs (source read, target write, flush for persistent
   /// targets), and updates counters. Core of every Promote*/Migrate*.
   Status MigrateUnit(size_t unit_idx, uint8_t target, RedoLog* log);

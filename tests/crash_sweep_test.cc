@@ -1,15 +1,22 @@
 // Property sweep: inject a power failure at every early traversal step,
 // for both persistence levels and both traversal strategies, and require
 // exact recovery. This is the strongest evidence that the persistence
-// protocols are correct at every step boundary. The drain-point sweeper
-// below goes further: it enumerates EVERY persistence fence of a
-// workload, crashes at each one, and requires exact recovery plus a
-// clean PersistCheck report.
+// protocols are correct at every step boundary. The fence sweeps below go
+// further: SweepEveryFence enumerates EVERY persistence fence of a
+// workload, crashes at each one, and requires exact recovery plus a clean
+// PersistCheck report.
 
 #include <gtest/gtest.h>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <optional>
+#include <string>
 
 #include "compress/compressor.h"
 #include "core/container_store.h"
@@ -161,31 +168,156 @@ TEST(CrashSweepTest, DoubleCrashStillRecovers) {
 }
 
 // ---------------------------------------------------------------------------
-// Exhaustive drain-point sweep.
+// SweepEveryFence: the one crash-at-every-fence harness.
 //
-// Every Drain() is a potential last-durable-instant: the state right after
-// the Kth fence is exactly what a power failure there leaves on media.
-// DeviceOptions::snapshot_at_drain captures that image while the workload
-// runs to completion, so one extra run per fence enumerates every crash
-// point — no hand-picked step numbers. Recovery from each image must
-// reproduce the reference result with a clean PersistCheck report.
+// Every Drain() is a potential last-durable-instant: the persisted image
+// right after the Kth fence is exactly what a power failure there leaves
+// on media. The harness
+//   1. runs the workload once on a persist-checked device, counting its
+//      fences and requiring a clean persistency report;
+//   2. re-runs it with windowed capture (DeviceOptions::
+//      snapshot_drains_begin/end): one run records the persisted image
+//      after every fence of a window, and the window is sized so the held
+//      images stay under kCaptureBudget;
+//   3. loads each image onto a fresh device, runs the case's
+//      recover-and-verify there, and requires its report clean too;
+//   4. cross-checks the first image against the full-device
+//      snapshot_at_drain capture of the same fence.
 // ---------------------------------------------------------------------------
 
-Result<std::unique_ptr<nvm::NvmDevice>> MakeSweepDevice(
-    uint64_t snapshot_at_drain) {
+using DeviceFn = std::function<void(nvm::NvmDevice*)>;
+
+struct SweepOptions {
+  uint64_t capacity = 16ull << 20;
+  /// Runs before the workload on every workload device; its fences (say,
+  /// formatting a store) are counted but not swept.
+  DeviceFn setup;
+  /// Captured region; len 0 runs to the end of the device. A region
+  /// restarts on a device holding nothing else, so it must be
+  /// self-contained.
+  uint64_t region_offset = 0;
+  uint64_t region_len = 0;
+  /// Media faults of the workload devices; recovery devices get none.
+  nvm::FaultPlan faults;
+};
+
+constexpr uint64_t kCaptureBudget = 64ull << 20;
+
+std::string Diagnostics(const nvm::NvmDevice& device) {
+  return device.persist_check()->report().ToString();
+}
+
+/// Runs setup and workload on a fresh device; null after a fatal failure.
+/// `setup_fences` (optional) receives the fence count setup issued.
+std::unique_ptr<nvm::NvmDevice> RunWorkload(const nvm::DeviceOptions& dopts,
+                                            const SweepOptions& opts,
+                                            const DeviceFn& workload,
+                                            uint64_t* setup_fences = nullptr) {
+  auto device = nvm::NvmDevice::Create(dopts);
+  EXPECT_TRUE(device.ok()) << device.status();
+  if (!device.ok()) return nullptr;
+  if (opts.setup) opts.setup(device->get());
+  if (setup_fences != nullptr) *setup_fences = (*device)->drain_count();
+  if (!::testing::Test::HasFatalFailure()) workload(device->get());
+  if (::testing::Test::HasFatalFailure()) return nullptr;
+  return std::move(*device);
+}
+
+/// Crashes `workload` after each of its fences (see above) and records
+/// how many it swept as the test property "fences".
+void SweepEveryFence(const DeviceFn& workload,
+                     const DeviceFn& recover_and_verify,
+                     const SweepOptions& opts = {}) {
   nvm::DeviceOptions dopts;
-  dopts.capacity = 64ull << 20;
+  dopts.capacity = opts.capacity;
   dopts.strict_persistence = true;
   dopts.persist_check = true;
-  dopts.snapshot_at_drain = snapshot_at_drain;
-  return nvm::NvmDevice::Create(dopts);
+  nvm::DeviceOptions wopts = dopts;
+  wopts.fault_plan = opts.faults;
+
+  uint64_t setup_fences = 0;
+  uint64_t total = 0;
+  {
+    const auto clean = RunWorkload(wopts, opts, workload, &setup_fences);
+    if (clean == nullptr) return;
+    EXPECT_TRUE(clean->persist_check()->report().empty())
+        << Diagnostics(*clean);
+    total = clean->drain_count();
+  }
+  EXPECT_GT(total, setup_fences) << "the workload issued no fence";
+
+  const uint64_t region = opts.region_len != 0
+                              ? opts.region_len
+                              : opts.capacity - opts.region_offset;
+  const uint64_t window = std::max<uint64_t>(1, kCaptureBudget / region);
+  wopts.snapshot_region_offset = opts.region_offset;
+  wopts.snapshot_region_len = opts.region_len;
+  for (uint64_t begin = setup_fences + 1; begin <= total; begin += window) {
+    wopts.snapshot_drains_begin = begin;
+    wopts.snapshot_drains_end = std::min(total, begin + window - 1);
+    const auto writer = RunWorkload(wopts, opts, workload);
+    if (writer == nullptr) return;
+    const auto& images = writer->drain_snapshots();
+    if (images.size() != wopts.snapshot_drains_end - begin + 1) {
+      ADD_FAILURE() << "captured " << images.size() << " images for fences "
+                    << begin << ".." << wopts.snapshot_drains_end;
+      return;
+    }
+    if (begin == setup_fences + 1) {
+      nvm::DeviceOptions solo = dopts;
+      solo.fault_plan = opts.faults;
+      solo.snapshot_at_drain = begin;
+      const auto full = RunWorkload(solo, opts, workload);
+      if (full == nullptr) return;
+      EXPECT_EQ(std::memcmp(full->drain_snapshot().data() + opts.region_offset,
+                            images[0].data(), images[0].size()),
+                0)
+          << "windowed capture disagrees with full-device capture";
+    }
+    for (uint64_t i = 0; i < images.size(); ++i) {
+      SCOPED_TRACE("crash after fence " + std::to_string(begin + i) + " of " +
+                   std::to_string(total));
+      auto device = nvm::NvmDevice::Create(dopts);
+      EXPECT_TRUE(device.ok()) << device.status();
+      if (!device.ok()) return;
+      (*device)->LoadSnapshotRegion(images[i], opts.region_offset);
+      recover_and_verify(device->get());
+      if (::testing::Test::HasFatalFailure()) return;
+      EXPECT_TRUE((*device)->persist_check()->report().empty())
+          << Diagnostics(**device);
+    }
+  }
+#ifdef __GLIBC__
+  // Hand the freed images back: a fragmented heap would otherwise carry
+  // them into the next test's peak.
+  malloc_trim(0);
+#endif
+  ::testing::Test::RecordProperty("fences",
+                                  std::to_string(total - setup_fences));
+}
+
+// ---------------------------------------------------------------------------
+// Engine runs: every fence of a whole query, from init through the phase
+// markers, must recover to the reference result.
+// ---------------------------------------------------------------------------
+
+/// The workload and the verifier of an engine sweep: a run that must end
+/// in `expected`, either from scratch or by recovering a crash image.
+DeviceFn RunsExactly(const compress::CompressedCorpus& corpus,
+                     const NTadocOptions& opts, tadoc::Task task,
+                     const AnalyticsOutput& expected) {
+  return [&corpus, opts, task, &expected](nvm::NvmDevice* device) {
+    NTadocEngine engine(&corpus, device, opts);
+    auto got = engine.Run(task);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, expected);
+  };
 }
 
 class DrainPointSweepTest : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(DrainPointSweepTest, ExactRecoveryFromEveryDrainPoint) {
   const SweepCase& c = GetParam();
-  // Small corpus: the sweep re-runs the workload twice per fence.
   const auto corpus = RandomCorpus(911, 10, 4, 120);
   const auto expected = ReferenceRun(corpus, c.task, {});
 
@@ -193,62 +325,21 @@ TEST_P(DrainPointSweepTest, ExactRecoveryFromEveryDrainPoint) {
   opts.persistence = c.persistence;
   opts.traversal = c.strategy;
   opts.commit_interval = c.commit_interval;
-
-  // Pass 1: a clean instrumented run — counts the fences and proves the
-  // whole protocol is diagnostic-free end to end.
-  uint64_t total_drains = 0;
-  {
-    auto device = MakeSweepDevice(0);
-    ASSERT_TRUE(device.ok());
-    NTadocEngine engine(&corpus, device->get(), opts);
-    auto got = engine.Run(c.task);
-    ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(*got, expected);
-    EXPECT_TRUE((*device)->persist_check()->report().empty())
-        << (*device)->persist_check()->report().ToString();
-    total_drains = (*device)->drain_count();
-  }
-  ASSERT_GT(total_drains, 0u);
-
-  for (uint64_t k = 1; k <= total_drains; ++k) {
-    // Capture the persisted image right after fence K.
-    auto writer = MakeSweepDevice(k);
-    ASSERT_TRUE(writer.ok());
-    {
-      NTadocEngine engine(&corpus, writer->get(), opts);
-      ASSERT_TRUE(engine.Run(c.task).ok());
-    }
-    ASSERT_FALSE((*writer)->drain_snapshot().empty())
-        << "snapshot at drain " << k << " not captured";
-
-    // Crash there and recover on a fresh device.
-    auto device = MakeSweepDevice(0);
-    ASSERT_TRUE(device.ok());
-    (*device)->LoadSnapshot((*writer)->drain_snapshot());
-    NTadocEngine engine(&corpus, device->get(), opts);
-    auto got = engine.Run(c.task);
-    ASSERT_TRUE(got.ok())
-        << "recovery failed from drain point " << k << "/" << total_drains
-        << ": " << got.status();
-    EXPECT_EQ(*got, expected) << "wrong result from drain point " << k;
-    EXPECT_TRUE((*device)->persist_check()->report().empty())
-        << "diagnostics recovering from drain point " << k << ":\n"
-        << (*device)->persist_check()->report().ToString();
-  }
+  const DeviceFn run = RunsExactly(corpus, opts, c.task, expected);
+  SweepEveryFence(run, run);
 }
 
 class GroupCheckpointSweepTest
     : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(GroupCheckpointSweepTest, ExactRecoveryAcrossCheckpoints) {
-  // Same fence enumeration, but with a redo log small enough that group
-  // checkpoints (flush applied home lines, truncate) happen repeatedly:
-  // crashing right after a truncation fence is only recoverable if every
-  // home line the discarded records covered was durable first. Swept for
-  // both the strict per-step protocol and epoch group commit — the epoch
-  // variant additionally interleaves sealed batch records with
-  // truncations, so recovery must reject resurrected records from the
-  // pre-truncate generation.
+  // A redo log small enough that group checkpoints (flush applied home
+  // lines, truncate) happen repeatedly: crashing right after a truncation
+  // fence is only recoverable if every home line the discarded records
+  // covered was durable first. Swept for both the strict per-step
+  // protocol and epoch group commit — the epoch variant additionally
+  // interleaves sealed batch records with truncations, so recovery must
+  // reject resurrected records from the pre-truncate generation.
   const auto corpus = RandomCorpus(913, 6, 3, 60);
   const auto expected = ReferenceRun(corpus, tadoc::Task::kWordCount, {});
 
@@ -260,65 +351,141 @@ TEST_P(GroupCheckpointSweepTest, ExactRecoveryAcrossCheckpoints) {
   // batch packing shrink what each epoch appends.
   opts.redo_log_bytes = opts.commit_interval > 1 ? 2048 : 4096;
 
-  uint64_t total_drains = 0;
-  {
-    auto device = MakeSweepDevice(0);
-    ASSERT_TRUE(device.ok());
-    NTadocEngine engine(&corpus, device->get(), opts);
+  const auto workload = [&](nvm::NvmDevice* device) {
+    NTadocEngine engine(&corpus, device, opts);
     auto got = engine.Run(tadoc::Task::kWordCount);
     ASSERT_TRUE(got.ok()) << got.status();
     EXPECT_EQ(*got, expected);
     ASSERT_GT(engine.run_info().group_checkpoints, 0u)
         << "log never filled; the checkpoint path was not exercised";
-    EXPECT_TRUE((*device)->persist_check()->report().empty())
-        << (*device)->persist_check()->report().ToString();
-    total_drains = (*device)->drain_count();
-  }
-  ASSERT_GT(total_drains, 0u);
+  };
+  SweepEveryFence(workload,
+                  RunsExactly(corpus, opts, tadoc::Task::kWordCount, expected));
+}
 
-  for (uint64_t k = 1; k <= total_drains; ++k) {
-    auto writer = MakeSweepDevice(k);
-    ASSERT_TRUE(writer.ok());
-    {
-      NTadocEngine engine(&corpus, writer->get(), opts);
-      ASSERT_TRUE(engine.Run(tadoc::Task::kWordCount).ok());
-    }
-    ASSERT_FALSE((*writer)->drain_snapshot().empty())
-        << "snapshot at drain " << k << " not captured";
+TEST(ComposedSweepTest, TieredMigrationUnderEpochCommit) {
+  // The durable_oplog composition: epoch group commit, a DRAM tier over
+  // the Optane home with a migration tick every step, and a redo log
+  // small enough to checkpoint. Placement moves commit through the same
+  // log between epochs.
+  const auto corpus = RandomCorpus(909, 20, 4, 220);
+  const auto expected = ReferenceRun(corpus, tadoc::Task::kWordCount, {});
 
-    auto device = MakeSweepDevice(0);
-    ASSERT_TRUE(device.ok());
-    (*device)->LoadSnapshot((*writer)->drain_snapshot());
-    NTadocEngine engine(&corpus, device->get(), opts);
+  nvm::TierConfig tiers;
+  tiers.tiers = {{nvm::MediumKind::kDram, 8 * 1024}};
+  tiers.unit_bytes = 4096;
+  tiers.migrate_interval = 1;
+  NTadocOptions opts;
+  opts.persistence = PersistenceMode::kOperation;
+  opts.commit_interval = 8;
+  opts.redo_log_bytes = 4096;
+  opts.tiering = std::make_shared<const nvm::TierConfig>(tiers);
+
+  const auto workload = [&](nvm::NvmDevice* device) {
+    NTadocEngine engine(&corpus, device, opts);
     auto got = engine.Run(tadoc::Task::kWordCount);
-    ASSERT_TRUE(got.ok())
-        << "recovery failed from drain point " << k << "/" << total_drains
-        << ": " << got.status();
-    EXPECT_EQ(*got, expected) << "wrong result from drain point " << k;
-    EXPECT_TRUE((*device)->persist_check()->report().empty())
-        << "diagnostics recovering from drain point " << k << ":\n"
-        << (*device)->persist_check()->report().ToString();
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, expected);
+    const NTadocRunInfo& info = engine.run_info();
+    ASSERT_GT(info.promotions + info.demotions, 0u)
+        << "no placement move committed";
+    EXPECT_GT(info.epoch_commits, 0u);
+    EXPECT_GT(info.group_checkpoints, 0u);
+  };
+  SweepEveryFence(workload,
+                  RunsExactly(corpus, opts, tadoc::Task::kWordCount, expected));
+}
+
+TEST(ComposedSweepTest, MidRunRepairUnderEpochCommit) {
+  // A payload block goes unreadable mid-traversal while an epoch is open:
+  // the epoch is unwound, scoped repair re-derives the block and remaps it
+  // through the same redo log, and the run resumes.
+  const auto corpus = RandomCorpus(909, 20, 4, 220);
+  const auto expected = ReferenceRun(corpus, tadoc::Task::kWordCount, {});
+  NTadocOptions opts;
+  opts.persistence = PersistenceMode::kOperation;
+  opts.commit_interval = 8;
+
+  SweepOptions sweep;
+  {
+    // Scout: the layout is deterministic, so a crashed run on a device of
+    // the sweep's capacity shows where the payload lands.
+    nvm::DeviceOptions dopts;
+    dopts.capacity = sweep.capacity;
+    dopts.strict_persistence = true;
+    auto scout = nvm::NvmDevice::Create(dopts);
+    ASSERT_TRUE(scout.ok());
+    NTadocOptions crashing = opts;
+    crashing.crash_after_traversal_steps = 2;
+    NTadocEngine engine(&corpus, scout->get(), crashing);
+    ASSERT_FALSE(engine.Run(tadoc::Task::kWordCount).ok());
+    nvm::FaultSpec fault;
+    fault.effect = nvm::FaultEffect::kUnreadableBlock;
+    fault.trigger = nvm::FaultTrigger::kNthRead;
+    fault.n = 500;
+    std::tie(fault.range_begin, fault.range_end) = engine.payload_region();
+    ASSERT_LT(fault.range_begin, fault.range_end);
+    sweep.faults.faults.push_back(fault);
   }
+
+  const auto workload = [&](nvm::NvmDevice* device) {
+    NTadocEngine engine(&corpus, device, opts);
+    auto got = engine.Run(tadoc::Task::kWordCount);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, expected);
+    ASSERT_GT(engine.run_info().blocks_remapped, 0u)
+        << "the fault never reached the repair path";
+    EXPECT_EQ(engine.run_info().salvage_restarts, 0u);
+  };
+  SweepEveryFence(workload,
+                  RunsExactly(corpus, opts, tadoc::Task::kWordCount, expected),
+                  sweep);
 }
 
 // ---------------------------------------------------------------------------
-// Remap-commit fence sweep.
-//
-// Bad-block remapping must be crash-atomic at every fence: a power
-// failure anywhere inside RemapBlock leaves either no committed entry
-// (media still bad, the repair is simply redone) or one fully valid
-// entry whose spare block holds the recovered bytes — never a torn
-// count, a checksum-invalid entry, or a committed entry without durable
-// contents. Swept across both commit protocols: the ordered
-// flush-entry-then-header sequence and the redo-log journaled variant.
+// Small durable updates (nvm::CommitAtomic), each swept under both of its
+// variants — journaled through a redo log and ordered — plus the
+// container store, whose descriptor flip is always journaled.
 // ---------------------------------------------------------------------------
+
+constexpr uint64_t kLogBase = 0;
+constexpr uint64_t kLogSize = 8192;
+
+/// The redo log of a journaled sweep case (none for the ordered one).
+std::optional<nvm::RedoLog> MakeLog(nvm::NvmDevice* device, bool journaled) {
+  if (!journaled) return std::nullopt;
+  auto made = nvm::RedoLog::Create(device, kLogBase, kLogSize);
+  EXPECT_TRUE(made.ok()) << made.status();
+  if (!made.ok()) return std::nullopt;
+  return std::move(*made);
+}
+
+/// Engine recovery order: replay the committed log prefix before trusting
+/// anything it may cover.
+void RecoverLog(nvm::NvmDevice* device, bool journaled) {
+  if (!journaled) return;
+  auto log = nvm::RedoLog::Open(device, kLogBase);
+  if (log.ok()) {
+    ASSERT_TRUE(log->Recover().ok());
+  }
+}
+
+/// Sweep options for the small-update cases: their layouts fit 2 MiB.
+SweepOptions SmallDevice() {
+  SweepOptions o;
+  o.capacity = 2ull << 20;
+  return o;
+}
 
 class RemapCommitSweepTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(RemapCommitSweepTest, RemapIsAtomicAtEveryDrainPoint) {
+  // A power failure anywhere inside RemapBlock leaves either no committed
+  // entry (media still bad, the repair is simply redone) or one fully
+  // valid entry whose spare block holds the recovered bytes — never a
+  // torn count, a checksum-invalid entry, or a committed entry without
+  // durable contents.
   const bool journaled = GetParam();
-  constexpr uint64_t kLogBase = 0;
-  constexpr uint64_t kLogSize = 8192;
   constexpr uint64_t kPoolBase = 16384;
   constexpr uint64_t kPoolSize = 256 * 1024;
   constexpr uint64_t kBlock = nvm::NvmPool::kMediaBlock;
@@ -329,11 +496,10 @@ TEST_P(RemapCommitSweepTest, RemapIsAtomicAtEveryDrainPoint) {
     after[i] = static_cast<uint8_t>(0x5B ^ i);
   }
 
-  // The workload under the sweep: format, persist a block of data, then
-  // remap it with new contents (as scoped repair does after re-deriving
-  // a damaged block).
+  // Format, persist a block of data, then remap it with new contents (as
+  // scoped repair does after re-deriving a damaged block).
   uint64_t block_off = 0;
-  auto run_workload = [&](nvm::NvmDevice* device) {
+  const auto workload = [&](nvm::NvmDevice* device) {
     nvm::PoolOptions popts;
     popts.spare_blocks = 4;
     auto pool = nvm::NvmPool::Create(device, kPoolBase, kPoolSize, popts);
@@ -343,12 +509,7 @@ TEST_P(RemapCommitSweepTest, RemapIsAtomicAtEveryDrainPoint) {
     block_off = *off;
     device->WriteBytes(block_off, before.data(), kBlock);
     pool->PersistAll();
-    std::optional<nvm::RedoLog> log;
-    if (journaled) {
-      auto made = nvm::RedoLog::Create(device, kLogBase, kLogSize);
-      ASSERT_TRUE(made.ok());
-      log.emplace(std::move(*made));
-    }
+    std::optional<nvm::RedoLog> log = MakeLog(device, journaled);
     auto slot = pool->RemapBlock(block_off, after.data(), kBlock,
                                  log ? &*log : nullptr);
     ASSERT_TRUE(slot.ok()) << slot.status();
@@ -357,304 +518,41 @@ TEST_P(RemapCommitSweepTest, RemapIsAtomicAtEveryDrainPoint) {
       log->Truncate();
     }
   };
-
-  // Pass 1: clean run — count the fences, require a clean persistency
-  // report (each AssertPersisted contract in RemapBlock holds).
-  uint64_t total_drains = 0;
-  {
-    auto device = MakeSweepDevice(0);
-    ASSERT_TRUE(device.ok());
-    run_workload(device->get());
-    if (HasFatalFailure()) return;
-    EXPECT_TRUE((*device)->persist_check()->report().empty())
-        << (*device)->persist_check()->report().ToString();
-    total_drains = (*device)->drain_count();
-  }
-  ASSERT_GT(total_drains, 0u);
-
-  for (uint64_t k = 1; k <= total_drains; ++k) {
-    auto writer = MakeSweepDevice(k);
-    ASSERT_TRUE(writer.ok());
-    run_workload(writer->get());
-    if (HasFatalFailure()) return;
-    ASSERT_FALSE((*writer)->drain_snapshot().empty());
-
-    auto device = MakeSweepDevice(0);
-    ASSERT_TRUE(device.ok());
-    (*device)->LoadSnapshot((*writer)->drain_snapshot());
-
-    if (journaled) {
-      // Recovery order matches the engine: replay the committed log
-      // prefix before trusting anything it may cover (the remap entry
-      // and the header bump are log records in this variant).
-      auto log = nvm::RedoLog::Open(device->get(), kLogBase);
-      if (log.ok()) {
-        ASSERT_TRUE(log->Recover().ok());
-      }
-    }
-
-    auto pool = nvm::NvmPool::Open(device->get(), kPoolBase);
-    ASSERT_TRUE(pool.ok())
-        << "pool header torn at drain point " << k << "/" << total_drains
-        << ": " << pool.status();
-    ASSERT_LE(pool->remap_count(), 1u)
-        << "torn remap count at drain point " << k;
-    if (pool->remap_count() == 1) {
-      auto entry = pool->ReadRemapEntry(0);
-      ASSERT_TRUE(entry.ok())
-          << "committed remap entry invalid at drain point " << k << ": "
-          << entry.status();
-      EXPECT_EQ(entry->orig_off, block_off);
-      // A committed entry promises durable recovered contents, in the
-      // spare block and at the (redirected) home offset.
-      const uint8_t* raw = (*device)->raw_for_testing();
-      const uint64_t spare =
-          pool->spare_off() + uint64_t{entry->spare_slot} * kBlock;
-      EXPECT_EQ(std::memcmp(raw + spare, after.data(), kBlock), 0)
-          << "spare contents torn at drain point " << k;
-      EXPECT_EQ(std::memcmp(raw + block_off, after.data(), kBlock), 0)
-          << "home contents torn at drain point " << k;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Container-store append sweep: crash a durable streaming append
-// (ContainerStore::AppendFiles — shadow-slot write, then a one-epoch
-// descriptor flip) at every persistence fence. Recovery must open the
-// store and decode EITHER the pre-append container or the post-append
-// one — never a mix, never a parse failure — with a clean PersistCheck
-// report. The sweep starts after Create's last fence: only AppendFiles
-// claims crash atomicity.
-// ---------------------------------------------------------------------------
-
-TEST(ContainerAppendSweepTest, PreOrPostAppendAtEveryDrainPoint) {
-  const uint64_t kStoreBase = 4096;
-  const uint64_t kStoreRegion = 4ull << 20;
-  const auto batch_a = tests::RandomInputs(991, 60, 5, 90);
-  auto batch_b = tests::RandomInputs(992, 60, 3, 80);
-  for (size_t i = 0; i < batch_b.size(); ++i) {
-    batch_b[i].name = "g" + std::to_string(i);
-  }
-  std::vector<compress::InputFile> all = batch_a;
-  all.insert(all.end(), batch_b.begin(), batch_b.end());
-
-  auto corpus_a = compress::Compress(batch_a);
-  ASSERT_TRUE(corpus_a.ok());
-  auto corpus_all = compress::Compress(all);
-  ASSERT_TRUE(corpus_all.ok());
-  const auto pre_tokens = compress::DecodeToTokens(*corpus_a);
-  const auto post_tokens = compress::DecodeToTokens(*corpus_all);
-
-  compress::ParallelCompressOptions popts;
-  popts.threads = 2;
-  popts.min_chunk_bytes = 1;
-  const auto run_workload = [&](nvm::NvmDevice* dev,
-                                uint64_t* format_drains) {
-    auto store =
-        ContainerStore::Create(dev, kStoreBase, kStoreRegion, *corpus_a);
-    ASSERT_TRUE(store.ok()) << store.status();
-    if (format_drains != nullptr) *format_drains = dev->drain_count();
-    ASSERT_TRUE(store->AppendFiles(batch_b, popts).ok());
+  const auto verify = [&](nvm::NvmDevice* device) {
+    RecoverLog(device, journaled);
+    auto pool = nvm::NvmPool::Open(device, kPoolBase);
+    ASSERT_TRUE(pool.ok()) << "pool header torn: " << pool.status();
+    ASSERT_LE(pool->remap_count(), 1u) << "torn remap count";
+    if (pool->remap_count() == 0) return;
+    auto entry = pool->ReadRemapEntry(0);
+    ASSERT_TRUE(entry.ok()) << "committed remap entry invalid: "
+                            << entry.status();
+    EXPECT_EQ(entry->orig_off, block_off);
+    // A committed entry promises durable recovered contents, in the spare
+    // block and at the (redirected) home offset.
+    const uint8_t* raw = device->raw_for_testing();
+    const uint64_t spare =
+        pool->spare_off() + uint64_t{entry->spare_slot} * kBlock;
+    EXPECT_EQ(std::memcmp(raw + spare, after.data(), kBlock), 0)
+        << "spare contents torn";
+    EXPECT_EQ(std::memcmp(raw + block_off, after.data(), kBlock), 0)
+        << "home contents torn";
   };
-
-  // Pass 1: clean instrumented run — fence count and a quiet checker.
-  uint64_t format_drains = 0;
-  uint64_t total_drains = 0;
-  {
-    auto device = MakeSweepDevice(0);
-    ASSERT_TRUE(device.ok());
-    run_workload(device->get(), &format_drains);
-    EXPECT_TRUE((*device)->persist_check()->report().empty())
-        << (*device)->persist_check()->report().ToString();
-    total_drains = (*device)->drain_count();
-  }
-  ASSERT_GT(total_drains, format_drains);
-
-  for (uint64_t k = format_drains + 1; k <= total_drains; ++k) {
-    auto writer = MakeSweepDevice(k);
-    ASSERT_TRUE(writer.ok());
-    run_workload(writer->get(), nullptr);
-    ASSERT_FALSE((*writer)->drain_snapshot().empty())
-        << "snapshot at drain " << k << " not captured";
-
-    auto device = MakeSweepDevice(0);
-    ASSERT_TRUE(device.ok());
-    (*device)->LoadSnapshot((*writer)->drain_snapshot());
-    auto store = ContainerStore::Open(device->get(), kStoreBase);
-    ASSERT_TRUE(store.ok())
-        << "open failed from drain point " << k << "/" << total_drains
-        << ": " << store.status();
-    auto loaded = store->Load();
-    ASSERT_TRUE(loaded.ok())
-        << "load failed from drain point " << k << ": " << loaded.status();
-    const auto tokens = compress::DecodeToTokens(*loaded);
-    if (store->sequence() == 2) {
-      EXPECT_EQ(tokens, post_tokens)
-          << "post-append container torn at drain point " << k;
-      EXPECT_EQ(loaded->file_names, corpus_all->file_names);
-    } else {
-      ASSERT_EQ(store->sequence(), 1u) << "drain point " << k;
-      EXPECT_EQ(tokens, pre_tokens)
-          << "pre-append container torn at drain point " << k;
-      EXPECT_EQ(loaded->file_names, corpus_a->file_names);
-    }
-    EXPECT_TRUE((*device)->persist_check()->report().empty())
-        << "diagnostics recovering from drain point " << k << ":\n"
-        << (*device)->persist_check()->report().ToString();
-  }
+  SweepEveryFence(workload, verify, SmallDevice());
 }
-
-// ---------------------------------------------------------------------------
-// Generation-cutover sweep: crash the serve-while-ingest refresh
-// protocol (StageAppend — seal elsewhere — CommitAppend) at every
-// persistence fence of its cutover epoch. The refresher seals the new
-// serving generation on a PRIVATE device between stage and commit, so
-// the store device's fences are exactly the fences of the cutover
-// epoch. Recovery must land on exactly the pre-refresh or post-refresh
-// generation — never a hybrid — with a clean PersistCheck report.
-//
-// Unlike ContainerAppendSweepTest (one full re-run per fence), this
-// sweep uses the windowed region-snapshot capture: ONE instrumented run
-// records the persisted store region at every fence, and each fence is
-// then recovered from its captured image. That is also the memory-bound
-// trick that makes fence enumeration affordable for long epochs.
-// ---------------------------------------------------------------------------
-
-TEST(GenerationCutoverSweepTest, PreOrPostGenerationAtEveryDrainPoint) {
-  const uint64_t kStoreBase = 4096;
-  const uint64_t kStoreRegion = 4ull << 20;
-  const auto batch_a = tests::RandomInputs(993, 60, 5, 90);
-  auto batch_b = tests::RandomInputs(994, 60, 3, 80);
-  for (size_t i = 0; i < batch_b.size(); ++i) {
-    batch_b[i].name = "h" + std::to_string(i);
-  }
-  std::vector<compress::InputFile> all = batch_a;
-  all.insert(all.end(), batch_b.begin(), batch_b.end());
-
-  auto corpus_a = compress::Compress(batch_a);
-  ASSERT_TRUE(corpus_a.ok());
-  auto corpus_all = compress::Compress(all);
-  ASSERT_TRUE(corpus_all.ok());
-  const auto pre_tokens = compress::DecodeToTokens(*corpus_a);
-  const auto post_tokens = compress::DecodeToTokens(*corpus_all);
-
-  compress::ParallelCompressOptions popts;
-  popts.threads = 2;
-  popts.min_chunk_bytes = 1;
-  const auto run_workload = [&](nvm::NvmDevice* dev,
-                                uint64_t* format_drains) {
-    auto store =
-        ContainerStore::Create(dev, kStoreBase, kStoreRegion, *corpus_a);
-    ASSERT_TRUE(store.ok()) << store.status();
-    if (format_drains != nullptr) *format_drains = dev->drain_count();
-    auto pending = store->StageAppend(batch_b, popts);
-    ASSERT_TRUE(pending.ok()) << pending.status();
-    // <- the refresher seals the new generation here, on its own device:
-    //    zero fences on the store device, so nothing to sweep.
-    ASSERT_TRUE(store->CommitAppend(*pending).ok());
-  };
-
-  // Pass 1: clean run — fence count and a quiet checker.
-  uint64_t format_drains = 0;
-  uint64_t total_drains = 0;
-  {
-    auto device = MakeSweepDevice(0);
-    ASSERT_TRUE(device.ok());
-    run_workload(device->get(), &format_drains);
-    EXPECT_TRUE((*device)->persist_check()->report().empty())
-        << (*device)->persist_check()->report().ToString();
-    total_drains = (*device)->drain_count();
-  }
-  ASSERT_GT(total_drains, format_drains);
-
-  // Pass 2: one instrumented run captures the store region at every
-  // fence of the cutover epoch.
-  nvm::DeviceOptions wopts;
-  wopts.capacity = 64ull << 20;
-  wopts.strict_persistence = true;
-  wopts.persist_check = true;
-  wopts.snapshot_drains_begin = format_drains + 1;
-  wopts.snapshot_region_offset = kStoreBase;
-  wopts.snapshot_region_len = kStoreRegion;
-  auto writer = nvm::NvmDevice::Create(wopts);
-  ASSERT_TRUE(writer.ok());
-  run_workload(writer->get(), nullptr);
-  const auto& fences = (*writer)->drain_snapshots();
-  ASSERT_EQ(fences.size(), total_drains - format_drains);
-
-  // Cross-validate the windowed capture against the single-snapshot
-  // machinery the older sweeps trust: the first fence's region image
-  // must equal the store-region slice of a full snapshot_at_drain run.
-  {
-    auto solo = MakeSweepDevice(format_drains + 1);
-    ASSERT_TRUE(solo.ok());
-    run_workload(solo->get(), nullptr);
-    const auto& full = (*solo)->drain_snapshot();
-    ASSERT_GE(full.size(), kStoreBase + kStoreRegion);
-    EXPECT_EQ(std::memcmp(full.data() + kStoreBase, fences[0].data(),
-                          kStoreRegion),
-              0)
-        << "windowed region capture disagrees with full-device capture";
-  }
-
-  bool saw_pre = false;
-  bool saw_post = false;
-  for (uint64_t k = 0; k < fences.size(); ++k) {
-    const uint64_t fence = format_drains + 1 + k;
-    auto device = MakeSweepDevice(0);
-    ASSERT_TRUE(device.ok());
-    (*device)->LoadSnapshotRegion(fences[k], kStoreBase);
-    auto store = ContainerStore::Open(device->get(), kStoreBase);
-    ASSERT_TRUE(store.ok())
-        << "open failed from cutover fence " << fence << "/" << total_drains
-        << ": " << store.status();
-    auto loaded = store->Load();
-    ASSERT_TRUE(loaded.ok())
-        << "load failed from cutover fence " << fence << ": "
-        << loaded.status();
-    const auto tokens = compress::DecodeToTokens(*loaded);
-    if (store->generation() == 2) {
-      saw_post = true;
-      EXPECT_EQ(tokens, post_tokens)
-          << "post-cutover generation torn at fence " << fence;
-      EXPECT_EQ(loaded->file_names, corpus_all->file_names);
-    } else {
-      ASSERT_EQ(store->generation(), 1u) << "fence " << fence;
-      saw_pre = true;
-      EXPECT_EQ(tokens, pre_tokens)
-          << "pre-cutover generation torn at fence " << fence;
-      EXPECT_EQ(loaded->file_names, corpus_a->file_names);
-    }
-    EXPECT_TRUE((*device)->persist_check()->report().empty())
-        << "diagnostics recovering from cutover fence " << fence << ":\n"
-        << (*device)->persist_check()->report().ToString();
-  }
-  // The epoch has fences on both sides of the commit record: the sweep
-  // must have exercised both recovery outcomes.
-  EXPECT_TRUE(saw_pre) << "no fence recovered to the old generation";
-  EXPECT_TRUE(saw_post) << "no fence recovered to the new generation";
-}
-
-// ---------------------------------------------------------------------------
-// Tiered-placement migration sweep: crash a durable placement commit
-// (TieredPool::MigrateRange — a 32-byte placement entry plus a header
-// bump, journaled through a RedoLog or via the ordered entry-then-header
-// protocol) at every persistence fence. Recovery must reopen the
-// placement region and see the unit EITHER source-resident (commit did
-// not land) or target-resident (it did) — never a hybrid or a parse
-// failure — with a clean PersistCheck report on the clean pass.
-// ---------------------------------------------------------------------------
 
 class MigrationCommitSweepTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(MigrationCommitSweepTest, SourceOrTargetAtEveryDrainPoint) {
+  // A durable placement commit (TieredPool::MigrateRange: a 32-byte
+  // placement entry plus a header bump) leaves the unit EITHER
+  // source-resident (the commit did not land) or target-resident (it did)
+  // — never a hybrid or a parse failure.
   const bool journaled = GetParam();
-  constexpr uint64_t kLogBase = 0;
-  constexpr uint64_t kLogSize = 8192;
   constexpr uint64_t kRegionOff = 1ull << 20;
   constexpr uint64_t kRegionLen = 256 * 1024;
   constexpr uint64_t kUnit = 4096;
+  constexpr uint64_t kUnitOff = 16384;
 
   // Optane home (tier 0) over SSD capacity (tier 1): both persistent,
   // so the committed placement is exactly what recovery must see.
@@ -667,83 +565,141 @@ TEST_P(MigrationCommitSweepTest, SourceOrTargetAtEveryDrainPoint) {
     auto made =
         nvm::TieredPool::Make(device, kRegionOff, kRegionLen, cfg);
     if (!made.ok() || !(*made)->InitRegion(fresh).ok()) return nullptr;
-    (*made)->RegisterExtent(16384, 2 * kUnit, nvm::TierClass::kPayload);
+    (*made)->RegisterExtent(kUnitOff, 2 * kUnit, nvm::TierClass::kPayload);
     if (!(*made)->ApplyInitialPlacement().ok()) return nullptr;
     return std::move(*made);
   };
 
-  // Workload under the sweep: format the region, place two payload
-  // units at home, then durably demote the first one to the SSD tier.
-  auto run_workload = [&](nvm::NvmDevice* device) {
+  // Format the region, place two payload units at home, then durably
+  // demote the first one to the SSD tier.
+  const auto workload = [&](nvm::NvmDevice* device) {
     auto pool = reopen(device, /*fresh=*/true);
     ASSERT_NE(pool, nullptr);
-    ASSERT_EQ(pool->TierOf(16384), 0);
-    std::optional<nvm::RedoLog> log;
-    if (journaled) {
-      auto made = nvm::RedoLog::Create(device, kLogBase, kLogSize);
-      ASSERT_TRUE(made.ok());
-      log.emplace(std::move(*made));
-    }
-    const Status moved = pool->MigrateRange(16384, 1, log ? &*log : nullptr);
+    ASSERT_EQ(pool->TierOf(kUnitOff), 0);
+    std::optional<nvm::RedoLog> log = MakeLog(device, journaled);
+    const Status moved = pool->MigrateRange(kUnitOff, 1, log ? &*log : nullptr);
     ASSERT_TRUE(moved.ok()) << moved;
-    ASSERT_EQ(pool->TierOf(16384), 1);
+    ASSERT_EQ(pool->TierOf(kUnitOff), 1);
     if (log) {
       log->FlushAppliedHome();
       log->Truncate();
     }
   };
-
-  // Pass 1: clean run — count fences, require a clean persistency
-  // report (the commit protocol never drains unflushed lines).
-  uint64_t total_drains = 0;
-  {
-    auto device = MakeSweepDevice(0);
-    ASSERT_TRUE(device.ok());
-    run_workload(device->get());
-    if (HasFatalFailure()) return;
-    EXPECT_TRUE((*device)->persist_check()->report().empty())
-        << (*device)->persist_check()->report().ToString();
-    total_drains = (*device)->drain_count();
-  }
-  ASSERT_GT(total_drains, 0u);
-
   bool saw_source = false;
   bool saw_target = false;
-  for (uint64_t k = 1; k <= total_drains; ++k) {
-    auto writer = MakeSweepDevice(k);
-    ASSERT_TRUE(writer.ok());
-    run_workload(writer->get());
-    if (HasFatalFailure()) return;
-    ASSERT_FALSE((*writer)->drain_snapshot().empty());
-
-    auto device = MakeSweepDevice(0);
-    ASSERT_TRUE(device.ok());
-    (*device)->LoadSnapshot((*writer)->drain_snapshot());
-
-    if (journaled) {
-      // Engine recovery order: replay the committed log prefix before
-      // trusting the placement region it may cover.
-      auto log = nvm::RedoLog::Open(device->get(), kLogBase);
-      if (log.ok()) {
-        ASSERT_TRUE(log->Recover().ok());
-      }
-    }
-
-    auto pool = reopen(device->get(), /*fresh=*/false);
-    ASSERT_NE(pool, nullptr)
-        << "placement region unreadable at drain point " << k << "/"
-        << total_drains;
-    const int tier = pool->TierOf(16384);
-    ASSERT_TRUE(tier == 0 || tier == 1)
-        << "hybrid placement at drain point " << k << ": tier " << tier;
+  const auto verify = [&](nvm::NvmDevice* device) {
+    RecoverLog(device, journaled);
+    auto pool = reopen(device, /*fresh=*/false);
+    ASSERT_NE(pool, nullptr) << "placement region unreadable";
+    const int tier = pool->TierOf(kUnitOff);
+    ASSERT_TRUE(tier == 0 || tier == 1) << "hybrid placement: tier " << tier;
     (tier == 0 ? saw_source : saw_target) = true;
     // The commit is per-unit: its sibling must be untouched either way.
-    EXPECT_EQ(pool->TierOf(16384 + kUnit), 0)
-        << "sibling unit moved at drain point " << k;
-  }
+    EXPECT_EQ(pool->TierOf(kUnitOff + kUnit), 0) << "sibling unit moved";
+  };
+  SweepEveryFence(workload, verify, SmallDevice());
   // The sweep brackets the commit point: both outcomes must occur.
   EXPECT_TRUE(saw_source) << "no fence recovered source-resident";
   EXPECT_TRUE(saw_target) << "no fence recovered target-resident";
+}
+
+/// A store holding batch A that appends batch B (file names kept apart).
+struct AppendCase {
+  static constexpr uint64_t kStoreBase = 4096;
+  static constexpr uint64_t kStoreRegion = 4ull << 20;
+
+  AppendCase(uint64_t seed_a, uint64_t seed_b, const std::string& prefix)
+      : batch_a(tests::RandomInputs(seed_a, 60, 5, 90)),
+        batch_b(tests::RandomInputs(seed_b, 60, 3, 80)) {
+    for (size_t i = 0; i < batch_b.size(); ++i) {
+      batch_b[i].name = prefix + std::to_string(i);
+    }
+    std::vector<compress::InputFile> all = batch_a;
+    all.insert(all.end(), batch_b.begin(), batch_b.end());
+    pre = *compress::Compress(batch_a);
+    post = *compress::Compress(all);
+    popts.threads = 2;
+    popts.min_chunk_bytes = 1;
+  }
+
+  /// Sweep options: Create is setup, and the store region is captured.
+  SweepOptions Sweep() {
+    SweepOptions o;
+    o.setup = [this](nvm::NvmDevice* device) {
+      auto made = ContainerStore::Create(device, kStoreBase, kStoreRegion, pre);
+      ASSERT_TRUE(made.ok()) << made.status();
+      store.emplace(std::move(*made));
+    };
+    o.region_offset = kStoreBase;
+    o.region_len = kStoreRegion;
+    return o;
+  }
+
+  /// Recovers the store and requires exactly the pre- or post-append
+  /// container; returns the recovered generation (0 on failure).
+  uint64_t Recover(nvm::NvmDevice* device) {
+    auto opened = ContainerStore::Open(device, kStoreBase);
+    EXPECT_TRUE(opened.ok()) << "open failed: " << opened.status();
+    if (!opened.ok()) return 0;
+    auto loaded = opened->Load();
+    EXPECT_TRUE(loaded.ok()) << "load failed: " << loaded.status();
+    if (!loaded.ok()) return 0;
+    const uint64_t generation = opened->generation();
+    EXPECT_TRUE(generation == 1 || generation == 2) << generation;
+    const compress::CompressedCorpus& want = generation == 2 ? post : pre;
+    EXPECT_EQ(compress::DecodeToTokens(*loaded),
+              compress::DecodeToTokens(want))
+        << "generation " << generation << " torn";
+    EXPECT_EQ(loaded->file_names, want.file_names);
+    return generation;
+  }
+
+  std::vector<compress::InputFile> batch_a;
+  std::vector<compress::InputFile> batch_b;
+  compress::CompressedCorpus pre;
+  compress::CompressedCorpus post;
+  compress::ParallelCompressOptions popts;
+  std::optional<ContainerStore> store;
+};
+
+TEST(ContainerAppendSweepTest, PreOrPostAppendAtEveryDrainPoint) {
+  // A durable streaming append (ContainerStore::AppendFiles: shadow-slot
+  // write, then the descriptor commit) recovers to EITHER the pre-append
+  // container or the post-append one — never a mix, never a parse
+  // failure. Only AppendFiles claims crash atomicity, so Create is setup.
+  AppendCase c(991, 992, "g");
+  SweepEveryFence(
+      [&](nvm::NvmDevice*) {
+        ASSERT_TRUE(c.store->AppendFiles(c.batch_b, c.popts).ok());
+      },
+      [&](nvm::NvmDevice* device) { c.Recover(device); }, c.Sweep());
+}
+
+TEST(GenerationCutoverSweepTest, PreOrPostGenerationAtEveryDrainPoint) {
+  // The serve-while-ingest refresh protocol (StageAppend — seal elsewhere
+  // — CommitAppend). The refresher seals the new serving generation on a
+  // PRIVATE device between stage and commit, so the store device's fences
+  // are exactly those of the cutover. Recovery lands on exactly the
+  // pre-refresh or post-refresh generation, and the sweep must see both.
+  AppendCase c(993, 994, "h");
+  bool saw_pre = false;
+  bool saw_post = false;
+  SweepEveryFence(
+      [&](nvm::NvmDevice*) {
+        auto pending = c.store->StageAppend(c.batch_b, c.popts);
+        ASSERT_TRUE(pending.ok()) << pending.status();
+        // <- the refresher seals the new generation here, on its own
+        //    device: zero fences on the store device.
+        ASSERT_TRUE(c.store->CommitAppend(*pending).ok());
+      },
+      [&](nvm::NvmDevice* device) {
+        const uint64_t generation = c.Recover(device);
+        saw_pre |= generation == 1;
+        saw_post |= generation == 2;
+      },
+      c.Sweep());
+  EXPECT_TRUE(saw_pre) << "no fence recovered to the old generation";
+  EXPECT_TRUE(saw_post) << "no fence recovered to the new generation";
 }
 
 INSTANTIATE_TEST_SUITE_P(CommitProtocols, RemapCommitSweepTest,

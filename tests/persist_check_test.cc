@@ -297,6 +297,61 @@ TEST_P(PersistCheckEngineTest, EngineRunsWithZeroDiagnostics) {
   }
 }
 
+TEST_P(PersistCheckEngineTest, MidRunRepairRunsWithZeroDiagnostics) {
+  // A payload block goes unreadable at the 500th payload read, mid-run.
+  // Scoped repair re-derives and remaps it (the volatile mode restarts
+  // from the container instead): every line it stores is flushed once,
+  // after its last store, and nothing is read back or stored again
+  // between a flush and its fence.
+  const auto corpus = tests::RandomCorpus(909, 20, 4, 220);
+  const auto expected =
+      tests::ReferenceRun(corpus, tadoc::Task::kWordCount, {});
+  const bool logged = GetParam() == core::PersistenceMode::kOperation;
+  for (const uint32_t interval : {1u, 8u}) {
+    if (interval > 1 && !logged) continue;
+    core::NTadocOptions opts;
+    opts.persistence = GetParam();
+    opts.traversal = tadoc::TraversalStrategy::kTopDown;
+    opts.commit_interval = interval;
+    DeviceOptions dopts;
+    dopts.capacity = 64ull << 20;
+    dopts.strict_persistence = true;
+
+    // Scout run: the layout is deterministic, so a crashed run shows
+    // where the payload lands.
+    nvm::FaultSpec fault;
+    {
+      auto scout = NvmDevice::Create(dopts);
+      ASSERT_TRUE(scout.ok());
+      core::NTadocOptions crashing = opts;
+      crashing.crash_after_traversal_steps = 2;
+      core::NTadocEngine engine(&corpus, scout->get(), crashing);
+      ASSERT_FALSE(engine.Run(tadoc::Task::kWordCount).ok());
+      std::tie(fault.range_begin, fault.range_end) = engine.payload_region();
+    }
+    ASSERT_LT(fault.range_begin, fault.range_end);
+    fault.effect = nvm::FaultEffect::kUnreadableBlock;
+    fault.trigger = nvm::FaultTrigger::kNthRead;
+    fault.n = 500;
+    dopts.persist_check = true;
+    dopts.fault_plan.faults.push_back(fault);
+    auto device = NvmDevice::Create(dopts);
+    ASSERT_TRUE(device.ok());
+
+    core::NTadocEngine engine(&corpus, device->get(), opts);
+    auto got = engine.Run(tadoc::Task::kWordCount);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, expected);
+    if (GetParam() != core::PersistenceMode::kNone) {
+      EXPECT_GT(engine.run_info().blocks_remapped, 0u);
+    }
+    EXPECT_TRUE(Report(**device).empty())
+        << "persistence=" << core::PersistenceModeToString(GetParam())
+        << " commit_interval=" << interval << "\n"
+        << Report(**device).ToString();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, PersistCheckEngineTest,
                          ::testing::Values(core::PersistenceMode::kNone,
                                            core::PersistenceMode::kPhase,

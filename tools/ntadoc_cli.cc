@@ -177,8 +177,8 @@ Result<std::shared_ptr<const nvm::TierConfig>> BuildTierConfig(
 
 // `--append` exercises the full durable path: the existing container is
 // formatted into an emulated-NVM ContainerStore and the new files are
-// merged under epoch-commit durability (so `append_epochs` in --stats
-// counts real log epochs), then the appended container is saved back.
+// merged under redo-log durability (so `append_epochs` in --stats counts
+// real descriptor commits), then the appended container is saved back.
 int CmdCompressAppend(const char* out_path,
                       const std::vector<compress::InputFile>& files,
                       const compress::ParallelCompressOptions& popts,
