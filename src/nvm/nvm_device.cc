@@ -1,12 +1,31 @@
 #include "nvm/nvm_device.h"
 
+#include <sanitizer/asan_interface.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "nvm/tiered_pool.h"
 #include "util/logging.h"
 
 namespace ntadoc::nvm {
+
+namespace {
+
+uint64_t PageSize() {
+  static const uint64_t page = static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+}  // namespace
+
+void NvmDevice::Unmap::operator()(uint8_t* data) const {
+  ASAN_UNPOISON_MEMORY_REGION(data, bytes);
+  munmap(data, bytes);
+}
 
 void NvmDevice::ChargeRead(uint64_t offset, uint64_t len) {
   if (tier_router_ == nullptr) {
@@ -64,17 +83,46 @@ Result<std::unique_ptr<NvmDevice>> NvmDevice::Create(DeviceOptions options) {
     return Status::InvalidArgument(
         "base image larger than device capacity");
   }
+  // A private anonymous mapping reads as zeros and costs host memory only
+  // for the pages a run touches. NORESERVE: devices are sized for the
+  // worst case and mostly untouched, so reserving swap for them is waste.
+  const uint64_t page = PageSize();
+  if (options.capacity > std::numeric_limits<size_t>::max() - 2 * page) {
+    return Status::ResourceExhausted("device capacity exceeds address space");
+  }
+  const uint64_t data_bytes = (options.capacity + page - 1) / page * page;
+  void* map = mmap(nullptr, data_bytes + page, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (map == MAP_FAILED) {
+    return Status::ResourceExhausted(
+        "cannot map " + std::to_string(options.capacity) + "-byte device");
+  }
+  Backing data(static_cast<uint8_t*>(map), Unmap{data_bytes + page});
+  // An overrun must fault as a heap overrun would: a PROT_NONE guard page
+  // follows the data pages, and under ASan the slack between capacity and
+  // the page end reads like a redzone.
+  if (mprotect(data.get() + data_bytes, page, PROT_NONE) != 0) {
+    return Status::ResourceExhausted("cannot guard device mapping");
+  }
+  ASAN_POISON_MEMORY_REGION(data.get() + options.capacity,
+                            data_bytes - options.capacity);
+#ifdef MADV_NOHUGEPAGE
+  // Residency stays per touched base page even where the host defaults to
+  // transparent huge pages, which would back 2 MiB for one touched byte.
+  madvise(map, data_bytes, MADV_NOHUGEPAGE);
+#endif
   if (options.clock == nullptr) options.clock = MakeSimClock();
-  return std::unique_ptr<NvmDevice>(new NvmDevice(std::move(options)));
+  return std::unique_ptr<NvmDevice>(
+      new NvmDevice(std::move(options), std::move(data)));
 }
 
-NvmDevice::NvmDevice(DeviceOptions options)
+NvmDevice::NvmDevice(DeviceOptions options, Backing data)
     : capacity_(options.capacity),
       model_(options.profile, options.clock),
       strict_(options.strict_persistence),
       random_evict_probability_(options.random_evict_probability),
       evict_rng_(options.evict_seed),
-      data_(options.capacity, 0),
+      data_(std::move(data)),
       retry_(options.retry),
       snapshot_at_drain_(options.snapshot_at_drain),
       snapshot_drains_begin_(options.snapshot_drains_begin),
@@ -85,7 +133,7 @@ NvmDevice::NvmDevice(DeviceOptions options)
     // Session-private materialization of the shared sealed image (see
     // DeviceOptions::base_image). Uncharged: the copy models mapping the
     // sealed pool, not device traffic.
-    std::memcpy(data_.data(), options.base_image->data(),
+    std::memcpy(data_.get(), options.base_image->data(),
                 options.base_image->size());
   }
   if (!options.fault_plan.empty()) {
@@ -125,7 +173,7 @@ void NvmDevice::ReadBytes(uint64_t offset, void* dst, uint64_t len) {
       }
     }
   }
-  std::memcpy(dst, data_.data() + offset, len);
+  std::memcpy(dst, data_.get() + offset, len);
 }
 
 FaultInjector::ReadFault NvmDevice::RetryRead(uint64_t offset, uint64_t len,
@@ -163,7 +211,7 @@ Status NvmDevice::TryReadBytes(uint64_t offset, void* dst, uint64_t len) {
 Result<const uint8_t*> NvmDevice::TryReadSpan(uint64_t offset, uint64_t len,
                                               uint64_t quantum) {
   NTADOC_DCHECK_LE(offset + len, capacity_);
-  if (len == 0) return static_cast<const uint8_t*>(data_.data() + offset);
+  if (len == 0) return static_cast<const uint8_t*>(data_.get() + offset);
   ChargeReadExtent(offset, len, quantum);
   if (read_slow_) {
     if (check_ != nullptr) check_->OnRead(offset, len);
@@ -179,7 +227,7 @@ Result<const uint8_t*> NvmDevice::TryReadSpan(uint64_t offset, uint64_t len,
       }
     }
   }
-  return static_cast<const uint8_t*>(data_.data() + offset);
+  return static_cast<const uint8_t*>(data_.get() + offset);
 }
 
 void NvmDevice::PoisonForTesting(uint64_t offset, uint64_t len, bool sticky) {
@@ -206,7 +254,7 @@ void NvmDevice::WriteBytes(uint64_t offset, const void* src, uint64_t len,
   // memmove, not memcpy: callers may legally write data read through a
   // TryReadSpan borrow of an overlapping extent (e.g. log replay with a
   // corrupt record targeting the log region itself).
-  std::memmove(data_.data() + offset, src, len);
+  std::memmove(data_.get() + offset, src, len);
 }
 
 void NvmDevice::FillBytes(uint64_t offset, uint64_t len, uint8_t value,
@@ -219,7 +267,7 @@ void NvmDevice::FillBytes(uint64_t offset, uint64_t len, uint8_t value,
     if (strict_) TrackDirty(offset, len);
     if (injector_ != nullptr) injector_->OnWrite(offset, len);
   }
-  std::memset(data_.data() + offset, value, len);
+  std::memset(data_.get() + offset, value, len);
 }
 
 void NvmDevice::TrackDirty(uint64_t offset, uint64_t len) {
@@ -229,7 +277,7 @@ void NvmDevice::TrackDirty(uint64_t offset, uint64_t len) {
     auto it = dirty_lines_.find(line);
     if (it == dirty_lines_.end()) {
       std::array<uint8_t, kLine> pre;
-      std::memcpy(pre.data(), data_.data() + line * kLine, kLine);
+      std::memcpy(pre.data(), data_.get() + line * kLine, kLine);
       dirty_lines_.emplace(line, pre);
     }
   }
@@ -291,7 +339,7 @@ uint64_t NvmDevice::MaybeTearFlush(uint64_t first, uint64_t last) {
   // before this line is flushed again, the tear materializes; a later
   // successful flush heals it.
   auto& pre = dirty_lines_[line];
-  std::memcpy(pre.data(), data_.data() + line * kLine, keep);
+  std::memcpy(pre.data(), data_.get() + line * kLine, keep);
   return line;
 }
 
@@ -344,7 +392,7 @@ uint64_t NvmDevice::FlushLineRuns(std::vector<uint64_t>& lines) {
 void NvmDevice::SimulateCrash() {
   if (strict_) {
     for (const auto& [line, pre] : dirty_lines_) {
-      std::memcpy(data_.data() + line * kLine, pre.data(), kLine);
+      std::memcpy(data_.get() + line * kLine, pre.data(), kLine);
     }
     dirty_lines_.clear();
   }
@@ -358,10 +406,22 @@ void NvmDevice::SimulateCrash() {
   InvalidateAllBuffers();
 }
 
+void NvmDevice::ZeroRange(uint64_t offset, uint64_t len) {
+  const uint64_t page = PageSize();
+  const uint64_t end = offset + len;
+  const uint64_t lo = std::min(end, (offset + page - 1) / page * page);
+  const uint64_t hi = std::max(lo, end / page * page);
+  std::memset(data_.get() + offset, 0, lo - offset);
+  if (hi > lo && madvise(data_.get() + lo, hi - lo, MADV_DONTNEED) != 0) {
+    std::memset(data_.get() + lo, 0, hi - lo);
+  }
+  std::memset(data_.get() + hi, 0, end - hi);
+}
+
 void NvmDevice::LoadSnapshot(const std::vector<uint8_t>& image) {
   NTADOC_CHECK_LE(image.size(), capacity_) << "snapshot larger than device";
-  std::memcpy(data_.data(), image.data(), image.size());
-  std::memset(data_.data() + image.size(), 0, capacity_ - image.size());
+  std::memcpy(data_.get(), image.data(), image.size());
+  ZeroRange(image.size(), capacity_ - image.size());
   dirty_lines_.clear();
   if (check_ != nullptr) check_->OnCrash();
   InvalidateAllBuffers();
@@ -371,8 +431,8 @@ void NvmDevice::LoadSnapshotRegion(const std::vector<uint8_t>& image,
                                    uint64_t offset) {
   NTADOC_CHECK_LE(offset + image.size(), capacity_)
       << "region snapshot past device end";
-  std::memset(data_.data(), 0, capacity_);
-  std::memcpy(data_.data() + offset, image.data(), image.size());
+  ZeroRange(0, capacity_);
+  std::memcpy(data_.get() + offset, image.data(), image.size());
   dirty_lines_.clear();
   if (check_ != nullptr) check_->OnCrash();
   InvalidateAllBuffers();
@@ -381,8 +441,8 @@ void NvmDevice::LoadSnapshotRegion(const std::vector<uint8_t>& image,
 std::vector<uint8_t> NvmDevice::PersistedRegion(uint64_t offset,
                                                 uint64_t len) const {
   NTADOC_CHECK_LE(offset + len, capacity_) << "region past device end";
-  std::vector<uint8_t> image(data_.begin() + offset,
-                             data_.begin() + offset + len);
+  std::vector<uint8_t> image(data_.get() + offset,
+                             data_.get() + offset + len);
   for (const auto& [line, pre] : dirty_lines_) {
     const uint64_t lo = line * kLine;
     if (lo + kLine <= offset || lo >= offset + len) continue;
@@ -395,7 +455,7 @@ std::vector<uint8_t> NvmDevice::PersistedRegion(uint64_t offset,
 
 std::vector<uint8_t> NvmDevice::PersistedSnapshot() const {
   // Persisted image = current data with unflushed lines rolled back.
-  std::vector<uint8_t> image = data_;
+  std::vector<uint8_t> image(data_.get(), data_.get() + capacity_);
   for (const auto& [line, pre] : dirty_lines_) {
     std::memcpy(image.data() + line * kLine, pre.data(), kLine);
   }
@@ -428,11 +488,12 @@ Status NvmDevice::LoadImage(const std::string& path) {
     std::fclose(f);
     return Status::InvalidArgument("image does not fit device: " + path);
   }
-  const size_t read = std::fread(data_.data(), 1, static_cast<size_t>(size), f);
+  const size_t read = std::fread(data_.get(), 1, static_cast<size_t>(size), f);
   std::fclose(f);
   if (read != static_cast<size_t>(size)) {
     return Status::IoError("short read: " + path);
   }
+  ZeroRange(read, capacity_ - read);
   dirty_lines_.clear();
   if (check_ != nullptr) check_->OnCrash();
   InvalidateAllBuffers();

@@ -122,7 +122,10 @@ class TieredPool;
 /// Emulated NVM device (see file comment).
 class NvmDevice {
  public:
-  /// Creates a zero-initialized device.
+  /// Creates a zero-initialized device. The bytes live in an anonymous
+  /// lazily zeroed mapping, so the host backs only the pages a run
+  /// touches, as a DAX mapping of existing media would. Returns
+  /// ResourceExhausted if the host cannot map `capacity` bytes.
   static Result<std::unique_ptr<NvmDevice>> Create(DeviceOptions options);
 
   NvmDevice(const NvmDevice&) = delete;
@@ -247,11 +250,12 @@ class NvmDevice {
   Status SaveImage(const std::string& path) const;
 
   /// Loads a persisted image produced by SaveImage. The image must not be
-  /// larger than the device capacity.
+  /// larger than the device capacity; any tail past it is zeroed.
   Status LoadImage(const std::string& path);
 
-  /// Uncharged direct access for test assertions only.
-  const uint8_t* raw_for_testing() const { return data_.data(); }
+  /// Uncharged direct access for test assertions only. Points at the
+  /// start of the device's own page-aligned mapping.
+  const uint8_t* raw_for_testing() const { return data_.get(); }
 
   /// Uncharged copy of the persisted image: current data with every
   /// unflushed line rolled back to its pre-image. This is exactly the
@@ -319,7 +323,20 @@ class NvmDevice {
   static constexpr uint64_t kLine = 64;
   static constexpr uint64_t kNoTornLine = ~0ull;
 
-  explicit NvmDevice(DeviceOptions options);
+  /// Releases the device mapping: `bytes` covers the data pages and the
+  /// guard page after them (see Create).
+  struct Unmap {
+    uint64_t bytes;
+    void operator()(uint8_t* data) const;
+  };
+  using Backing = std::unique_ptr<uint8_t[], Unmap>;
+
+  NvmDevice(DeviceOptions options, Backing data);
+
+  /// Zeroes [offset, offset+len). Whole pages go back to the host
+  /// (madvise MADV_DONTNEED: they read as zeros and leave the resident
+  /// set); only the partial pages at either edge are memset.
+  void ZeroRange(uint64_t offset, uint64_t len);
 
   /// Records pre-image of every line covered by [offset, offset+len) that
   /// is not yet dirty, then maybe performs adversarial evictions.
@@ -358,7 +375,7 @@ class NvmDevice {
   bool write_slow_ = false;
   double random_evict_probability_;
   Rng evict_rng_;
-  std::vector<uint8_t> data_;
+  Backing data_;
   // line index -> persisted (pre-write) content of that line
   std::unordered_map<uint64_t, std::array<uint8_t, kLine>> dirty_lines_;
   std::unique_ptr<FaultInjector> injector_;

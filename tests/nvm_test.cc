@@ -2,6 +2,8 @@
 // device persistence semantics, pool allocator, redo log, phase marker.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cstring>
 #include <vector>
@@ -138,12 +140,77 @@ TEST(NvmDeviceTest, SaveAndLoadImage) {
   ASSERT_TRUE(dev2->LoadImage("/tmp/ntadoc_test.img").ok());
   EXPECT_EQ(dev2->Read<uint64_t>(0), 42u);
   EXPECT_EQ(dev2->Read<uint64_t>(8), 0u);
+
+  // An image shorter than the device leaves no stale bytes past its end.
+  DeviceOptions small = opts;
+  small.capacity = 64 << 10;
+  auto short_dev = MakeDevice(small);
+  short_dev->Write<uint64_t>(0, 44);
+  short_dev->FlushRange(0, 8);
+  ASSERT_TRUE(short_dev->SaveImage("/tmp/ntadoc_test_short.img").ok());
+  dev2->Write<uint64_t>(512 << 10, 45);
+  ASSERT_TRUE(dev2->LoadImage("/tmp/ntadoc_test_short.img").ok());
+  EXPECT_EQ(dev2->Read<uint64_t>(0), 44u);
+  EXPECT_EQ(dev2->Read<uint64_t>(512 << 10), 0u);
 }
 
 TEST(NvmDeviceTest, InvalidOptionsRejected) {
   DeviceOptions opts;
   opts.capacity = 0;
   EXPECT_FALSE(NvmDevice::Create(opts).ok());
+  // More than the host can map: a clean error, not an abort.
+  opts.capacity = 1ull << 62;
+  EXPECT_EQ(NvmDevice::Create(opts).status().code(),
+            StatusCode::kResourceExhausted);
+}
+
+// Counts the resident host pages of the device's own mapping.
+uint64_t ResidentPages(const NvmDevice& dev) {
+  const uint64_t page = static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> vec((dev.capacity() + page - 1) / page);
+  void* base = const_cast<uint8_t*>(dev.raw_for_testing());
+  EXPECT_EQ(mincore(base, dev.capacity(), vec.data()), 0);
+  uint64_t resident = 0;
+  for (const unsigned char v : vec) resident += v & 1;
+  return resident;
+}
+
+TEST(NvmDeviceTest, HostBacksOnlyTouchedPages) {
+  DeviceOptions opts;
+  opts.capacity = 256ull << 20;
+  auto dev = MakeDevice(opts);
+  EXPECT_EQ(ResidentPages(*dev), 0u);
+  dev->Write<uint64_t>(1 << 20, 7);
+  EXPECT_EQ(ResidentPages(*dev), 1u);
+
+  dev->FillBytes(0, dev->capacity(), 0xAB);
+  const std::vector<uint8_t> image(4096, 0xCD);
+  dev->LoadSnapshotRegion(image, 100 << 20);
+  // Counted before any read-back: reading a released page maps the
+  // host's shared zero page, which mincore reports as resident.
+  EXPECT_LE(ResidentPages(*dev), 2u);
+  EXPECT_EQ(dev->Read<uint8_t>(0), 0u);
+  EXPECT_EQ(dev->Read<uint8_t>((100 << 20) + 4095), 0xCDu);
+  EXPECT_EQ(dev->Read<uint8_t>(dev->capacity() - 1), 0u);
+}
+
+// Reads one byte past the device end the way a buggy caller would.
+uint8_t ReadPastEnd(const NvmDevice& dev) {
+  return *static_cast<const volatile uint8_t*>(dev.raw_for_testing() +
+                                               dev.capacity());
+}
+
+TEST(NvmDeviceDeathTest, OverrunPastCapacityFaults) {
+  DeviceOptions opts;
+  opts.capacity = 1 << 20;  // a page multiple: the guard page catches it
+  auto dev = MakeDevice(opts);
+  EXPECT_DEATH(ReadPastEnd(*dev), "");
+#ifdef __SANITIZE_ADDRESS__
+  // Inside the last data page, only the poisoned slack catches it.
+  opts.capacity = (1 << 20) + 100;
+  auto ragged = MakeDevice(opts);
+  EXPECT_DEATH(ReadPastEnd(*ragged), "");
+#endif
 }
 
 TEST(NvmPoolTest, AllocAlignmentAndExhaustion) {
