@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "compress/format.h"
@@ -15,26 +16,123 @@
 
 namespace ntadoc::bench {
 
-BenchConfig ParseArgs(int argc, char** argv) {
+namespace {
+
+// Largest --scale=: far past any corpus a bench can hold, and small enough
+// that every size derived from the scale fits in 64 bits.
+constexpr double kMaxScale = 100;
+
+bool KnownDataset(std::string_view name) {
+  for (const auto& spec : textgen::AllDatasets(1.0)) {
+    if (spec.name == name) return true;
+  }
+  return false;
+}
+
+// One flag: its "--name=" prefix, the value shown in the usage line, the
+// BenchFlags bit that enables it (0 for the shared flags), and its parser,
+// false on a malformed or out-of-range value.
+struct FlagSpec {
+  std::string_view name;
+  std::string_view value;
+  unsigned extra;
+  bool (*parse)(std::string_view text, BenchConfig* config);
+};
+
+const FlagSpec kFlags[] = {
+    {"--scale=", "F", 0,
+     [](std::string_view t, BenchConfig* c) {
+       return ParseFraction(t, &c->scale, 0, kMaxScale);
+     }},
+    {"--datasets=", "A,C", 0,
+     [](std::string_view t, BenchConfig* c) {
+       c->datasets.clear();
+       for (std::string_view name : SplitTokens(t, ",")) {
+         if (!KnownDataset(name)) return false;
+         c->datasets.emplace_back(name);
+       }
+       return !c->datasets.empty();
+     }},
+    {"--cache-dir=", "DIR", 0,
+     [](std::string_view t, BenchConfig* c) {
+       c->cache_dir = t;
+       return !t.empty();
+     }},
+    {"--device-mb=", "N", 0,
+     [](std::string_view t, BenchConfig* c) {
+       return ParseNumber(t, &c->device_capacity, {.unit = 1ull << 20});
+     }},
+    {"--threads=", "N", 0,
+     [](std::string_view t, BenchConfig* c) {
+       return ParseNumber(t, &c->threads);
+     }},
+    {"--json=", "PATH", kJsonFlag,
+     [](std::string_view t, BenchConfig* c) {
+       c->json_path = t;
+       return !t.empty();
+     }},
+    {"--repeat=", "N", kRepeatFlag,
+     [](std::string_view t, BenchConfig* c) {
+       return ParseNumber(t, &c->repeat, {.min = 1});
+     }},
+    {"--dram-cache-mb=", "N", kDramCacheFlag,
+     [](std::string_view t, BenchConfig* c) {
+       // Kept in MB; the budget in bytes must fit too.
+       return ParseNumber(t, &c->dram_cache_mb, {.max = ~0ull >> 20});
+     }},
+    {"--queries=", "N", kQueriesFlag,
+     [](std::string_view t, BenchConfig* c) {
+       return ParseNumber(t, &c->queries, {.min = 1});
+     }},
+    {"--threads-list=", "1,4,8", kThreadsListFlag,
+     [](std::string_view t, BenchConfig* c) {
+       c->threads_list.clear();
+       for (std::string_view n : SplitTokens(t, ",")) {
+         uint32_t threads = 0;
+         if (!ParseNumber(n, &threads, {.min = 1})) return false;
+         c->threads_list.push_back(threads);
+       }
+       return !c->threads_list.empty();
+     }},
+};
+
+bool Accepts(const FlagSpec& flag, unsigned extra) {
+  return flag.extra == 0 || (extra & flag.extra) != 0;
+}
+
+void PrintUsage(std::FILE* out, const char* argv0, unsigned extra) {
+  std::fprintf(out, "usage: %s", argv0);
+  for (const FlagSpec& f : kFlags) {
+    if (!Accepts(f, extra)) continue;
+    std::fprintf(out, " [%.*s%.*s]", static_cast<int>(f.name.size()),
+                 f.name.data(), static_cast<int>(f.value.size()),
+                 f.value.data());
+  }
+  std::fprintf(out, " [--help]\n");
+}
+
+}  // namespace
+
+BenchConfig ParseArgs(int argc, char** argv, unsigned extra) {
   BenchConfig config;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) {
-      config.scale = std::stod(arg.substr(8));
-    } else if (arg.rfind("--datasets=", 0) == 0) {
-      for (auto part : SplitTokens(arg.substr(11), ",")) {
-        config.datasets.emplace_back(part);
+    const std::string_view arg = argv[i];
+    if (arg == "--help") {
+      PrintUsage(stdout, argv[0], extra);
+      std::exit(0);
+    }
+    const FlagSpec* flag = nullptr;
+    for (const FlagSpec& f : kFlags) {
+      if (Accepts(f, extra) && arg.starts_with(f.name)) {
+        flag = &f;
+        break;
       }
-    } else if (arg.rfind("--cache-dir=", 0) == 0) {
-      config.cache_dir = arg.substr(12);
-    } else if (arg.rfind("--device-mb=", 0) == 0) {
-      config.device_capacity = std::stoull(arg.substr(12)) << 20;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      config.threads = static_cast<uint32_t>(std::stoul(arg.substr(10)));
-    } else if (arg == "--help") {
-      std::printf(
-          "flags: --scale=F --datasets=A,B --cache-dir=DIR --device-mb=N "
-          "--threads=N\n");
+    }
+    if (flag == nullptr ||
+        !flag->parse(arg.substr(flag->name.size()), &config)) {
+      std::fprintf(stderr, "%s: bad flag %s\n", argv[0], argv[i]);
+      PrintUsage(stderr, argv[0], extra);
+      std::exit(2);
     }
   }
   return config;
@@ -254,6 +352,79 @@ std::string Secs(uint64_t ns) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(ns) * 1e-9);
   return buf;
+}
+
+void Row::Key(std::string_view key) {
+  NTADOC_CHECK(!key.empty() &&
+               key.find_first_not_of("abcdefghijklmnopqrstuvwxyz0123456789_") ==
+                   std::string_view::npos)
+      << "bad row key '" << key << "'";
+  text_ += text_.empty() ? "{\"" : ", \"";
+  text_ += key;
+  text_ += "\": ";
+}
+
+Row& Row::Str(std::string_view key, std::string_view value) {
+  for (const char c : value) {
+    NTADOC_CHECK(static_cast<unsigned char>(c) > ' ' && c != '"' &&
+                 c != ',' && c != '=' && c != '\\')
+        << "row field " << key << " holds a reserved character: '" << value
+        << "'";
+  }
+  Key(key);
+  text_ += '"';
+  text_ += value;
+  text_ += '"';
+  return *this;
+}
+
+Row& Row::Num(std::string_view key, uint64_t value) {
+  Key(key);
+  text_ += std::to_string(value);
+  return *this;
+}
+
+Row& Row::Real(std::string_view key, double value, int digits) {
+  NTADOC_CHECK(std::isfinite(value)) << "row field " << key << " is " << value;
+  Key(key);
+  text_ += FormatDouble(value, digits);
+  return *this;
+}
+
+RowSink::RowSink(std::string_view bench, const BenchConfig& config)
+    : bench_(bench), scale_(config.scale), json_path_(config.json_path) {}
+
+Row RowSink::Start(std::string_view row, std::string_view dataset) const {
+  Row r;
+  r.Str("bench", bench_).Str("row", row).Str("dataset", dataset);
+  char scale[32];
+  std::snprintf(scale, sizeof(scale), "%g", scale_);
+  r.Key("scale");
+  r.text_ += scale;
+  return r;
+}
+
+void RowSink::Emit(const Row& row) { rows_.push_back(row.text_ + "}"); }
+
+int RowSink::Finish() const {
+  std::printf("\n");
+  for (const std::string& row : rows_) std::printf("%s\n", row.c_str());
+  if (json_path_.empty()) return 0;
+  std::string text = "[\n";
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    text += rows_[i];
+    text += i + 1 < rows_.size() ? ",\n" : "\n";
+  }
+  text += "]\n";
+  std::FILE* f = std::fopen(json_path_.c_str(), "w");
+  bool ok = f != nullptr &&
+            std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  if (f != nullptr && std::fclose(f) != 0) ok = false;
+  if (!ok) {
+    std::fprintf(stderr, "cannot write %s\n", json_path_.c_str());
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace ntadoc::bench

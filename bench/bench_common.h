@@ -2,9 +2,10 @@
 //
 // Every bench binary reproduces one table or figure of the paper's
 // evaluation (see DESIGN.md's per-experiment index). Common pieces here:
-// dataset generation + compression (cached on disk), engine run wrappers
-// that meter simulated device time, wall time and tracked DRAM, and
-// fixed-width table printers.
+// flag parsing, dataset generation + compression (cached on disk), engine
+// run wrappers that meter simulated device time, wall time and tracked
+// DRAM, fixed-width table printers, and the result-row writer that is the
+// only machine-readable output of the gated benches.
 //
 // Reported "cost" = simulated device nanoseconds (deterministic, from
 // the calibrated profiles) + host wall nanoseconds. Ratios are the
@@ -16,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baseline/uncompressed.h"
@@ -44,7 +46,7 @@ struct DatasetBundle {
   uint64_t device_capacity = 128ull << 20;
 };
 
-/// Command-line configuration shared by all bench binaries.
+/// Command-line configuration of the bench binaries.
 struct BenchConfig {
   /// Dataset scale factor (1.0 = the sizes in textgen).
   double scale = 0.25;
@@ -65,11 +67,42 @@ struct BenchConfig {
   /// > 1 compresses with ParallelCompress and caches under a
   /// thread-count-suffixed name.
   uint32_t threads = 1;
+
+  // The flags below are accepted only by the benches that declare them
+  // (BenchFlags).
+
+  /// --json=PATH: also write the result rows to PATH (RowSink).
+  std::string json_path;
+
+  /// --repeat=N: repetitions per configuration; wall times keep the
+  /// minimum (least-noise) run.
+  uint32_t repeat = 1;
+
+  /// --dram-cache-mb=N: decoded-rule cache budget of bench_hotpath's
+  /// cache rows (0 skips them).
+  uint64_t dram_cache_mb = 8;
+
+  /// --queries=N: queries per bench_serving fleet.
+  uint32_t queries = 48;
+
+  /// --threads-list=1,4,8: bench_ingest's thread counts.
+  std::vector<uint32_t> threads_list = {1, 4, 8};
 };
 
-/// Parses --scale=, --datasets=A,C, --cache-dir=, --device-mb=,
-/// --threads= flags.
-BenchConfig ParseArgs(int argc, char** argv);
+/// Flags a bench accepts beyond the shared --scale=, --datasets=,
+/// --cache-dir=, --device-mb= and --threads=.
+enum BenchFlags : unsigned {
+  kJsonFlag = 1u << 0,
+  kRepeatFlag = 1u << 1,
+  kDramCacheFlag = 1u << 2,
+  kQueriesFlag = 1u << 3,
+  kThreadsListFlag = 1u << 4,
+};
+
+/// Parses the shared flags plus the `extra` ones. A malformed, out-of-range
+/// or unknown flag prints usage to stderr and exits 2; --help prints it to
+/// stdout and exits 0.
+BenchConfig ParseArgs(int argc, char** argv, unsigned extra = 0);
 
 /// Generates (or loads from cache) the requested datasets.
 std::vector<DatasetBundle> LoadDatasets(const BenchConfig& config);
@@ -155,6 +188,53 @@ std::string Ratio(double v);
 
 /// Formats nanoseconds as seconds with 3 decimals.
 std::string Secs(uint64_t ns);
+
+// ---- result rows ----
+
+/// One machine-readable result: a flat JSON object on one line. `bench`,
+/// `row` (the kind of result), `dataset` and `scale` come first, then the
+/// fields in the order they are added: identity fields, then measurements
+/// named by unit (`*_sim_ns`, `*_wall_ns`, `*_bytes`). Keys are
+/// [a-z0-9_]+ and string values hold no quote, comma, space, '=',
+/// backslash or control character (both checked), so a line reader splits
+/// a row exactly (tools/bench_gates.sh).
+class Row {
+ public:
+  Row& Str(std::string_view key, std::string_view value);
+  Row& Num(std::string_view key, uint64_t value);
+  /// A finite `value` with `digits` decimals.
+  Row& Real(std::string_view key, double value, int digits);
+
+ private:
+  friend class RowSink;
+  Row() = default;
+  void Key(std::string_view key);
+  std::string text_;  // the object so far, without its closing brace
+};
+
+/// The only machine-readable output of a bench: the emitted rows go to
+/// stdout and, with --json=PATH, to PATH as a JSON array, one row per line.
+class RowSink {
+ public:
+  RowSink(std::string_view bench, const BenchConfig& config);
+
+  /// A row of kind `row` on `dataset`, its four leading fields filled in.
+  Row Start(std::string_view row, std::string_view dataset) const;
+
+  void Emit(const Row& row);
+
+  /// Prints every emitted row to stdout, one per line, after the bench's
+  /// tables, and writes the --json file if one was asked for. Returns the
+  /// bench's exit code: 1, after a message on stderr, if the file cannot
+  /// be written.
+  int Finish() const;
+
+ private:
+  std::string bench_;
+  double scale_;
+  std::string json_path_;
+  std::vector<std::string> rows_;
+};
 
 }  // namespace ntadoc::bench
 

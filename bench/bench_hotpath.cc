@@ -5,7 +5,7 @@
 // by tools/check_bench.sh; the wall times are the optimization target.
 //
 // Extra flags on top of the shared ones (see bench_common.h):
-//   --json=PATH          also emit machine-readable results as JSON
+//   --json=PATH          also write the result rows to PATH
 //   --dram-cache-mb=N    decoded-rule cache budget for the cache runs
 //                        (default 8; 0 skips the cache runs)
 //   --repeat=N           repetitions per configuration; wall times keep
@@ -17,14 +17,16 @@
 // the tier configuration of perfbench's durable_oplog workload. Its wall
 // time against the untiered ci8 row is the cost of tier routing.
 //
-// Lines starting with "SIM " are a stable plain-text record of the
-// simulated times (task, mode, variant, cache MB, init ns, traversal
-// ns) for drift checking without a JSON parser.
+// Result rows (bench_common.h's row format, bench "hotpath"):
+//   run     task, persistence, variant, dram_cache_mb; init and traversal
+//           time on both clocks (init_sim_ns, init_wall_ns,
+//           traversal_sim_ns, traversal_wall_ns); the run counters
+//           (NTADOC_RUN_COUNTERS; zero for RunBatch rows)
+//   kernel  kernel, iters, sim_ns, wall_ns
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -97,11 +99,11 @@ HotpathResult RunOne(const DatasetBundle& d, Task task, PersistenceMode mode,
 // All six tasks through RunBatch on one engine/device: the first task
 // pays the full initialization, the rest reuse the sealed DAG prefix and
 // the estimator scratch. One HotpathResult per task, variant "batch"
-// (plus "-ciK" when group commit is on), so the SIM gate tracks the
+// (plus "-ciK" when group commit is on), so the sim gates track the
 // per-task init reduction.
 std::vector<HotpathResult> RunBatchRows(const DatasetBundle& d,
                                         PersistenceMode mode, uint32_t ci,
-                                        int repeat) {
+                                        uint32_t repeat) {
   const std::vector<Task> tasks(std::begin(tadoc::kAllTasks),
                                 std::end(tadoc::kAllTasks));
   NTadocOptions engine_opts;
@@ -118,7 +120,7 @@ std::vector<HotpathResult> RunBatchRows(const DatasetBundle& d,
     rows[t].init_wall_ns = ~0ull;
     rows[t].traversal_wall_ns = ~0ull;
   }
-  for (int i = 0; i < repeat; ++i) {
+  for (uint32_t i = 0; i < repeat; ++i) {
     nvm::DeviceOptions dopts;
     dopts.capacity = d.device_capacity;
     dopts.profile = nvm::OptaneProfile();
@@ -177,7 +179,8 @@ uint64_t WallNowNs() {
       .count();
 }
 
-std::vector<KernelResult> RunKernels(const DatasetBundle& d, int repeat) {
+std::vector<KernelResult> RunKernels(const DatasetBundle& d,
+                                     uint32_t repeat) {
   std::vector<KernelResult> out;
 
   // Table scans: ~131k slots (status + keys + values ≈ 2.1 MB), sized to
@@ -238,7 +241,7 @@ std::vector<KernelResult> RunKernels(const DatasetBundle& d, int repeat) {
     auto device = nvm::NvmDevice::Create(dopts);
     NTADOC_CHECK(device.ok());
     KernelResult k{"table_create", 20ull * repeat};
-    for (int rep = 0; rep < repeat; ++rep) {
+    for (uint32_t rep = 0; rep < repeat; ++rep) {
       auto pool = nvm::NvmPool::Create(device->get(), 0, dopts.capacity);
       NTADOC_CHECK(pool.ok());
       const uint64_t sim0 = (*device)->clock().NowNanos();
@@ -286,75 +289,33 @@ std::vector<KernelResult> RunKernels(const DatasetBundle& d, int repeat) {
   return out;
 }
 
-void EmitJson(const std::string& path, const std::string& dataset,
-              double scale, const std::vector<HotpathResult>& results,
-              const std::vector<KernelResult>& kernels) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"dataset\": \"%s\",\n  \"scale\": %g,\n",
-               dataset.c_str(), scale);
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const HotpathResult& r = results[i];
-    std::fprintf(
-        f,
-        "    {\"task\": \"%s\", \"persistence\": \"%s\", "
-        "\"variant\": \"%s\", \"dram_cache_mb\": %llu, "
-        "\"init_wall_ns\": %llu, \"init_sim_ns\": %llu, "
-        "\"traversal_wall_ns\": %llu, \"traversal_sim_ns\": %llu",
-        r.task.c_str(), r.mode.c_str(), r.variant.c_str(),
-        static_cast<unsigned long long>(r.dram_cache_mb),
-        static_cast<unsigned long long>(r.init_wall_ns),
-        static_cast<unsigned long long>(r.init_sim_ns),
-        static_cast<unsigned long long>(r.traversal_wall_ns),
-        static_cast<unsigned long long>(r.traversal_sim_ns));
-    r.counters.ForEach([f](const char* name, uint64_t value) {
-      std::fprintf(f, ", \"%s\": %llu", name,
-                   static_cast<unsigned long long>(value));
-    });
-    std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"kernels\": [\n");
-  for (size_t i = 0; i < kernels.size(); ++i) {
-    const KernelResult& k = kernels[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"iters\": %llu, "
-                 "\"wall_ns\": %llu, \"sim_ns\": %llu}%s\n",
-                 k.name.c_str(), static_cast<unsigned long long>(k.iters),
-                 static_cast<unsigned long long>(k.wall_ns),
-                 static_cast<unsigned long long>(k.sim_ns),
-                 i + 1 < kernels.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nJSON written to %s\n", path.c_str());
+void EmitRun(RowSink* sink, const std::string& dataset,
+             const HotpathResult& r) {
+  Row row = sink->Start("run", dataset);
+  row.Str("task", r.task)
+      .Str("persistence", r.mode)
+      .Str("variant", r.variant)
+      .Num("dram_cache_mb", r.dram_cache_mb)
+      .Num("init_sim_ns", r.init_sim_ns)
+      .Num("init_wall_ns", r.init_wall_ns)
+      .Num("traversal_sim_ns", r.traversal_sim_ns)
+      .Num("traversal_wall_ns", r.traversal_wall_ns);
+  r.counters.ForEach(
+      [&row](const char* name, uint64_t value) { row.Num(name, value); });
+  sink->Emit(row);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchConfig config = ParseArgs(argc, argv);
+  BenchConfig config =
+      ParseArgs(argc, argv, kJsonFlag | kRepeatFlag | kDramCacheFlag);
   if (config.datasets.empty()) config.datasets = {"C"};
-
-  std::string json_path;
-  uint64_t cache_mb = 8;
-  int repeat = 1;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--json=", 7) == 0) json_path = a + 7;
-    if (std::strncmp(a, "--dram-cache-mb=", 16) == 0) {
-      cache_mb = std::strtoull(a + 16, nullptr, 10);
-    }
-    if (std::strncmp(a, "--repeat=", 9) == 0) {
-      repeat = std::max(1, std::atoi(a + 9));
-    }
-  }
+  const uint64_t cache_mb = config.dram_cache_mb;
+  const uint32_t repeat = config.repeat;
 
   const auto datasets = LoadDatasets(config);
-  std::vector<HotpathResult> results;
+  RowSink sink("hotpath", config);
 
   auto tier_config = std::make_shared<nvm::TierConfig>();
   tier_config->tiers = {
@@ -400,7 +361,7 @@ int main(int argc, char** argv) {
         // gates compare variants of one run). Simulated times are
         // deterministic; wall times keep the minimum.
         std::vector<HotpathResult> rows;
-        for (int rep = 0; rep < repeat; ++rep) {
+        for (uint32_t rep = 0; rep < repeat; ++rep) {
           for (size_t v = 0; v < variants.size(); ++v) {
             const auto& [budget, nosum, ci, tiered] = variants[v];
             const HotpathResult r = RunOne(d, task, mode, budget, nosum, ci,
@@ -421,7 +382,7 @@ int main(int argc, char** argv) {
                     Secs(r.init_wall_ns), Secs(r.init_sim_ns),
                     Secs(r.traversal_wall_ns), Secs(r.traversal_sim_ns),
                     std::to_string(r.counters.rule_cache_hits)});
-          results.push_back(r);
+          EmitRun(&sink, d.spec.name, r);
         }
       }
     }
@@ -443,39 +404,23 @@ int main(int argc, char** argv) {
         PrintRow({r.task, r.mode, r.variant, Secs(r.init_wall_ns),
                   Secs(r.init_sim_ns), Secs(r.traversal_wall_ns),
                   Secs(r.traversal_sim_ns)});
-        results.push_back(r);
+        EmitRun(&sink, d.spec.name, r);
       }
     }
   }
 
-  std::vector<KernelResult> kernels;
   if (!datasets.empty()) {
-    kernels = RunKernels(datasets[0], repeat);
     std::printf("\nTraversal kernels (structure-level hot path):\n");
     PrintRow({"Kernel", "Iters", "Wall", "Sim"});
-    for (const KernelResult& k : kernels) {
+    for (const KernelResult& k : RunKernels(datasets[0], repeat)) {
       PrintRow({k.name, std::to_string(k.iters), Secs(k.wall_ns),
                 Secs(k.sim_ns)});
+      sink.Emit(sink.Start("kernel", datasets[0].spec.name)
+                    .Str("kernel", k.name)
+                    .Num("iters", k.iters)
+                    .Num("sim_ns", k.sim_ns)
+                    .Num("wall_ns", k.wall_ns));
     }
   }
-
-  std::printf("\n");
-  for (const HotpathResult& r : results) {
-    std::printf("SIM %s %s %s %llu %llu %llu\n", r.task.c_str(),
-                r.mode.c_str(), r.variant.c_str(),
-                static_cast<unsigned long long>(r.dram_cache_mb),
-                static_cast<unsigned long long>(r.init_sim_ns),
-                static_cast<unsigned long long>(r.traversal_sim_ns));
-  }
-
-  for (const KernelResult& k : kernels) {
-    std::printf("SIMK %s %llu\n", k.name.c_str(),
-                static_cast<unsigned long long>(k.sim_ns));
-  }
-
-  if (!json_path.empty() && !datasets.empty()) {
-    EmitJson(json_path, datasets[0].spec.name, config.scale, results,
-             kernels);
-  }
-  return 0;
+  return sink.Finish();
 }

@@ -21,27 +21,23 @@
 //                     merge, dedup). This is the ingest wall time an
 //                     unconstrained `threads`-core host would see.
 //
-// The INGEST lines below are the stable record tools/check_bench.sh
-// gates on relationally (threads=8 lane makespan at least 2x threads=1;
-// compressed container within 5% of the single-threaded size). Raw
-// wall_ns is machine-dependent and is not gated, matching the
-// repo-wide convention.
+// Result rows (bench_common.h's row format, bench "ingest"):
+//   compress  threads, chunks, container_bytes (the serialized container),
+//             merged_rules, deduped_rules, init_sim_ns (the container's
+//             serving-side init), wall_ns, lane_makespan_ns, mb_per_s
+//   encode    tokens, string_view_wall_ns, alloc_wall_ns
+// tools/check_bench.sh gates the compress rows relationally (threads=8
+// lane makespan at least 2x threads=1; container within 5% of the
+// single-threaded size). Raw wall_ns is machine-dependent and is not
+// gated, matching the repo-wide convention.
 //
 // Extra flags on top of the shared ones (see bench_common.h):
 //   --threads-list=1,4,8 thread counts to sweep (chunks follow threads)
 //   --repeat=N           repetitions; wall times keep the minimum
-//   --json=PATH          also emit machine-readable results as JSON
-//
-// Line formats (stable, append-only fields):
-//   INGEST dataset=<D> threads=<T> chunks=<C> wall_ns=<..> mb_per_s=<..>
-//          bytes=<..> merged_rules=<..> deduped_rules=<..>
-//          init_sim_ns=<..> lane_makespan_ns=<..>
-//   ENCODE dataset=<D> variant=<string_view|alloc> wall_ns=<..>
-//          tokens=<..>
+//   --json=PATH          also write the result rows to PATH
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -93,7 +89,7 @@ uint64_t LaneMakespan(std::vector<uint64_t> chunk_ns, uint32_t lanes,
 IngestResult RunIngest(const std::string& dataset,
                        const std::vector<InputFile>& files,
                        uint64_t raw_bytes, uint64_t device_capacity,
-                       uint32_t threads, int repeat) {
+                       uint32_t threads, uint32_t repeat) {
   ParallelCompressOptions opts;
   opts.threads = threads;
   opts.chunks = threads;  // one chunk per worker, the default pairing
@@ -102,7 +98,7 @@ IngestResult RunIngest(const std::string& dataset,
   r.threads = threads;
   r.wall_ns = ~0ull;
   compress::CompressedCorpus corpus;
-  for (int i = 0; i < repeat; ++i) {
+  for (uint32_t i = 0; i < repeat; ++i) {
     ParallelCompressStats stats;
     WallTimer timer;
     auto got = compress::ParallelCompress(files, opts, &stats);
@@ -129,30 +125,16 @@ IngestResult RunIngest(const std::string& dataset,
   return r;
 }
 
-void PrintIngest(const IngestResult& r) {
-  std::printf(
-      "INGEST dataset=%s threads=%u chunks=%u wall_ns=%llu mb_per_s=%.2f "
-      "bytes=%llu merged_rules=%llu deduped_rules=%llu init_sim_ns=%llu "
-      "lane_makespan_ns=%llu\n",
-      r.dataset.c_str(), r.threads, r.chunks,
-      static_cast<unsigned long long>(r.wall_ns), r.mb_per_s,
-      static_cast<unsigned long long>(r.bytes),
-      static_cast<unsigned long long>(r.merged_rules),
-      static_cast<unsigned long long>(r.deduped_rules),
-      static_cast<unsigned long long>(r.init_sim_ns),
-      static_cast<unsigned long long>(r.lane_makespan_ns));
-}
-
 /// EncodeTokens micro-bench: the shipped string_view path vs a replica
 /// of the old behavior that materialized a std::string per token before
 /// the dictionary probe.
 void EncodeMicrobench(const std::string& dataset,
-                      const std::vector<InputFile>& files, int repeat,
-                      std::string* json_rows) {
+                      const std::vector<InputFile>& files, uint32_t repeat,
+                      RowSink* sink) {
   uint64_t tokens = 0;
   uint64_t sv_ns = ~0ull;
   uint64_t alloc_ns = ~0ull;
-  for (int i = 0; i < repeat; ++i) {
+  for (uint32_t i = 0; i < repeat; ++i) {
     {
       compress::Dictionary dict;
       uint64_t n = 0;
@@ -177,51 +159,23 @@ void EncodeMicrobench(const std::string& dataset,
       alloc_ns = std::min(alloc_ns, timer.ElapsedNanos());
     }
   }
-  std::printf("ENCODE dataset=%s variant=string_view wall_ns=%llu tokens=%llu\n",
-              dataset.c_str(), static_cast<unsigned long long>(sv_ns),
-              static_cast<unsigned long long>(tokens));
-  std::printf("ENCODE dataset=%s variant=alloc wall_ns=%llu tokens=%llu\n",
-              dataset.c_str(), static_cast<unsigned long long>(alloc_ns),
-              static_cast<unsigned long long>(tokens));
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "    {\"dataset\": \"%s\", \"encode_string_view_wall_ns\": "
-                "%llu, \"encode_alloc_wall_ns\": %llu, \"tokens\": %llu}",
-                dataset.c_str(), static_cast<unsigned long long>(sv_ns),
-                static_cast<unsigned long long>(alloc_ns),
-                static_cast<unsigned long long>(tokens));
-  if (!json_rows->empty()) json_rows->append(",\n");
-  json_rows->append(buf);
+  sink->Emit(sink->Start("encode", dataset)
+                 .Num("tokens", tokens)
+                 .Num("string_view_wall_ns", sv_ns)
+                 .Num("alloc_wall_ns", alloc_ns));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchConfig config = ParseArgs(argc, argv);
-  std::vector<uint32_t> threads_list = {1, 4, 8};
-  int repeat = 1;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--threads-list=", 15) == 0) {
-      threads_list.clear();
-      for (auto part : SplitTokens(a + 15, ",")) {
-        threads_list.push_back(
-            static_cast<uint32_t>(std::stoul(std::string(part))));
-      }
-    } else if (std::strncmp(a, "--repeat=", 9) == 0) {
-      repeat = std::atoi(a + 9);
-    } else if (std::strncmp(a, "--json=", 7) == 0) {
-      json_path = a + 7;
-    }
-  }
+  const BenchConfig config =
+      ParseArgs(argc, argv, kJsonFlag | kRepeatFlag | kThreadsListFlag);
+  RowSink sink("ingest", config);
 
   PrintTitle("Chunk-parallel ingest",
              "container build throughput (TADOC compression; rapidgzip-style "
              "chunking)");
 
-  std::vector<IngestResult> results;
-  std::string encode_json;
   for (const auto& spec : textgen::AllDatasets(config.scale)) {
     if (!config.datasets.empty() &&
         std::find(config.datasets.begin(), config.datasets.end(),
@@ -243,50 +197,27 @@ int main(int argc, char** argv) {
 
     PrintRow({"dataset=" + spec.name, "threads", "chunks", "wall_s",
               "lane_s", "MB/s", "bytes", "dedup", "init_sim_s"});
-    for (uint32_t t : threads_list) {
+    for (uint32_t t : config.threads_list) {
       IngestResult r = RunIngest(spec.name, files, raw_bytes,
-                                 device_capacity, t, repeat);
-      results.push_back(r);
+                                 device_capacity, t, config.repeat);
       char mbps[32];
       std::snprintf(mbps, sizeof(mbps), "%.2f", r.mb_per_s);
       PrintRow({"", std::to_string(r.threads), std::to_string(r.chunks),
                 Secs(r.wall_ns), Secs(r.lane_makespan_ns), mbps,
                 std::to_string(r.bytes), std::to_string(r.deduped_rules),
                 Secs(r.init_sim_ns)});
+      sink.Emit(sink.Start("compress", r.dataset)
+                    .Num("threads", r.threads)
+                    .Num("chunks", r.chunks)
+                    .Num("container_bytes", r.bytes)
+                    .Num("merged_rules", r.merged_rules)
+                    .Num("deduped_rules", r.deduped_rules)
+                    .Num("init_sim_ns", r.init_sim_ns)
+                    .Num("wall_ns", r.wall_ns)
+                    .Num("lane_makespan_ns", r.lane_makespan_ns)
+                    .Real("mb_per_s", r.mb_per_s, 2));
     }
-    for (const IngestResult& r : results) {
-      if (r.dataset == spec.name) PrintIngest(r);
-    }
-    EncodeMicrobench(spec.name, files, repeat, &encode_json);
+    EncodeMicrobench(spec.name, files, config.repeat, &sink);
   }
-
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    NTADOC_CHECK(f != nullptr) << "cannot write " << json_path;
-    std::fprintf(f, "{\n  \"bench\": \"ingest\",\n  \"scale\": %.4f,\n",
-                 config.scale);
-    std::fprintf(f, "  \"rows\": [\n");
-    for (size_t i = 0; i < results.size(); ++i) {
-      const IngestResult& r = results[i];
-      std::fprintf(
-          f,
-          "    {\"dataset\": \"%s\", \"threads\": %u, \"chunks\": %u, "
-          "\"wall_ns\": %llu, \"mb_per_s\": %.2f, \"bytes\": %llu, "
-          "\"merged_rules\": %llu, \"deduped_rules\": %llu, "
-          "\"init_sim_ns\": %llu, \"lane_makespan_ns\": %llu}%s\n",
-          r.dataset.c_str(), r.threads, r.chunks,
-          static_cast<unsigned long long>(r.wall_ns), r.mb_per_s,
-          static_cast<unsigned long long>(r.bytes),
-          static_cast<unsigned long long>(r.merged_rules),
-          static_cast<unsigned long long>(r.deduped_rules),
-          static_cast<unsigned long long>(r.init_sim_ns),
-          static_cast<unsigned long long>(r.lane_makespan_ns),
-          i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"encode_microbench\": [\n%s\n  ]\n}\n",
-                 encode_json.c_str());
-    std::fclose(f);
-    std::printf("\nJSON written to %s\n", json_path.c_str());
-  }
-  return 0;
+  return sink.Finish();
 }

@@ -7,25 +7,27 @@
 // are deterministic: round-robin placement with work stealing off gives
 // every lane a fixed query set.
 //
-// Lines starting with "SERVE" are a stable plain-text record for
-// tools/check_bench.sh's relational serving gates:
-//   SERVE <workers> <fault_pct> <queries> <qps> <p50_ns> <p99_ns> <makespan_ns>
-//
 // A refresh-under-load scenario rides along: the corpus is hosted in a
 // durable ContainerStore, a 16-worker clean fleet answers two query
 // waves, and between the waves a CorpusRefresher appends new files and
 // cuts the fleet over to the new generation while it keeps serving.
-// The stable record (gated against the same run's no-refresh row):
-//   REFRESH <workers> <queries> <p99_ns> <baseline_p99_ns> <failed> <generations>
+//
+// Result rows (bench_common.h's row format, bench "serving"), gated
+// relationally by tools/check_bench.sh:
+//   fleet    workers, fault_pct, queries, qps_sim, p50_sim_ns, p99_sim_ns,
+//            makespan_sim_ns, wall_ns (host time of the whole fleet),
+//            scoped_repairs, salvage_restarts, degraded
+//   refresh  workers, queries, p99_sim_ns, baseline_p99_sim_ns (the same
+//            run's clean 16-worker fleet), makespan_sim_ns, failed,
+//            generations_published, drained_sessions, wall_ns
 //
 // Extra flags on top of the shared ones (see bench_common.h):
-//   --json=PATH   also emit machine-readable results as JSON
+//   --json=PATH   also write the result rows to PATH
 //   --queries=N   queries per fleet configuration (default 48)
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -233,74 +235,12 @@ RefreshResult RunRefreshFleet(const DatasetBundle& d,
   return r;
 }
 
-void EmitJson(const std::string& path, const std::string& dataset,
-              double scale, uint32_t queries,
-              const std::vector<ServeResult>& results,
-              const RefreshResult& refresh) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  NTADOC_CHECK(f != nullptr) << "cannot open " << path;
-  std::fprintf(f, "{\n  \"generated_by\": \"bench_serving\",\n");
-  std::fprintf(f, "  \"dataset\": \"%s\",\n  \"scale\": %g,\n",
-               dataset.c_str(), scale);
-  std::fprintf(f, "  \"queries_per_fleet\": %u,\n  \"results\": [\n",
-               queries);
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ServeResult& r = results[i];
-    std::fprintf(
-        f,
-        "    {\"workers\": %u, \"fault_pct\": %u, \"queries\": %u, "
-        "\"qps_sim\": %.3f, \"p50_sim_ns\": %llu, \"p99_sim_ns\": %llu, "
-        "\"makespan_sim_ns\": %llu, \"wall_ns\": %llu, "
-        "\"scoped_repairs\": %llu, \"salvage_restarts\": %llu, "
-        "\"degraded\": %llu}%s\n",
-        r.workers, r.fault_pct, r.queries, r.qps,
-        static_cast<unsigned long long>(r.p50_sim_ns),
-        static_cast<unsigned long long>(r.p99_sim_ns),
-        static_cast<unsigned long long>(r.makespan_sim_ns),
-        static_cast<unsigned long long>(r.wall_ns),
-        static_cast<unsigned long long>(r.sessions.scoped_repairs),
-        static_cast<unsigned long long>(r.sessions.salvage_restarts),
-        static_cast<unsigned long long>(r.degraded),
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  // Self-contained refresh record: carries its own same-run baseline so
-  // the committed file can be gated without re-running the bench.
-  std::fprintf(
-      f,
-      "  \"refresh\": {\"workers\": %u, \"queries\": %u, "
-      "\"p99_sim_ns\": %llu, \"baseline_p99_sim_ns\": %llu, "
-      "\"makespan_sim_ns\": %llu, \"failed\": %llu, "
-      "\"generations_published\": %llu, \"drained_sessions\": %llu, "
-      "\"wall_ns\": %llu}\n",
-      refresh.workers, refresh.queries,
-      static_cast<unsigned long long>(refresh.p99_sim_ns),
-      static_cast<unsigned long long>(refresh.baseline_p99_sim_ns),
-      static_cast<unsigned long long>(refresh.makespan_sim_ns),
-      static_cast<unsigned long long>(refresh.failed),
-      static_cast<unsigned long long>(refresh.generations_published),
-      static_cast<unsigned long long>(refresh.drained_sessions),
-      static_cast<unsigned long long>(refresh.wall_ns));
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("JSON written to %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchConfig config = ParseArgs(argc, argv);
+  BenchConfig config = ParseArgs(argc, argv, kJsonFlag | kQueriesFlag);
   if (config.datasets.empty()) config.datasets = {"C"};
-
-  std::string json_path;
-  uint32_t queries = 48;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--json=", 7) == 0) json_path = a + 7;
-    if (std::strncmp(a, "--queries=", 10) == 0) {
-      queries = static_cast<uint32_t>(std::strtoul(a + 10, nullptr, 10));
-    }
-  }
+  const uint32_t queries = config.queries;
 
   const auto datasets = LoadDatasets(config);
   NTADOC_CHECK(!datasets.empty());
@@ -317,6 +257,7 @@ int main(int argc, char** argv) {
   auto sealed = serve::SealPool(&d.corpus, so);
   NTADOC_CHECK(sealed.ok()) << sealed.status();
 
+  RowSink sink("serving", config);
   PrintTitle("Concurrent serving on dataset " + d.spec.name,
              "sealed pool, per-session clones, per-worker sim lanes");
   PrintRow({"Workers", "Faults", "Queries", "QPS(sim)", "p50", "p99",
@@ -334,6 +275,18 @@ int main(int argc, char** argv) {
                 Secs(r.p99_sim_ns), Secs(r.makespan_sim_ns),
                 std::to_string(r.sessions.scoped_repairs +
                                r.sessions.salvage_restarts)});
+      sink.Emit(sink.Start("fleet", d.spec.name)
+                    .Num("workers", r.workers)
+                    .Num("fault_pct", r.fault_pct)
+                    .Num("queries", r.queries)
+                    .Real("qps_sim", r.qps, 3)
+                    .Num("p50_sim_ns", r.p50_sim_ns)
+                    .Num("p99_sim_ns", r.p99_sim_ns)
+                    .Num("makespan_sim_ns", r.makespan_sim_ns)
+                    .Num("wall_ns", r.wall_ns)
+                    .Num("scoped_repairs", r.sessions.scoped_repairs)
+                    .Num("salvage_restarts", r.sessions.salvage_restarts)
+                    .Num("degraded", r.degraded));
       results.push_back(r);
     }
   }
@@ -348,25 +301,15 @@ int main(int argc, char** argv) {
   PrintRow({"16+refresh", "0%", std::to_string(refresh.queries), "-",
             "-", Secs(refresh.p99_sim_ns), Secs(refresh.makespan_sim_ns),
             std::to_string(refresh.generations_published) + " gen"});
-
-  std::printf("\n");
-  for (const ServeResult& r : results) {
-    std::printf("SERVE %u %u %u %.3f %llu %llu %llu\n", r.workers,
-                r.fault_pct, r.queries, r.qps,
-                static_cast<unsigned long long>(r.p50_sim_ns),
-                static_cast<unsigned long long>(r.p99_sim_ns),
-                static_cast<unsigned long long>(r.makespan_sim_ns));
-  }
-  std::printf("REFRESH %u %u %llu %llu %llu %llu\n", refresh.workers,
-              refresh.queries,
-              static_cast<unsigned long long>(refresh.p99_sim_ns),
-              static_cast<unsigned long long>(refresh.baseline_p99_sim_ns),
-              static_cast<unsigned long long>(refresh.failed),
-              static_cast<unsigned long long>(refresh.generations_published));
-
-  if (!json_path.empty()) {
-    EmitJson(json_path, d.spec.name, config.scale, queries, results,
-             refresh);
-  }
-  return 0;
+  sink.Emit(sink.Start("refresh", d.spec.name)
+                .Num("workers", refresh.workers)
+                .Num("queries", refresh.queries)
+                .Num("p99_sim_ns", refresh.p99_sim_ns)
+                .Num("baseline_p99_sim_ns", refresh.baseline_p99_sim_ns)
+                .Num("makespan_sim_ns", refresh.makespan_sim_ns)
+                .Num("failed", refresh.failed)
+                .Num("generations_published", refresh.generations_published)
+                .Num("drained_sessions", refresh.drained_sessions)
+                .Num("wall_ns", refresh.wall_ns));
+  return sink.Finish();
 }

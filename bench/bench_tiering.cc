@@ -12,18 +12,19 @@
 //      with an SSD home: online promotion pulls the hot payload into
 //      DRAM, the frozen-placement control keeps paying SSD reads.
 //
-// Stable stdout lines (parsed by tools/check_bench.sh):
-//   TIER <dataset> <task> <budget_pct> <tiered_sim_ns> <allnvm_sim_ns>
-//        <top_resident_bytes> <total_resident_bytes> <promotions>
-//        <demotions>
-//   TIERSSD <dataset> <task> <tiered_sim_ns> <allssd_sim_ns>
-//   TIERMIG <dataset> <runs> <on_sim_ns> <off_sim_ns> <promotions>
+// Result rows (bench_common.h's row format, bench "tiering"), each with
+// its own same-run baseline, so tools/check_bench.sh gates the committed
+// BENCH_pr10.json without re-running the bench:
+//   curve      task, budget_pct, tiered_sim_ns, allnvm_sim_ns,
+//              top_resident_bytes, total_resident_bytes, promotions,
+//              demotions
+//   ssd        task, tiered_sim_ns, allssd_sim_ns
+//   migration  runs, on_sim_ns, off_sim_ns, promotions
 //
-// --json=PATH emits the same records as BENCH_pr10.json so the
-// committed file can be gated without re-running the bench.
+// Extra flag on top of the shared ones (see bench_common.h):
+//   --json=PATH   also write the result rows to PATH
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,7 +38,8 @@ namespace ntadoc::bench {
 namespace {
 
 // The two traversal-heavy tasks the curve is about; the full-suite
-// shapes are bench_table4's job.
+// shapes are the paper benches' job (bench_fig5_speedup,
+// bench_fig6_dram_gap, bench_fig7_ssd_hdd).
 constexpr Task kCurveTasks[] = {Task::kWordCount, Task::kSequenceCount};
 
 const char* TaskToken(Task task) {
@@ -65,33 +67,6 @@ uint64_t TotalResident(const core::NTadocRunInfo& info) {
   for (uint64_t b : info.tier_resident_bytes) total += b;
   return total;
 }
-
-struct CurveRow {
-  std::string dataset;
-  Task task = Task::kWordCount;
-  int budget_pct = 0;
-  uint64_t tiered_sim_ns = 0;
-  uint64_t allnvm_sim_ns = 0;
-  uint64_t top_resident = 0;
-  uint64_t total_resident = 0;
-  uint64_t promotions = 0;
-  uint64_t demotions = 0;
-};
-
-struct SsdRow {
-  std::string dataset;
-  Task task = Task::kWordCount;
-  uint64_t tiered_sim_ns = 0;
-  uint64_t allssd_sim_ns = 0;
-};
-
-struct MigRow {
-  std::string dataset;
-  int runs = 0;
-  uint64_t on_sim_ns = 0;
-  uint64_t off_sim_ns = 0;
-  uint64_t promotions = 0;
-};
 
 // Repeated runs of one task on ONE engine: placement and heat persist
 // across runs (the session owns the TieredPool), so run 2+ starts from
@@ -124,74 +99,14 @@ RepeatResult RunRepeated(const CompressedCorpus& corpus, Task task,
   return out;
 }
 
-void EmitJson(const std::string& path, double scale,
-              const std::vector<CurveRow>& curve,
-              const std::vector<SsdRow>& ssd,
-              const std::vector<MigRow>& mig) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  NTADOC_CHECK(f != nullptr) << "cannot open " << path;
-  std::fprintf(f, "{\n  \"generated_by\": \"bench_tiering\",\n");
-  std::fprintf(f, "  \"scale\": %g,\n  \"curve\": [\n", scale);
-  for (size_t i = 0; i < curve.size(); ++i) {
-    const CurveRow& r = curve[i];
-    std::fprintf(
-        f,
-        "    {\"dataset\": \"%s\", \"task\": \"%s\", \"budget_pct\": %d, "
-        "\"tiered_sim_ns\": %llu, \"allnvm_sim_ns\": %llu, "
-        "\"top_resident_bytes\": %llu, \"total_resident_bytes\": %llu, "
-        "\"promotions\": %llu, \"demotions\": %llu}%s\n",
-        r.dataset.c_str(), TaskToken(r.task), r.budget_pct,
-        static_cast<unsigned long long>(r.tiered_sim_ns),
-        static_cast<unsigned long long>(r.allnvm_sim_ns),
-        static_cast<unsigned long long>(r.top_resident),
-        static_cast<unsigned long long>(r.total_resident),
-        static_cast<unsigned long long>(r.promotions),
-        static_cast<unsigned long long>(r.demotions),
-        i + 1 < curve.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"ssd\": [\n");
-  for (size_t i = 0; i < ssd.size(); ++i) {
-    const SsdRow& r = ssd[i];
-    std::fprintf(f,
-                 "    {\"dataset\": \"%s\", \"task\": \"%s\", "
-                 "\"tiered_sim_ns\": %llu, \"allssd_sim_ns\": %llu}%s\n",
-                 r.dataset.c_str(), TaskToken(r.task),
-                 static_cast<unsigned long long>(r.tiered_sim_ns),
-                 static_cast<unsigned long long>(r.allssd_sim_ns),
-                 i + 1 < ssd.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"migration\": [\n");
-  for (size_t i = 0; i < mig.size(); ++i) {
-    const MigRow& r = mig[i];
-    std::fprintf(f,
-                 "    {\"dataset\": \"%s\", \"runs\": %d, "
-                 "\"on_sim_ns\": %llu, \"off_sim_ns\": %llu, "
-                 "\"promotions\": %llu}%s\n",
-                 r.dataset.c_str(), r.runs,
-                 static_cast<unsigned long long>(r.on_sim_ns),
-                 static_cast<unsigned long long>(r.off_sim_ns),
-                 static_cast<unsigned long long>(r.promotions),
-                 i + 1 < mig.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
 int Main(int argc, char** argv) {
-  BenchConfig config = ParseArgs(argc, argv);
+  BenchConfig config = ParseArgs(argc, argv, kJsonFlag);
   if (config.datasets.empty()) config.datasets = {"C"};
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-  }
   const auto datasets = LoadDatasets(config);
   const AnalyticsOptions opts;
   constexpr int kBudgetPcts[] = {10, 25, 40, 100};
   constexpr int kMigRuns = 3;
-
-  std::vector<CurveRow> curve;
-  std::vector<SsdRow> ssd_rows;
-  std::vector<MigRow> mig_rows;
+  RowSink sink("tiering", config);
 
   for (const auto& d : datasets) {
     // ---- 1. budget sweep over the Optane home ----
@@ -199,6 +114,7 @@ int Main(int argc, char** argv) {
                "paper's capacity pitch + placement layer (DESIGN.md S10)");
     PrintRow({"Task / budget", "all-NVM", "tiered", "speedup", "top MiB",
               "plan top/home"});
+    uint64_t total_resident = 0;  // of the sweep's last run
     for (Task task : kCurveTasks) {
       NTadocOptions base;
       base.persistence = PersistenceMode::kPhase;
@@ -227,19 +143,20 @@ int Main(int argc, char** argv) {
                       TieredDeviceCapacity(d.device_capacity,
                                            *nopts.tiering),
                       &info);
-        CurveRow row;
-        row.dataset = d.spec.name;
-        row.task = task;
-        row.budget_pct = pct;
-        row.tiered_sim_ns = tiered.metrics.TotalSimNs();
-        row.allnvm_sim_ns = allnvm.metrics.TotalSimNs();
-        row.top_resident = info.tier_resident_bytes[0];
-        row.total_resident = TotalResident(info);
-        row.promotions = info.promotions;
-        row.demotions = info.demotions;
-        curve.push_back(row);
-        const auto plan =
-            PlanTierCapacities(row.total_resident, *nopts.tiering);
+        const uint64_t tiered_sim_ns = tiered.metrics.TotalSimNs();
+        const uint64_t allnvm_sim_ns = allnvm.metrics.TotalSimNs();
+        const uint64_t top_resident = info.tier_resident_bytes[0];
+        total_resident = TotalResident(info);
+        sink.Emit(sink.Start("curve", d.spec.name)
+                      .Str("task", TaskToken(task))
+                      .Num("budget_pct", pct)
+                      .Num("tiered_sim_ns", tiered_sim_ns)
+                      .Num("allnvm_sim_ns", allnvm_sim_ns)
+                      .Num("top_resident_bytes", top_resident)
+                      .Num("total_resident_bytes", total_resident)
+                      .Num("promotions", info.promotions)
+                      .Num("demotions", info.demotions));
+        const auto plan = PlanTierCapacities(total_resident, *nopts.tiering);
         char label[64], plan_cell[48];
         std::snprintf(label, sizeof(label), "%s @%d%%", TaskToken(task),
                       pct);
@@ -247,19 +164,10 @@ int Main(int argc, char** argv) {
                       static_cast<unsigned long long>(plan[0] >> 20),
                       static_cast<unsigned long long>(
                           plan.size() > 1 ? plan[1] >> 20 : 0));
-        PrintRow({label, Secs(row.allnvm_sim_ns), Secs(row.tiered_sim_ns),
-                  Ratio(static_cast<double>(row.allnvm_sim_ns) /
-                        static_cast<double>(row.tiered_sim_ns)),
-                  std::to_string(row.top_resident >> 20),
-                  plan_cell});
-        std::printf("TIER %s %s %d %llu %llu %llu %llu %llu %llu\n",
-                    d.spec.name.c_str(), TaskToken(task), pct,
-                    static_cast<unsigned long long>(row.tiered_sim_ns),
-                    static_cast<unsigned long long>(row.allnvm_sim_ns),
-                    static_cast<unsigned long long>(row.top_resident),
-                    static_cast<unsigned long long>(row.total_resident),
-                    static_cast<unsigned long long>(row.promotions),
-                    static_cast<unsigned long long>(row.demotions));
+        PrintRow({label, Secs(allnvm_sim_ns), Secs(tiered_sim_ns),
+                  Ratio(static_cast<double>(allnvm_sim_ns) /
+                        static_cast<double>(tiered_sim_ns)),
+                  std::to_string(top_resident >> 20), plan_cell});
       }
     }
 
@@ -280,20 +188,15 @@ int Main(int argc, char** argv) {
           RunNTadoc(d.corpus, task, opts, nopts, ssd_profile,
                     TieredDeviceCapacity(d.device_capacity,
                                          *nopts.tiering));
-      SsdRow row;
-      row.dataset = d.spec.name;
-      row.task = task;
-      row.tiered_sim_ns = tiered.metrics.TotalSimNs();
-      row.allssd_sim_ns = allssd.metrics.TotalSimNs();
-      ssd_rows.push_back(row);
-      PrintRow({TaskToken(task), Secs(row.allssd_sim_ns),
-                Secs(row.tiered_sim_ns),
-                Ratio(static_cast<double>(row.allssd_sim_ns) /
-                      static_cast<double>(row.tiered_sim_ns))});
-      std::printf("TIERSSD %s %s %llu %llu\n", d.spec.name.c_str(),
-                  TaskToken(task),
-                  static_cast<unsigned long long>(row.tiered_sim_ns),
-                  static_cast<unsigned long long>(row.allssd_sim_ns));
+      const uint64_t tiered_sim_ns = tiered.metrics.TotalSimNs();
+      const uint64_t allssd_sim_ns = allssd.metrics.TotalSimNs();
+      sink.Emit(sink.Start("ssd", d.spec.name)
+                    .Str("task", TaskToken(task))
+                    .Num("tiered_sim_ns", tiered_sim_ns)
+                    .Num("allssd_sim_ns", allssd_sim_ns));
+      PrintRow({TaskToken(task), Secs(allssd_sim_ns), Secs(tiered_sim_ns),
+                Ratio(static_cast<double>(allssd_sim_ns) /
+                      static_cast<double>(tiered_sim_ns))});
     }
 
     // ---- 3. online migration vs frozen placement ----
@@ -305,9 +208,8 @@ int Main(int argc, char** argv) {
       on.persistence = PersistenceMode::kPhase;
       NTadocOptions off = on;
       // Budget sized from the sweep's probe: enough for the hot set.
-      const uint64_t total =
-          curve.empty() ? 0 : curve.back().total_resident;
-      const uint64_t budget = total > 0 ? total * 40 / 100 : 1ull << 20;
+      const uint64_t budget =
+          total_resident > 0 ? total_resident * 40 / 100 : 1ull << 20;
       on.tiering =
           MakeTiering({{nvm::MediumKind::kDram, budget}}, true, 64);
       off.tiering =
@@ -320,35 +222,25 @@ int Main(int argc, char** argv) {
       const RepeatResult mig_off =
           RunRepeated(d.corpus, Task::kWordCount, opts, off, ssd_profile,
                       cap, kMigRuns);
-      MigRow row;
-      row.dataset = d.spec.name;
-      row.runs = kMigRuns;
-      row.on_sim_ns = mig_on.sim_ns;
-      row.off_sim_ns = mig_off.sim_ns;
-      row.promotions = mig_on.promotions;
-      mig_rows.push_back(row);
+      sink.Emit(sink.Start("migration", d.spec.name)
+                    .Num("runs", kMigRuns)
+                    .Num("on_sim_ns", mig_on.sim_ns)
+                    .Num("off_sim_ns", mig_off.sim_ns)
+                    .Num("promotions", mig_on.promotions));
       PrintRow({"", "", "", "", "", ""});
       PrintRow({"Migration (3 runs)", "frozen", "online", "speedup"});
-      PrintRow({"word_count on SSD", Secs(row.off_sim_ns),
-                Secs(row.on_sim_ns),
-                Ratio(static_cast<double>(row.off_sim_ns) /
-                      static_cast<double>(row.on_sim_ns))});
-      std::printf("TIERMIG %s %d %llu %llu %llu\n", d.spec.name.c_str(),
-                  row.runs, static_cast<unsigned long long>(row.on_sim_ns),
-                  static_cast<unsigned long long>(row.off_sim_ns),
-                  static_cast<unsigned long long>(row.promotions));
+      PrintRow({"word_count on SSD", Secs(mig_off.sim_ns),
+                Secs(mig_on.sim_ns),
+                Ratio(static_cast<double>(mig_off.sim_ns) /
+                      static_cast<double>(mig_on.sim_ns))});
     }
   }
 
-  if (!json_path.empty()) {
-    EmitJson(json_path, config.scale, curve, ssd_rows, mig_rows);
-    std::printf("\nwrote %s\n", json_path.c_str());
-  }
   std::printf(
       "\nThe 40%% budget row is the headline: most of the all-DRAM win\n"
       "at well under half the top-tier capacity, because placement\n"
       "follows heat, not size.\n");
-  return 0;
+  return sink.Finish();
 }
 
 }  // namespace

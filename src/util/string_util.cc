@@ -77,4 +77,19 @@ std::string FormatDouble(double v, int precision) {
   return buf;
 }
 
+bool ParseFraction(std::string_view text, double* out, double above,
+                   double max) {
+  if (text.starts_with('-')) return false;
+  double value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), end, value, std::chars_format::fixed);
+  // NaN fails both comparisons, so it is rejected with the range.
+  if (ec != std::errc() || ptr != end || !(value > above && value <= max)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 }  // namespace ntadoc

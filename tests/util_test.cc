@@ -185,6 +185,35 @@ TEST(StringUtilTest, Formatting) {
   EXPECT_EQ(Join({"a", "b"}, ", "), "a, b");
 }
 
+TEST(StringUtilTest, ParseNumberChecksDigitsRangeAndWidth) {
+  uint32_t v = 7;
+  EXPECT_TRUE(ParseNumber("42", &v));
+  EXPECT_EQ(v, 42u);
+  for (const char* bad : {"", "abc", "4x", "-1", "+1", " 1", "4294967296"}) {
+    EXPECT_FALSE(ParseNumber(bad, &v)) << bad;
+  }
+  EXPECT_EQ(v, 42u);
+  EXPECT_FALSE(ParseNumber("0", &v, {.min = 1}));
+  EXPECT_FALSE(ParseNumber("3", &v, {.max = 2}));
+  uint64_t bytes = 0;
+  EXPECT_TRUE(ParseNumber("3", &bytes, {.unit = 1 << 20}));
+  EXPECT_EQ(bytes, 3ull << 20);
+  EXPECT_FALSE(ParseNumber("17592186044416", &bytes, {.unit = 1 << 20}));
+}
+
+TEST(StringUtilTest, ParseFractionChecksFormAndRange) {
+  double v = 0.5;
+  EXPECT_TRUE(ParseFraction("0.25", &v, 0, 100));
+  EXPECT_EQ(v, 0.25);
+  EXPECT_TRUE(ParseFraction("2", &v, 0, 100));
+  EXPECT_EQ(v, 2.0);
+  for (const char* bad : {"", "abc", "0.2x", "-1", "+1", "1e2", "0", "100.5",
+                          "inf", "nan"}) {
+    EXPECT_FALSE(ParseFraction(bad, &v, 0, 100)) << bad;
+  }
+  EXPECT_EQ(v, 2.0);
+}
+
 TEST(DramTrackerTest, TracksPeak) {
   DramUsageScope scope;
   {

@@ -42,10 +42,8 @@
 // line a durable append commits — the hook a co-located serving process
 // uses to trigger a refresh.
 
-#include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string_view>
 
@@ -91,32 +89,6 @@ int Usage() {
                "tier SPEC: fastest-first comma list of medium[:budget_mb],"
                " e.g. dram:64,nvm\n");
   return 2;
-}
-
-// Accepted range of a numeric argument, and the unit it is scaled by
-// (1 << 20 for the --*-mb= flags, 1000 for --deadline-us=).
-struct NumberSpec {
-  uint64_t min = 0;
-  uint64_t max = std::numeric_limits<uint64_t>::max();
-  uint64_t unit = 1;
-};
-
-// Every numeric flag and positional: all of `text` as an unsigned decimal
-// in [spec.min, spec.max], stored times spec.unit in *out. False, with
-// *out untouched, on a sign, stray characters or a value T cannot hold.
-template <typename T>
-bool ParseNumber(std::string_view text, T* out, NumberSpec spec = {}) {
-  uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  const uint64_t limit =
-      static_cast<uint64_t>(std::numeric_limits<T>::max()) / spec.unit;
-  if (ec != std::errc() || ptr != end || value < spec.min ||
-      value > spec.max || value > limit) {
-    return false;
-  }
-  *out = static_cast<T>(value * spec.unit);
-  return true;
 }
 
 // --medium=nvm|reram|pcm|ssd|hdd; false for any other name.

@@ -1,25 +1,21 @@
 #!/usr/bin/env bash
-# Produces BENCH_pr5.json from bench_hotpath: wall + sim time for every
-# task x persistence mode (plus rule-cache, no-summation, epoch group
-# commit, and RunBatch variants) and the traversal-kernel
-# microbenchmarks.
-#
-# Also produces BENCH_pr8.json from bench_ingest: chunk-parallel ingest
-# throughput (wall + deterministic lane-makespan model), container
-# sizes, init sim time, and the EncodeTokens micro-benchmark. Ingest
-# always runs at scale 1.0 regardless of --scale: the gated container
-# bytes are only deterministic at the full dataset size.
-#
-# Also produces BENCH_pr9.json from bench_serving: concurrent-serving
-# throughput/latency plus the refresh-under-load record (generation
-# cutover mid-run; carries its own same-run no-refresh baseline so the
-# committed file is self-contained for check_bench.sh's refresh gate).
-#
-# Also produces BENCH_pr10.json from bench_tiering: the tiered-placement
-# capacity/latency curve (top-tier budget sweep vs all-NVM), DRAM+SSD vs
-# all-SSD under a tight page cache, and migration-on vs frozen-placement
-# repeated runs. All records carry their own same-run baselines so the
-# committed file is self-contained for check_bench.sh's tiering gates.
+# Regenerates the committed bench records. Each is the bench's --json
+# output: a JSON array of result rows (bench_common.h's row format), one
+# row per line. The gated rows carry their own same-run baselines, so
+# tools/check_bench.sh gates the committed files without re-running:
+#   BENCH_pr5.json   bench_hotpath: wall + sim time for every task x
+#                    persistence mode (plus rule-cache, no-summation,
+#                    epoch group commit and RunBatch variants) and the
+#                    traversal-kernel microbenches;
+#   BENCH_pr8.json   bench_ingest: chunk-parallel ingest throughput (wall +
+#                    deterministic lane-makespan model), container sizes,
+#                    init sim time and the EncodeTokens micro-benchmark.
+#                    Always at scale 1.0: the gated container bytes are
+#                    only deterministic at the full dataset size;
+#   BENCH_pr9.json   bench_serving at scale 0.05: concurrent-serving
+#                    throughput/latency and the refresh-under-load row;
+#   BENCH_pr10.json  bench_tiering: the tiered-placement capacity/latency
+#                    curve, DRAM+SSD vs all-SSD, and migration on vs off.
 #
 # Usage: tools/run_bench.sh [--build-dir=build] [--out=BENCH_pr5.json]
 #                           [--scale=0.25] [--repeat=3]
@@ -30,11 +26,13 @@
 #                           [--skip-tiering]
 #                           [--prepr-bin=/path/to/old/bench_hotpath]
 #
-# With --prepr-bin= the same driver binary built from the pre-PR tree is
-# run with identical arguments and the output JSON gains a "prepr"
-# section plus per-kernel wall-clock speedup factors.
+# With --prepr-bin= a bench_hotpath built from an older tree is run with
+# the same arguments and the wall-clock speedup of each traversal kernel
+# (old wall / current wall) is printed. The old binary must print result
+# rows: ones built before the row format print none.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source tools/bench_gates.sh
 
 BUILD_DIR=build
 OUT=BENCH_pr5.json
@@ -64,97 +62,43 @@ for arg in "$@"; do
   esac
 done
 
-BIN="$BUILD_DIR/bench/bench_hotpath"
-if [[ ! -x "$BIN" ]]; then
-  echo "building bench_hotpath..." >&2
-  cmake --build "$BUILD_DIR" --target bench_hotpath -j
-fi
-
 CACHE_DIR="$BUILD_DIR/bench_cache"
-TMP=$(mktemp -d)
-trap 'rm -rf "$TMP"' EXIT
+HOTPATH_FLAGS=(--scale="$SCALE" --datasets=C --repeat="$REPEAT")
 
-run_one() {
-  local bin="$1" json="$2" log="$3"
-  "$bin" --scale="$SCALE" --datasets=C --cache-dir="$CACHE_DIR" \
-         --repeat="$REPEAT" --json="$json" | tee "$log"
-}
-
-echo "== current binary ==" >&2
-run_one "$BIN" "$TMP/current.json" "$TMP/current.log"
+for bench in hotpath ingest serving tiering; do
+  case "$bench" in
+    hotpath) out=$OUT; flags=("${HOTPATH_FLAGS[@]}") ;;
+    ingest)
+      [[ "$SKIP_INGEST" == 1 ]] && continue
+      out=$INGEST_OUT
+      flags=(--scale=1.0 --datasets=C,D --threads-list=1,4,8 --repeat="$REPEAT") ;;
+    serving)
+      [[ "$SKIP_SERVING" == 1 ]] && continue
+      out=$SERVING_OUT; flags=(--scale=0.05 --datasets=C) ;;
+    tiering)
+      [[ "$SKIP_TIERING" == 1 ]] && continue
+      out=$TIERING_OUT; flags=(--scale="$SCALE" --datasets=C) ;;
+  esac
+  bin="$BUILD_DIR/bench/bench_$bench"
+  if [[ ! -x "$bin" ]]; then
+    echo "building bench_$bench..." >&2
+    cmake --build "$BUILD_DIR" --target "bench_$bench" -j
+  fi
+  echo "== bench_$bench ==" >&2
+  "$bin" "${flags[@]}" --cache-dir="$CACHE_DIR" --json="$out"
+  echo "wrote $out" >&2
+done
 
 if [[ -n "$PREPR_BIN" ]]; then
-  echo "== pre-PR binary ==" >&2
-  run_one "$PREPR_BIN" "$TMP/prepr.json" "$TMP/prepr.log"
-fi
-
-{
-  echo '{'
-  echo '  "generated_by": "tools/run_bench.sh",'
-  echo "  \"scale\": $SCALE,"
-  echo "  \"repeat\": $REPEAT,"
-  if [[ -n "$PREPR_BIN" ]]; then
-    # Wall-clock speedup per traversal kernel: pre-PR wall / current wall.
-    extract_kernels() {
-      sed -n 's/.*"name": "\([a-z_]*\)".*"wall_ns": \([0-9]*\).*/\1 \2/p' "$1"
-    }
-    paste <(extract_kernels "$TMP/current.json") \
-          <(extract_kernels "$TMP/prepr.json") |
-      awk 'BEGIN { printf "  \"kernel_speedup_wall\": {" }
-        $1 == $3 { printf "%s\"%s\": %.2f", NR == 1 ? "" : ", ", $1, $4 / $2 }
-        END { print "}," }'
-  fi
-  echo '  "current":'
-  sed 's/^/  /' "$TMP/current.json"
-  if [[ -n "$PREPR_BIN" ]]; then
-    echo '  ,"prepr":'
-    sed 's/^/  /' "$TMP/prepr.json"
-  fi
-  echo '}'
-} > "$OUT"
-echo "wrote $OUT" >&2
-
-if [[ "$SKIP_INGEST" == 0 ]]; then
-  INGEST_BIN="$BUILD_DIR/bench/bench_ingest"
-  if [[ ! -x "$INGEST_BIN" ]]; then
-    echo "building bench_ingest..." >&2
-    cmake --build "$BUILD_DIR" --target bench_ingest -j
-  fi
-  echo "== ingest bench (scale 1.0) ==" >&2
-  # Dataset D (few large documents) is the gated configuration; C rides
-  # along as the small-corpus sanity row. threads=1 is the sequential
-  # baseline (identical bytes to Compress()).
-  "$INGEST_BIN" --scale=1.0 --datasets=C,D --threads-list=1,4,8 \
-                --repeat="$REPEAT" --cache-dir="$CACHE_DIR" \
-                --json="$INGEST_OUT"
-  echo "wrote $INGEST_OUT" >&2
-fi
-
-if [[ "$SKIP_SERVING" == 0 ]]; then
-  SERVING_BIN="$BUILD_DIR/bench/bench_serving"
-  if [[ ! -x "$SERVING_BIN" ]]; then
-    echo "building bench_serving..." >&2
-    cmake --build "$BUILD_DIR" --target bench_serving -j
-  fi
-  echo "== serving bench (refresh under load) ==" >&2
-  # Fixed small scale: the refresh gate is relational (refresh p99 vs
-  # the same run's clean p99), so absolute scale only affects runtime.
-  "$SERVING_BIN" --scale=0.05 --datasets=C --cache-dir="$CACHE_DIR" \
-                 --json="$SERVING_OUT"
-  echo "wrote $SERVING_OUT" >&2
-fi
-
-if [[ "$SKIP_TIERING" == 0 ]]; then
-  TIERING_BIN="$BUILD_DIR/bench/bench_tiering"
-  if [[ ! -x "$TIERING_BIN" ]]; then
-    echo "building bench_tiering..." >&2
-    cmake --build "$BUILD_DIR" --target bench_tiering -j
-  fi
-  echo "== tiering bench (capacity/latency curve) ==" >&2
-  # The tiering gates are relational (tiered vs same-run all-NVM,
-  # migration-on vs same-run frozen placement), so the committed file is
-  # produced at the default bench scale.
-  "$TIERING_BIN" --scale="$SCALE" --datasets=C --cache-dir="$CACHE_DIR" \
-                 --json="$TIERING_OUT"
-  echo "wrote $TIERING_OUT" >&2
+  echo "== pre-change bench_hotpath ==" >&2
+  PREPR_ROWS=$(mktemp)
+  trap 'rm -f "$PREPR_ROWS"' EXIT
+  "$PREPR_BIN" "${HOTPATH_FLAGS[@]}" --cache-dir="$CACHE_DIR" \
+      --json="$PREPR_ROWS" >/dev/null
+  # The current record's kernel rows come first, then the old binary's.
+  bench_rows "$OUT" "$PREPR_ROWS" | awk "$ROW_AWK"'
+    f["row"] != "kernel" { next }
+    !(f["kernel"] in wall) { wall[f["kernel"]] = f["wall_ns"]; next }
+    { printf "kernel wall speedup %s: %.2fx\n", f["kernel"], f["wall_ns"] / wall[f["kernel"]]; found = 1 }
+    END { if (!found) { print "no kernel rows from the pre-change binary" > "/dev/stderr"; exit 1 } }'
 fi
