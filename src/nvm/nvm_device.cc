@@ -20,6 +20,12 @@ uint64_t PageSize() {
   return page;
 }
 
+// Bytes of a device's data pages: its capacity rounded up to whole pages.
+uint64_t DataBytes(uint64_t capacity) {
+  const uint64_t page = PageSize();
+  return (capacity + page - 1) / page * page;
+}
+
 }  // namespace
 
 void NvmDevice::Unmap::operator()(uint8_t* data) const {
@@ -90,7 +96,7 @@ Result<std::unique_ptr<NvmDevice>> NvmDevice::Create(DeviceOptions options) {
   if (options.capacity > std::numeric_limits<size_t>::max() - 2 * page) {
     return Status::ResourceExhausted("device capacity exceeds address space");
   }
-  const uint64_t data_bytes = (options.capacity + page - 1) / page * page;
+  const uint64_t data_bytes = DataBytes(options.capacity);
   void* map = mmap(nullptr, data_bytes + page, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
   if (map == MAP_FAILED) {
@@ -129,7 +135,7 @@ NvmDevice::NvmDevice(DeviceOptions options, Backing data)
       snapshot_drains_end_(options.snapshot_drains_end),
       snapshot_region_offset_(options.snapshot_region_offset),
       snapshot_region_len_(options.snapshot_region_len) {
-  if (options.base_image != nullptr && !options.base_image->empty()) {
+  if (options.base_image != nullptr) {
     // Session-private materialization of the shared sealed image (see
     // DeviceOptions::base_image). Uncharged: the copy models mapping the
     // sealed pool, not device traffic.
@@ -276,8 +282,8 @@ void NvmDevice::TrackDirty(uint64_t offset, uint64_t len) {
   for (uint64_t line = first; line <= last; ++line) {
     auto it = dirty_lines_.find(line);
     if (it == dirty_lines_.end()) {
-      std::array<uint8_t, kLine> pre;
-      std::memcpy(pre.data(), data_.get() + line * kLine, kLine);
+      std::array<uint8_t, kLine> pre{};
+      std::memcpy(pre.data(), data_.get() + line * kLine, LineBytes(line));
       dirty_lines_.emplace(line, pre);
     }
   }
@@ -339,7 +345,8 @@ uint64_t NvmDevice::MaybeTearFlush(uint64_t first, uint64_t last) {
   // before this line is flushed again, the tear materializes; a later
   // successful flush heals it.
   auto& pre = dirty_lines_[line];
-  std::memcpy(pre.data(), data_.get() + line * kLine, keep);
+  std::memcpy(pre.data(), data_.get() + line * kLine,
+              std::min<uint64_t>(keep, LineBytes(line)));
   return line;
 }
 
@@ -392,7 +399,7 @@ uint64_t NvmDevice::FlushLineRuns(std::vector<uint64_t>& lines) {
 void NvmDevice::SimulateCrash() {
   if (strict_) {
     for (const auto& [line, pre] : dirty_lines_) {
-      std::memcpy(data_.get() + line * kLine, pre.data(), kLine);
+      std::memcpy(data_.get() + line * kLine, pre.data(), LineBytes(line));
     }
     dirty_lines_.clear();
   }
@@ -454,12 +461,23 @@ std::vector<uint8_t> NvmDevice::PersistedRegion(uint64_t offset,
 }
 
 std::vector<uint8_t> NvmDevice::PersistedSnapshot() const {
-  // Persisted image = current data with unflushed lines rolled back.
-  std::vector<uint8_t> image(data_.get(), data_.get() + capacity_);
-  for (const auto& [line, pre] : dirty_lines_) {
-    std::memcpy(image.data() + line * kLine, pre.data(), kLine);
+  return PersistedRegion(0, capacity_);
+}
+
+Result<std::shared_ptr<const SealedImage>> NvmDevice::Seal(
+    std::unique_ptr<NvmDevice> device) {
+  NTADOC_CHECK(device != nullptr);
+  // Roll back in place what PersistedSnapshot() rolls back in its copy.
+  for (const auto& [line, pre] : device->dirty_lines_) {
+    std::memcpy(device->data_.get() + line * kLine, pre.data(),
+                device->LineBytes(line));
   }
-  return image;
+  if (mprotect(device->data_.get(), DataBytes(device->capacity_),
+               PROT_READ) != 0) {
+    return Status::ResourceExhausted("cannot write-protect sealed image");
+  }
+  return std::shared_ptr<const SealedImage>(
+      new SealedImage(std::move(device->data_), device->capacity_));
 }
 
 Status NvmDevice::SaveImage(const std::string& path) const {

@@ -17,6 +17,7 @@
 #ifndef NTADOC_NVM_NVM_DEVICE_H_
 #define NTADOC_NVM_NVM_DEVICE_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -44,6 +45,8 @@ struct RetryPolicy {
   /// Backoff before the first retry; doubles each further attempt.
   uint64_t backoff_ns = 2000;
 };
+
+class SealedImage;
 
 /// Construction options for NvmDevice.
 struct DeviceOptions {
@@ -104,17 +107,17 @@ struct DeviceOptions {
   uint64_t snapshot_region_offset = 0;
   uint64_t snapshot_region_len = 0;
 
-  /// Shared immutable base image (sealed-pool serving). When set, the
-  /// device starts holding this image (zero-padded to `capacity`) instead
-  /// of zeros: N session devices built over one image model N snapshot-
-  /// isolated readers of one sealed NVM pool. Each device materializes a
-  /// private working copy at construction, so per-session writes, media
-  /// faults and repairs never reach the shared image or sibling sessions.
-  /// Materialization is an uncharged host-side copy — simulated costs
-  /// start with the session's own accesses, exactly as if the session had
-  /// DAX-mapped the sealed pool read-only. The image must not exceed
-  /// `capacity`.
-  std::shared_ptr<const std::vector<uint8_t>> base_image;
+  /// Shared immutable base image (sealed-pool serving, see
+  /// NvmDevice::Seal). When set, the device starts holding this image
+  /// (zero-padded to `capacity`) instead of zeros: N session devices
+  /// built over one image model N snapshot-isolated readers of one sealed
+  /// NVM pool. Each device materializes a private working copy at
+  /// construction, so per-session writes, media faults and repairs never
+  /// reach the shared image or sibling sessions. Materialization is an
+  /// uncharged host-side copy — simulated costs start with the session's
+  /// own accesses, exactly as if the session had DAX-mapped the sealed
+  /// pool read-only. The image must not exceed `capacity`.
+  std::shared_ptr<const SealedImage> base_image;
 };
 
 class TieredPool;
@@ -262,6 +265,15 @@ class NvmDevice {
   /// post-crash state; tests use it to assert fault-plan determinism.
   std::vector<uint8_t> PersistedSnapshot() const;
 
+  /// Consumes `device` and hands its mapping over, without a copy, as a
+  /// read-only image of its persisted state: every unflushed line is
+  /// rolled back to its pre-image first, so the image's bytes equal
+  /// PersistedSnapshot(). Pages the device never touched stay unbacked.
+  /// Uncharged, like PersistedSnapshot(). Returns ResourceExhausted if
+  /// the host cannot write-protect the pages.
+  static Result<std::shared_ptr<const SealedImage>> Seal(
+      std::unique_ptr<NvmDevice> device);
+
   /// Fault-injection state, if a plan was supplied (null otherwise).
   const FaultInjector* fault_injector() const { return injector_.get(); }
 
@@ -320,6 +332,8 @@ class NvmDevice {
   void LoadSnapshotRegion(const std::vector<uint8_t>& image, uint64_t offset);
 
  private:
+  friend class SealedImage;
+
   static constexpr uint64_t kLine = 64;
   static constexpr uint64_t kNoTornLine = ~0ull;
 
@@ -332,6 +346,12 @@ class NvmDevice {
   using Backing = std::unique_ptr<uint8_t[], Unmap>;
 
   NvmDevice(DeviceOptions options, Backing data);
+
+  /// Bytes of 64 B line `line` inside the device: kLine except for the
+  /// last line of a capacity that is not a line multiple.
+  uint64_t LineBytes(uint64_t line) const {
+    return std::min(kLine, capacity_ - line * kLine);
+  }
 
   /// Zeroes [offset, offset+len). Whole pages go back to the host
   /// (madvise MADV_DONTNEED: they read as zeros and leave the resident
@@ -391,6 +411,24 @@ class NvmDevice {
   uint64_t snapshot_region_offset_ = 0;
   uint64_t snapshot_region_len_ = 0;
   std::vector<std::vector<uint8_t>> drain_snapshots_;
+};
+
+/// The persisted image of a sealed device (NvmDevice::Seal): that
+/// device's own lazily zeroed mapping, write-protected. A write through
+/// data() faults. Releasing the last reference unmaps it.
+class SealedImage {
+ public:
+  const uint8_t* data() const { return data_.get(); }
+  uint64_t size() const { return size_; }
+
+ private:
+  friend class NvmDevice;
+
+  SealedImage(NvmDevice::Backing data, uint64_t size)
+      : data_(std::move(data)), size_(size) {}
+
+  NvmDevice::Backing data_;
+  uint64_t size_;
 };
 
 }  // namespace ntadoc::nvm

@@ -30,20 +30,25 @@ Result<SealedPool> SealPool(const CompressedCorpus* corpus,
   eng_opts.sealed_prefix.reset();
   eng_opts.repair_lock.reset();
 
-  core::NTadocEngine engine(corpus, device.get(), eng_opts);
   SealedPool sealed;
-  NTADOC_RETURN_IF_ERROR(engine
-                             .RunAndCapturePrefix(options.seal_task,
-                                                  options.seal_opts,
-                                                  &sealed.prefix)
-                             .status());
+  {
+    // Scoped: the engine touches the device as it goes away, and the
+    // device is consumed below.
+    core::NTadocEngine engine(corpus, device.get(), eng_opts);
+    NTADOC_RETURN_IF_ERROR(engine
+                               .RunAndCapturePrefix(options.seal_task,
+                                                    options.seal_opts,
+                                                    &sealed.prefix)
+                               .status());
+  }
   sealed.corpus = corpus;
   sealed.options = options;
   sealed.seal_sim_ns = device->clock().NowNanos();
-  // The persisted snapshot *is* the sealed pool: what survives power
-  // loss is exactly what every session clone starts from.
-  sealed.image = std::make_shared<const std::vector<uint8_t>>(
-      device->PersistedSnapshot());
+  // The persisted state *is* the sealed pool: what survives power loss
+  // is exactly what every session clone starts from. The device's own
+  // pages become the image, as a DAX pool is its media.
+  NTADOC_ASSIGN_OR_RETURN(sealed.image,
+                          nvm::NvmDevice::Seal(std::move(device)));
   return sealed;
 }
 
@@ -235,7 +240,7 @@ uint64_t ServingEngine::makespan_sim_ns() const {
   return mk;
 }
 
-void ServingEngine::Execute(uint32_t w, uint64_t ticket) {
+QueryResult ServingEngine::RunSession(uint32_t w, uint64_t ticket) {
   // Snapshot the request and the pinned generation under the lock;
   // everything below runs without it — session construction and the
   // query itself touch only private state plus the explicitly
@@ -306,7 +311,16 @@ void ServingEngine::Execute(uint32_t w, uint64_t ticket) {
     }
     local.done = true;
   }
+  return local;
+}
 
+void ServingEngine::Execute(uint32_t w, uint64_t ticket) {
+  // Every reference the session took on its generation (pool, image,
+  // keepalive, cache) dies with RunSession's scope, before the session
+  // counts as finished: once WaitGenerationDrained returns, the engine
+  // holds nothing of a retired generation, and its image is unmapped
+  // unless the caller still holds it.
+  QueryResult local = RunSession(w, ticket);
   {
     util::MutexLock lock(&mu_);
     if (local.status.ok()) {

@@ -83,7 +83,7 @@ struct SealOptions {
 struct SealedPool {
   const CompressedCorpus* corpus = nullptr;
   SealOptions options;
-  std::shared_ptr<const std::vector<uint8_t>> image;
+  std::shared_ptr<const nvm::SealedImage> image;
   std::shared_ptr<const core::SealedPrefix> prefix;
   /// Simulated cost of the sealing run (paid once, off the serving path).
   uint64_t seal_sim_ns = 0;
@@ -263,7 +263,7 @@ class ServingEngine {
  private:
   /// One entry of the generation table. The shared_ptr members are set
   /// before the entry becomes visible and mutated again only at retire
-  /// time (when no session can hold the entry); Execute snapshots them
+  /// time (when no session can hold the entry); RunSession snapshots them
   /// under mu_ and uses the copies lock-free.
   struct Generation {
     uint64_t id = 0;
@@ -280,6 +280,10 @@ class ServingEngine {
     uint64_t publish_makespan_ns = 0;    // fleet makespan at publish
   };
 
+  /// Runs ticket `ticket` on worker `w`: builds the session over its
+  /// pinned generation and runs the query. Execute then records the
+  /// outcome.
+  QueryResult RunSession(uint32_t w, uint64_t ticket) NTADOC_EXCLUDES(mu_);
   void Execute(uint32_t w, uint64_t ticket) NTADOC_EXCLUDES(mu_);
 
   /// Escalation: flips the cancel flag of every draining generation

@@ -24,59 +24,51 @@ std::string SpellWord(uint32_t rank) {
 }  // namespace
 
 CorpusSpec DatasetA(double scale) {
-  CorpusSpec s;
-  s.name = "A";
-  s.num_files = 1;
-  s.vocabulary = static_cast<uint32_t>(24000 * scale) + 6000;
-  s.total_tokens = static_cast<uint64_t>(120000 * scale);
-  s.zipf_theta = 1.0;
-  s.num_templates = 250;
-  s.template_len = 10;
-  s.template_prob = 0.93;
-  s.seed = 1001;
-  return s;
+  return {.name = "A",
+          .num_files = 1,
+          .vocabulary = static_cast<uint32_t>(24000 * scale) + 6000,
+          .total_tokens = static_cast<uint64_t>(120000 * scale),
+          .zipf_theta = 1.0,
+          .num_templates = 250,
+          .template_len = 10,
+          .template_prob = 0.93,
+          .seed = 1001};
 }
 
 CorpusSpec DatasetB(double scale) {
-  CorpusSpec s;
-  s.name = "B";
-  s.num_files = static_cast<uint32_t>(1600 * scale) + 64;
-  s.vocabulary = static_cast<uint32_t>(48000 * scale) + 8000;
-  s.total_tokens = static_cast<uint64_t>(480000 * scale);
-  s.zipf_theta = 1.0;
-  s.num_templates = 500;
-  s.template_len = 9;
-  s.template_prob = 0.92;
-  s.seed = 1002;
-  return s;
+  return {.name = "B",
+          .num_files = static_cast<uint32_t>(1600 * scale) + 64,
+          .vocabulary = static_cast<uint32_t>(48000 * scale) + 8000,
+          .total_tokens = static_cast<uint64_t>(480000 * scale),
+          .zipf_theta = 1.0,
+          .num_templates = 500,
+          .template_len = 9,
+          .template_prob = 0.92,
+          .seed = 1002};
 }
 
 CorpusSpec DatasetC(double scale) {
-  CorpusSpec s;
-  s.name = "C";
-  s.num_files = 4;
-  s.vocabulary = static_cast<uint32_t>(120000 * scale) + 12000;
-  s.total_tokens = static_cast<uint64_t>(1200000 * scale);
-  s.zipf_theta = 1.05;
-  s.num_templates = 900;
-  s.template_len = 12;
-  s.template_prob = 0.94;
-  s.seed = 1003;
-  return s;
+  return {.name = "C",
+          .num_files = 4,
+          .vocabulary = static_cast<uint32_t>(120000 * scale) + 12000,
+          .total_tokens = static_cast<uint64_t>(1200000 * scale),
+          .zipf_theta = 1.05,
+          .num_templates = 900,
+          .template_len = 12,
+          .template_prob = 0.94,
+          .seed = 1003};
 }
 
 CorpusSpec DatasetD(double scale) {
-  CorpusSpec s;
-  s.name = "D";
-  s.num_files = static_cast<uint32_t>(48 * scale) + 8;
-  s.vocabulary = static_cast<uint32_t>(240000 * scale) + 16000;
-  s.total_tokens = static_cast<uint64_t>(3600000 * scale);
-  s.zipf_theta = 1.05;
-  s.num_templates = 1600;
-  s.template_len = 12;
-  s.template_prob = 0.95;
-  s.seed = 1004;
-  return s;
+  return {.name = "D",
+          .num_files = static_cast<uint32_t>(48 * scale) + 8,
+          .vocabulary = static_cast<uint32_t>(240000 * scale) + 16000,
+          .total_tokens = static_cast<uint64_t>(3600000 * scale),
+          .zipf_theta = 1.05,
+          .num_templates = 1600,
+          .template_len = 12,
+          .template_prob = 0.95,
+          .seed = 1004};
 }
 
 std::vector<CorpusSpec> AllDatasets(double scale) {

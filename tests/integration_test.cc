@@ -98,7 +98,7 @@ TEST(IntegrationTest, IdenticalFiles) {
   // attribution must still be exact.
   std::vector<InputFile> files(6, {"f", "x y z x y z x y z w"});
   for (size_t i = 0; i < files.size(); ++i) {
-    files[i].name = "f" + std::to_string(i);
+    files[i].name += std::to_string(i);  // "f0", "f1", ...
   }
   auto corpus = compress::Compress(files);
   ASSERT_TRUE(corpus.ok());

@@ -164,15 +164,19 @@ TEST(NvmDeviceTest, InvalidOptionsRejected) {
             StatusCode::kResourceExhausted);
 }
 
-// Counts the resident host pages of the device's own mapping.
-uint64_t ResidentPages(const NvmDevice& dev) {
+// Counts the resident host pages of the page-aligned [base, base+bytes).
+uint64_t ResidentPages(const uint8_t* base, uint64_t bytes) {
   const uint64_t page = static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
-  std::vector<unsigned char> vec((dev.capacity() + page - 1) / page);
-  void* base = const_cast<uint8_t*>(dev.raw_for_testing());
-  EXPECT_EQ(mincore(base, dev.capacity(), vec.data()), 0);
+  std::vector<unsigned char> vec((bytes + page - 1) / page);
+  EXPECT_EQ(mincore(const_cast<uint8_t*>(base), bytes, vec.data()), 0);
   uint64_t resident = 0;
   for (const unsigned char v : vec) resident += v & 1;
   return resident;
+}
+
+// Counts the resident host pages of the device's own mapping.
+uint64_t ResidentPages(const NvmDevice& dev) {
+  return ResidentPages(dev.raw_for_testing(), dev.capacity());
 }
 
 TEST(NvmDeviceTest, HostBacksOnlyTouchedPages) {
@@ -211,6 +215,67 @@ TEST(NvmDeviceDeathTest, OverrunPastCapacityFaults) {
   auto ragged = MakeDevice(opts);
   EXPECT_DEATH(ReadPastEnd(*ragged), "");
 #endif
+}
+
+// Sealing hands the device's persisted state over as the image: on a
+// strict device the unflushed stores roll back exactly as
+// PersistedSnapshot() rolls them back; on a relaxed one every store is
+// in it.
+TEST(SealedImageTest, BytesEqualPersistedSnapshot) {
+  for (const bool strict : {true, false}) {
+    SCOPED_TRACE(strict ? "strict" : "relaxed");
+    DeviceOptions opts;
+    opts.capacity = (1 << 20) + 100;  // ragged: not a page multiple
+    opts.strict_persistence = strict;
+    auto dev = MakeDevice(opts);
+    dev->Write<uint64_t>(0, 1);
+    dev->FlushRange(0, 8);
+    dev->Drain();
+    dev->Write<uint64_t>(0, 2);
+    dev->FillBytes(4000, 200, 0xEE);  // straddles a page edge
+    dev->Write<uint64_t>(dev->capacity() - 8, 3);  // last line is partial
+    EXPECT_EQ(dev->DirtyLineCount(), strict ? 6u : 0u);
+    const std::vector<uint8_t> persisted = dev->PersistedSnapshot();
+    EXPECT_EQ(persisted[0], strict ? 1 : 2);
+
+    auto image = NvmDevice::Seal(std::move(dev));
+    ASSERT_TRUE(image.ok()) << image.status();
+    ASSERT_EQ((*image)->size(), persisted.size());
+    EXPECT_EQ(std::memcmp((*image)->data(), persisted.data(),
+                          persisted.size()),
+              0);
+  }
+}
+
+// Sealing copies nothing: the image is the device's own lazily zeroed
+// mapping, so only the pages the run wrote are backed, where a dense copy
+// of the 64 MiB would back all 16,384.
+TEST(SealedImageTest, ImageBacksOnlyWrittenPages) {
+  auto dev = MakeDevice();  // 64 MiB
+  const uint64_t page = static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+  constexpr uint64_t kWritten = 8;
+  for (uint64_t k = 0; k < kWritten; ++k) {
+    dev->Write<uint64_t>(k * 1000 * page + 64, k + 1);
+  }
+  auto image = NvmDevice::Seal(std::move(dev));
+  ASSERT_TRUE(image.ok()) << image.status();
+  // Counted before anything reads the image (see HostBacksOnlyTouchedPages).
+  EXPECT_LE(ResidentPages((*image)->data(), (*image)->size()), kWritten);
+  uint64_t last = 0;
+  std::memcpy(&last, (*image)->data() + (kWritten - 1) * 1000 * page + 64,
+              sizeof(last));
+  EXPECT_EQ(last, kWritten);
+}
+
+// Writes one byte through the image the way a buggy caller would.
+void WriteThrough(const SealedImage& image) {
+  *static_cast<volatile uint8_t*>(const_cast<uint8_t*>(image.data())) = 1;
+}
+
+TEST(NvmDeviceDeathTest, SealedImageIsReadOnly) {
+  auto image = NvmDevice::Seal(MakeDevice());
+  ASSERT_TRUE(image.ok()) << image.status();
+  EXPECT_DEATH(WriteThrough(**image), "");
 }
 
 TEST(NvmPoolTest, AllocAlignmentAndExhaustion) {

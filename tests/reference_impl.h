@@ -120,17 +120,24 @@ inline std::vector<compress::InputFile> RandomInputs(
   }
   std::vector<compress::InputFile> inputs(files);
   for (uint32_t f = 0; f < files; ++f) {
-    inputs[f].name = "f" + std::to_string(f);
+    std::string name = "f";
+    name += std::to_string(f);
+    inputs[f].name = std::move(name);
     std::string& text = inputs[f].content;
+    const auto emit = [&text](uint64_t w) {
+      text += 't';
+      text += std::to_string(w);
+      text += ' ';
+    };
     uint32_t emitted = 0;
     while (emitted < tokens_per_file) {
       if (rng.Bernoulli(0.4)) {
         for (uint32_t w : phrases[rng.Uniform(phrases.size())]) {
-          text += "t" + std::to_string(w) + " ";
+          emit(w);
           ++emitted;
         }
       } else {
-        text += "t" + std::to_string(zipf.Sample(rng)) + " ";
+        emit(zipf.Sample(rng));
         ++emitted;
       }
     }

@@ -686,6 +686,53 @@ TEST(GenerationTest, DrainDeadlineCancelsStragglers) {
   EXPECT_EQ(st.generations_published, 1u);
 }
 
+// A sealed image is the sealing device's own mapping, so a reference
+// leaked past retirement would keep it mapped. Once a newer generation
+// is published and the sessions pinned to the old one have drained,
+// nothing but the caller holds the old image.
+TEST(GenerationTest, RetiredGenerationReleasesItsImage) {
+  const auto corpus_a = RandomCorpus(57, 12, 4, 160);
+  const auto corpus_b = RandomCorpus(58, 12, 4, 160);
+  const auto corpus_c = RandomCorpus(59, 12, 4, 160);
+  std::vector<std::shared_ptr<const SealedPool>> pools;
+  for (const compress::CompressedCorpus* corpus :
+       {&corpus_a, &corpus_b, &corpus_c}) {
+    auto so = BaseSealOptions();
+    so.engine.container_generation = pools.size() + 1;
+    auto sealed = SealPool(corpus, so);
+    ASSERT_TRUE(sealed.ok()) << sealed.status();
+    pools.push_back(std::make_shared<const SealedPool>(std::move(*sealed)));
+  }
+
+  ServingOptions sopts;
+  sopts.workers = 2;
+  sopts.start_paused = true;  // the sessions are still pinned at publish
+  ServingEngine server(pools[0].get(), sopts);
+  server.PublishGeneration(pools[1], 2);
+  std::vector<uint64_t> tickets;
+  for (tadoc::Task task : tadoc::kAllTasks) {
+    QueryRequest req;
+    req.task = task;
+    auto t = server.Submit(std::move(req));
+    ASSERT_TRUE(t.ok());
+    tickets.push_back(*t);
+  }
+  const std::weak_ptr<const nvm::SealedImage> image = pools[1]->image;
+  server.PublishGeneration(pools[2], 3);
+  server.Start();
+  server.WaitGenerationDrained();
+  pools[1].reset();
+  EXPECT_TRUE(image.expired());
+
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    const QueryResult& r = server.result(tickets[i]);
+    EXPECT_TRUE(r.status.ok()) << r.status;
+    EXPECT_EQ(r.generation, 2u);
+    EXPECT_EQ(r.output, ReferenceRun(corpus_b, tadoc::kAllTasks[i], {}));
+  }
+  EXPECT_EQ(server.stats().drained_sessions, tickets.size());
+}
+
 // ---- CorpusRefresher: the full serve-while-ingest cycle --------------
 
 struct RefreshHarness {
