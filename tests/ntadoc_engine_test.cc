@@ -466,6 +466,47 @@ TEST(NTadocEngineTest, RunBatchPaysInitOnce) {
   }
 }
 
+// RunBatch's one batch-only extension: a sequence task's local n-gram
+// lists, laid right after the DAG, are reused by a later n-gram task
+// unless a task in between allocated over them.
+TEST(NTadocEngineTest, RunBatchReusesGramRegionUntilOverwritten) {
+  const auto corpus = RandomCorpus(57, 30, 3, 500);
+  auto batch = [&corpus](const std::vector<Task>& tasks) {
+    auto device = MakeDevice();
+    NTadocEngine engine(&corpus, device.get());
+    std::vector<tadoc::RunMetrics> metrics;
+    auto got = engine.RunBatch(tasks, {}, &metrics);
+    EXPECT_TRUE(got.ok()) << got.status();
+    if (got.ok()) {
+      for (size_t i = 0; i < tasks.size(); ++i) {
+        EXPECT_EQ((*got)[i], ReferenceRun(corpus, tasks[i], {}))
+            << TaskToString(tasks[i]);
+      }
+    }
+    EXPECT_EQ(engine.run_info().batch_init_reuses, tasks.size() - 1);
+    return metrics;
+  };
+  const auto without = batch({Task::kWordCount, Task::kRankedInvertedIndex});
+  const auto reused =
+      batch({Task::kSequenceCount, Task::kRankedInvertedIndex});
+  const auto rebuilt = batch({Task::kSequenceCount, Task::kWordCount,
+                              Task::kRankedInvertedIndex});
+  ASSERT_EQ(without.size(), 2u);
+  ASSERT_EQ(reused.size(), 2u);
+  ASSERT_EQ(rebuilt.size(), 3u);
+
+  // Reused: the gram region is part of the shared cost, not paid again.
+  EXPECT_TRUE(reused[1].init_shared);
+  EXPECT_LT(reused[1].init_sim_ns, without[1].init_sim_ns);
+  EXPECT_GT(reused[1].shared_init_sim_ns, without[1].shared_init_sim_ns);
+
+  // Rebuilt: word count allocated over the region, so the last task lays
+  // its grams again and shares only the DAG and the estimates.
+  EXPECT_TRUE(rebuilt[2].init_shared);
+  EXPECT_GT(rebuilt[2].init_sim_ns, reused[1].init_sim_ns);
+  EXPECT_EQ(rebuilt[2].shared_init_sim_ns, without[1].shared_init_sim_ns);
+}
+
 TEST(NTadocEngineTest, PoolTooSmallIsGracefulError) {
   const auto corpus = RandomCorpus(54, 800, 4, 4000);
   auto device = MakeDevice(/*capacity=*/1 << 15);
