@@ -73,7 +73,10 @@ HotpathResult RunOne(const DatasetBundle& d, Task task, PersistenceMode mode,
   NTadocOptions engine_opts;
   engine_opts.persistence = mode;
   engine_opts.enable_summation = !nosum;
-  engine_opts.dram_cache_bytes = cache_mb << 20;
+  if (cache_mb > 0) {
+    engine_opts.shared_cache =
+        std::make_shared<core::SharedRuleCache>(cache_mb << 20);
+  }
   engine_opts.commit_interval = ci;
   engine_opts.tiering = tiering;
   HotpathResult r;

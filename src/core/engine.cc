@@ -317,28 +317,27 @@ class StepWriter {
     Write(off, &v, sizeof(T));
   }
 
-  /// Adds `delta` to `key`'s counter in `table` through the regime's
-  /// store path (AddDeltaVia / AddDeltaTx / AddDelta). A full table —
-  /// reachable only in the no-summation ablation — is rebuilt into a
-  /// doubled allocation, paying the redundant NVM reads/writes Algorithm 2
-  /// avoids, and the add is retried.
+  /// Adds `delta` to `key`'s counter in `table`. A strict transaction
+  /// stages the add (AddDeltaTx, whose probe sees the step's earlier
+  /// staged inserts); every other regime stores it through Write
+  /// (AddDeltaVia). A full table — reachable only in the no-summation
+  /// ablation — is rebuilt into a doubled allocation, paying the redundant
+  /// NVM reads/writes Algorithm 2 avoids, and the add is retried.
   template <typename Table, typename K>
   Status AddDelta(Table* table, const K& key, uint64_t delta) {
-    Status s;
-    if (epoch_mode()) {
-      s = table->AddDeltaVia(key, delta, this);
-    } else if (transactional()) {
-      s = table->AddDeltaTx(key, delta, log_, PendingOf(table));
-    } else {
-      s = table->AddDelta(key, delta);
-    }
+    auto add = [&] {
+      return transactional() && !epoch_mode()
+                 ? table->AddDeltaTx(key, delta, log_, PendingOf(table))
+                 : table->AddDeltaVia(key, delta, this);
+    };
+    Status s = add();
     if (s.code() == StatusCode::kResourceExhausted) {
       NTADOC_ASSIGN_OR_RETURN(Table bigger,
                               Table::Create(pool_, table->capacity()));
       NTADOC_RETURN_IF_ERROR(table->RebuildInto(&bigger));
       *table = bigger;
       ++info_->counter_rebuilds;
-      s = table->AddDelta(key, delta);
+      s = add();
     }
     return s;
   }
@@ -726,12 +725,10 @@ struct NTadocEngine::State {
 /// decoded copy can be reused for the whole traversal; a hit replays the
 /// payload's device extents against a DRAM cost model that shares the
 /// looking-up run's SimClock, so the simulated run still pays (cheap DRAM)
-/// access costs rather than getting the data for free. A session-owned
-/// cache is cleared at every InitPhase entry (a fresh init or salvage
-/// rewrites the pool under the cached offsets); a cache shared by the
-/// sessions over one sealed pool survives across them — deterministic
-/// init makes the offsets stable — and is explicitly invalidated whenever
-/// any session repairs or salvages.
+/// access costs rather than getting the data for free. The cache survives
+/// across runs and across the sessions over one sealed pool —
+/// deterministic init makes the offsets stable — and is explicitly
+/// invalidated whenever a run repairs, salvages or degrades.
 struct NTadocEngine::RuleCache {
   struct Entry {
     DecodedPayload payload;
@@ -889,9 +886,7 @@ struct NTadocEngine::SessionContext {
   std::unique_ptr<State> state;
   std::unique_ptr<BatchShared> batch_shared;
 
-  // Decoded-rule cache: the serving layer's shared one
-  // (options.shared_cache), else one this session owns when
-  // options.dram_cache_bytes asks for it; null = no cache.
+  // Decoded-rule cache (options.shared_cache); null = no cache.
   std::shared_ptr<SharedRuleCache> rule_cache;
   // DRAM replay model for cache hits. Charges this session's clock lane
   // even when the hit came from a cache other sessions share.
@@ -1232,10 +1227,6 @@ NTadocEngine::NTadocEngine(const CompressedCorpus* corpus,
   NTADOC_CHECK(corpus != nullptr);
   NTADOC_CHECK(device != nullptr);
   ses_->rule_cache = options_.shared_cache;
-  if (ses_->rule_cache == nullptr && options_.dram_cache_bytes > 0) {
-    ses_->rule_cache =
-        std::make_shared<SharedRuleCache>(options_.dram_cache_bytes);
-  }
   if (ses_->rule_cache != nullptr) {
     ses_->cache_dram.emplace(nvm::DramProfile(), device_->clock_ptr());
   }
@@ -1916,15 +1907,6 @@ std::pair<uint64_t, uint64_t> NTadocEngine::gram_region() const {
 Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
                                State* st, bool force_fresh) {
   const auto& grammar = corpus_->grammar;
-  // A session-owned cache is keyed by (kind, id) against the pool this
-  // phase lays out; anything decoded from a previous attempt (or a
-  // salvaged pool) is stale now. A shared cache is NOT cleared here:
-  // concurrent sessions init private clones of one deterministic sealed
-  // layout, so cross-session entries stay valid until a repair/salvage
-  // explicitly invalidates them.
-  if (ses_->rule_cache != nullptr && options_.shared_cache == nullptr) {
-    ses_->rule_cache->Invalidate();
-  }
   st->task = task;
   st->opts = opts;
   st->strategy =

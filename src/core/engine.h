@@ -105,15 +105,6 @@ struct NTadocOptions {
   /// Test hook: crash during the initialization phase.
   bool crash_in_init = false;
 
-  /// DRAM budget (bytes) for the decoded-rule cache; 0 disables it. When
-  /// enabled, decoded rule/segment payloads are kept in a host-side LRU
-  /// cache (a SharedRuleCache this engine owns, cleared at every init): a
-  /// hit replays the payload's device extents against a DRAM cost profile
-  /// (sharing the run's SimClock) instead of re-reading NVM. With the
-  /// default 0 the simulated costs are bit-identical to a build without
-  /// the cache.
-  uint64_t dram_cache_bytes = 0;
-
   /// Bound on scoped repairs (re-derive + remap of damaged blocks) within
   /// one Run before escalating to a salvage restart.
   uint32_t max_scoped_repairs = 8;
@@ -144,11 +135,14 @@ struct NTadocOptions {
   /// returns DeadlineExceeded.
   const std::atomic<bool>* cancel = nullptr;
 
-  /// Decoded-rule cache shared by concurrent sessions over one sealed
-  /// pool. Overrides dram_cache_bytes when set: hits replay against a
-  /// DRAM model on *this session's* clock, so siblings never pay for each
-  /// other's lookups. Entries survive across sessions (the sealed payload
-  /// layout is deterministic) and are invalidated on any repair/salvage.
+  /// Decoded-rule DRAM cache (null = none, the default: simulated costs
+  /// are then bit-identical to a build without the cache). Decoded rule/
+  /// segment payloads are kept in this host-side LRU cache; a hit replays
+  /// the payload's device extents against a DRAM model on *this
+  /// session's* clock instead of re-reading NVM, so sessions sharing one
+  /// cache over a sealed pool never pay for each other's lookups. Entries
+  /// survive across runs and sessions (the payload layout is
+  /// deterministic) and are invalidated on any repair/salvage.
   std::shared_ptr<SharedRuleCache> shared_cache;
 
   /// Task-independent init prefix of the sealed pool this session's
@@ -205,7 +199,7 @@ struct NTadocOptions {
   X(blocks_remapped, kRun)           /* bad blocks moved to spares */          \
   X(scoped_repairs, kRun)            /* objects re-derived in place */         \
   X(degraded_queries, kAttempt)      /* 1: this run completed degraded */      \
-  /* Decoded-rule DRAM cache (dram_cache_bytes > 0 or shared_cache). */        \
+  /* Decoded-rule DRAM cache (options.shared_cache). */                         \
   X(rule_cache_hits, kAttempt)                                                 \
   X(rule_cache_misses, kAttempt)                                               \
   /* Epoch group commit (operation-level, commit_interval > 1). */             \
@@ -413,14 +407,14 @@ class NTadocEngine {
   std::unique_ptr<SessionContext> ses_;
 };
 
-/// Thread-safe decoded-rule DRAM cache. Concurrent sessions over one
-/// sealed pool share one (NTadocOptions::shared_cache); an engine handed
-/// none owns its own, sized by NTadocOptions::dram_cache_bytes. The
-/// sealed payload layout is deterministic, so an entry decoded by one
-/// session is valid for every sibling; the hit replay is charged to the
-/// *looking-up* session's clock through its own DRAM model. Repair or
-/// salvage in any session invalidates the cache (the only cross-session
-/// effect repairs are allowed to have).
+/// Thread-safe decoded-rule DRAM cache, handed to engines through
+/// NTadocOptions::shared_cache: one engine's own, or one shared by the
+/// concurrent sessions over a sealed pool. The sealed payload layout is
+/// deterministic, so an entry decoded by one session is valid for every
+/// sibling; the hit replay is charged to the *looking-up* session's clock
+/// through its own DRAM model. Repair or salvage in any session
+/// invalidates the cache (the only cross-session effect repairs are
+/// allowed to have).
 class SharedRuleCache {
  public:
   /// `budget_bytes` bounds the decoded payloads held in host memory.

@@ -186,24 +186,8 @@ class NvmHashTable {
   /// maximum load factor — callers rebuild in that case — and DataLoss
   /// when corrupt status bytes break the probe invariant.
   Status AddDelta(const K& key, const V& delta) {
-    uint64_t slot = 0;
-    const Probe p = FindSlot(key, &slot);
-    if (p == Probe::kExhausted) {
-      return Status::DataLoss("hash table probe cycle exhausted");
-    }
-    if (p == Probe::kFound) {
-      const V cur = pool_->device().template Read<V>(ValOff(slot));
-      pool_->device().Write(ValOff(slot), static_cast<V>(cur + delta));
-      return Status::OK();
-    }
-    if (size_ + 1 > MaxEntries()) {
-      return Status::ResourceExhausted("NvmHashTable over max load");
-    }
-    pool_->device().Write(StatusOff(slot), uint8_t{1});
-    pool_->device().Write(KeyOff(slot), key);
-    pool_->device().Write(ValOff(slot), delta);
-    ++size_;
-    return Status::OK();
+    DeviceStores stores{&pool_->device()};
+    return Store(key, delta, /*add=*/true, &stores);
   }
 
   /// AddDelta routed through a write-through recorder (epoch group
@@ -215,45 +199,13 @@ class NvmHashTable {
   /// final-value log record at epoch commit.
   template <typename Writer>
   Status AddDeltaVia(const K& key, const V& delta, Writer* writer) {
-    uint64_t slot = 0;
-    const Probe p = FindSlot(key, &slot);
-    if (p == Probe::kExhausted) {
-      return Status::DataLoss("hash table probe cycle exhausted");
-    }
-    if (p == Probe::kFound) {
-      const V cur = pool_->device().template Read<V>(ValOff(slot));
-      writer->WriteValue(ValOff(slot), static_cast<V>(cur + delta));
-      return Status::OK();
-    }
-    if (size_ + 1 > MaxEntries()) {
-      return Status::ResourceExhausted("NvmHashTable over max load");
-    }
-    writer->WriteValue(StatusOff(slot), uint8_t{1});
-    writer->WriteValue(KeyOff(slot), key);
-    writer->WriteValue(ValOff(slot), delta);
-    ++size_;
-    return Status::OK();
+    return Store(key, delta, /*add=*/true, writer);
   }
 
   /// Overwrites (or inserts) key -> value.
   Status Put(const K& key, const V& value) {
-    uint64_t slot = 0;
-    const Probe p = FindSlot(key, &slot);
-    if (p == Probe::kExhausted) {
-      return Status::DataLoss("hash table probe cycle exhausted");
-    }
-    if (p == Probe::kFound) {
-      pool_->device().Write(ValOff(slot), value);
-      return Status::OK();
-    }
-    if (size_ + 1 > MaxEntries()) {
-      return Status::ResourceExhausted("NvmHashTable over max load");
-    }
-    pool_->device().Write(StatusOff(slot), uint8_t{1});
-    pool_->device().Write(KeyOff(slot), key);
-    pool_->device().Write(ValOff(slot), value);
-    ++size_;
-    return Status::OK();
+    DeviceStores stores{&pool_->device()};
+    return Store(key, value, /*add=*/false, &stores);
   }
 
   /// Looks up `key`; NotFound if absent.
@@ -355,6 +307,44 @@ class NvmHashTable {
   }
 
   enum class Probe { kFound, kFree, kExhausted };
+
+  /// The plain store path of AddDelta and Put: straight device writes.
+  struct DeviceStores {
+    nvm::NvmDevice* device;
+    template <typename T>
+    void WriteValue(uint64_t off, const T& v) {
+      device->Write(off, v);
+    }
+  };
+
+  /// The one probe-and-store behind AddDelta, AddDeltaVia and Put: finds
+  /// `key`'s slot and stores through `writer` either the found slot's new
+  /// value (the current value plus `v` when `add`, else `v`) or a fresh
+  /// entry — status, key, value, in that order.
+  template <typename Writer>
+  Status Store(const K& key, const V& v, bool add, Writer* writer) {
+    uint64_t slot = 0;
+    const Probe p = FindSlot(key, &slot);
+    if (p == Probe::kExhausted) {
+      return Status::DataLoss("hash table probe cycle exhausted");
+    }
+    if (p == Probe::kFound) {
+      const V next =
+          add ? static_cast<V>(
+                    pool_->device().template Read<V>(ValOff(slot)) + v)
+              : v;
+      writer->WriteValue(ValOff(slot), next);
+      return Status::OK();
+    }
+    if (size_ + 1 > MaxEntries()) {
+      return Status::ResourceExhausted("NvmHashTable over max load");
+    }
+    writer->WriteValue(StatusOff(slot), uint8_t{1});
+    writer->WriteValue(KeyOff(slot), key);
+    writer->WriteValue(ValOff(slot), v);
+    ++size_;
+    return Status::OK();
+  }
 
   /// Double-hash probe: the slot holding `key`, or the first free slot.
   /// kExhausted means the probe visited every slot without finding either

@@ -425,21 +425,17 @@ void NvmDevice::ZeroRange(uint64_t offset, uint64_t len) {
   std::memset(data_.get() + hi, 0, end - hi);
 }
 
-void NvmDevice::LoadSnapshot(const std::vector<uint8_t>& image) {
-  NTADOC_CHECK_LE(image.size(), capacity_) << "snapshot larger than device";
-  std::memcpy(data_.get(), image.data(), image.size());
-  ZeroRange(image.size(), capacity_ - image.size());
-  dirty_lines_.clear();
-  if (check_ != nullptr) check_->OnCrash();
-  InvalidateAllBuffers();
-}
-
-void NvmDevice::LoadSnapshotRegion(const std::vector<uint8_t>& image,
-                                   uint64_t offset) {
-  NTADOC_CHECK_LE(offset + image.size(), capacity_)
-      << "region snapshot past device end";
-  ZeroRange(0, capacity_);
-  std::memcpy(data_.get() + offset, image.data(), image.size());
+void NvmDevice::LoadSnapshot(const std::vector<uint8_t>& image,
+                             uint64_t offset) {
+  NTADOC_CHECK(image.size() <= capacity_ &&
+               offset <= capacity_ - image.size())
+      << "snapshot past device end";
+  const uint64_t end = offset + image.size();
+  ZeroRange(0, offset);
+  if (!image.empty()) {
+    std::memcpy(data_.get() + offset, image.data(), image.size());
+  }
+  ZeroRange(end, capacity_ - end);
   dirty_lines_.clear();
   if (check_ != nullptr) check_->OnCrash();
   InvalidateAllBuffers();
@@ -506,15 +502,13 @@ Status NvmDevice::LoadImage(const std::string& path) {
     std::fclose(f);
     return Status::InvalidArgument("image does not fit device: " + path);
   }
-  const size_t read = std::fread(data_.get(), 1, static_cast<size_t>(size), f);
+  std::vector<uint8_t> image(static_cast<size_t>(size));
+  const size_t read = std::fread(image.data(), 1, image.size(), f);
   std::fclose(f);
-  if (read != static_cast<size_t>(size)) {
+  if (read != image.size()) {
     return Status::IoError("short read: " + path);
   }
-  ZeroRange(read, capacity_ - read);
-  dirty_lines_.clear();
-  if (check_ != nullptr) check_->OnCrash();
-  InvalidateAllBuffers();
+  LoadSnapshot(image);
   return Status::OK();
 }
 

@@ -252,8 +252,9 @@ class NvmDevice {
   /// snapshot is exactly the post-crash state.
   Status SaveImage(const std::string& path) const;
 
-  /// Loads a persisted image produced by SaveImage. The image must not be
-  /// larger than the device capacity; any tail past it is zeroed.
+  /// Loads a persisted image produced by SaveImage through LoadSnapshot.
+  /// The image must not be larger than the device capacity; any tail past
+  /// it is zeroed.
   Status LoadImage(const std::string& path);
 
   /// Uncharged direct access for test assertions only. Points at the
@@ -318,18 +319,13 @@ class NvmDevice {
   /// structure under test at every fence of an epoch in one run.
   std::vector<uint8_t> PersistedRegion(uint64_t offset, uint64_t len) const;
 
-  /// Replaces the media contents with `image` (at most capacity bytes;
-  /// any tail is zeroed), as if restarting on a device holding that
-  /// persisted image. Clears dirty-line tracking and the checker's
-  /// in-flight state, exactly like LoadImage but without touching disk.
-  void LoadSnapshot(const std::vector<uint8_t>& image);
-
-  /// Region flavor of LoadSnapshot: zeroes the whole device, then places
-  /// `image` at `offset` — restarting on a device whose only surviving
-  /// content is the captured region (valid whenever the region is
-  /// self-contained, like a ContainerStore region). Clears dirty-line
-  /// tracking and checker state like LoadSnapshot.
-  void LoadSnapshotRegion(const std::vector<uint8_t>& image, uint64_t offset);
+  /// Replaces the media contents with `image` placed at `offset`, every
+  /// other byte zeroed, as if restarting on a device holding that
+  /// persisted image: at offset 0 a whole-device snapshot (any tail past
+  /// the image is zeroed), elsewhere a self-contained region such as a
+  /// ContainerStore's. Clears dirty-line tracking, the checker's in-flight
+  /// state and the device buffers. LoadImage loads through here.
+  void LoadSnapshot(const std::vector<uint8_t>& image, uint64_t offset = 0);
 
  private:
   friend class SealedImage;

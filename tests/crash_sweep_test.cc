@@ -280,7 +280,7 @@ void SweepEveryFence(const DeviceFn& workload,
       auto device = nvm::NvmDevice::Create(dopts);
       EXPECT_TRUE(device.ok()) << device.status();
       if (!device.ok()) return;
-      (*device)->LoadSnapshotRegion(images[i], opts.region_offset);
+      (*device)->LoadSnapshot(images[i], opts.region_offset);
       recover_and_verify(device->get());
       if (::testing::Test::HasFatalFailure()) return;
       EXPECT_TRUE((*device)->persist_check()->report().empty())

@@ -52,11 +52,12 @@ std::vector<Finding> LintFixture(const std::string& name,
 TEST(LintRuleL1, FiresOnEveryEscapeShape) {
   const auto findings = LintFixture("l1_bad.cc", "src/l1_bad.cc");
   EXPECT_EQ(RulesIn(findings), std::set<std::string>{"L1"});
-  // Member store, static store, use-after-mutate.
-  EXPECT_EQ(findings.size(), 3u) << FormatFinding(findings[0]);
+  // Member store, static store, use after a write and after a region
+  // load.
+  EXPECT_EQ(findings.size(), 4u) << FormatFinding(findings[0]);
   std::set<int> lines;
   for (const Finding& f : findings) lines.insert(f.line);
-  EXPECT_EQ(lines, (std::set<int>{15, 22, 29}));
+  EXPECT_EQ(lines, (std::set<int>{16, 23, 30, 36}));
 }
 
 TEST(LintRuleL1, SanctionedIdiomsStayClean) {

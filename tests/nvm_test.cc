@@ -189,7 +189,7 @@ TEST(NvmDeviceTest, HostBacksOnlyTouchedPages) {
 
   dev->FillBytes(0, dev->capacity(), 0xAB);
   const std::vector<uint8_t> image(4096, 0xCD);
-  dev->LoadSnapshotRegion(image, 100 << 20);
+  dev->LoadSnapshot(image, 100 << 20);
   // Counted before any read-back: reading a released page maps the
   // host's shared zero page, which mincore reports as resident.
   EXPECT_LE(ResidentPages(*dev), 2u);

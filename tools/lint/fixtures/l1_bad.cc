@@ -6,6 +6,7 @@
 struct FakeDevice {
   const uint8_t* TryReadSpan(uint64_t off, uint64_t len);
   void WriteBytes(uint64_t off, const void* src, uint64_t len);
+  void LoadSnapshot(const void* image, uint64_t offset);
 };
 
 struct Holder {
@@ -27,4 +28,10 @@ uint8_t UseAfterMutate(FakeDevice* dev) {
   auto span = dev->TryReadSpan(0, 16);
   dev->WriteBytes(64, nullptr, 8);
   return span[0];  // finding: use after WriteBytes invalidated the borrow
+}
+
+uint8_t UseAfterRegionLoad(FakeDevice* dev) {
+  auto span = dev->TryReadSpan(0, 16);
+  dev->LoadSnapshot(nullptr, 4096);
+  return span[0];  // finding: a region load replaced the media under it
 }

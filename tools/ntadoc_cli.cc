@@ -367,6 +367,7 @@ int CmdRun(int argc, char** argv) {
   std::string tiers_spec;
   int64_t tier_budget_mb = -1;
   int migrate = -1;
+  uint64_t cache_bytes = 0;
   for (int i = 4; i < argc; ++i) {
     const std::string arg = argv[i];
     bool ok = true;
@@ -394,8 +395,7 @@ int CmdRun(int argc, char** argv) {
       ok = ParseNumber(arg.substr(18), &engine_opts.commit_interval,
                        {.min = 1});
     } else if (arg.rfind("--dram-cache-mb=", 0) == 0) {
-      ok = ParseNumber(arg.substr(16), &engine_opts.dram_cache_bytes,
-                       {.unit = 1ull << 20});
+      ok = ParseNumber(arg.substr(16), &cache_bytes, {.unit = 1ull << 20});
     } else if (arg.rfind("--tiers=", 0) == 0) {
       tiers_spec = arg.substr(8);
     } else if (arg.rfind("--tier-budget-mb=", 0) == 0) {
@@ -414,6 +414,10 @@ int CmdRun(int argc, char** argv) {
       return Usage();
     }
     engine_opts.tiering = std::move(*tiering);
+  }
+  if (cache_bytes > 0) {
+    engine_opts.shared_cache =
+        std::make_shared<core::SharedRuleCache>(cache_bytes);
   }
 
   nvm::DeviceOptions dev_opts;
@@ -508,7 +512,7 @@ int CmdRun(int argc, char** argv) {
                              metrics.traversal_sim_ns)
                    .c_str(),
                HumanDuration(metrics.TotalSimNs()).c_str());
-  if (engine_opts.dram_cache_bytes > 0) {
+  if (engine_opts.shared_cache != nullptr) {
     std::fprintf(
         stderr, "[rule cache] %llu hits, %llu misses\n",
         (unsigned long long)engine.run_info().rule_cache_hits,
