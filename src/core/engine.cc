@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <list>
+#include <numeric>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -604,21 +605,6 @@ void CombineEntries(std::vector<std::pair<uint32_t, uint32_t>>* v) {
   v->resize(out);
 }
 
-/// Algorithm 2's host-side inputs and bounds. They depend only on the
-/// grammar and the pruning setting, never on the task, so RunBatch and
-/// sealed-prefix sessions reuse them without touching the device.
-struct Estimates {
-  DagChildren children;             // combined (child, freq) per rule
-  std::vector<uint64_t> own_words;  // distinct own words per rule
-  std::vector<uint64_t> own_len;    // own word occurrences per rule
-  std::vector<uint64_t> explen;     // expansion length per rule
-  std::vector<uint64_t> word_ub;    // distinct-word bound per rule
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> seg_children;
-  std::vector<uint64_t> seg_explen;
-  std::vector<uint64_t> seg_word_ub;
-  std::vector<uint64_t> seg_own_distinct;  // distinct own words per segment
-};
-
 /// One rule body's or root segment's local n-gram list, exactly as init
 /// lays it out in the pool and scoped repair re-derives it: every window
 /// the scanner emits, sorted by key with duplicates combined.
@@ -822,44 +808,21 @@ struct NTadocEngine::RuleCache {
 };
 
 // ---------------------------------------------------------------------------
-// RunBatch shared init state
+// RunBatch's local n-gram extension
 // ---------------------------------------------------------------------------
 
-/// What one full initialization leaves behind that every later task in the
-/// same batch can reuse: the pool prefix holding the catalog slot and the
-/// pruned DAG (immutable after init — traversals reset rule weights before
-/// reading them), and the host-side estimator scratch whose derivation is
-/// task-independent (it depends only on the grammar and the pruning
-/// setting). Later tasks roll the pool's bump pointer back to `dag_top`
-/// and re-allocate only their own tables/lists/cursor. When the first
-/// sequence task lays its local n-gram lists directly after the DAG, the
-/// reusable prefix extends to `gram_top` for later sequence tasks with the
-/// same n — a non-sequence task in between allocates over that region and
-/// invalidates it.
-struct NTadocEngine::BatchShared {
-  bool valid = false;
-  uint64_t pool_base = 0;
-  uint64_t dag_top = 0;  // pool top right after BuildPrunedDag
-  PrunedDag dag;         // NvmVector handles are re-attached on reuse
-  PruneStats prune;
-  // Simulated cost the full init paid for the shared portion (container
-  // load + DAG build + estimator reads); reusing tasks report it as
-  // RunMetrics::shared_init_sim_ns without paying it again.
-  uint64_t shared_sim_ns = 0;
-  uint64_t gram_sim_ns = 0;  // extra cost of the gram-region extension
-
-  Estimates est;  // task-independent estimator scratch
-
-  // Local n-gram prefix extension (valid only until a non-sequence task
-  // allocates over it).
-  bool gram_valid = false;
-  uint32_t gram_ngram = 0;
-  uint64_t gram_top = 0;  // pool top right after the gram payloads
+/// RunBatch's one extension of the InitPrefix: a sequence task's local
+/// n-gram lists, laid directly after the DAG, which a later task with the
+/// same n reuses until a task in between allocates over them.
+struct NTadocEngine::GramRegion {
+  uint32_t ngram = 0;
+  uint64_t top = 0;  // pool top right after the gram payloads
   uint64_t local_gram_meta_off = 0;
   uint64_t seg_gram_meta_off = 0;
-  uint64_t gram_begin = 0;
-  uint64_t gram_end = 0;
-  std::vector<uint64_t> gram_ub;
+  uint64_t begin = 0;
+  uint64_t end = 0;
+  std::vector<uint64_t> ub;  // per-rule list bounds
+  uint64_t sim_ns = 0;       // what laying the lists cost
 };
 
 // ---------------------------------------------------------------------------
@@ -884,7 +847,15 @@ struct NTadocEngine::SessionContext {
   uint64_t deadline_ns = 0;
 
   std::unique_ptr<State> state;
-  std::unique_ptr<BatchShared> batch_shared;
+
+  // Armed by RunBatch and RunAndCapturePrefix. Every init of the batch
+  // leaves its prefix here for the next task, and a sequence task its
+  // local n-gram lists; a salvage or repair disarms it.
+  struct Batch {
+    std::shared_ptr<const InitPrefix> prefix;
+    std::optional<GramRegion> grams;
+  };
+  std::optional<Batch> batch;
 
   // Decoded-rule cache (options.shared_cache); null = no cache.
   std::shared_ptr<SharedRuleCache> rule_cache;
@@ -892,8 +863,7 @@ struct NTadocEngine::SessionContext {
   // even when the hit came from a cache other sessions share.
   std::optional<nvm::MemoryModel> cache_dram;
 
-  // Satellite (b): init cost this run consumed from a shared prefix
-  // without paying it (RunBatch reuse / sealed prefix).
+  // Init cost this run consumed from a reused prefix without paying it.
   uint64_t shared_init_sim_ns = 0;
   bool init_shared = false;
 
@@ -1288,7 +1258,7 @@ Status NTadocEngine::MaybeMigrate(State* st) {
 }
 
 // ---------------------------------------------------------------------------
-// SharedRuleCache / SealedPrefix
+// SharedRuleCache
 // ---------------------------------------------------------------------------
 
 SharedRuleCache::SharedRuleCache(uint64_t budget_bytes)
@@ -1311,9 +1281,6 @@ uint64_t SharedRuleCache::invalidations() const {
   util::MutexLock lock(&mu_);
   return invalidations_;
 }
-
-SealedPrefix::SealedPrefix() = default;
-SealedPrefix::~SealedPrefix() = default;
 
 namespace {
 
@@ -1904,528 +1871,573 @@ std::pair<uint64_t, uint64_t> NTadocEngine::gram_region() const {
   return {ses_->state->gram_begin, ses_->state->gram_end};
 }
 
-Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
-                               State* st, bool force_fresh) {
-  const auto& grammar = corpus_->grammar;
+namespace {
+
+/// Settles what `task` runs on: its traversal strategy, the signature a
+/// re-attach must match, and which structures the run uses.
+template <typename StateT>
+void PlanStructures(const CompressedCorpus& corpus,
+                    const NTadocOptions& options, Task task,
+                    const AnalyticsOptions& opts, StateT* st) {
   st->task = task;
   st->opts = opts;
   st->strategy =
-      tadoc::ResolveStrategy(options_.traversal, task, corpus_->num_files());
-  st->signature =
-      ComputeSignature(*corpus_, task, opts, st->strategy, options_);
+      tadoc::ResolveStrategy(options.traversal, task, corpus.num_files());
+  st->signature = ComputeSignature(corpus, task, opts, st->strategy, options);
 
   const bool seq = tadoc::IsSequenceTask(task);
   const bool per_file = tadoc::IsPerFileTask(task);
-  const bool bottom_up = st->strategy == TraversalStrategy::kBottomUp;
-
   st->use_local_grams = seq;
-  if (bottom_up) {
+  st->use_word_table = task == Task::kWordCount || task == Task::kSort;
+  st->use_gram_table = task == Task::kSequenceCount;
+  if (st->strategy == TraversalStrategy::kBottomUp) {
     st->use_word_lists = !seq;
     st->use_gram_lists = seq;
-    st->use_word_table = task == Task::kWordCount || task == Task::kSort;
-    st->use_gram_table = task == Task::kSequenceCount;
   } else {
     st->use_queue = !per_file;
-    st->use_word_table = task == Task::kWordCount || task == Task::kSort;
-    st->use_gram_table = task == Task::kSequenceCount;
     st->use_file_table =
         task == Task::kTermVector || task == Task::kInvertedIndex;
     st->use_file_gram_table = task == Task::kRankedInvertedIndex;
   }
+}
 
-  const uint64_t pool_base =
-      kMarkerRegion + (options_.persistence == PersistenceMode::kOperation
-                         ? options_.redo_log_bytes
-                         : 0);
-  // Persistent runs reserve the device tail for the metadata mirror.
-  uint64_t pool_size =
-      device_->capacity() - pool_base -
-      (options_.persistence != PersistenceMode::kNone ? kMirrorRegion : 0);
-  if (options_.tiering != nullptr) {
-    // Tiered runs additionally reserve the durable placement region
-    // between the pool end and the mirror. The reserve is deterministic
-    // from options, so an attach recomputes the identical layout.
-    const uint64_t reserve =
-        nvm::TieredPool::PlacementReserve(*options_.tiering);
-    if (pool_size <= 2 * reserve) {
-      return Status::InvalidArgument(
-          "device too small for a tiered placement region");
-    }
-    pool_size -= reserve;
-    if (ses_->tiered == nullptr) {
-      NTADOC_ASSIGN_OR_RETURN(
-          ses_->tiered,
-          nvm::TieredPool::Make(device_, pool_base + pool_size, reserve,
-                                *options_.tiering));
-      device_->set_tier_router(ses_->tiered.get());
+uint64_t Sum(const std::vector<uint64_t>& v) {
+  return std::accumulate(v.begin(), v.end(), uint64_t{0});
+}
+
+/// Bytes of the compressed container as read from the source disk.
+uint64_t ContainerBytes(const CompressedCorpus& corpus) {
+  const auto& grammar = corpus.grammar;
+  uint64_t bytes =
+      grammar.TotalSymbols() * sizeof(Symbol) + 16 * grammar.NumRules();
+  for (WordId w = 0; w < corpus.dict.size(); ++w) {
+    bytes += corpus.dict.Spell(w).size() + 4;
+  }
+  return bytes;
+}
+
+/// Sums `own` over the rules reachable from `roots`: a rule contributes
+/// its distinct items once, however often it occurs — the tight per-file
+/// bound. `seen` is one zero byte per rule, left all zero again.
+uint64_t ReachableSum(const DagChildren& children,
+                      const std::vector<std::pair<uint32_t, uint32_t>>& roots,
+                      const std::vector<uint64_t>& own,
+                      std::vector<uint8_t>* seen) {
+  std::vector<uint32_t> stack;
+  std::vector<uint32_t> visited;
+  auto visit = [&](uint32_t r) {
+    if ((*seen)[r]) return;
+    (*seen)[r] = 1;
+    stack.push_back(r);
+    visited.push_back(r);
+  };
+  for (const auto& root : roots) visit(root.first);
+  uint64_t total = 0;
+  while (!stack.empty()) {
+    const uint32_t r = stack.back();
+    stack.pop_back();
+    total += own[r];
+    for (const auto& child : children[r]) visit(child.first);
+  }
+  for (uint32_t v : visited) (*seen)[v] = 0;
+  return total;
+}
+
+/// Each rule's and file segment's local n-gram count.
+struct LocalGramCounts {
+  std::vector<uint64_t> rules, segs;
+};
+
+/// Reads the local n-gram counts back from the gram metadata as borrowed
+/// spans (charged like per-element loops). An unreadable block
+/// contributes 0, and the media check at the end of InitPhase turns the
+/// poisoned estimate into a salvage.
+template <typename StateT>
+LocalGramCounts ReadLocalGramCounts(const StateT& st) {
+  const uint32_t nr = st.dag.num_rules;
+  const uint32_t nf = st.dag.num_files;
+  LocalGramCounts g{std::vector<uint64_t>(nr), std::vector<uint64_t>(nf)};
+  if (nr > 1) {
+    if (auto span = st.local_gram_meta.ReadSpan(1, nr - 1); span.ok()) {
+      for (uint32_t r = 1; r < nr; ++r) g.rules[r] = (*span)[r - 1].count;
     }
   }
-
-  // Shared init prefix, if one applies: a RunBatch-local prefix from an
-  // earlier task of this batch takes priority; otherwise a SealedPrefix
-  // captured over the image this session's device was cloned from. Both
-  // replace the expensive task-independent half of this phase — the
-  // container load, the pruned DAG build, and the estimator's payload
-  // reads.
-  const BatchShared* reuse_src = nullptr;
-  if (!force_fresh) {
-    if (ses_->batch_shared && ses_->batch_shared->valid &&
-        ses_->batch_shared->pool_base == pool_base) {
-      reuse_src = ses_->batch_shared.get();
-    } else if (const SealedPrefix* sp = options_.sealed_prefix.get();
-               sp != nullptr && sp->shared_ != nullptr &&
-               sp->shared_->valid && sp->corpus_ == corpus_ &&
-               sp->pruned_ == options_.enable_pruning &&
-               sp->persistence_ == options_.persistence &&
-               (sp->persistence_ != PersistenceMode::kOperation ||
-                sp->redo_log_bytes_ == options_.redo_log_bytes) &&
-               sp->container_generation_ == options_.container_generation &&
-               sp->shared_->pool_base == pool_base) {
-      reuse_src = sp->shared_.get();
+  if (nf > 0) {
+    if (auto span = st.seg_gram_meta.ReadSpan(0, nf); span.ok()) {
+      for (uint32_t f = 0; f < nf; ++f) g.segs[f] = (*span)[f].count;
     }
   }
-  // True only for the mutable RunBatch prefix: a sealed prefix is shared
-  // read-only across sessions and must never be written through.
-  const bool own_reuse = reuse_src != nullptr &&
-                         reuse_src == ses_->batch_shared.get();
+  return g;
+}
 
-  // ---- Attach path: a completed, signature-matching init is reused ----
-  // Skipped when a shared prefix applies: the prefix already proves the
-  // image's init half, and per-task structures are reallocated anyway.
-  if (!force_fresh && reuse_src == nullptr) {
+/// Global word table: the segments' distinct-word bounds summed, capped
+/// by the dictionary and the corpus length.
+uint64_t WordTableBound(const Estimates& est, uint64_t dict_size,
+                        uint64_t tokens) {
+  return std::min({Sum(est.seg_word_ub), dict_size, tokens});
+}
+
+/// Global gram table: every rule's and segment's local n-gram count
+/// summed, capped by the corpus length.
+uint64_t GramTableBound(const LocalGramCounts& grams, uint64_t tokens) {
+  return std::min(Sum(grams.rules) + Sum(grams.segs), tokens);
+}
+
+/// Shared per-file gram table, one file at a time: the largest file's
+/// local n-grams over its reachable rule set, capped by its length.
+uint64_t FileGramTableBound(const Estimates& est,
+                            const LocalGramCounts& grams) {
+  std::vector<uint8_t> seen(est.children.size(), 0);
+  uint64_t bound = 0;
+  for (uint32_t f = 0; f < est.seg_children.size(); ++f) {
+    const uint64_t reachable = ReachableSum(
+        est.children, est.seg_children[f], grams.rules, &seen);
+    bound = std::max(bound, std::min<uint64_t>(
+                                reachable + grams.segs[f],
+                                std::max<uint64_t>(est.seg_explen[f], 1)));
+  }
+  return bound;
+}
+
+/// Bottom-up lists: one pool allocation per rule at its bound `ub[r]` (at
+/// most 8 entries in the no-summation ablation, which grows them); the
+/// root has none.
+Status AllocLists(nvm::NvmPool* pool, NvmVector<ListMeta>* metas,
+                  const std::vector<uint64_t>& ub, uint64_t entry_size,
+                  bool summation) {
+  static_assert(alignof(WordEntry) == 8 && alignof(GramEntry) == 8,
+                "list entries are allocated 8-byte aligned");
+  const uint32_t nr = static_cast<uint32_t>(ub.size());
+  NTADOC_ASSIGN_OR_RETURN(*metas, NvmVector<ListMeta>::Create(pool, nr));
+  metas->Resize(nr);
+  for (uint32_t r = 0; r < nr; ++r) {
+    const uint64_t capn =
+        r == 0 ? 0
+        : summation
+            ? ub[r]
+            : std::min<uint64_t>(8, std::max<uint64_t>(1, ub[r]));
+    nvm::PoolOffset off = nvm::kNullPoolOffset;
+    if (capn > 0) {
+      NTADOC_ASSIGN_OR_RETURN(off, pool->Alloc(capn * entry_size, 8));
+    }
+    metas->Set(r, ListMeta{off, capn, 0});
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
+                               State* st, bool force_fresh) {
+  PlanStructures(*corpus_, options_, task, opts, st);
+  const bool op = options_.persistence == PersistenceMode::kOperation;
+  const uint64_t redo_bytes = op ? options_.redo_log_bytes : 0;
+  const InitPrefix::Key key{corpus_, options_.enable_pruning,
+                            options_.persistence, redo_bytes,
+                            options_.container_generation,
+                            /*pool_base=*/kMarkerRegion + redo_bytes};
+  const uint64_t pool_base = key.pool_base;
+  NTADOC_ASSIGN_OR_RETURN(const uint64_t pool_size, PoolSize(pool_base));
+
+  // A prefix built under this engine's keys replaces the expensive half
+  // of this phase (container load, DAG build, estimator reads) and, as it
+  // proves the image's init half, the attach.
+  std::shared_ptr<const InitPrefix> prefix =
+      force_fresh ? nullptr : MatchingPrefix(key);
+  if (!force_fresh && prefix == nullptr) {
     NTADOC_ASSIGN_OR_RETURN(const bool attached, TryAttach(st, pool_base));
     if (attached) return SetupTiering(st, /*fresh=*/false);
   }
 
   // ---- Fresh initialization ----
-  const bool batch_reuse = reuse_src != nullptr;
-  // The local-gram region extends the reusable prefix only when it was
-  // laid down for the same n and nothing allocated over it since.
-  const bool gram_reuse = batch_reuse && st->use_local_grams &&
-                          reuse_src->gram_valid &&
-                          reuse_src->gram_ngram == opts.ngram;
-  const uint64_t init_sim_t0 = device_->clock().NowNanos();
-  nvm::PhaseMarker marker(device_, kMarkerOffset);
-  if (!batch_reuse) {
+  const bool reused = prefix != nullptr;
+  // RunBatch's gram region applies when it was laid for this task's n
+  // and nothing allocated over it since.
+  const GramRegion* grams =
+      reused && st->use_local_grams && ses_->batch && ses_->batch->grams &&
+              ses_->batch->grams->ngram == opts.ngram
+          ? &*ses_->batch->grams
+          : nullptr;
+  const uint64_t sim_t0 = device_->clock().NowNanos();
+  if (!reused) {
     // Reading the compressed container from the source disk (the paper
     // times dataset loading; N-TADOC reads the compressed representation).
-    uint64_t container_bytes =
-        grammar.TotalSymbols() * sizeof(Symbol) + 16 * grammar.NumRules();
-    for (compress::WordId w = 0; w < corpus_->dict.size(); ++w) {
-      container_bytes += corpus_->dict.Spell(w).size() + 4;
-    }
     device_->clock().Charge(static_cast<uint64_t>(
-        container_bytes * nvm::kSourceDiskNsPerByte));
+        ContainerBytes(*corpus_) * nvm::kSourceDiskNsPerByte));
   }
-  marker.Format();
+  nvm::PhaseMarker(device_, kMarkerOffset).Format();
   if (options_.persistence == PersistenceMode::kOperation) {
     NTADOC_ASSIGN_OR_RETURN(
         auto log,
         nvm::RedoLog::Create(device_, kMarkerRegion, options_.redo_log_bytes));
     st->log.emplace(std::move(log));
   }
-  if (batch_reuse) {
-    // Re-open the pool over the previous task's layout and roll the bump
-    // pointer back to the end of the shared prefix; the catalog slot and
-    // the pruned DAG stay in place, everything later is reallocated.
-    NTADOC_ASSIGN_OR_RETURN(auto pool,
-                            nvm::NvmPool::Open(device_, pool_base));
-    st->pool.emplace(std::move(pool));
-    NTADOC_RETURN_IF_ERROR(st->pool->ResetTopTo(
-        gram_reuse ? reuse_src->gram_top : reuse_src->dag_top));
-    // A non-sequence task allocates over the gram region, invalidating
-    // the extension — but only for the mutable batch prefix; a sealed
-    // prefix's sessions each overwrite a private device clone, never the
-    // shared image.
-    if (!gram_reuse && own_reuse) ses_->batch_shared->gram_valid = false;
-    st->dag = reuse_src->dag;
-    st->dag.rule_meta = NvmVector<RuleMeta>::Attach(
-        &*st->pool, reuse_src->dag.rule_meta.offset(),
-        reuse_src->dag.rule_meta.capacity(),
-        reuse_src->dag.rule_meta.size());
-    st->dag.seg_meta = NvmVector<SegmentMeta>::Attach(
-        &*st->pool, reuse_src->dag.seg_meta.offset(),
-        reuse_src->dag.seg_meta.capacity(),
-        reuse_src->dag.seg_meta.size());
-    ses_->run_info.prune = reuse_src->prune;
-    ++ses_->run_info.batch_init_reuses;
-    // Satellite (b): report the shared cost this run consumed without
-    // paying it, so batch/serving tasks stay cost-comparable.
-    ses_->init_shared = true;
-    ses_->shared_init_sim_ns =
-        reuse_src->shared_sim_ns +
-        (gram_reuse ? reuse_src->gram_sim_ns : 0);
+  if (reused) {
+    NTADOC_RETURN_IF_ERROR(ReopenPrefix(*prefix, grams, st));
   } else {
-    // Persistent pools carry spare blocks + a remap table so single-block
-    // media failures can be repaired in place instead of restarting.
-    nvm::PoolOptions pool_opts;
-    if (options_.persistence != PersistenceMode::kNone) {
-      pool_opts.spare_blocks =
-          pool_size >= (1ull << 20) ? 64
-                                    : (pool_size >= (64ull << 10) ? 8 : 0);
-    }
-    NTADOC_ASSIGN_OR_RETURN(
-        auto pool, nvm::NvmPool::Create(device_, pool_base, pool_size,
-                                        pool_opts));
-    st->pool.emplace(std::move(pool));
-    NTADOC_ASSIGN_OR_RETURN(const nvm::PoolOffset catalog_off,
-                            st->pool->Alloc(sizeof(Catalog), 64));
-    NTADOC_DCHECK_EQ(catalog_off, CatalogOffset(*st->pool));
-
-    // Pruning with NVM pool management (Algorithm 1).
-    NTADOC_ASSIGN_OR_RETURN(
-        st->dag, BuildPrunedDag(grammar, &*st->pool, options_.enable_pruning,
-                                &ses_->run_info.prune));
-    if (ses_->batch_shared) {
-      ses_->batch_shared->pool_base = pool_base;
-      ses_->batch_shared->dag_top = st->pool->top();
-      ses_->batch_shared->dag = st->dag;
-      ses_->batch_shared->prune = ses_->run_info.prune;
-      ses_->batch_shared->gram_valid = false;
-    }
+    NTADOC_ASSIGN_OR_RETURN(prefix, BuildPrefix(st, key, pool_size, sim_t0));
   }
+  if (ses_->batch) {
+    ses_->batch->prefix = prefix;
+    // Everything below allocates over a gram region it does not reuse.
+    if (grams == nullptr) ses_->batch->grams.reset();
+  }
+
+  NTADOC_ASSIGN_OR_RETURN(const std::vector<uint64_t> gram_ub,
+                          LayLocalGrams(st, prefix->est_, grams));
+  NTADOC_RETURN_IF_ERROR(AllocateTraversalStructures(
+      st, prefix->est_, gram_ub, /*reread_segments=*/!reused));
+  return CommitInit(st, pool_base);
+}
+
+Result<uint64_t> NTadocEngine::PoolSize(uint64_t pool_base) {
+  // Persistent runs reserve the device tail for the metadata mirror.
+  uint64_t pool_size =
+      device_->capacity() - pool_base -
+      (options_.persistence != PersistenceMode::kNone ? kMirrorRegion : 0);
+  if (options_.tiering == nullptr) return pool_size;
+  // Tiered runs additionally reserve the durable placement region
+  // between the pool end and the mirror. The reserve is deterministic
+  // from options, so an attach recomputes the identical layout.
+  const uint64_t reserve = nvm::TieredPool::PlacementReserve(*options_.tiering);
+  if (pool_size <= 2 * reserve) {
+    return Status::InvalidArgument(
+        "device too small for a tiered placement region");
+  }
+  pool_size -= reserve;
+  if (ses_->tiered == nullptr) {
+    NTADOC_ASSIGN_OR_RETURN(
+        ses_->tiered, nvm::TieredPool::Make(device_, pool_base + pool_size,
+                                            reserve, *options_.tiering));
+    device_->set_tier_router(ses_->tiered.get());
+  }
+  return pool_size;
+}
+
+// The batch's own prefix first, then the sealed pool's.
+std::shared_ptr<const InitPrefix> NTadocEngine::MatchingPrefix(
+    const InitPrefix::Key& key) const {
+  auto matches = [&key](const std::shared_ptr<const InitPrefix>& p) {
+    return p != nullptr && p->key_ == key;
+  };
+  if (ses_->batch && matches(ses_->batch->prefix)) return ses_->batch->prefix;
+  if (matches(options_.sealed_prefix)) return options_.sealed_prefix;
+  return nullptr;
+}
+
+Result<std::shared_ptr<const InitPrefix>> NTadocEngine::BuildPrefix(
+    State* st, const InitPrefix::Key& key, uint64_t pool_size,
+    uint64_t sim_t0) {
+  // Persistent pools carry spare blocks + a remap table so single-block
+  // media failures can be repaired in place instead of restarting.
+  nvm::PoolOptions pool_opts;
+  if (options_.persistence != PersistenceMode::kNone) {
+    pool_opts.spare_blocks =
+        pool_size >= (1ull << 20) ? 64 : (pool_size >= (64ull << 10) ? 8 : 0);
+  }
+  NTADOC_ASSIGN_OR_RETURN(
+      auto pool,
+      nvm::NvmPool::Create(device_, key.pool_base, pool_size, pool_opts));
+  st->pool.emplace(std::move(pool));
+  NTADOC_ASSIGN_OR_RETURN(const nvm::PoolOffset catalog_off,
+                          st->pool->Alloc(sizeof(Catalog), 64));
+  NTADOC_DCHECK_EQ(catalog_off, CatalogOffset(*st->pool));
+
+  // Pruning with NVM pool management (Algorithm 1).
+  NTADOC_ASSIGN_OR_RETURN(
+      st->dag, BuildPrunedDag(corpus_->grammar, &*st->pool,
+                              options_.enable_pruning, &ses_->run_info.prune));
+  auto prefix = std::shared_ptr<InitPrefix>(new InitPrefix());
+  prefix->key_ = key;
+  prefix->dag_top_ = st->pool->top();
+  prefix->dag_ = st->dag;
+  prefix->prune_ = ses_->run_info.prune;
+  NTADOC_ASSIGN_OR_RETURN(prefix->est_, DeriveEstimates(st));
+  // Everything charged since sim_t0 is the shared portion (container
+  // load, DAG build, estimator reads); per-task costs start here.
+  prefix->shared_init_sim_ns_ = device_->clock().NowNanos() - sim_t0;
+  return std::shared_ptr<const InitPrefix>(std::move(prefix));
+}
+
+// Algorithm 2's host-side scratch, derived from the pruned payloads. It
+// depends only on the grammar and the pruning setting, never on the task.
+Result<Estimates> NTadocEngine::DeriveEstimates(State* st) {
+  const auto& grammar = corpus_->grammar;
   const uint32_t nr = grammar.NumRules();
   const uint32_t nf = grammar.num_files;
-
-  // Algorithm 2's host-side scratch: taken from the shared prefix (it
-  // depends only on the grammar and the pruning setting, never on the
-  // task, so reuse touches no device), or derived from the payloads.
-  Estimates derived;
-  const Estimates& est = batch_reuse ? reuse_src->est : derived;
-  if (!batch_reuse) {
-    Estimates& e = derived;
-    e.children.resize(nr);
-    e.own_words.assign(nr, 0);
-    e.own_len.assign(nr, 0);
-    for (uint32_t r = 1; r < nr; ++r) {
-      NTADOC_RETURN_IF_ERROR(CheckSessionLimits());
-      const DecodedPayload p = ReadPayloadCached(st, /*segment=*/false, r);
-      e.children[r] = p.subrules;
-      if (!st->dag.pruned) CombineEntries(&e.children[r]);
-      // Distinct own words (pruned payloads are already unique).
-      if (st->dag.pruned) {
-        e.own_words[r] = p.words.size();
-        for (const auto& [w, f] : p.words) {
-          (void)w;
-          e.own_len[r] += f;
-        }
-      } else {
-        auto w = p.words;
-        e.own_len[r] = w.size();
-        CombineEntries(&w);
-        e.own_words[r] = w.size();
-      }
+  Estimates e;
+  e.children.resize(nr);
+  e.own_words.assign(nr, 0);
+  e.own_len.assign(nr, 0);
+  for (uint32_t r = 1; r < nr; ++r) {
+    NTADOC_RETURN_IF_ERROR(CheckSessionLimits());
+    const DecodedPayload p = ReadPayloadCached(st, /*segment=*/false, r);
+    e.children[r] = p.subrules;
+    if (!st->dag.pruned) CombineEntries(&e.children[r]);
+    // Distinct own words (pruned payloads are already unique).
+    if (st->dag.pruned) {
+      e.own_words[r] = p.words.size();
+      for (const auto& word : p.words) e.own_len[r] += word.second;
+    } else {
+      auto w = p.words;
+      e.own_len[r] = w.size();
+      CombineEntries(&w);
+      e.own_words[r] = w.size();
     }
-    // Poisoned payload reads above would feed garbage rule ids into the
-    // estimator's index arithmetic; stop here if any read failed.
+  }
+  // Poisoned payload reads above would feed garbage rule ids into the
+  // estimator's index arithmetic; stop here if any read failed.
+  NTADOC_RETURN_IF_ERROR(CheckMediaErrors());
+
+  // Expansion lengths (occurrence counts), children first: a structure
+  // can never hold more entries than the expansion has tokens, so these
+  // sharpen the distinct-item bounds below.
+  e.explen.assign(nr, 0);
+  for (auto it = st->dag.layout_order.rbegin();
+       it != st->dag.layout_order.rend(); ++it) {
+    const uint32_t r = *it;
+    if (r == 0) continue;
+    e.explen[r] = e.own_len[r];
+    for (const auto& [child, freq] : e.children[r]) {
+      e.explen[r] += e.explen[child] * freq;
+    }
+  }
+
+  // Bottom-up summation (Algorithm 2): distinct-word upper bounds,
+  // capped by the expansion length and the dictionary size.
+  e.word_ub = BottomUpSummation(e.children, e.own_words);
+  for (uint32_t r = 0; r < nr; ++r) {
+    e.word_ub[r] = std::min<uint64_t>(
+        std::min<uint64_t>(e.word_ub[r], grammar.dict_size),
+        r == 0 ? e.word_ub[r] : std::max<uint64_t>(e.explen[r], 1));
+  }
+
+  // Segment bounds, capped by the segment's expansion length.
+  e.seg_word_ub.assign(nf, 0);
+  e.seg_explen.assign(nf, 0);
+  e.seg_own_distinct.assign(nf, 0);
+  e.seg_children.assign(nf, {});
+  for (uint32_t f = 0; f < nf; ++f) {
+    NTADOC_RETURN_IF_ERROR(CheckSessionLimits());
+    DecodedPayload p = ReadPayloadCached(st, /*segment=*/true, f);
     NTADOC_RETURN_IF_ERROR(CheckMediaErrors());
-
-    // Expansion lengths (occurrence counts), children first: a structure
-    // can never hold more entries than the expansion has tokens, so these
-    // sharpen the distinct-item bounds below.
-    e.explen.assign(nr, 0);
-    for (auto it = st->dag.layout_order.rbegin();
-         it != st->dag.layout_order.rend(); ++it) {
-      const uint32_t r = *it;
-      if (r == 0) continue;
-      e.explen[r] = e.own_len[r];
-      for (const auto& [child, freq] : e.children[r]) {
-        e.explen[r] += e.explen[child] * freq;
-      }
+    if (!st->dag.pruned) {
+      CombineEntries(&p.subrules);
+      CombineEntries(&p.words);
     }
-
-    // Bottom-up summation (Algorithm 2): distinct-word upper bounds,
-    // capped by the expansion length and the dictionary size.
-    e.word_ub = BottomUpSummation(e.children, e.own_words);
-    for (uint32_t r = 0; r < nr; ++r) {
-      e.word_ub[r] = std::min<uint64_t>(
-          std::min<uint64_t>(e.word_ub[r], grammar.dict_size),
-          r == 0 ? e.word_ub[r] : std::max<uint64_t>(e.explen[r], 1));
+    e.seg_children[f] = p.subrules;
+    e.seg_own_distinct[f] = p.words.size();
+    for (const auto& word : p.words) e.seg_explen[f] += word.second;
+    for (const auto& [child, freq] : p.subrules) {
+      e.seg_explen[f] += e.explen[child] * freq;
     }
+    e.seg_word_ub[f] = std::min<uint64_t>(
+        std::min<uint64_t>(
+            SpanUpperBound(p.subrules, p.words.size(), e.word_ub),
+            grammar.dict_size),
+        std::max<uint64_t>(e.seg_explen[f], 1));
+  }
+  return e;
+}
 
-    // Segment bounds, capped by the segment's expansion length.
-    e.seg_word_ub.assign(nf, 0);
-    e.seg_explen.assign(nf, 0);
-    e.seg_own_distinct.assign(nf, 0);
-    e.seg_children.assign(nf, {});
-    for (uint32_t f = 0; f < nf; ++f) {
-      NTADOC_RETURN_IF_ERROR(CheckSessionLimits());
+// Re-opens the pool over an earlier init's layout and rolls the bump
+// pointer back to the end of the prefix (or of the batch's gram region):
+// everything later is reallocated.
+Status NTadocEngine::ReopenPrefix(const InitPrefix& prefix,
+                                  const GramRegion* grams, State* st) {
+  NTADOC_ASSIGN_OR_RETURN(auto pool,
+                          nvm::NvmPool::Open(device_, prefix.key_.pool_base));
+  st->pool.emplace(std::move(pool));
+  NTADOC_RETURN_IF_ERROR(
+      st->pool->ResetTopTo(grams != nullptr ? grams->top : prefix.dag_top_));
+  auto rebind = [st](const auto& v) {
+    return std::decay_t<decltype(v)>::Attach(&*st->pool, v.offset(),
+                                             v.capacity(), v.size());
+  };
+  st->dag = prefix.dag_;
+  st->dag.rule_meta = rebind(prefix.dag_.rule_meta);
+  st->dag.seg_meta = rebind(prefix.dag_.seg_meta);
+  ses_->run_info.prune = prefix.prune_;
+  ++ses_->run_info.batch_init_reuses;
+  // The shared cost this run consumed without paying it.
+  ses_->init_shared = true;
+  ses_->shared_init_sim_ns =
+      prefix.shared_init_sim_ns_ + (grams != nullptr ? grams->sim_ns : 0);
+  return Status::OK();
+}
+
+// Sequence support: local boundary windows per rule / segment, stored as
+// pool payloads (order information preserved via head/tail preprocessing
+// — Section IV-D). Returns the per-rule gram-list bounds.
+Result<std::vector<uint64_t>> NTadocEngine::LayLocalGrams(
+    State* st, const Estimates& est, const GramRegion* reuse) {
+  const auto& grammar = corpus_->grammar;
+  const uint32_t nr = grammar.NumRules();
+  const uint32_t nf = grammar.num_files;
+  if (reuse != nullptr) {  // re-attach instead of scanning the grammar
+    st->local_gram_meta = NvmVector<GramMeta>::Attach(
+        &*st->pool, reuse->local_gram_meta_off, nr, nr);
+    st->seg_gram_meta = NvmVector<GramMeta>::Attach(
+        &*st->pool, reuse->seg_gram_meta_off, nf, nf);
+    st->gram_begin = reuse->begin;
+    st->gram_end = reuse->end;
+    return reuse->ub;
+  }
+  if (!st->use_local_grams) return std::vector<uint64_t>();
+
+  const uint64_t sim_t0 = device_->clock().NowNanos();
+  const uint32_t n = st->opts.ngram;
+  const tadoc::HeadTailTable ht = tadoc::HeadTailTable::Build(grammar, n);
+  tadoc::WindowScanner scanner(&ht, n);
+  NTADOC_ASSIGN_OR_RETURN(st->local_gram_meta,
+                          NvmVector<GramMeta>::Create(&*st->pool, nr));
+  st->local_gram_meta.Resize(nr);
+  NTADOC_ASSIGN_OR_RETURN(st->seg_gram_meta,
+                          NvmVector<GramMeta>::Create(&*st->pool, nf));
+  st->seg_gram_meta.Resize(nf);
+  st->gram_begin = st->pool->top();
+  std::vector<uint64_t> own_grams(nr, 0);
+
+  // Allocates and writes one local list; scoped repair re-derives the
+  // same bytes through LocalGrams.
+  auto write_local = [&](std::span<const Symbol> seq) -> Result<GramMeta> {
+    const std::vector<GramEntry> entries = LocalGrams(scanner, seq);
+    NTADOC_ASSIGN_OR_RETURN(
+        const nvm::PoolOffset off,
+        st->pool->template AllocArray<GramEntry>(entries.size()));
+    // One staged bulk store instead of a store per entry; the quantum
+    // keeps the charged cost identical to the per-entry loop.
+    if (!entries.empty()) {
+      device_->WriteBytes(off, entries.data(),
+                          entries.size() * sizeof(GramEntry),
+                          /*quantum=*/sizeof(GramEntry));
+    }
+    return GramMeta{off, entries.size()};
+  };
+
+  for (uint32_t r : st->dag.layout_order) {
+    if (r == 0) continue;
+    NTADOC_RETURN_IF_ERROR(CheckSessionLimits());
+    NTADOC_ASSIGN_OR_RETURN(const GramMeta gm, write_local(grammar.rules[r]));
+    st->local_gram_meta.Set(r, gm);
+    own_grams[r] = gm.count;
+  }
+  const std::span<const Symbol> root(grammar.rules[0]);
+  const auto segments = grammar.RootSegments();
+  for (uint32_t f = 0; f < segments.size(); ++f) {
+    const auto [begin, end] = segments[f];
+    NTADOC_ASSIGN_OR_RETURN(const GramMeta gm,
+                            write_local(root.subspan(begin, end - begin)));
+    st->seg_gram_meta.Set(f, gm);
+  }
+  st->gram_end = st->pool->top();
+  std::vector<uint64_t> gram_ub = BottomUpSummation(est.children, own_grams);
+  for (uint32_t r = 1; r < nr; ++r) {
+    gram_ub[r] =
+        std::min<uint64_t>(gram_ub[r], std::max<uint64_t>(est.explen[r], 1));
+  }
+  // Laid right after the DAG (nothing allocated between), so a later
+  // sequence task of the batch can reuse them.
+  if (ses_->batch) {
+    ses_->batch->grams = GramRegion{
+        n, st->pool->top(), st->local_gram_meta.offset(),
+        st->seg_gram_meta.offset(), st->gram_begin, st->gram_end, gram_ub,
+        device_->clock().NowNanos() - sim_t0};
+  }
+  return gram_ub;
+}
+
+// Traversal structures, each allocated once at its bound (small in the
+// no-summation ablation, which rebuilds on overflow), in a fixed order.
+Status NTadocEngine::AllocateTraversalStructures(
+    State* st, const Estimates& est, const std::vector<uint64_t>& gram_ub,
+    bool reread_segments) {
+  nvm::NvmPool* pool = &*st->pool;
+  const uint32_t nr = st->dag.num_rules;
+  if (st->use_queue) {
+    NTADOC_ASSIGN_OR_RETURN(st->queue, NvmVector<uint32_t>::Create(pool, nr));
+    st->queue.Resize(nr);
+    NTADOC_ASSIGN_OR_RETURN(st->indeg, NvmVector<uint32_t>::Create(pool, nr));
+    st->indeg.Resize(nr);
+  }
+  const bool summation = options_.enable_summation;
+  auto capacity = [summation](uint64_t bound) {
+    return summation ? bound : uint64_t{8};
+  };
+  // No counter table can hold more entries than the corpus has tokens.
+  const uint64_t tokens = Sum(est.seg_explen);
+  if (st->use_word_table) {
+    NTADOC_ASSIGN_OR_RETURN(
+        st->word_table,
+        WordTable::Create(pool, capacity(WordTableBound(
+                                    est, corpus_->grammar.dict_size, tokens))));
+  }
+  if (st->use_gram_table) {
+    NTADOC_ASSIGN_OR_RETURN(
+        st->gram_table,
+        GramTable::Create(pool, capacity(GramTableBound(
+                                    ReadLocalGramCounts(*st), tokens))));
+  }
+  if (st->use_file_table) {
+    NTADOC_ASSIGN_OR_RETURN(const uint64_t bound,
+                            FileTableBound(st, est, reread_segments));
+    NTADOC_ASSIGN_OR_RETURN(st->file_table,
+                            WordTable::Create(pool, capacity(bound)));
+  }
+  if (st->use_file_gram_table) {
+    NTADOC_ASSIGN_OR_RETURN(
+        st->file_gram_table,
+        GramTable::Create(pool, capacity(FileGramTableBound(
+                                    est, ReadLocalGramCounts(*st)))));
+  }
+  // Bottom-up lists: one pool allocation per rule; the root has none.
+  if (st->use_word_lists) {
+    NTADOC_RETURN_IF_ERROR(AllocLists(pool, &st->word_list_meta, est.word_ub,
+                                      sizeof(WordEntry), summation));
+  }
+  if (st->use_gram_lists) {
+    NTADOC_RETURN_IF_ERROR(AllocLists(pool, &st->gram_list_meta, gram_ub,
+                                      sizeof(GramEntry), summation));
+  }
+  return Status::OK();
+}
+
+// The shared per-file word table, one file at a time: the largest file's
+// distinct words over its reachable rule set, capped by its segment bound
+// and length. A fresh init reads the segment payloads back; a reused
+// prefix's estimates hold the same adjacency and distinct-word counts.
+Result<uint64_t> NTadocEngine::FileTableBound(State* st, const Estimates& est,
+                                              bool reread_segments) {
+  std::vector<uint8_t> seen(est.children.size(), 0);
+  uint64_t bound = 0;
+  for (uint32_t f = 0; f < st->dag.num_files; ++f) {
+    uint64_t root_items = 0;
+    if (reread_segments) {
       DecodedPayload p = ReadPayloadCached(st, /*segment=*/true, f);
       NTADOC_RETURN_IF_ERROR(CheckMediaErrors());
       if (!st->dag.pruned) {
         CombineEntries(&p.subrules);
         CombineEntries(&p.words);
       }
-      e.seg_children[f] = p.subrules;
-      e.seg_own_distinct[f] = p.words.size();
-      uint64_t own = 0;
-      for (const auto& [w, freq] : p.words) {
-        (void)w;
-        own += freq;
-      }
-      e.seg_explen[f] = own;
-      for (const auto& [child, freq] : p.subrules) {
-        e.seg_explen[f] += e.explen[child] * freq;
-      }
-      e.seg_word_ub[f] = std::min<uint64_t>(
-          std::min<uint64_t>(
-              SpanUpperBound(p.subrules, p.words.size(), e.word_ub),
-              grammar.dict_size),
-          std::max<uint64_t>(e.seg_explen[f], 1));
+      root_items = ReachableSum(est.children, p.subrules, est.own_words,
+                                &seen) +
+                   p.words.size();
+    } else {
+      root_items = ReachableSum(est.children, est.seg_children[f],
+                                est.own_words, &seen) +
+                   est.seg_own_distinct[f];
     }
-    if (ses_->batch_shared) {
-      ses_->batch_shared->est = derived;
-      ses_->batch_shared->valid = true;
-      // Everything charged since init_sim_t0 is the shared portion
-      // (container load, DAG build, estimator reads); per-task costs
-      // start after this capture point.
-      ses_->batch_shared->shared_sim_ns =
-          device_->clock().NowNanos() - init_sim_t0;
-    }
+    bound = std::max(
+        bound, std::min<uint64_t>(
+                   std::min<uint64_t>(root_items, est.seg_word_ub[f]),
+                   std::max<uint64_t>(est.seg_explen[f], 1)));
   }
+  return bound;
+}
 
-  // Sequence support: local boundary windows per rule / segment, stored
-  // as pool payloads (order information preserved via head/tail
-  // preprocessing — Section IV-D).
-  std::vector<uint64_t> gram_ub;
-  if (gram_reuse) {
-    // The gram lists sit directly after the DAG in the shared prefix,
-    // written by an earlier task of the same batch for the same n;
-    // re-attach to them instead of scanning the grammar again.
-    st->local_gram_meta = NvmVector<GramMeta>::Attach(
-        &*st->pool, reuse_src->local_gram_meta_off, nr, nr);
-    st->seg_gram_meta = NvmVector<GramMeta>::Attach(
-        &*st->pool, reuse_src->seg_gram_meta_off, nf, nf);
-    st->gram_begin = reuse_src->gram_begin;
-    st->gram_end = reuse_src->gram_end;
-    gram_ub = reuse_src->gram_ub;
-  } else if (st->use_local_grams) {
-    const uint64_t gram_sim_t0 = device_->clock().NowNanos();
-    const tadoc::HeadTailTable ht =
-        tadoc::HeadTailTable::Build(grammar, opts.ngram);
-    tadoc::WindowScanner scanner(&ht, opts.ngram);
-    NTADOC_ASSIGN_OR_RETURN(st->local_gram_meta,
-                            NvmVector<GramMeta>::Create(&*st->pool, nr));
-    st->local_gram_meta.Resize(nr);
-    NTADOC_ASSIGN_OR_RETURN(st->seg_gram_meta,
-                            NvmVector<GramMeta>::Create(&*st->pool, nf));
-    st->seg_gram_meta.Resize(nf);
-    st->gram_begin = st->pool->top();
-    std::vector<uint64_t> own_grams(nr, 0);
-
-    // Allocates and writes one local list; scoped repair re-derives the
-    // same bytes through LocalGrams.
-    auto write_local = [&](std::span<const Symbol> seq) -> Result<GramMeta> {
-      const std::vector<GramEntry> entries = LocalGrams(scanner, seq);
-      NTADOC_ASSIGN_OR_RETURN(
-          const nvm::PoolOffset off,
-          st->pool->template AllocArray<GramEntry>(entries.size()));
-      // One staged bulk store instead of a store per entry; the quantum
-      // keeps the charged cost identical to the per-entry loop.
-      if (!entries.empty()) {
-        device_->WriteBytes(off, entries.data(),
-                            entries.size() * sizeof(GramEntry),
-                            /*quantum=*/sizeof(GramEntry));
-      }
-      return GramMeta{off, entries.size()};
-    };
-
-    for (uint32_t r : st->dag.layout_order) {
-      if (r == 0) continue;
-      NTADOC_RETURN_IF_ERROR(CheckSessionLimits());
-      NTADOC_ASSIGN_OR_RETURN(const GramMeta gm, write_local(grammar.rules[r]));
-      st->local_gram_meta.Set(r, gm);
-      own_grams[r] = gm.count;
-    }
-    const std::span<const Symbol> root(grammar.rules[0]);
-    const auto segments = grammar.RootSegments();
-    for (uint32_t f = 0; f < segments.size(); ++f) {
-      const auto [begin, end] = segments[f];
-      NTADOC_ASSIGN_OR_RETURN(const GramMeta gm,
-                              write_local(root.subspan(begin, end - begin)));
-      st->seg_gram_meta.Set(f, gm);
-    }
-    st->gram_end = st->pool->top();
-    gram_ub = BottomUpSummation(est.children, own_grams);
-    for (uint32_t r = 1; r < nr; ++r) {
-      gram_ub[r] = std::min<uint64_t>(gram_ub[r],
-                                      std::max<uint64_t>(est.explen[r], 1));
-    }
-    // Written right after the DAG (nothing allocated between), so the
-    // reusable prefix can extend over the gram region for later sequence
-    // tasks of this batch.
-    if (ses_->batch_shared) {
-      ses_->batch_shared->gram_valid = ses_->batch_shared->valid;
-      ses_->batch_shared->gram_ngram = opts.ngram;
-      ses_->batch_shared->gram_top = st->pool->top();
-      ses_->batch_shared->local_gram_meta_off = st->local_gram_meta.offset();
-      ses_->batch_shared->seg_gram_meta_off = st->seg_gram_meta.offset();
-      ses_->batch_shared->gram_begin = st->gram_begin;
-      ses_->batch_shared->gram_end = st->gram_end;
-      ses_->batch_shared->gram_ub = gram_ub;
-      ses_->batch_shared->gram_sim_ns =
-          device_->clock().NowNanos() - gram_sim_t0;
-    }
-  }
-
-  // Traversal structures, allocated once at their estimated bounds.
-  if (st->use_queue) {
-    NTADOC_ASSIGN_OR_RETURN(st->queue,
-                            NvmVector<uint32_t>::Create(&*st->pool, nr));
-    st->queue.Resize(nr);
-    NTADOC_ASSIGN_OR_RETURN(st->indeg,
-                            NvmVector<uint32_t>::Create(&*st->pool, nr));
-    st->indeg.Resize(nr);
-  }
-
-  const uint64_t small = options_.enable_summation ? 0 : 8;
-  uint64_t total_tokens = 0;
-  for (uint64_t e : est.seg_explen) total_tokens += e;
-
-  // Tight per-file bound: sum of per-rule item counts over the file's
-  // *reachable rule set* (a rule contributes distinct items once, no
-  // matter how often it occurs).
-  std::vector<uint8_t> reach_seen(nr, 0);
-  auto reachable_sum =
-      [&](const std::vector<std::pair<uint32_t, uint32_t>>& roots,
-          const std::vector<uint64_t>& own) {
-        std::vector<uint32_t> stack;
-        std::vector<uint32_t> visited;
-        uint64_t total = 0;
-        for (const auto& [c, f] : roots) {
-          (void)f;
-          if (!reach_seen[c]) {
-            reach_seen[c] = 1;
-            stack.push_back(c);
-            visited.push_back(c);
-          }
-        }
-        while (!stack.empty()) {
-          const uint32_t r = stack.back();
-          stack.pop_back();
-          total += own[r];
-          for (const auto& [c, f] : est.children[r]) {
-            (void)f;
-            if (!reach_seen[c]) {
-              reach_seen[c] = 1;
-              stack.push_back(c);
-              visited.push_back(c);
-            }
-          }
-        }
-        for (uint32_t v : visited) reach_seen[v] = 0;
-        return total;
-      };
-  // The gram tables' bounds need each rule's and segment's local n-gram
-  // count, read back from the gram metadata as borrowed spans (charged
-  // like per-element loops; no other table's allocation precedes them,
-  // since only sequence tasks have gram tables). An unreadable block
-  // contributes 0 and the media check at the end of InitPhase turns the
-  // poisoned estimate into a salvage.
-  std::vector<uint64_t> rule_grams(nr, 0);
-  std::vector<uint64_t> seg_grams(nf, 0);
-  if (st->use_gram_table || st->use_file_gram_table) {
-    if (nr > 1) {
-      if (auto span = st->local_gram_meta.ReadSpan(1, nr - 1); span.ok()) {
-        for (uint32_t r = 1; r < nr; ++r) rule_grams[r] = (*span)[r - 1].count;
-      }
-    }
-    if (nf > 0) {
-      if (auto span = st->seg_gram_meta.ReadSpan(0, nf); span.ok()) {
-        for (uint32_t f = 0; f < nf; ++f) seg_grams[f] = (*span)[f].count;
-      }
-    }
-  }
-  if (st->use_word_table) {
-    uint64_t expected = 0;
-    for (uint64_t ub : est.seg_word_ub) expected += ub;
-    expected = std::min<uint64_t>(
-        std::min<uint64_t>(expected, grammar.dict_size), total_tokens);
-    NTADOC_ASSIGN_OR_RETURN(
-        st->word_table,
-        WordTable::Create(&*st->pool, small ? small : expected));
-  }
-  if (st->use_gram_table) {
-    uint64_t expected = 0;
-    for (uint64_t n : rule_grams) expected += n;
-    for (uint64_t n : seg_grams) expected += n;
-    expected = std::min<uint64_t>(expected, total_tokens);
-    NTADOC_ASSIGN_OR_RETURN(
-        st->gram_table,
-        GramTable::Create(&*st->pool, small ? small : expected));
-  }
-  if (st->use_file_table) {
-    uint64_t expected = 0;
-    for (uint32_t f = 0; f < nf; ++f) {
-      uint64_t root_items = 0;
-      if (batch_reuse) {
-        // The shared scratch already holds this segment's combined
-        // adjacency and distinct-word count; no device reads needed.
-        root_items = reachable_sum(est.seg_children[f], est.own_words) +
-                     est.seg_own_distinct[f];
-      } else {
-        DecodedPayload p = ReadPayloadCached(st, /*segment=*/true, f);
-        NTADOC_RETURN_IF_ERROR(CheckMediaErrors());
-        if (!st->dag.pruned) {
-          CombineEntries(&p.subrules);
-          CombineEntries(&p.words);
-        }
-        root_items = reachable_sum(p.subrules, est.own_words) + p.words.size();
-      }
-      const uint64_t file_bound = std::min<uint64_t>(
-          std::min<uint64_t>(root_items, est.seg_word_ub[f]),
-          std::max<uint64_t>(est.seg_explen[f], 1));
-      expected = std::max(expected, file_bound);
-    }
-    NTADOC_ASSIGN_OR_RETURN(
-        st->file_table,
-        WordTable::Create(&*st->pool, small ? small : expected));
-  }
-  if (st->use_file_gram_table) {
-    uint64_t expected = 0;
-    for (uint32_t f = 0; f < nf; ++f) {
-      const uint64_t file_bound = std::min<uint64_t>(
-          reachable_sum(est.seg_children[f], rule_grams) + seg_grams[f],
-          std::max<uint64_t>(est.seg_explen[f], 1));
-      expected = std::max(expected, file_bound);
-    }
-    NTADOC_ASSIGN_OR_RETURN(
-        st->file_gram_table,
-        GramTable::Create(&*st->pool, small ? small : expected));
-  }
-  // Bottom-up lists: one pool allocation per rule at its bound (a small
-  // starting allocation in the no-summation ablation); the root has none.
-  static_assert(alignof(WordEntry) == 8 && alignof(GramEntry) == 8,
-                "list entries are allocated 8-byte aligned");
-  auto alloc_lists = [&](NvmVector<ListMeta>* metas,
-                         const std::vector<uint64_t>& ub,
-                         uint64_t entry_size) -> Status {
-    NTADOC_ASSIGN_OR_RETURN(*metas,
-                            NvmVector<ListMeta>::Create(&*st->pool, nr));
-    metas->Resize(nr);
-    for (uint32_t r = 0; r < nr; ++r) {
-      const uint64_t capn =
-          r == 0 ? 0
-                 : (options_.enable_summation
-                        ? ub[r]
-                        : std::min<uint64_t>(8, std::max<uint64_t>(1, ub[r])));
-      nvm::PoolOffset off = nvm::kNullPoolOffset;
-      if (capn > 0) {
-        NTADOC_ASSIGN_OR_RETURN(off, st->pool->Alloc(capn * entry_size, 8));
-      }
-      metas->Set(r, ListMeta{off, capn, 0});
-    }
-    return Status::OK();
-  };
-  if (st->use_word_lists) {
-    NTADOC_RETURN_IF_ERROR(
-        alloc_lists(&st->word_list_meta, est.word_ub, sizeof(WordEntry)));
-  }
-  if (st->use_gram_lists) {
-    NTADOC_RETURN_IF_ERROR(
-        alloc_lists(&st->gram_list_meta, gram_ub, sizeof(GramEntry)));
-  }
-
+// The phase boundary: cursor, catalog and integrity seal, tier placement,
+// then the durable phase-1 commit.
+Status NTadocEngine::CommitInit(State* st, uint64_t pool_base) {
   NTADOC_ASSIGN_OR_RETURN(st->cursor_off,
                           st->pool->Alloc(sizeof(CursorSlot), 64));
   device_->Write(st->cursor_off, SlotOf(Cursor{}));
@@ -3136,7 +3148,7 @@ Result<AnalyticsOutput> NTadocEngine::Run(Task task,
       // A batch's shared prefix lives in the pool being discarded; drop
       // it so every remaining task of the batch does a full init, and
       // drop decoded-rule caches built over the doomed layout.
-      ses_->batch_shared.reset();
+      ses_->batch.reset();
       InvalidateRuleCache();
       ++ses_->run_info.corruption_detected;
       ++ses_->run_info.salvage_restarts;
@@ -3156,7 +3168,7 @@ Result<AnalyticsOutput> NTadocEngine::Run(Task task,
     // media errors absorbed instead of surfaced. Only ever entered once.
     auto try_degrade = [&] {
       if (!options_.allow_degraded || ses_->degraded) return false;
-      ses_->batch_shared.reset();
+      ses_->batch.reset();
       InvalidateRuleCache();
       NTADOC_LOG(Warning)
           << "repair and salvage exhausted; rerunning degraded";
@@ -3180,7 +3192,7 @@ Result<AnalyticsOutput> NTadocEngine::Run(Task task,
       if (options_.persistence != PersistenceMode::kNone &&
           scoped_attempts < options_.max_scoped_repairs &&
           TryScopedRepair()) {
-        ses_->batch_shared.reset();  // prefix repaired under the batch's feet
+        ses_->batch.reset();  // prefix repaired under the batch's feet
         ++scoped_attempts;
         return true;
       }
@@ -3242,11 +3254,11 @@ Result<std::vector<AnalyticsOutput>> NTadocEngine::RunBatch(
   if (metrics != nullptr) metrics->assign(tasks.size(), RunMetrics{});
   if (tasks.empty()) return outputs;
 
-  // Arm the shared-prefix capture: the first full init fills it, every
-  // later task's InitPhase consumes it. A salvage or scoped repair along
-  // the way drops it (Run resets the pointer), after which the remaining
-  // tasks initialize from scratch.
-  ses_->batch_shared = std::make_unique<BatchShared>();
+  // Arm the batch: the first full init leaves its prefix, every later
+  // task's InitPhase consumes it. A salvage or scoped repair along the
+  // way disarms it (Run resets it), after which the remaining tasks
+  // initialize from scratch.
+  ses_->batch.emplace();
   uint64_t reuses = 0;
   Status failure = Status::OK();
   for (size_t i = 0; i < tasks.size(); ++i) {
@@ -3258,7 +3270,7 @@ Result<std::vector<AnalyticsOutput>> NTadocEngine::RunBatch(
     }
     outputs.push_back(std::move(*out));
   }
-  ses_->batch_shared.reset();
+  ses_->batch.reset();
   // run_info() after a batch reports the last task's run, with the reuse
   // counter aggregated over the whole batch.
   ses_->run_info.batch_init_reuses = reuses;
@@ -3268,32 +3280,22 @@ Result<std::vector<AnalyticsOutput>> NTadocEngine::RunBatch(
 
 Result<AnalyticsOutput> NTadocEngine::RunAndCapturePrefix(
     Task task, const AnalyticsOptions& opts,
-    std::shared_ptr<const SealedPrefix>* prefix, RunMetrics* metrics) {
+    std::shared_ptr<const InitPrefix>* prefix, RunMetrics* metrics) {
   NTADOC_CHECK(prefix != nullptr);
   prefix->reset();
-  // Arm the capture exactly like RunBatch's first task: the full init
-  // fills the shared state, which then moves into the immutable handle.
-  ses_->batch_shared = std::make_unique<BatchShared>();
+  // Arm a one-task batch: the full init leaves its prefix there.
+  ses_->batch.emplace();
   auto out = Run(task, opts, metrics);
-  std::unique_ptr<BatchShared> captured = std::move(ses_->batch_shared);
+  std::optional<SessionContext::Batch> captured = std::move(ses_->batch);
+  ses_->batch.reset();
   if (!out.ok()) return out;
-  if (captured == nullptr || !captured->valid) {
+  if (!captured || captured->prefix == nullptr) {
     // Attach reuse, repair or salvage got in the way; the caller should
     // seal over a fresh device (serve::SealPool always does).
     return Status::Internal(
         "sealed-prefix capture requires an undisturbed full init");
   }
-  auto sealed = std::shared_ptr<SealedPrefix>(new SealedPrefix());
-  sealed->corpus_ = corpus_;
-  sealed->pruned_ = options_.enable_pruning;
-  sealed->persistence_ = options_.persistence;
-  sealed->redo_log_bytes_ = options_.redo_log_bytes;
-  sealed->container_generation_ = options_.container_generation;
-  sealed->shared_init_sim_ns_ =
-      captured->shared_sim_ns +
-      (captured->gram_valid ? captured->gram_sim_ns : 0);
-  sealed->shared_ = std::move(captured);
-  *prefix = std::move(sealed);
+  *prefix = std::move(captured->prefix);
   return out;
 }
 

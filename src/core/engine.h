@@ -37,6 +37,7 @@
 #include "core/nvm_hash_table.h"
 #include "core/nvm_vector.h"
 #include "core/pruning.h"
+#include "core/summation.h"
 #include "nvm/nvm_device.h"
 #include "nvm/nvm_pool.h"
 #include "nvm/obj_log.h"
@@ -67,7 +68,7 @@ const char* PersistenceModeToString(PersistenceMode m);
 /// PersistenceModeToString name; InvalidArgument for anything else.
 Result<PersistenceMode> ParsePersistenceMode(std::string_view name);
 
-class SealedPrefix;      // immutable cross-session init prefix (below)
+class InitPrefix;        // task-independent half of an init (below)
 class SharedRuleCache;   // thread-safe decoded-rule cache (below)
 
 /// N-TADOC configuration.
@@ -135,23 +136,20 @@ struct NTadocOptions {
   /// returns DeadlineExceeded.
   const std::atomic<bool>* cancel = nullptr;
 
-  /// Decoded-rule DRAM cache (null = none, the default: simulated costs
-  /// are then bit-identical to a build without the cache). Decoded rule/
-  /// segment payloads are kept in this host-side LRU cache; a hit replays
+  /// Decoded-rule DRAM cache, null (the default) for none. A hit replays
   /// the payload's device extents against a DRAM model on *this
-  /// session's* clock instead of re-reading NVM, so sessions sharing one
-  /// cache over a sealed pool never pay for each other's lookups. Entries
-  /// survive across runs and sessions (the payload layout is
-  /// deterministic) and are invalidated on any repair/salvage.
+  /// session's* clock, so sessions sharing one cache over a sealed pool
+  /// never pay for each other's lookups. Entries survive across runs and
+  /// sessions (the payload layout is deterministic) and are invalidated on
+  /// any repair/salvage.
   std::shared_ptr<SharedRuleCache> shared_cache;
 
-  /// Task-independent init prefix of the sealed pool this session's
-  /// device image was cloned from (see RunAndCapturePrefix). Lets every
-  /// session skip the container load, DAG rebuild and estimator reads,
-  /// like RunBatch's cross-task reuse but across engines. Ignored when a
-  /// RunBatch-local prefix exists or the prefix does not match this
-  /// engine's corpus/options.
-  std::shared_ptr<const SealedPrefix> sealed_prefix;
+  /// Init prefix of the sealed pool this session's device image was
+  /// cloned from (see RunAndCapturePrefix). Lets every session skip the
+  /// container load, DAG rebuild and estimator reads, like RunBatch's
+  /// cross-task reuse but across engines. Ignored when the engine's own
+  /// batch prefix applies or the prefix was built under other keys.
+  std::shared_ptr<const InitPrefix> sealed_prefix;
 
   /// Generation of the durable container this engine's image was sealed
   /// from (ContainerStore::generation(); 0 = not container-backed). Part
@@ -199,7 +197,7 @@ struct NTadocOptions {
   X(blocks_remapped, kRun)           /* bad blocks moved to spares */          \
   X(scoped_repairs, kRun)            /* objects re-derived in place */         \
   X(degraded_queries, kAttempt)      /* 1: this run completed degraded */      \
-  /* Decoded-rule DRAM cache (options.shared_cache). */                         \
+  /* Decoded-rule DRAM cache (options.shared_cache). */                        \
   X(rule_cache_hits, kAttempt)                                                 \
   X(rule_cache_misses, kAttempt)                                               \
   /* Epoch group commit (operation-level, commit_interval > 1). */             \
@@ -264,6 +262,47 @@ struct NTadocRunInfo : RunCounters {
   std::array<uint64_t, 4> tier_resident_bytes{};
 };
 
+/// The task-independent half of an initialization (paper Section IV): the
+/// pruned DAG at the start of the pool (Algorithm 1), its prune stats,
+/// Algorithm 2's estimates, their simulated cost and the keys they were
+/// built under. Every fresh init builds one, for RunBatch's later tasks
+/// and, through RunAndCapturePrefix, a sealed pool's sessions. An init
+/// reuses one only when its own keys are equal. Immutable.
+class InitPrefix {
+ public:
+  InitPrefix(const InitPrefix&) = delete;
+  InitPrefix& operator=(const InitPrefix&) = delete;
+
+  /// Simulated cost of the shared init work this prefix replaces (see
+  /// RunMetrics::shared_init_sim_ns).
+  uint64_t shared_init_sim_ns() const { return shared_init_sim_ns_; }
+
+ private:
+  friend class NTadocEngine;
+
+  /// What the pool layout under the prefix depends on besides the
+  /// grammar (the persistence mode sets the marker, redo-log and spare
+  /// regions), and the container generation it serves.
+  struct Key {
+    const CompressedCorpus* corpus = nullptr;
+    bool pruned = true;
+    PersistenceMode persistence = PersistenceMode::kPhase;
+    uint64_t redo_log_bytes = 0;  // operation-level only, else 0
+    uint64_t container_generation = 0;
+    uint64_t pool_base = 0;
+    bool operator==(const Key&) const = default;
+  };
+
+  InitPrefix() = default;
+
+  Key key_;
+  uint64_t dag_top_ = 0;  // pool top right after the pruned DAG
+  PrunedDag dag_;         // NvmVector handles, re-attached on reuse
+  PruneStats prune_;
+  Estimates est_;
+  uint64_t shared_init_sim_ns_ = 0;  // container load, DAG and estimates
+};
+
 /// The N-TADOC engine. One engine instance owns the layout of one device
 /// (phase marker, optional redo log, DAG pool) and can re-attach to a
 /// device that already holds a persisted run (crash recovery).
@@ -286,10 +325,10 @@ class NTadocEngine {
 
   /// Runs several tasks back to back, paying the initialization phase's
   /// dominant costs once: the first task performs a full init; later
-  /// tasks reuse the sealed DAG pool prefix (pruned payloads, rule/
-  /// segment metadata, local n-gram lists) plus the host-side estimator
-  /// scratch, re-running only per-task work (table/list allocation at
-  /// the task's bounds, catalog + integrity reseal). Each task still
+  /// tasks reuse its InitPrefix (pruned payloads, rule/segment metadata,
+  /// the estimates) and, after a sequence task with the same n, its local
+  /// n-gram lists, re-running only per-task work (table/list allocation
+  /// at the task's bounds, catalog + integrity reseal). Each task still
   /// produces its own output/metrics; `metrics`, when non-null, is
   /// resized to tasks.size(). Salvage or repair invalidates the shared
   /// prefix, so the next task falls back to a full init.
@@ -297,15 +336,14 @@ class NTadocEngine {
       std::span<const Task> tasks, const AnalyticsOptions& opts = {},
       std::vector<RunMetrics>* metrics = nullptr);
 
-  /// Runs `task` like Run() while capturing the task-independent init
-  /// prefix. On success `*prefix` receives an immutable handle that any
-  /// number of later engines can consume via NTadocOptions::sealed_prefix
-  /// — each paired with a clone of this device's image as its
-  /// DeviceOptions::base_image (the sealed pool). serve::SealPool wraps
-  /// this.
+  /// Runs `task` like Run() while capturing the init prefix. On success
+  /// `*prefix` receives an immutable handle that any number of later
+  /// engines can consume via NTadocOptions::sealed_prefix — each paired
+  /// with a clone of this device's image as its DeviceOptions::base_image
+  /// (the sealed pool). serve::SealPool wraps this.
   Result<AnalyticsOutput> RunAndCapturePrefix(
       Task task, const AnalyticsOptions& opts,
-      std::shared_ptr<const SealedPrefix>* prefix,
+      std::shared_ptr<const InitPrefix>* prefix,
       RunMetrics* metrics = nullptr);
 
   /// Accounting for the most recent Run().
@@ -324,7 +362,7 @@ class NTadocEngine {
  private:
   struct State;        // pool-resident structure handles + host scratch
   struct RuleCache;    // decoded-payload DRAM cache (engine.cc)
-  struct BatchShared;  // cross-task init state for RunBatch (engine.cc)
+  struct GramRegion;   // RunBatch's local n-gram extension (engine.cc)
   class StepLoop;      // the traversal step driver (engine.cc)
   // All per-run mutable state — cursors, RunInfo counters, degraded/
   // repair flags, cache handles, deadline — lives here rather than in
@@ -333,7 +371,6 @@ class NTadocEngine {
   // except the explicitly thread-safe SharedRuleCache / repair lock.
   struct SessionContext;
 
-  friend class SealedPrefix;
   friend class SharedRuleCache;
 
   // Phase 1: build (or re-attach) all pool structures for `task`. With
@@ -341,6 +378,27 @@ class NTadocEngine {
   // detected corruption).
   Status InitPhase(Task task, const AnalyticsOptions& opts, State* st,
                    bool force_fresh);
+
+  // InitPhase's steps: the pool size left by the device-tail reserves;
+  // the task-independent half (the prefix this engine's keys match, or a
+  // fresh one); then the per-task half over it.
+  Result<uint64_t> PoolSize(uint64_t pool_base);
+  std::shared_ptr<const InitPrefix> MatchingPrefix(
+      const InitPrefix::Key& key) const;
+  Result<std::shared_ptr<const InitPrefix>> BuildPrefix(
+      State* st, const InitPrefix::Key& key, uint64_t pool_size,
+      uint64_t sim_t0);
+  Result<Estimates> DeriveEstimates(State* st);
+  Status ReopenPrefix(const InitPrefix& prefix, const GramRegion* grams,
+                      State* st);
+  Result<std::vector<uint64_t>> LayLocalGrams(State* st, const Estimates& est,
+                                              const GramRegion* reuse);
+  Status AllocateTraversalStructures(State* st, const Estimates& est,
+                                     const std::vector<uint64_t>& gram_ub,
+                                     bool reread_segments);
+  Result<uint64_t> FileTableBound(State* st, const Estimates& est,
+                                  bool reread_segments);
+  Status CommitInit(State* st, uint64_t pool_base);
 
   // Attempts to re-attach to a persisted, signature-matching run. Returns
   // true on success; false means "no matching state, do a fresh init"
@@ -441,40 +499,6 @@ class SharedRuleCache {
   // pointed-to LRU state is what every session mutates under mu_.
   std::unique_ptr<NTadocEngine::RuleCache> cache_ NTADOC_PT_GUARDED_BY(mu_);
   uint64_t invalidations_ NTADOC_GUARDED_BY(mu_) = 0;
-};
-
-/// Immutable capture of the task-independent init prefix of a sealed
-/// pool: the pruned DAG layout, prune stats, estimator scratch and (when
-/// sealed by a sequence task) the local n-gram region. Produced by
-/// NTadocEngine::RunAndCapturePrefix, consumed read-only by any number of
-/// concurrent engines whose devices were cloned from the same sealed
-/// image.
-class SealedPrefix {
- public:
-  ~SealedPrefix();
-
-  SealedPrefix(const SealedPrefix&) = delete;
-  SealedPrefix& operator=(const SealedPrefix&) = delete;
-
-  /// Simulated cost of the shared init work this prefix replaces (see
-  /// RunMetrics::shared_init_sim_ns).
-  uint64_t shared_init_sim_ns() const { return shared_init_sim_ns_; }
-
- private:
-  friend class NTadocEngine;
-  SealedPrefix();
-  const CompressedCorpus* corpus_ = nullptr;
-  bool pruned_ = true;
-  // Pool layout depends on the sealing engine's persistence mode (marker
-  // region, redo-log reservation, spare blocks); a consuming session must
-  // match it exactly or fall back to a full init.
-  PersistenceMode persistence_ = PersistenceMode::kPhase;
-  uint64_t redo_log_bytes_ = 0;
-  // Container generation the sealing engine was bound to; a session over
-  // a different generation of the same corpus must not reuse the prefix.
-  uint64_t container_generation_ = 0;
-  uint64_t shared_init_sim_ns_ = 0;
-  std::unique_ptr<NTadocEngine::BatchShared> shared_;
 };
 
 }  // namespace ntadoc::core

@@ -281,11 +281,6 @@ class NvmHashTable {
     nvm::PmemPersist(pool_->device(), status_off_, capacity_);
   }
 
-  /// Total pool bytes occupied.
-  uint64_t FootprintBytes() const {
-    return capacity_ * (1 + sizeof(K) + sizeof(V));
-  }
-
  private:
   NvmHashTable(nvm::NvmPool* pool, nvm::PoolOffset status_off,
                nvm::PoolOffset keys_off, nvm::PoolOffset vals_off,

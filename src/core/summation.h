@@ -38,6 +38,22 @@ uint64_t SpanUpperBound(
     const std::vector<std::pair<uint32_t, uint32_t>>& child_entries,
     uint64_t own_count, const std::vector<uint64_t>& rule_bounds);
 
+/// Algorithm 2's host-side inputs and bounds over one pruned DAG. They
+/// depend only on the grammar and the pruning setting, never on the
+/// task, so every task an init prefix serves reuses them without
+/// touching the device.
+struct Estimates {
+  DagChildren children;             // combined (child, freq) per rule
+  std::vector<uint64_t> own_words;  // distinct own words per rule
+  std::vector<uint64_t> own_len;    // own word occurrences per rule
+  std::vector<uint64_t> explen;     // expansion length per rule
+  std::vector<uint64_t> word_ub;    // distinct-word bound per rule
+  DagChildren seg_children;         // combined (child, freq) per segment
+  std::vector<uint64_t> seg_explen;
+  std::vector<uint64_t> seg_word_ub;
+  std::vector<uint64_t> seg_own_distinct;  // distinct own words per segment
+};
+
 }  // namespace ntadoc::core
 
 #endif  // NTADOC_CORE_SUMMATION_H_

@@ -35,11 +35,9 @@ Result<SealedPool> SealPool(const CompressedCorpus* corpus,
     // Scoped: the engine touches the device as it goes away, and the
     // device is consumed below.
     core::NTadocEngine engine(corpus, device.get(), eng_opts);
-    NTADOC_RETURN_IF_ERROR(engine
-                               .RunAndCapturePrefix(options.seal_task,
-                                                    options.seal_opts,
-                                                    &sealed.prefix)
-                               .status());
+    NTADOC_RETURN_IF_ERROR(
+        engine.RunAndCapturePrefix(tadoc::Task::kWordCount, {}, &sealed.prefix)
+            .status());
   }
   sealed.corpus = corpus;
   sealed.options = options;

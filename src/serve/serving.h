@@ -3,7 +3,7 @@
 // The serving model (DESIGN.md "Session model"):
 //   * SealPool runs one initialization on a private device and freezes
 //     the persisted image plus the task-independent init prefix
-//     (core::SealedPrefix) into an immutable SealedPool.
+//     (core::InitPrefix) into an immutable SealedPool.
 //   * ServingEngine spawns N worker threads. Every admitted query becomes
 //     one *session*: a private NvmDevice cloned from the sealed image, a
 //     private NTadocEngine (one engine instance = one SessionContext),
@@ -67,14 +67,9 @@ struct SealOptions {
 
   /// Engine configuration shared by the sealing run and every session.
   /// The serving fields (deadline, cancel, shared_cache, sealed_prefix,
-  /// repair_lock) are overwritten per session by ServingEngine.
+  /// repair_lock) are overwritten per session by ServingEngine. The
+  /// sealing run is a word count: the captured prefix is task-independent.
   core::NTadocOptions engine;
-
-  /// Task whose init seals the pool. Any task works — the captured
-  /// prefix is task-independent; sealing with a sequence task
-  /// additionally freezes the local n-gram region for that n.
-  tadoc::Task seal_task = tadoc::Task::kWordCount;
-  tadoc::AnalyticsOptions seal_opts;
 };
 
 /// Immutable product of SealPool: the persisted device image plus the
@@ -84,7 +79,7 @@ struct SealedPool {
   const CompressedCorpus* corpus = nullptr;
   SealOptions options;
   std::shared_ptr<const nvm::SealedImage> image;
-  std::shared_ptr<const core::SealedPrefix> prefix;
+  std::shared_ptr<const core::InitPrefix> prefix;
   /// Simulated cost of the sealing run (paid once, off the serving path).
   uint64_t seal_sim_ns = 0;
 };
