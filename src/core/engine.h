@@ -360,10 +360,11 @@ class NTadocEngine {
   std::pair<uint64_t, uint64_t> gram_region() const;
 
  private:
+  // Defined in engine_internal.h and engine_traversal.cc.
   struct State;        // pool-resident structure handles + host scratch
-  struct RuleCache;    // decoded-payload DRAM cache (engine.cc)
-  struct GramRegion;   // RunBatch's local n-gram extension (engine.cc)
-  class StepLoop;      // the traversal step driver (engine.cc)
+  struct RuleCache;    // decoded-payload DRAM cache
+  struct GramRegion;   // RunBatch's local n-gram extension
+  class StepLoop;      // the traversal step driver
   // All per-run mutable state — cursors, RunInfo counters, degraded/
   // repair flags, cache handles, deadline — lives here rather than in
   // engine-wide members, so one engine instance is exactly one session
