@@ -8,7 +8,7 @@
 #     with that gate's message. Each doctored value lies just past its
 #     threshold, so a loosened threshold lets it pass and fails the test.
 # The wall gate has no committed record, so it starts from a small
-# passing row set of its own.
+# passing row set of its own, alone and as one of three runs.
 #
 # Usage: tests/bench_gates_test.sh
 set -euo pipefail
@@ -102,6 +102,13 @@ edit "task=word_count variant=std" traversal_wall_ns 9999999 <<<"$WALL" |
 edit "task=sort variant=ci8-tiered" traversal_wall_ns - <<<"$WALL" |
   fail "missing operation-level std/ci8/ci8-tiered wall rows for sort" \
     gate_hotpath_wall
+# Rows of three runs: the median ratio decides, so one slow run passes
+# and two fail.
+SLOW=$(edit "task=sort variant=ci8-tiered" traversal_wall_ns 21000001 \
+  <<<"$WALL")
+printf '%s\n' "$WALL" "$SLOW" "$WALL" | pass gate_hotpath_wall
+printf '%s\n' "$SLOW" "$WALL" "$SLOW" |
+  fail "tier routing >1.4x untiered ci8 wall on sort" gate_hotpath_wall
 
 # Serving scaling and fault-mix tails.
 pass gate_serving <<<"$SERVE"
