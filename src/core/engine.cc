@@ -155,40 +155,36 @@ Result<AnalyticsOutput> NTadocEngine::Run(Task task,
     ses_->shared_init_sim_ns = 0;
     ses_->init_shared = false;
 
-    auto salvage = [&](const Status& s) {
-      // A batch's shared prefix lives in the pool being discarded; drop
-      // it so every remaining task of the batch does a full init, and
-      // drop decoded-rule caches built over the doomed layout.
+    // Restarts from the compressed container, the source of truth. The
+    // batch's prefix and any decoded-rule cache live in the layout being
+    // discarded, so both go; the persisted state is invalidated so
+    // nothing re-attaches to it (serving sessions serialize that rewrite
+    // on the pool-level repair lock).
+    auto restart_fresh = [&] {
       ses_->batch.reset();
       InvalidateRuleCache();
-      ++ses_->run_info.corruption_detected;
-      ++ses_->run_info.salvage_restarts;
-      ++salvage_attempts;
-      NTADOC_LOG(Warning) << "salvage restart " << salvage_attempts
-                          << " after data loss: " << s.message();
-      // Invalidate the damaged persistence state so nothing re-attaches
-      // to it; the compressed container is the source of truth. Serving
-      // sessions serialize this rewrite on the pool-level repair lock.
       if (options_.persistence != PersistenceMode::kNone) {
         util::OptionalMutexLock repair_lk(options_.repair_lock.get());
         nvm::PhaseMarker(device_, kMarkerOffset).Format();
       }
       force_fresh = true;
     };
+    auto salvage = [&](const Status& s) {
+      ++ses_->run_info.corruption_detected;
+      ++ses_->run_info.salvage_restarts;
+      ++salvage_attempts;
+      NTADOC_LOG(Warning) << "salvage restart " << salvage_attempts
+                          << " after data loss: " << s.message();
+      restart_fresh();
+    };
     // Last resort once repair and salvage budgets are spent: rerun with
     // media errors absorbed instead of surfaced. Only ever entered once.
     auto try_degrade = [&] {
       if (!options_.allow_degraded || ses_->degraded) return false;
-      ses_->batch.reset();
-      InvalidateRuleCache();
       NTADOC_LOG(Warning)
           << "repair and salvage exhausted; rerunning degraded";
       ses_->degraded = true;
-      force_fresh = true;
-      if (options_.persistence != PersistenceMode::kNone) {
-        util::OptionalMutexLock repair_lk(options_.repair_lock.get());
-        nvm::PhaseMarker(device_, kMarkerOffset).Format();
-      }
+      restart_fresh();
       return true;
     };
     // The ladder for a failed phase; true means run the attempt again.

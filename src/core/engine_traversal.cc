@@ -72,7 +72,7 @@ class StepWriter {
     if (log_ != nullptr && !epoch_mode()) log_->Begin();
   }
 
-  void Write(uint64_t off, const void* data, uint32_t len) {
+  void WriteBytes(uint64_t off, const void* data, uint32_t len) {
     if (log_ == nullptr) {
       device_->WriteBytes(off, data, len);
     } else if (!epoch_mode()) {
@@ -89,8 +89,8 @@ class StepWriter {
   }
 
   template <typename T>
-  void WriteValue(uint64_t off, const T& v) {
-    Write(off, &v, sizeof(T));
+  void Write(uint64_t off, const T& v) {
+    WriteBytes(off, &v, sizeof(T));
   }
 
   /// Adds `delta` to `key`'s counter in `table`. A strict transaction
@@ -195,13 +195,13 @@ class StepWriter {
       m.capacity = cap;
     }
     m.size = acc.size();
-    WriteValue(metas->ElementOffset(r), m);
+    Write(metas->ElementOffset(r), m);
     return Status::OK();
   }
 
   /// Stages the durable cursor into the step (logged steps only).
   void StageCursor(const Cursor& c) {
-    if (log_ != nullptr) WriteValue(cursor_off_, SlotOf(c));
+    if (log_ != nullptr) Write(cursor_off_, SlotOf(c));
   }
 
   /// Commits the step. A strict step commits its transaction; on a full
@@ -924,7 +924,7 @@ Result<AnalyticsOutput> NTadocEngine::TopDownGlobal(State* st) {
         return Status::DataLoss("payload references rule out of range");
       }
       const RuleMeta cm = st->dag.rule_meta.Get(child);
-      w.WriteValue(st->dag.rule_meta.ElementOffset(child) + weight_field,
+      w.Write(st->dag.rule_meta.ElementOffset(child) + weight_field,
                    cm.weight + wr * freq);
       st->rule_meta_dirty = true;
       const uint32_t dec = st->dag.pruned ? 1u : freq;
@@ -932,12 +932,12 @@ Result<AnalyticsOutput> NTadocEngine::TopDownGlobal(State* st) {
       if (in < dec) {
         return Status::DataLoss("in-degree underflow (corrupt metadata)");
       }
-      w.WriteValue(st->indeg.ElementOffset(child), in - dec);
+      w.Write(st->indeg.ElementOffset(child), in - dec);
       if (in - dec == 0) {
         if (st->qtail >= nr) {
           return Status::DataLoss("traversal queue overflow (corrupt state)");
         }
-        w.WriteValue(st->queue.ElementOffset(st->qtail),
+        w.Write(st->queue.ElementOffset(st->qtail),
                      static_cast<uint32_t>(child));
         ++st->qtail;
       }

@@ -186,8 +186,7 @@ class NvmHashTable {
   /// maximum load factor — callers rebuild in that case — and DataLoss
   /// when corrupt status bytes break the probe invariant.
   Status AddDelta(const K& key, const V& delta) {
-    DeviceStores stores{&pool_->device()};
-    return Store(key, delta, /*add=*/true, &stores);
+    return Store(key, delta, /*add=*/true, &pool_->device());
   }
 
   /// AddDelta routed through a write-through recorder (epoch group
@@ -204,8 +203,7 @@ class NvmHashTable {
 
   /// Overwrites (or inserts) key -> value.
   Status Put(const K& key, const V& value) {
-    DeviceStores stores{&pool_->device()};
-    return Store(key, value, /*add=*/false, &stores);
+    return Store(key, value, /*add=*/false, &pool_->device());
   }
 
   /// Looks up `key`; NotFound if absent.
@@ -303,19 +301,11 @@ class NvmHashTable {
 
   enum class Probe { kFound, kFree, kExhausted };
 
-  /// The plain store path of AddDelta and Put: straight device writes.
-  struct DeviceStores {
-    nvm::NvmDevice* device;
-    template <typename T>
-    void WriteValue(uint64_t off, const T& v) {
-      device->Write(off, v);
-    }
-  };
-
   /// The one probe-and-store behind AddDelta, AddDeltaVia and Put: finds
-  /// `key`'s slot and stores through `writer` either the found slot's new
-  /// value (the current value plus `v` when `add`, else `v`) or a fresh
-  /// entry — status, key, value, in that order.
+  /// `key`'s slot and stores through `writer->Write` — the device's own
+  /// for AddDelta and Put — either the found slot's new value (the
+  /// current value plus `v` when `add`, else `v`) or a fresh entry:
+  /// status, key, value, in that order.
   template <typename Writer>
   Status Store(const K& key, const V& v, bool add, Writer* writer) {
     uint64_t slot = 0;
@@ -328,15 +318,15 @@ class NvmHashTable {
           add ? static_cast<V>(
                     pool_->device().template Read<V>(ValOff(slot)) + v)
               : v;
-      writer->WriteValue(ValOff(slot), next);
+      writer->Write(ValOff(slot), next);
       return Status::OK();
     }
     if (size_ + 1 > MaxEntries()) {
       return Status::ResourceExhausted("NvmHashTable over max load");
     }
-    writer->WriteValue(StatusOff(slot), uint8_t{1});
-    writer->WriteValue(KeyOff(slot), key);
-    writer->WriteValue(ValOff(slot), v);
+    writer->Write(StatusOff(slot), uint8_t{1});
+    writer->Write(KeyOff(slot), key);
+    writer->Write(ValOff(slot), v);
     ++size_;
     return Status::OK();
   }
