@@ -285,25 +285,20 @@ Result<std::vector<AnalyticsOutput>> NTadocEngine::RunBatch(
   return outputs;
 }
 
-Result<AnalyticsOutput> NTadocEngine::RunAndCapturePrefix(
-    Task task, const AnalyticsOptions& opts,
-    std::shared_ptr<const InitPrefix>* prefix, RunMetrics* metrics) {
-  NTADOC_CHECK(prefix != nullptr);
-  prefix->reset();
+Result<std::shared_ptr<const InitPrefix>> NTadocEngine::RunAndCapturePrefix() {
   // Arm a one-task batch: the full init leaves its prefix there.
   ses_->batch.emplace();
-  auto out = Run(task, opts, metrics);
+  const Status status = Run(Task::kWordCount).status();
   std::optional<SessionContext::Batch> captured = std::move(ses_->batch);
   ses_->batch.reset();
-  if (!out.ok()) return out;
+  NTADOC_RETURN_IF_ERROR(status);
   if (!captured || captured->prefix == nullptr) {
     // Attach reuse, repair or salvage got in the way; the caller should
     // seal over a fresh device (serve::SealPool always does).
     return Status::Internal(
         "sealed-prefix capture requires an undisturbed full init");
   }
-  *prefix = std::move(captured->prefix);
-  return out;
+  return std::move(captured->prefix);
 }
 
 }  // namespace ntadoc::core

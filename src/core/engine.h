@@ -336,15 +336,13 @@ class NTadocEngine {
       std::span<const Task> tasks, const AnalyticsOptions& opts = {},
       std::vector<RunMetrics>* metrics = nullptr);
 
-  /// Runs `task` like Run() while capturing the init prefix. On success
-  /// `*prefix` receives an immutable handle that any number of later
-  /// engines can consume via NTadocOptions::sealed_prefix — each paired
-  /// with a clone of this device's image as its DeviceOptions::base_image
-  /// (the sealed pool). serve::SealPool wraps this.
-  Result<AnalyticsOutput> RunAndCapturePrefix(
-      Task task, const AnalyticsOptions& opts,
-      std::shared_ptr<const InitPrefix>* prefix,
-      RunMetrics* metrics = nullptr);
+  /// Runs a word count like Run() and returns its init prefix (the
+  /// prefix is task-independent): an immutable handle that any number of
+  /// later engines can consume via NTadocOptions::sealed_prefix, each
+  /// paired with a clone of this device's image as its
+  /// DeviceOptions::base_image (the sealed pool). serve::SealPool wraps
+  /// this.
+  Result<std::shared_ptr<const InitPrefix>> RunAndCapturePrefix();
 
   /// Accounting for the most recent Run().
   const NTadocRunInfo& run_info() const;

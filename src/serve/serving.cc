@@ -35,9 +35,7 @@ Result<SealedPool> SealPool(const CompressedCorpus* corpus,
     // Scoped: the engine touches the device as it goes away, and the
     // device is consumed below.
     core::NTadocEngine engine(corpus, device.get(), eng_opts);
-    NTADOC_RETURN_IF_ERROR(
-        engine.RunAndCapturePrefix(tadoc::Task::kWordCount, {}, &sealed.prefix)
-            .status());
+    NTADOC_ASSIGN_OR_RETURN(sealed.prefix, engine.RunAndCapturePrefix());
   }
   sealed.corpus = corpus;
   sealed.options = options;

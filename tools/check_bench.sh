@@ -7,9 +7,8 @@
 #     RunBatch init reuse on the sim clock (gate_hotpath_sim), and every
 #     sim clock within 1% of the committed tools/bench_baseline_sim.txt,
 #     where a row appearing or disappearing also fails (gate_drift);
-#   * bench_hotpath at scale 0.25, seven runs of 3 repeats each (wall
-#     times keep a run's minimum): the median over the runs of the epoch
-#     and tier routing traversal wall ratios within each run
+#   * bench_hotpath at scale 0.25, seven runs of 3 repeats: the median
+#     of each run's epoch and tier routing traversal wall ratios
 #     (gate_hotpath_wall);
 #   * bench_serving at scale 0.05: fleet scaling and fault-mix tails
 #     (gate_serving), and the refresh-under-load cutover (gate_refresh);
