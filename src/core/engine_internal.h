@@ -42,7 +42,6 @@ using tadoc::MergeSortedCounts;
 using tadoc::NgramKeyHash;
 using tadoc::SortAndCombine;
 
-
 constexpr uint64_t kMarkerOffset = 0;
 // Dual-slot marker region; the redo log (operation mode) or pool starts
 // right after it.
