@@ -76,6 +76,18 @@ std::pair<uint64_t, uint64_t> NTadocEngine::gram_region() const {
 // Run
 // ---------------------------------------------------------------------------
 
+void NTadocEngine::BeginAttempt() {
+  // Fault accounting accumulates across repair/salvage attempts;
+  // everything else describes the final (successful) attempt only.
+  const RunCounters carried = ses_->run_info.AcrossAttempts();
+  ses_->run_info = NTadocRunInfo();
+  ses_->run_info += carried;
+  ses_->state = std::make_unique<State>();
+  ses_->media_errors_seen = device_->media_error_count();
+  ses_->shared_init_sim_ns = 0;
+  ses_->init_shared = false;
+}
+
 Result<AnalyticsOutput> NTadocEngine::Run(Task task,
                                           const AnalyticsOptions& opts,
                                           RunMetrics* metrics) {
@@ -145,15 +157,7 @@ Result<AnalyticsOutput> NTadocEngine::Run(Task task,
   };
 
   for (;;) {
-    // Fault accounting accumulates across repair/salvage attempts;
-    // everything else describes the final (successful) attempt only.
-    const RunCounters carried = ses_->run_info.AcrossAttempts();
-    ses_->run_info = NTadocRunInfo();
-    ses_->run_info += carried;
-    ses_->state = std::make_unique<State>();
-    ses_->media_errors_seen = device_->media_error_count();
-    ses_->shared_init_sim_ns = 0;
-    ses_->init_shared = false;
+    BeginAttempt();
 
     // Restarts from the compressed container, the source of truth. The
     // batch's prefix and any decoded-rule cache live in the layout being
@@ -285,18 +289,21 @@ Result<std::vector<AnalyticsOutput>> NTadocEngine::RunBatch(
   return outputs;
 }
 
-Result<std::shared_ptr<const InitPrefix>> NTadocEngine::RunAndCapturePrefix() {
-  // Arm a one-task batch: the full init leaves its prefix there.
+Result<std::shared_ptr<const InitPrefix>> NTadocEngine::CapturePrefix() {
+  ses_->run_info = NTadocRunInfo();
+  BeginAttempt();
+  // Arm a one-task batch: the init leaves its prefix there.
   ses_->batch.emplace();
-  const Status status = Run(Task::kWordCount).status();
+  const Status status = InitPhase(Task::kWordCount, AnalyticsOptions(),
+                                  ses_->state.get(), /*force_fresh=*/false);
   std::optional<SessionContext::Batch> captured = std::move(ses_->batch);
   ses_->batch.reset();
   NTADOC_RETURN_IF_ERROR(status);
   if (!captured || captured->prefix == nullptr) {
-    // Attach reuse, repair or salvage got in the way; the caller should
-    // seal over a fresh device (serve::SealPool always does).
-    return Status::Internal(
-        "sealed-prefix capture requires an undisturbed full init");
+    // The init re-attached to a persisted run instead of building one;
+    // the caller should seal over a fresh device (serve::SealPool always
+    // does).
+    return Status::Internal("sealed-prefix capture requires a fresh init");
   }
   return std::move(captured->prefix);
 }

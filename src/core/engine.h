@@ -145,7 +145,7 @@ struct NTadocOptions {
   std::shared_ptr<SharedRuleCache> shared_cache;
 
   /// Init prefix of the sealed pool this session's device image was
-  /// cloned from (see RunAndCapturePrefix). Lets every session skip the
+  /// cloned from (see CapturePrefix). Lets every session skip the
   /// container load, DAG rebuild and estimator reads, like RunBatch's
   /// cross-task reuse but across engines. Ignored when the engine's own
   /// batch prefix applies or the prefix was built under other keys.
@@ -266,8 +266,9 @@ struct NTadocRunInfo : RunCounters {
 /// pruned DAG at the start of the pool (Algorithm 1), its prune stats,
 /// Algorithm 2's estimates, their simulated cost and the keys they were
 /// built under. Every fresh init builds one, for RunBatch's later tasks
-/// and, through RunAndCapturePrefix, a sealed pool's sessions. An init
-/// reuses one only when its own keys are equal. Immutable.
+/// and, through CapturePrefix, a sealed pool's sessions. An init reuses
+/// one only when its own keys are equal, and then reallocates every
+/// traversal structure above it. Immutable.
 class InitPrefix {
  public:
   InitPrefix(const InitPrefix&) = delete;
@@ -336,13 +337,17 @@ class NTadocEngine {
       std::span<const Task> tasks, const AnalyticsOptions& opts = {},
       std::vector<RunMetrics>* metrics = nullptr);
 
-  /// Runs a word count like Run() and returns its init prefix (the
-  /// prefix is task-independent): an immutable handle that any number of
+  /// Runs the initialization phase alone, for the word-count plan, and
+  /// returns its init prefix: an immutable handle that any number of
   /// later engines can consume via NTadocOptions::sealed_prefix, each
   /// paired with a clone of this device's image as its
-  /// DeviceOptions::base_image (the sealed pool). serve::SealPool wraps
-  /// this.
-  Result<std::shared_ptr<const InitPrefix>> RunAndCapturePrefix();
+  /// DeviceOptions::base_image (the sealed pool). The init commits like
+  /// Run()'s and costs the same (RunMetrics::init_sim_ns); no traversal
+  /// runs, so the image holds no traversal state. Call it once, on a
+  /// fresh engine and device: an init that re-attaches to a persisted run
+  /// builds no prefix (Internal). An init error returns as it is, with
+  /// no repair or salvage. serve::SealPool wraps this.
+  Result<std::shared_ptr<const InitPrefix>> CapturePrefix();
 
   /// Accounting for the most recent Run().
   const NTadocRunInfo& run_info() const;
@@ -371,6 +376,11 @@ class NTadocEngine {
   struct SessionContext;
 
   friend class SharedRuleCache;
+
+  // Starts one attempt of a run: a fresh State and attempt-scoped
+  // accounting; run_info keeps only the fault counters of earlier
+  // attempts (RunCounters::AcrossAttempts).
+  void BeginAttempt();
 
   // Phase 1: build (or re-attach) all pool structures for `task`. With
   // `force_fresh` the attach path is skipped (salvage restart after

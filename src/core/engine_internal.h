@@ -351,7 +351,7 @@ struct NTadocEngine::SessionContext {
 
   std::unique_ptr<State> state;
 
-  // Armed by RunBatch and RunAndCapturePrefix. Every init of the batch
+  // Armed by RunBatch and CapturePrefix. Every init of the batch
   // leaves its prefix here for the next task, and a sequence task its
   // local n-gram lists; a salvage or repair disarms it.
   struct Batch {

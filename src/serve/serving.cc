@@ -23,7 +23,7 @@ Result<SealedPool> SealPool(const CompressedCorpus* corpus,
   NTADOC_ASSIGN_OR_RETURN(auto device, nvm::NvmDevice::Create(dopts));
 
   core::NTadocOptions eng_opts = options.engine;
-  // The sealing run is a plain single-session run.
+  // The seal is a plain single-session init.
   eng_opts.deadline_sim_ns = 0;
   eng_opts.cancel = nullptr;
   eng_opts.shared_cache.reset();
@@ -35,7 +35,7 @@ Result<SealedPool> SealPool(const CompressedCorpus* corpus,
     // Scoped: the engine touches the device as it goes away, and the
     // device is consumed below.
     core::NTadocEngine engine(corpus, device.get(), eng_opts);
-    NTADOC_ASSIGN_OR_RETURN(sealed.prefix, engine.RunAndCapturePrefix());
+    NTADOC_ASSIGN_OR_RETURN(sealed.prefix, engine.CapturePrefix());
   }
   sealed.corpus = corpus;
   sealed.options = options;

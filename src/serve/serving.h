@@ -1,9 +1,9 @@
 // Fault-isolated concurrent query serving over one sealed N-TADOC pool.
 //
 // The serving model (DESIGN.md "Session model"):
-//   * SealPool runs one initialization on a private device and freezes
-//     the persisted image plus the task-independent init prefix
-//     (core::InitPrefix) into an immutable SealedPool.
+//   * SealPool runs one initialization, and no traversal, on a private
+//     device and freezes the persisted image plus the task-independent
+//     init prefix (core::InitPrefix) into an immutable SealedPool.
 //   * ServingEngine spawns N worker threads. Every admitted query becomes
 //     one *session*: a private NvmDevice cloned from the sealed image, a
 //     private NTadocEngine (one engine instance = one SessionContext),
@@ -61,14 +61,17 @@ struct SealOptions {
   nvm::DeviceProfile profile = nvm::OptaneProfile();
 
   /// Strict persistence for session devices (required for torn-flush /
-  /// bit-flip fault effects; slower). The sealing run itself always uses
+  /// bit-flip fault effects; slower). The sealing init itself always uses
   /// the same setting so the persisted image is representative.
   bool strict_persistence = false;
 
-  /// Engine configuration shared by the sealing run and every session.
+  /// Engine configuration shared by the sealing init and every session.
   /// The serving fields (deadline, cancel, shared_cache, sealed_prefix,
-  /// repair_lock) are overwritten per session by ServingEngine. The
-  /// sealing run is a word count: the captured prefix is task-independent.
+  /// repair_lock) are overwritten per session by ServingEngine. The seal
+  /// is one committed init for the word-count plan
+  /// (core::NTadocEngine::CapturePrefix): the captured prefix is
+  /// task-independent, and every session reallocates its own traversal
+  /// structures over it.
   core::NTadocOptions engine;
 };
 
@@ -80,12 +83,15 @@ struct SealedPool {
   SealOptions options;
   std::shared_ptr<const nvm::SealedImage> image;
   std::shared_ptr<const core::InitPrefix> prefix;
-  /// Simulated cost of the sealing run (paid once, off the serving path).
+  /// Simulated cost of the sealing init (paid once, off the serving
+  /// path): the init_sim_ns of a word count on a fresh device.
   uint64_t seal_sim_ns = 0;
 };
 
-/// Runs one init + traversal on a fresh private device and captures the
-/// sealed image/prefix. `corpus` must outlive the returned pool.
+/// Runs one committed init, with no traversal, on a fresh private device
+/// and captures the sealed image/prefix. The image carries the pruned DAG
+/// with zero rule weights; Algorithm 2's estimates live in the prefix.
+/// `corpus` must outlive the returned pool.
 Result<SealedPool> SealPool(const CompressedCorpus* corpus,
                             const SealOptions& options);
 

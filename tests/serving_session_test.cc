@@ -54,6 +54,22 @@ std::pair<uint64_t, uint64_t> LocatePayload(
   return engine.payload_region();
 }
 
+// init_sim_ns of a solo word count with `so`'s engine options on a fresh
+// device of `so`'s geometry: what one seal should cost.
+uint64_t SoloInitSimNs(const compress::CompressedCorpus& corpus,
+                       const SealOptions& so) {
+  nvm::DeviceOptions dopts;
+  dopts.capacity = so.capacity;
+  dopts.profile = so.profile;
+  dopts.strict_persistence = so.strict_persistence;
+  auto device = nvm::NvmDevice::Create(dopts);
+  NTADOC_CHECK(device.ok());
+  NTadocEngine engine(&corpus, device->get(), so.engine);
+  tadoc::RunMetrics m;
+  NTADOC_CHECK(engine.Run(tadoc::Task::kWordCount, {}, &m).ok());
+  return m.init_sim_ns;
+}
+
 // The serving invariant: stats().sessions is the field-wise sum of
 // result(t).info over every ticket, for every run counter.
 void ExpectSessionSums(const ServingEngine& server,
@@ -108,6 +124,32 @@ TEST(SealedPrefixTest, SessionReusesInitAndMatchesSolo) {
     tadoc::RunMetrics mf;
     ASSERT_TRUE(full.Run(task, {}, &mf).ok());
     EXPECT_LT(m.init_sim_ns, mf.init_sim_ns) << tadoc::TaskToString(task);
+  }
+}
+
+// A seal is one committed init and no traversal: it costs exactly a solo
+// word count's init, at phase level, at operation level with epoch
+// commit, and over migrating DRAM+NVM tiers.
+TEST(SealedPrefixTest, SealingPaysOneInit) {
+  const auto corpus = RandomCorpus(47, 20, 4, 220);
+  auto epoch = BaseSealOptions();
+  epoch.engine.persistence = PersistenceMode::kOperation;
+  epoch.engine.commit_interval = 8;
+  auto tiered = epoch;
+  auto tiering = std::make_shared<nvm::TierConfig>();
+  tiering->tiers = {{nvm::MediumKind::kDram, 1ull << 20}};
+  tiering->unit_bytes = 4096;
+  tiering->migrate_interval = 16;
+  tiered.engine.tiering = tiering;
+
+  for (const SealOptions& so : {BaseSealOptions(), epoch, tiered}) {
+    SCOPED_TRACE(std::string(core::PersistenceModeToString(
+                     so.engine.persistence)) +
+                 (so.engine.tiering != nullptr ? ", tiered" : ""));
+    auto sealed = SealPool(&corpus, so);
+    ASSERT_TRUE(sealed.ok()) << sealed.status();
+    EXPECT_GT(sealed->seal_sim_ns, 0u);
+    EXPECT_EQ(sealed->seal_sim_ns, SoloInitSimNs(corpus, so));
   }
 }
 
@@ -835,6 +877,25 @@ TEST(RefresherTest, RefreshPublishesDurableGeneration) {
   EXPECT_EQ(rs.refresh_aborts, 0u);
   EXPECT_EQ(rs.degraded_refreshes, 0u);
   EXPECT_EQ(h.server->stats().generations_published, 1u);
+}
+
+// The refresher's seal of a new generation is one init too, under the
+// published generation's own options and corpus.
+TEST(RefresherTest, PublishedGenerationSealPaysOneInit) {
+  RefreshHarness h;
+  h.Init(505);
+  RefreshOptions ropts;
+  ropts.compress.min_chunk_bytes = 1;
+  CorpusRefresher refresher(h.store.get(), h.server.get(), ropts);
+  ASSERT_TRUE(refresher.Refresh(h.batch_b).ok());
+
+  const std::shared_ptr<const SealedPool> pool = h.server->current_pool();
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->options.engine.container_generation, 2u);
+  EXPECT_EQ(pool->seal_sim_ns, SoloInitSimNs(*pool->corpus, pool->options));
+  const auto expected_all =
+      ReferenceRun(h.corpus_all, tadoc::Task::kWordCount, {});
+  ASSERT_TRUE(h.RunQuery(expected_all, 2).ok());
 }
 
 TEST(RefresherTest, TransientStageFaultsRetryWithBackoff) {
