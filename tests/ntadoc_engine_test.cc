@@ -507,6 +507,38 @@ TEST(NTadocEngineTest, RunBatchReusesGramRegionUntilOverwritten) {
   EXPECT_EQ(rebuilt[2].shared_init_sim_ns, without[1].shared_init_sim_ns);
 }
 
+// A fresh init and one that reuses a batch's prefix size the shared
+// per-file word table alike, with pruning on and off. Both lay out the
+// same pool above the DAG, so equal pool use means equal table capacity.
+TEST(NTadocEngineTest, FileTableSameFreshAndReused) {
+  for (const uint64_t seed : {58, 59, 60}) {
+    const auto corpus = RandomCorpus(seed, 400, 2 + seed % 5, 300);
+    for (const bool pruning : {true, false}) {
+      NTadocOptions opts;
+      opts.enable_pruning = pruning;
+      for (const Task task : {Task::kTermVector, Task::kInvertedIndex}) {
+        SCOPED_TRACE(std::string(TaskToString(task)) + " seed " +
+                     std::to_string(seed) + " pruning " +
+                     std::to_string(pruning));
+        auto fresh_device = MakeDevice();
+        NTadocEngine fresh(&corpus, fresh_device.get(), opts);
+        tadoc::RunMetrics fm;
+        ASSERT_TRUE(fresh.Run(task, {}, &fm).ok());
+        EXPECT_FALSE(fm.init_shared);
+
+        auto batch_device = MakeDevice();
+        NTadocEngine batch(&corpus, batch_device.get(), opts);
+        std::vector<tadoc::RunMetrics> bm;
+        const std::vector<Task> tasks = {Task::kWordCount, task};
+        ASSERT_TRUE(batch.RunBatch(tasks, {}, &bm).ok());
+        EXPECT_TRUE(bm[1].init_shared);
+        EXPECT_EQ(batch.run_info().pool_used_bytes,
+                  fresh.run_info().pool_used_bytes);
+      }
+    }
+  }
+}
+
 TEST(NTadocEngineTest, PoolTooSmallIsGracefulError) {
   const auto corpus = RandomCorpus(54, 800, 4, 4000);
   auto device = MakeDevice(/*capacity=*/1 << 15);
