@@ -403,10 +403,7 @@ class NTadocEngine {
   Result<std::vector<uint64_t>> LayLocalGrams(State* st, const Estimates& est,
                                               const GramRegion* reuse);
   Status AllocateTraversalStructures(State* st, const Estimates& est,
-                                     const std::vector<uint64_t>& gram_ub,
-                                     bool reread_segments);
-  Result<uint64_t> FileTableBound(State* st, const Estimates& est,
-                                  bool reread_segments);
+                                     const std::vector<uint64_t>& gram_ub);
   Status CommitInit(State* st, uint64_t pool_base);
 
   // Attempts to re-attach to a persisted, signature-matching run. Returns

@@ -666,6 +666,25 @@ uint64_t GramTableBound(const LocalGramCounts& grams, uint64_t tokens) {
   return std::min(Sum(grams.rules) + Sum(grams.segs), tokens);
 }
 
+/// Shared per-file word table, one file at a time: the largest file's
+/// distinct words over its reachable rule set, capped by its segment
+/// bound and length.
+uint64_t FileTableBound(const Estimates& est) {
+  std::vector<uint8_t> seen(est.children.size(), 0);
+  uint64_t bound = 0;
+  for (uint32_t f = 0; f < est.seg_children.size(); ++f) {
+    const uint64_t root_items =
+        ReachableSum(est.children, est.seg_children[f], est.own_words,
+                     &seen) +
+        est.seg_own_distinct[f];
+    bound = std::max(
+        bound, std::min<uint64_t>(
+                   std::min<uint64_t>(root_items, est.seg_word_ub[f]),
+                   std::max<uint64_t>(est.seg_explen[f], 1)));
+  }
+  return bound;
+}
+
 /// Shared per-file gram table, one file at a time: the largest file's
 /// local n-grams over its reachable rule set, capped by its length.
 uint64_t FileGramTableBound(const Estimates& est,
@@ -768,8 +787,8 @@ Status NTadocEngine::InitPhase(Task task, const AnalyticsOptions& opts,
 
   NTADOC_ASSIGN_OR_RETURN(const std::vector<uint64_t> gram_ub,
                           LayLocalGrams(st, prefix->est_, grams));
-  NTADOC_RETURN_IF_ERROR(AllocateTraversalStructures(
-      st, prefix->est_, gram_ub, /*reread_segments=*/!reused));
+  NTADOC_RETURN_IF_ERROR(
+      AllocateTraversalStructures(st, prefix->est_, gram_ub));
   return CommitInit(st, pool_base);
 }
 
@@ -1033,8 +1052,7 @@ Result<std::vector<uint64_t>> NTadocEngine::LayLocalGrams(
 // Traversal structures, each allocated once at its bound (small in the
 // no-summation ablation, which rebuilds on overflow), in a fixed order.
 Status NTadocEngine::AllocateTraversalStructures(
-    State* st, const Estimates& est, const std::vector<uint64_t>& gram_ub,
-    bool reread_segments) {
+    State* st, const Estimates& est, const std::vector<uint64_t>& gram_ub) {
   nvm::NvmPool* pool = &*st->pool;
   const uint32_t nr = st->dag.num_rules;
   if (st->use_queue) {
@@ -1062,10 +1080,9 @@ Status NTadocEngine::AllocateTraversalStructures(
                                     ReadLocalGramCounts(*st), tokens))));
   }
   if (st->use_file_table) {
-    NTADOC_ASSIGN_OR_RETURN(const uint64_t bound,
-                            FileTableBound(st, est, reread_segments));
-    NTADOC_ASSIGN_OR_RETURN(st->file_table,
-                            WordTable::Create(pool, capacity(bound)));
+    NTADOC_ASSIGN_OR_RETURN(
+        st->file_table,
+        WordTable::Create(pool, capacity(FileTableBound(est))));
   }
   if (st->use_file_gram_table) {
     NTADOC_ASSIGN_OR_RETURN(
@@ -1083,39 +1100,6 @@ Status NTadocEngine::AllocateTraversalStructures(
                                       sizeof(GramEntry), summation));
   }
   return Status::OK();
-}
-
-// The shared per-file word table, one file at a time: the largest file's
-// distinct words over its reachable rule set, capped by its segment bound
-// and length. A fresh init reads the segment payloads back; a reused
-// prefix's estimates hold the same adjacency and distinct-word counts.
-Result<uint64_t> NTadocEngine::FileTableBound(State* st, const Estimates& est,
-                                              bool reread_segments) {
-  std::vector<uint8_t> seen(est.children.size(), 0);
-  uint64_t bound = 0;
-  for (uint32_t f = 0; f < st->dag.num_files; ++f) {
-    uint64_t root_items = 0;
-    if (reread_segments) {
-      DecodedPayload p = ReadPayloadCached(st, /*segment=*/true, f);
-      NTADOC_RETURN_IF_ERROR(CheckMediaErrors());
-      if (!st->dag.pruned) {
-        CombineEntries(&p.subrules);
-        CombineEntries(&p.words);
-      }
-      root_items = ReachableSum(est.children, p.subrules, est.own_words,
-                                &seen) +
-                   p.words.size();
-    } else {
-      root_items = ReachableSum(est.children, est.seg_children[f],
-                                est.own_words, &seen) +
-                   est.seg_own_distinct[f];
-    }
-    bound = std::max(
-        bound, std::min<uint64_t>(
-                   std::min<uint64_t>(root_items, est.seg_word_ub[f]),
-                   std::max<uint64_t>(est.seg_explen[f], 1)));
-  }
-  return bound;
 }
 
 // The phase boundary: cursor, catalog and integrity seal, tier placement,
