@@ -94,6 +94,18 @@ const FlagSpec kFlags[] = {
        }
        return !c->threads_list.empty();
      }},
+    {"--tasks=", "word_count,sort", kTasksFlag,
+     [](std::string_view t, BenchConfig* c) {
+       c->tasks.clear();
+       for (std::string_view name : SplitTokens(t, ",")) {
+         const auto* task = std::find_if(
+             tadoc::kAllTasks.begin(), tadoc::kAllTasks.end(),
+             [name](Task k) { return TaskRowName(k) == name; });
+         if (task == tadoc::kAllTasks.end()) return false;
+         c->tasks.push_back(*task);
+       }
+       return !c->tasks.empty();
+     }},
 };
 
 bool Accepts(const FlagSpec& flag, unsigned extra) {
@@ -136,6 +148,12 @@ BenchConfig ParseArgs(int argc, char** argv, unsigned extra) {
     }
   }
   return config;
+}
+
+std::string TaskRowName(Task task) {
+  std::string s = tadoc::TaskToString(task);
+  std::replace(s.begin(), s.end(), ' ', '_');
+  return s;
 }
 
 std::vector<DatasetBundle> LoadDatasets(const BenchConfig& config) {

@@ -87,6 +87,10 @@ struct BenchConfig {
 
   /// --threads-list=1,4,8: bench_ingest's thread counts.
   std::vector<uint32_t> threads_list = {1, 4, 8};
+
+  /// --tasks=word_count,sort: bench_hotpath's per-task rows for these
+  /// tasks only, by result-row name (TaskRowName); empty runs all six.
+  std::vector<Task> tasks;
 };
 
 /// Flags a bench accepts beyond the shared --scale=, --datasets=,
@@ -97,12 +101,17 @@ enum BenchFlags : unsigned {
   kDramCacheFlag = 1u << 2,
   kQueriesFlag = 1u << 3,
   kThreadsListFlag = 1u << 4,
+  kTasksFlag = 1u << 5,
 };
 
 /// Parses the shared flags plus the `extra` ones. A malformed, out-of-range
 /// or unknown flag prints usage to stderr and exits 2; --help prints it to
 /// stdout and exits 0.
 BenchConfig ParseArgs(int argc, char** argv, unsigned extra = 0);
+
+/// A task's name in result rows and flags: TaskToString with '_' for ' '
+/// ("word_count").
+std::string TaskRowName(Task task);
 
 /// Generates (or loads from cache) the requested datasets.
 std::vector<DatasetBundle> LoadDatasets(const BenchConfig& config);

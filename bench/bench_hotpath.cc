@@ -10,6 +10,9 @@
 //                        (default 8; 0 skips the cache runs)
 //   --repeat=N           repetitions per configuration; wall times keep
 //                        the minimum (least-noise) run (default 1)
+//   --tasks=T,T          per-task rows for these tasks only (result-row
+//                        names, e.g. word_count,sort); the RunBatch and
+//                        kernel sections run only without it
 //
 // Operation-level runs also get a "ci8-tiered" variant: epoch group
 // commit at commit_interval=8 with the structures placed on DRAM+NVM
@@ -57,12 +60,6 @@ struct HotpathResult {
   core::RunCounters counters;  // of the run; zero for RunBatch rows
 };
 
-std::string SanitizeTask(const char* name) {
-  std::string s(name);
-  std::replace(s.begin(), s.end(), ' ', '_');
-  return s;
-}
-
 // DRAM top-tier budget of the tiered variant, per unit of dataset scale.
 constexpr double kDramTierBytesPerScale = 4.0 * (1ull << 20);
 
@@ -80,7 +77,7 @@ HotpathResult RunOne(const DatasetBundle& d, Task task, PersistenceMode mode,
   engine_opts.commit_interval = ci;
   engine_opts.tiering = tiering;
   HotpathResult r;
-  r.task = SanitizeTask(tadoc::TaskToString(task));
+  r.task = TaskRowName(task);
   r.mode = core::PersistenceModeToString(mode);
   r.variant = nosum ? "nosum"
               : ci > 1 ? "ci" + std::to_string(ci)
@@ -117,7 +114,7 @@ std::vector<HotpathResult> RunBatchRows(const DatasetBundle& d,
 
   std::vector<HotpathResult> rows(tasks.size());
   for (size_t t = 0; t < tasks.size(); ++t) {
-    rows[t].task = SanitizeTask(tadoc::TaskToString(tasks[t]));
+    rows[t].task = TaskRowName(tasks[t]);
     rows[t].mode = core::PersistenceModeToString(mode);
     rows[t].variant = variant;
     rows[t].init_wall_ns = ~0ull;
@@ -311,9 +308,12 @@ void EmitRun(RowSink* sink, const std::string& dataset,
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchConfig config =
-      ParseArgs(argc, argv, kJsonFlag | kRepeatFlag | kDramCacheFlag);
+  BenchConfig config = ParseArgs(
+      argc, argv, kJsonFlag | kRepeatFlag | kDramCacheFlag | kTasksFlag);
   if (config.datasets.empty()) config.datasets = {"C"};
+  const bool all_tasks = config.tasks.empty();
+  if (all_tasks) config.tasks.assign(tadoc::kAllTasks.begin(),
+                                     tadoc::kAllTasks.end());
   const uint64_t cache_mb = config.dram_cache_mb;
   const uint32_t repeat = config.repeat;
 
@@ -337,7 +337,7 @@ int main(int argc, char** argv) {
     constexpr PersistenceMode kModes[] = {
         PersistenceMode::kNone, PersistenceMode::kPhase,
         PersistenceMode::kOperation};
-    for (Task task : tadoc::kAllTasks) {
+    for (Task task : config.tasks) {
       for (PersistenceMode mode : kModes) {
         struct Variant {
           uint64_t budget = 0;
@@ -390,6 +390,7 @@ int main(int argc, char** argv) {
       }
     }
 
+    if (!all_tasks) continue;
     PrintTitle("RunBatch on dataset " + d.spec.name,
                "six tasks sharing one initialization");
     PrintRow({"Task", "Mode", "Variant", "InitWall", "InitSim", "TravWall",
@@ -412,7 +413,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!datasets.empty()) {
+  if (all_tasks && !datasets.empty()) {
     std::printf("\nTraversal kernels (structure-level hot path):\n");
     PrintRow({"Kernel", "Iters", "Wall", "Sim"});
     for (const KernelResult& k : RunKernels(datasets[0], repeat)) {

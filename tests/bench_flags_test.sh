@@ -44,10 +44,15 @@ expect 2 bench_tiering --datasets=E
 expect 2 bench_tiering --device-mb=-5
 expect 2 bench_serving --threads=4294967296
 expect 2 bench_tiering --json=
+expect 2 bench_hotpath --tasks=word_count,bogus
+expect 2 bench_hotpath --tasks=
+expect 2 bench_hotpath --tasks=,
+expect 2 bench_hotpath "--tasks=word count"
 
 expect 2 bench_tiering --queries=8
 expect 2 bench_fig5_speedup --json=out.json
 expect 2 bench_serving --threads-list=1,8
+expect 2 bench_serving --tasks=sort
 
 for bench in bench_hotpath bench_ingest bench_serving bench_tiering \
              bench_fig5_speedup; do
@@ -55,6 +60,8 @@ for bench in bench_hotpath bench_ingest bench_serving bench_tiering \
 done
 grep -q -- '--queries=N' <("$BIN/bench_serving" --help) ||
   { echo "FAIL: bench_serving --help does not list --queries=N" >&2; fails=1; }
+grep -q -- '--tasks=' <("$BIN/bench_hotpath" --help) ||
+  { echo "FAIL: bench_hotpath --help does not list --tasks=" >&2; fails=1; }
 if grep -q -- '--queries=' <("$BIN/bench_hotpath" --help); then
   echo "FAIL: bench_hotpath --help lists bench_serving's --queries=" >&2
   fails=1

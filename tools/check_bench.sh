@@ -7,9 +7,9 @@
 #     RunBatch init reuse on the sim clock (gate_hotpath_sim), and every
 #     sim clock within 1% of the committed tools/bench_baseline_sim.txt,
 #     where a row appearing or disappearing also fails (gate_drift);
-#   * bench_hotpath at scale 0.25, seven runs of 3 repeats: the median
-#     of each run's epoch and tier routing traversal wall ratios
-#     (gate_hotpath_wall);
+#   * bench_hotpath at scale 0.25, seven runs of 3 repeats of the
+#     word_count and sort rows alone (--tasks=): the median of each run's
+#     epoch and tier routing traversal wall ratios (gate_hotpath_wall);
 #   * bench_serving at scale 0.05: fleet scaling and fault-mix tails
 #     (gate_serving), and the refresh-under-load cutover (gate_refresh);
 #   * bench_ingest on dataset D at scale 1.0 (container bytes are only
@@ -70,7 +70,8 @@ gate gate_hotpath_sim "relational perf gates" <<<"$HOT"
 echo "perf gates OK: epoch >=2x, cache non-regressing, batch init reuse"
 
 for _ in 1 2 3 4 5 6 7; do
-  live bench_hotpath --scale=0.25 --datasets=C --repeat=3
+  live bench_hotpath --scale=0.25 --datasets=C --repeat=3 \
+    --tasks=word_count,sort
 done | gate gate_hotpath_wall "epoch/tiering wall gates"
 echo "wall gates OK: median ci8 traversal <=1.1x per-step wall, ci8-tiered <=1.4x ci8"
 
