@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 
 #include "compress/grammar_merge.h"
 #include "compress/sequitur.h"
@@ -159,7 +160,7 @@ Result<CompressedCorpus> ParallelCompress(const std::vector<InputFile>& files,
   return MergeChunks(GrammarMerger(), files, plan, opts, stats);
 }
 
-Result<CompressedCorpus> AppendFiles(const CompressedCorpus& base,
+Result<CompressedCorpus> AppendFiles(CompressedCorpus base,
                                      const std::vector<InputFile>& new_files,
                                      const ParallelCompressOptions& opts,
                                      ParallelCompressStats* stats) {
@@ -169,7 +170,7 @@ Result<CompressedCorpus> AppendFiles(const CompressedCorpus& base,
   // Appends always go through the merger (even a single new chunk must
   // merge into the existing grammar).
   NTADOC_ASSIGN_OR_RETURN(GrammarMerger merger,
-                          GrammarMerger::FromCorpus(base));
+                          GrammarMerger::FromCorpus(std::move(base)));
   return MergeChunks(std::move(merger), new_files, PlanChunks(new_files, opts),
                      opts, stats);
 }

@@ -84,12 +84,13 @@ Result<CompressedCorpus> ParallelCompress(
     ParallelCompressStats* stats = nullptr);
 
 /// Streaming append: compresses `new_files` as extra chunk(s) and merges
-/// them into a copy of `base`, deduping new rules against the existing
-/// grammar. Decodes identically to a full recompress of the combined
-/// file set (same per-file tokens and dictionary); the in-memory merge
-/// is pure — the durable epoch-commit path wraps it in
-/// core::ContainerStore.
-Result<CompressedCorpus> AppendFiles(const CompressedCorpus& base,
+/// them into `base`, deduping new rules against the existing grammar.
+/// `base` is taken by value: a caller that keeps its corpus passes an
+/// lvalue and it is copied, one that is done with it moves it in. Decodes
+/// identically to a full recompress of the combined file set (same
+/// per-file tokens and dictionary); the in-memory merge is pure — the
+/// durable epoch-commit path wraps it in core::ContainerStore.
+Result<CompressedCorpus> AppendFiles(CompressedCorpus base,
                                      const std::vector<InputFile>& new_files,
                                      const ParallelCompressOptions& opts,
                                      ParallelCompressStats* stats = nullptr);

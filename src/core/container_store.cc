@@ -130,7 +130,7 @@ Result<PendingAppend> ContainerStore::StageAppend(
   NTADOC_ASSIGN_OR_RETURN(compress::CompressedCorpus base, Load());
   NTADOC_ASSIGN_OR_RETURN(
       compress::CompressedCorpus merged,
-      compress::AppendFiles(base, new_files, popts, stats));
+      compress::AppendFiles(std::move(base), new_files, popts, stats));
 
   const std::string bytes = compress::SerializeCorpus(merged);
   if (bytes.size() > header_.slot_capacity) {
