@@ -98,7 +98,7 @@ const FlagSpec kFlags[] = {
      [](std::string_view t, BenchConfig* c) {
        c->tasks.clear();
        for (std::string_view name : SplitTokens(t, ",")) {
-         const auto* task = std::find_if(
+         const auto task = std::find_if(
              tadoc::kAllTasks.begin(), tadoc::kAllTasks.end(),
              [name](Task k) { return TaskRowName(k) == name; });
          if (task == tadoc::kAllTasks.end()) return false;

@@ -312,8 +312,9 @@ int main(int argc, char** argv) {
       argc, argv, kJsonFlag | kRepeatFlag | kDramCacheFlag | kTasksFlag);
   if (config.datasets.empty()) config.datasets = {"C"};
   const bool all_tasks = config.tasks.empty();
-  if (all_tasks) config.tasks.assign(tadoc::kAllTasks.begin(),
-                                     tadoc::kAllTasks.end());
+  if (all_tasks) {
+    config.tasks.assign(tadoc::kAllTasks.begin(), tadoc::kAllTasks.end());
+  }
   const uint64_t cache_mb = config.dram_cache_mb;
   const uint32_t repeat = config.repeat;
 

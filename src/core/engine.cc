@@ -290,7 +290,6 @@ Result<std::vector<AnalyticsOutput>> NTadocEngine::RunBatch(
 }
 
 Result<std::shared_ptr<const InitPrefix>> NTadocEngine::CapturePrefix() {
-  ses_->run_info = NTadocRunInfo();
   BeginAttempt();
   // Arm a one-task batch: the init leaves its prefix there.
   ses_->batch.emplace();

@@ -23,7 +23,8 @@
 // phase timing. With --stats it also prints the run's accounting
 // counters as stable key=value lines on stdout.
 //
-// `serve` seals the container into an immutable pool once, then answers
+// `serve` seals the container into an immutable pool once (one init, no
+// traversal; the seal time it prints is that init's sim time), then answers
 // --queries queries (cycling through all six tasks) on --workers
 // concurrent fault-isolated sessions and prints per-query latency plus
 // aggregate throughput (see DESIGN.md "Session model"). With
@@ -648,7 +649,7 @@ int CmdServe(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", sealed.status().ToString().c_str());
     return 1;
   }
-  std::fprintf(stderr, "[sealed pool on %s: %s sim, image %s]\n",
+  std::fprintf(stderr, "[sealed pool on %s: %s init sim, image %s]\n",
                seal_opts.profile.name.c_str(),
                HumanDuration(sealed->seal_sim_ns).c_str(),
                WithThousandsSeparators(sealed->image->size()).c_str());
