@@ -40,24 +40,15 @@ SealOptions BaseSealOptions() {
   return so;
 }
 
-// Payload region of the sealed layout: init is deterministic, so a solo
-// engine over the same corpus/options lays out the identical region.
-std::pair<uint64_t, uint64_t> LocatePayload(
-    const compress::CompressedCorpus& corpus, const SealOptions& so) {
-  nvm::DeviceOptions dopts;
-  dopts.capacity = so.capacity;
-  dopts.profile = so.profile;
-  auto device = nvm::NvmDevice::Create(dopts);
-  NTADOC_CHECK(device.ok());
-  NTadocEngine engine(&corpus, device->get(), so.engine);
-  NTADOC_CHECK(engine.Run(tadoc::Task::kWordCount).ok());
-  return engine.payload_region();
-}
-
-// init_sim_ns of a solo word count with `so`'s engine options on a fresh
-// device of `so`'s geometry: what one seal should cost.
-uint64_t SoloInitSimNs(const compress::CompressedCorpus& corpus,
-                       const SealOptions& so) {
+// A solo word count with `so`'s engine options on a fresh device of
+// `so`'s geometry. Init is deterministic, so it lays out the sealed pool's
+// payload region, and its init costs what one seal should.
+struct SoloRun {
+  std::pair<uint64_t, uint64_t> payload;
+  uint64_t init_sim_ns = 0;
+};
+SoloRun SoloWordCount(const compress::CompressedCorpus& corpus,
+                      const SealOptions& so) {
   nvm::DeviceOptions dopts;
   dopts.capacity = so.capacity;
   dopts.profile = so.profile;
@@ -67,7 +58,7 @@ uint64_t SoloInitSimNs(const compress::CompressedCorpus& corpus,
   NTadocEngine engine(&corpus, device->get(), so.engine);
   tadoc::RunMetrics m;
   NTADOC_CHECK(engine.Run(tadoc::Task::kWordCount, {}, &m).ok());
-  return m.init_sim_ns;
+  return {engine.payload_region(), m.init_sim_ns};
 }
 
 // The serving invariant: stats().sessions is the field-wise sum of
@@ -149,7 +140,7 @@ TEST(SealedPrefixTest, SealingPaysOneInit) {
     auto sealed = SealPool(&corpus, so);
     ASSERT_TRUE(sealed.ok()) << sealed.status();
     EXPECT_GT(sealed->seal_sim_ns, 0u);
-    EXPECT_EQ(sealed->seal_sim_ns, SoloInitSimNs(corpus, so));
+    EXPECT_EQ(sealed->seal_sim_ns, SoloWordCount(corpus, so).init_sim_ns);
   }
 }
 
@@ -366,7 +357,7 @@ TEST(SharedCacheTest, RepairInvalidatesSharedEntries) {
   // Expensive reads (and a one-block page cache) so the cache's
   // admission heuristic actually admits decoded payloads.
   so.profile = nvm::SsdProfile(/*cache_bytes=*/4096);
-  const auto [pbegin, pend] = LocatePayload(corpus, so);
+  const auto [pbegin, pend] = SoloWordCount(corpus, so).payload;
   ASSERT_LT(pbegin, pend);
 
   auto sealed = SealPool(&corpus, so);
@@ -463,7 +454,7 @@ TEST(BatchAttributionTest, SharedInitCostReportedPerTask) {
 TEST(DegradedAccountingTest, BatchReportsCompletenessPerTask) {
   const auto corpus = RandomCorpus(50, 20, 4, 220);
   const auto so = BaseSealOptions();
-  const auto [pbegin, pend] = LocatePayload(corpus, so);
+  const auto [pbegin, pend] = SoloWordCount(corpus, so).payload;
   ASSERT_LT(pbegin, pend);
 
   nvm::DeviceOptions dopts;
@@ -493,7 +484,7 @@ TEST(DegradedAccountingTest, BatchReportsCompletenessPerTask) {
 TEST(DegradedAccountingTest, DegradedSessionDoesNotBleedIntoSiblings) {
   const auto corpus = RandomCorpus(51, 20, 4, 220);
   const auto so = BaseSealOptions();
-  const auto [pbegin, pend] = LocatePayload(corpus, so);
+  const auto [pbegin, pend] = SoloWordCount(corpus, so).payload;
   ASSERT_LT(pbegin, pend);
 
   auto sealed = SealPool(&corpus, so);
@@ -892,7 +883,8 @@ TEST(RefresherTest, PublishedGenerationSealPaysOneInit) {
   const std::shared_ptr<const SealedPool> pool = h.server->current_pool();
   ASSERT_NE(pool, nullptr);
   EXPECT_EQ(pool->options.engine.container_generation, 2u);
-  EXPECT_EQ(pool->seal_sim_ns, SoloInitSimNs(*pool->corpus, pool->options));
+  EXPECT_EQ(pool->seal_sim_ns,
+            SoloWordCount(*pool->corpus, pool->options).init_sim_ns);
   const auto expected_all =
       ReferenceRun(h.corpus_all, tadoc::Task::kWordCount, {});
   ASSERT_TRUE(h.RunQuery(expected_all, 2).ok());
