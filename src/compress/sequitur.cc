@@ -70,10 +70,7 @@ void Sequitur::RemoveDigram(uint32_t first) {
   const Symbol a = nodes_[first].sym;
   const Symbol b = nodes_[second].sym;
   if (!Indexable(a, b)) return;
-  auto it = digram_index_.find(DigramKey(a, b));
-  if (it != digram_index_.end() && it->second == first) {
-    digram_index_.erase(it);
-  }
+  digram_index_.Erase(DigramKey(a, b), first);
 }
 
 void Sequitur::Append(WordId word) {
@@ -98,10 +95,8 @@ bool Sequitur::TryDigram(uint32_t first) {
   const Symbol a = nodes_[first].sym;
   const Symbol b = nodes_[second].sym;
   if (!Indexable(a, b)) return false;
-  auto [it, inserted] = digram_index_.try_emplace(DigramKey(a, b), first);
-  if (inserted) return false;
-  const uint32_t match = it->second;
-  if (match == first) return false;
+  const uint32_t match = digram_index_.FindOrInsert(DigramKey(a, b), first);
+  if (match == kNull || match == first) return false;
   // Overlapping occurrences (e.g. "a a a") are not replaced.
   if (nodes_[match].next == first || nodes_[first].next == match) {
     return false;
@@ -173,7 +168,7 @@ void Sequitur::HandleMatch(uint32_t newer, uint32_t match) {
     if (IsRule(a)) ++rules_[RuleIndex(a)].uses;
     if (IsRule(b)) ++rules_[RuleIndex(b)].uses;
     // The rule body becomes the canonical occurrence of this digram.
-    digram_index_[DigramKey(a, b)] = na;
+    digram_index_.Assign(DigramKey(a, b), na);
     ReplacePair(match, rule_id);
     ReplacePair(newer, rule_id);
   }
@@ -236,7 +231,7 @@ void Sequitur::ExpandRuleAt(uint32_t n) {
     const Symbol x = nodes_[f].sym;
     const Symbol y = nodes_[s].sym;
     if (!Indexable(x, y)) return;
-    digram_index_.try_emplace(DigramKey(x, y), f);
+    digram_index_.FindOrInsert(DigramKey(x, y), f);
   };
   index_if_absent(left);
   index_if_absent(last);
@@ -323,22 +318,30 @@ Status Sequitur::CheckInvariants() const {
                               std::to_string(rid));
     }
   }
-  // Digram index entries must point at live matching digrams.
-  for (const auto& [key, first] : digram_index_) {
-    if (first >= nodes_.size()) return Status::Internal("index node oob");
+  // Digram index entries must point at live matching digrams, and each
+  // must be found from its key.
+  Status status;
+  digram_index_.ForEach([&](uint64_t key, uint32_t first) {
+    if (!status.ok()) return;
+    if (first >= nodes_.size()) {
+      status = Status::Internal("index node oob");
+      return;
+    }
     const Node& fn = nodes_[first];
     if (fn.sym == kFreeSym || fn.sym == kGuardSym) {
-      return Status::Internal("index entry points at dead/guard node");
+      status = Status::Internal("index entry points at dead/guard node");
+      return;
     }
     const Node& sn = nodes_[fn.next];
     if (sn.sym == kFreeSym || sn.sym == kGuardSym) {
-      return Status::Internal("index entry second node dead/guard");
+      status = Status::Internal("index entry second node dead/guard");
+    } else if (DigramKey(fn.sym, sn.sym) != key) {
+      status = Status::Internal("index entry key mismatch");
+    } else if (digram_index_.Find(key) != first) {
+      status = Status::Internal("index entry not found from its key");
     }
-    if (DigramKey(fn.sym, sn.sym) != key) {
-      return Status::Internal("index entry key mismatch");
-    }
-  }
-  return Status::OK();
+  });
+  return status;
 }
 
 }  // namespace ntadoc::compress

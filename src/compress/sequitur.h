@@ -14,9 +14,9 @@
 #define NTADOC_COMPRESS_SEQUITUR_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "compress/digram_index.h"
 #include "compress/grammar.h"
 #include "compress/symbols.h"
 #include "util/status.h"
@@ -119,7 +119,7 @@ class Sequitur {
   std::vector<Node> nodes_;
   std::vector<uint32_t> free_nodes_;
   std::vector<RuleRec> rules_;
-  std::unordered_map<uint64_t, uint32_t> digram_index_;
+  DigramIndex digram_index_;
   uint64_t tokens_ = 0;
   bool finished_ = false;
 };
