@@ -1,7 +1,6 @@
 #include "baseline/uncompressed.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "core/nvm_hash_table.h"
 #include "core/nvm_vector.h"
@@ -22,9 +21,10 @@ using tadoc::AccessCharger;
 using tadoc::CanonicalSort;
 using tadoc::CanonicalTopK;
 using tadoc::CanonicalWordCounts;
+using tadoc::GramPosting;
 using tadoc::NgramKey;
 using tadoc::NgramKeyHash;
-using tadoc::RankPostings;
+using tadoc::RankedIndex;
 
 namespace {
 
@@ -231,25 +231,14 @@ Result<AnalyticsOutput> UncompressedAnalytics::Run(Task task,
     }
     case Task::kRankedInvertedIndex: {
       const uint32_t n = opts.ngram;
-      std::unordered_map<NgramKey, uint32_t, NgramKeyHash> gram_slot;
-      std::vector<NgramKey> gram_keys;
-      std::vector<std::vector<std::pair<uint32_t, uint64_t>>> gram_postings;
+      std::vector<GramPosting> postings;
       uint32_t file = 0;
       NgramKey window{};
       uint32_t filled = 0;
       auto flush_file = [&]() {
         tracked::vector<std::pair<NgramKey, uint64_t>> host;
         grams.Extract(&host);
-        std::sort(host.begin(), host.end());
-        for (const auto& [k, c] : host) {
-          auto [it, inserted] = gram_slot.try_emplace(
-              k, static_cast<uint32_t>(gram_keys.size()));
-          if (inserted) {
-            gram_keys.push_back(k);
-            gram_postings.emplace_back();
-          }
-          gram_postings[it->second].emplace_back(file, c);
-        }
+        for (const auto& [k, c] : host) postings.push_back({k, file, c});
         grams.Clear();
       };
       NTADOC_RETURN_IF_ERROR(for_each_symbol([&](Symbol s) -> Status {
@@ -270,16 +259,7 @@ Result<AnalyticsOutput> UncompressedAnalytics::Run(Task task,
         }
         return Status::OK();
       }));
-      std::vector<uint32_t> order(gram_keys.size());
-      for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        return gram_keys[a] < gram_keys[b];
-      });
-      for (uint32_t idx : order) {
-        auto& p = gram_postings[idx];
-        RankPostings(&p);
-        out.ranked_index.emplace_back(gram_keys[idx], std::move(p));
-      }
+      out.ranked_index = RankedIndex(std::move(postings));
       break;
     }
   }

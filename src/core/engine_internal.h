@@ -38,8 +38,10 @@ using compress::Symbol;
 using compress::WordId;
 using tadoc::CanonicalSort;
 using tadoc::CanonicalTopK;
+using tadoc::GramPosting;
 using tadoc::MergeSortedCounts;
 using tadoc::NgramKeyHash;
+using tadoc::RankedIndex;
 using tadoc::SortAndCombine;
 
 constexpr uint64_t kMarkerOffset = 0;

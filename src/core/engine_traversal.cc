@@ -676,35 +676,11 @@ class PerFileResults {
         out_.inverted_index.emplace_back(w, std::move(postings_[w]));
       }
     }
-    // One sort puts every n-gram's postings together in RankPostings
-    // order: count descending, ties by file ascending.
-    std::sort(gram_postings_.begin(), gram_postings_.end(),
-              [](const GramPosting& a, const GramPosting& b) {
-                if (a.key != b.key) return a.key < b.key;
-                if (a.count != b.count) return a.count > b.count;
-                return a.file < b.file;
-              });
-    for (size_t i = 0; i < gram_postings_.size();) {
-      const NgramKey& key = gram_postings_[i].key;
-      size_t j = i;
-      while (j < gram_postings_.size() && gram_postings_[j].key == key) ++j;
-      std::vector<std::pair<uint32_t, uint64_t>> ranked;
-      ranked.reserve(j - i);
-      for (; i < j; ++i) {
-        ranked.emplace_back(gram_postings_[i].file, gram_postings_[i].count);
-      }
-      out_.ranked_index.emplace_back(key, std::move(ranked));
-    }
+    out_.ranked_index = RankedIndex(std::move(gram_postings_));
     return std::move(out_);
   }
 
  private:
-  struct GramPosting {
-    NgramKey key;
-    uint32_t file;
-    uint64_t count;
-  };
-
   uint32_t top_k_;
   AnalyticsOutput out_;
   std::vector<std::vector<uint32_t>> postings_;

@@ -99,13 +99,36 @@ void SortAndCombine(Vec* v) {
   v->resize(out);
 }
 
-/// Postings (file, count) -> ranked order: count descending, file
+/// One posting of the ranked inverted index: `count` instances of gram
+/// `key` in file `file`.
+struct GramPosting {
+  NgramKey key;
+  uint32_t file;
+  uint64_t count;
+};
+
+/// Every file's postings (any order, at most one per gram and file, no
+/// zero counts) -> the ranked inverted index. One sort puts each gram's
+/// postings together in ranked order: count descending, ties by file
 /// ascending.
-inline void RankPostings(std::vector<std::pair<uint32_t, uint64_t>>* p) {
-  std::sort(p->begin(), p->end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
+inline RankedInvertedIndexResult RankedIndex(std::vector<GramPosting> p) {
+  std::sort(p.begin(), p.end(),
+            [](const GramPosting& a, const GramPosting& b) {
+              if (a.key != b.key) return a.key < b.key;
+              if (a.count != b.count) return a.count > b.count;
+              return a.file < b.file;
+            });
+  RankedInvertedIndexResult out;
+  for (size_t i = 0; i < p.size();) {
+    size_t j = i;
+    while (j < p.size() && p[j].key == p[i].key) ++j;
+    std::vector<std::pair<uint32_t, uint64_t>> ranked;
+    ranked.reserve(j - i);
+    for (size_t k = i; k < j; ++k) ranked.emplace_back(p[k].file, p[k].count);
+    out.emplace_back(p[i].key, std::move(ranked));
+    i = j;
+  }
+  return out;
 }
 
 }  // namespace ntadoc::tadoc

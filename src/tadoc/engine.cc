@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 
 #include "tadoc/canonical.h"
 #include "util/dram_tracker.h"
@@ -386,13 +385,13 @@ AnalyticsOutput TadocEngine::RunSequence(const Prepared& prep,
     SortAndCombine(&local);
     return local;
   };
+  // A file segment's windows, one entry per instance (unsorted).
   auto segment_windows = [&](uint32_t f) {
     CountList<NgramKey> local;
     const auto [begin, end] = prep.segments[f];
     const std::span<const Symbol> seg(root.data() + begin, end - begin);
     charger.Read(seg.data(), seg.size() * sizeof(Symbol));
     scanner.Scan(seg, [&](const NgramKey& k) { local.emplace_back(k, 1); });
-    SortAndCombine(&local);
     return local;
   };
 
@@ -437,20 +436,12 @@ AnalyticsOutput TadocEngine::RunSequence(const Prepared& prep,
     return out;
   }
 
-  // Ranked inverted index: per-file gram counts -> postings per gram.
-  std::unordered_map<NgramKey, uint32_t, NgramKeyHash> gram_slot;
-  std::vector<NgramKey> gram_keys;
-  std::vector<std::vector<std::pair<uint32_t, uint64_t>>> gram_postings;
+  // Ranked inverted index: every file's gram counts go into one flat
+  // postings list, ranked by one sort at the end.
+  std::vector<GramPosting> postings;
   auto consume_file = [&](uint32_t f, const CountList<NgramKey>& counts) {
     for (const auto& [k, c] : counts) {
-      if (c == 0) continue;
-      auto [it, inserted] =
-          gram_slot.try_emplace(k, static_cast<uint32_t>(gram_keys.size()));
-      if (inserted) {
-        gram_keys.push_back(k);
-        gram_postings.emplace_back();
-      }
-      gram_postings[it->second].emplace_back(f, c);
+      if (c != 0) postings.push_back({k, f, c});
     }
   };
 
@@ -470,6 +461,8 @@ AnalyticsOutput TadocEngine::RunSequence(const Prepared& prep,
     }
   } else {
     // Top-down: cache per-rule local windows, propagate per-file weights.
+    // A file's list is its segment's windows plus each reached rule's
+    // local windows scaled by the rule's weight, combined by one sort.
     std::vector<CountList<NgramKey>> locals(g.NumRules());
     for (uint32_t r = 1; r < g.NumRules(); ++r) locals[r] = local_windows(r);
     EpochCounts rule_w(g.NumRules(), &charger);
@@ -484,26 +477,21 @@ AnalyticsOutput TadocEngine::RunSequence(const Prepared& prep,
         if (r == 0) continue;
         const uint64_t w = rule_w.Get(r);
         if (w == 0) continue;
-        for (Symbol s : g.rules[r]) {
+        const auto& body = g.rules[r];
+        charger.Read(body.data(), body.size() * sizeof(Symbol));
+        for (Symbol s : body) {
           if (IsRule(s)) rule_w.Add(RuleIndex(s), w);
         }
-        MergeSortedCounts(&counts, locals[r], w);
+        const CountList<NgramKey>& local = locals[r];
+        charger.Read(local.data(), local.size() * sizeof(local[0]));
+        for (const auto& [k, c] : local) counts.emplace_back(k, c * w);
       }
+      SortAndCombine(&counts);
+      charger.Write(counts.data(), counts.size() * sizeof(counts[0]));
       consume_file(f, counts);
     }
   }
-
-  // Canonical order: grams ascending, postings ranked.
-  std::vector<uint32_t> order(gram_keys.size());
-  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return gram_keys[a] < gram_keys[b];
-  });
-  for (uint32_t idx : order) {
-    RankPostings(&gram_postings[idx]);
-    out.ranked_index.emplace_back(gram_keys[idx],
-                                  std::move(gram_postings[idx]));
-  }
+  out.ranked_index = RankedIndex(std::move(postings));
   return out;
 }
 

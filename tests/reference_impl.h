@@ -96,7 +96,12 @@ inline AnalyticsOutput ReferenceRun(const CompressedCorpus& corpus,
         }
       }
       for (auto& [k, postings] : idx) {
-        tadoc::RankPostings(&postings);
+        // Ranked: count descending, ties by file ascending.
+        std::sort(postings.begin(), postings.end(),
+                  [](const auto& a, const auto& b) {
+                    if (a.second != b.second) return a.second > b.second;
+                    return a.first < b.first;
+                  });
         out.ranked_index.emplace_back(k, std::move(postings));
       }
       break;
