@@ -2,6 +2,11 @@
 // bound (classic TADOC on pure DRAM). Paper headline: N-TADOC is 1.59x
 // slower on average; worst for word count (2.26x); gap shrinks as the
 // dataset grows.
+//
+// The table divides total cost (host wall plus sim). Each (dataset,
+// task) cell is also one result row holding both engines' sim and wall
+// side by side, which tools/bench_gates.sh's gate_fig6 holds to the
+// figure's claim on the sim clock alone.
 
 #include <cstdio>
 
@@ -10,7 +15,8 @@
 int main(int argc, char** argv) {
   using namespace ntadoc;
   using namespace ntadoc::bench;
-  const BenchConfig config = ParseArgs(argc, argv);
+  const BenchConfig config = ParseArgs(argc, argv, kJsonFlag);
+  RowSink sink("fig6", config);
   const auto datasets = LoadDatasets(config);
   const auto profile = nvm::OptaneProfile();
   const AnalyticsOptions opts;
@@ -23,7 +29,6 @@ int main(int argc, char** argv) {
   PrintRow(header);
 
   std::vector<double> all;
-  std::vector<double> per_dataset_product(datasets.size(), 0.0);
   std::vector<std::vector<double>> per_dataset(datasets.size());
   for (Task task : tadoc::kAllTasks) {
     std::vector<std::string> row = {tadoc::TaskToString(task)};
@@ -41,11 +46,16 @@ int main(int argc, char** argv) {
       per_dataset[i].push_back(slowdown);
       all.push_back(slowdown);
       row.push_back(Ratio(slowdown));
+      sink.Emit(sink.Start("cell", d.spec.name)
+                    .Str("task", TaskRowName(task))
+                    .Num("dram_sim_ns", dram.metrics.TotalSimNs())
+                    .Num("ntadoc_sim_ns", ntadoc_run.metrics.TotalSimNs())
+                    .Num("dram_wall_ns", dram.metrics.TotalWallNs())
+                    .Num("ntadoc_wall_ns", ntadoc_run.metrics.TotalWallNs()));
     }
     row.push_back(Ratio(GeoMean(task_ratios)));
     PrintRow(row);
   }
-  (void)per_dataset_product;
   std::printf("\noverall geomean slowdown: %s   (paper: 1.59x)\n",
               Ratio(GeoMean(all)).c_str());
   std::printf("per-dataset geomean slowdown (paper: shrinks with size):\n");
@@ -53,5 +63,5 @@ int main(int argc, char** argv) {
     std::printf("  %s: %s\n", datasets[i].spec.name.c_str(),
                 Ratio(GeoMean(per_dataset[i])).c_str());
   }
-  return 0;
+  return sink.Finish();
 }

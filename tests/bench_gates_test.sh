@@ -7,8 +7,9 @@
 #   * one doctored row set per threshold and per missing-row check fails
 #     with that gate's message. Each doctored value lies just past its
 #     threshold, so a loosened threshold lets it pass and fails the test.
-# The wall gate has no committed record, so it starts from a small
-# passing row set of its own, alone and as one of three runs.
+# The wall and Fig. 6 gates have no committed record, so each starts
+# from a small passing row set of its own (the wall gate's alone and as
+# one of three runs).
 #
 # Usage: tests/bench_gates_test.sh
 set -euo pipefail
@@ -26,6 +27,13 @@ HOT=$(cat "$BASELINE")
 WALL=$(for task in word_count sort; do
   printf 'bench=hotpath row=run task=%s persistence=operation-level variant=%s traversal_wall_ns=%s\n' \
     "$task" std 20000000 "$task" ci8 15000000 "$task" ci8-tiered 18000000
+done)
+FIG6=$(for d in A B C D; do
+  for task in word_count sort term_vector inverted_index sequence_count \
+              ranked_inverted_index; do
+    printf 'bench=fig6 row=cell dataset=%s task=%s dram_sim_ns=100 ntadoc_sim_ns=241\n' \
+      "$d" "$task"
+  done
 done)
 fails=0
 
@@ -156,6 +164,13 @@ edit "row=curve budget_pct=40" task - <<<"$TIER" |
   fail "missing curve rows at budget 40%" gate_tiering
 edit "row=migration" runs - <<<"$TIER" |
   fail "missing migration row" gate_tiering
+
+# Fig. 6 on the sim clock: every cell present, DRAM below N-TADOC.
+pass gate_fig6 <<<"$FIG6"
+edit "dataset=C task=ranked_inverted_index" ntadoc_sim_ns 100 <<<"$FIG6" |
+  fail "DRAM TADOC sim not below N-TADOC on C ranked_inverted_index" gate_fig6
+edit "dataset=D task=sort" dram_sim_ns - <<<"$FIG6" |
+  fail "missing fig6 cell D sort" gate_fig6
 
 # Sim clock drift against the baseline.
 pass gate_drift "$BASELINE" <"$BASELINE"

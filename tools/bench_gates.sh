@@ -270,6 +270,36 @@ gate_tiering() {
     }'
 }
 
+# bench_fig6_dram_gap cell rows, sim clock only (DRAM TADOC charges
+# real heap addresses, so its sim moves a little from run to run, far
+# less than the margin): every (dataset, task) cell of A-D and the six
+# tasks is present, and in each the DRAM upper bound's sim is below
+# N-TADOC's. Host wall stays ungated: Fig. 6 claims an upper bound, and
+# only the sim clock holds it on any host.
+gate_fig6() {
+  awk "$ROW_AWK"'
+    f["bench"] == "fig6" && f["row"] == "cell" {
+      k = f["dataset"] " " f["task"]
+      dram[k] = f["dram_sim_ns"]; nt[k] = f["ntadoc_sim_ns"]
+    }
+    END {
+      bad = 0; min = 0
+      nd = split("A B C D", ds, " ")
+      ntask = split("word_count sort term_vector inverted_index sequence_count ranked_inverted_index", ts, " ")
+      for (i = 1; i <= nd; ++i) {
+        for (j = 1; j <= ntask; ++j) {
+          k = ds[i] " " ts[j]
+          if (!(k in dram)) { printf "FAIL: missing fig6 cell %s\n", k; bad = 1; continue }
+          if (dram[k] + 0 >= nt[k] + 0) {
+            printf "FAIL: DRAM TADOC sim not below N-TADOC on %s: dram %.0f, ntadoc %.0f\n", k, dram[k], nt[k]; bad = 1
+          } else if (min == 0 || nt[k] / dram[k] < min) { min = nt[k] / dram[k]; at = k }
+        }
+      }
+      if (min > 0) printf "  fig6 smallest N-TADOC/DRAM sim ratio: %.2fx (%s)\n", min, at
+      exit bad
+    }'
+}
+
 # gate_drift BASELINE: the baseline rows on stdin (baseline_rows) against
 # the committed BASELINE. A row's identity is every field but its sim
 # clocks (*sim_ns); a sim clock drifting more than 1%, or a row appearing

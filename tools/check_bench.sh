@@ -16,7 +16,9 @@
 #     deterministic at full scale): lane makespan and container size
 #     (gate_ingest);
 #   * bench_tiering at scale 0.05: the 40% budget and migration
-#     (gate_tiering).
+#     (gate_tiering);
+#   * bench_fig6_dram_gap at scale 0.05: DRAM TADOC's sim below
+#     N-TADOC's in every (dataset, task) cell of Fig. 6 (gate_fig6).
 # The committed records BENCH_pr8.json, BENCH_pr9.json and
 # BENCH_pr10.json are held to the same gates as the live rows, so a stale
 # or hand-edited record cannot pass. Absolute wall-clock times are
@@ -40,7 +42,8 @@ UPDATE=0
 [[ "${1:-}" == "--update" ]] && UPDATE=1
 
 cmake --build "$BUILD_DIR" -j \
-    --target bench_hotpath bench_serving bench_ingest bench_tiering >/dev/null
+    --target bench_hotpath bench_serving bench_ingest bench_tiering \
+    bench_fig6_dram_gap >/dev/null
 : > "$ROWS"
 
 # live BENCH FLAG...: runs BENCH on the smoke cache, keeps its rows in
@@ -91,6 +94,9 @@ live bench_tiering --scale=0.05 --datasets=C |
   gate gate_tiering "tiering gates (live run)"
 committed BENCH_pr10.json gate_tiering
 echo "tiering gates OK: 40% budget within 1.2x all-NVM, migration >=1.3x frozen"
+
+live bench_fig6_dram_gap --scale=0.05 | gate gate_fig6 "Fig. 6 sim gate (live run)"
+echo "fig6 gate OK: DRAM TADOC sim below N-TADOC in every cell"
 
 if [[ "$UPDATE" == 1 ]]; then
   baseline_rows <<<"$HOT" > "$BASELINE"
