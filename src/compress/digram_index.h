@@ -2,21 +2,20 @@
 // digram's indexed occurrence.
 //
 // A flat open-addressing table: a power-of-two array of (key, node)
-// slots probed linearly from Mix64(key), node 0 (Sequitur's null node)
-// marking an empty slot. Erase shifts the rest of the probe cluster back
-// instead of leaving a tombstone, so a lookup stops at the first empty
-// slot however many digrams Sequitur has erased. Compared with a
-// node-based std::unordered_map, an insert allocates nothing and a
-// lookup touches one contiguous run of slots.
+// slots probed linearly from a multiplicative hash of the key, node 0
+// (Sequitur's null node) marking an empty slot. Erase shifts the rest of
+// the probe cluster back instead of leaving a tombstone, so a lookup
+// stops at the first empty slot however many digrams Sequitur has
+// erased. Compared with a node-based std::unordered_map, an insert
+// allocates nothing and a lookup touches one contiguous run of slots.
 
 #ifndef NTADOC_COMPRESS_DIGRAM_INDEX_H_
 #define NTADOC_COMPRESS_DIGRAM_INDEX_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "util/hash.h"
 
 namespace ntadoc::compress {
 
@@ -87,8 +86,11 @@ class DigramIndex {
   size_t size() const { return size_; }
   size_t capacity() const { return slots_.size(); }
 
-  /// The slot a probe for `key` starts at. Exposed for tests.
-  size_t Home(uint64_t key) const { return Mix64(key) & (slots_.size() - 1); }
+  /// The slot a probe for `key` starts at: the top bits of a Fibonacci
+  /// (golden-ratio multiplicative) hash. Exposed for tests.
+  size_t Home(uint64_t key) const {
+    return (key * 0x9E3779B97F4A7C15ULL) >> shift_;
+  }
 
   /// Calls fn(key, node) for every entry, in slot order.
   template <typename Fn>
@@ -109,6 +111,7 @@ class DigramIndex {
   void Grow() {
     std::vector<Slot> old(2 * slots_.size());
     old.swap(slots_);
+    --shift_;
     for (const Slot& s : old) {
       if (s.node == 0) continue;
       size_t i = Home(s.key);
@@ -118,6 +121,7 @@ class DigramIndex {
   }
 
   std::vector<Slot> slots_;
+  int shift_ = 64 - std::countr_zero(kMinSlots);  // 64 - log2(slots)
   size_t size_ = 0;
 };
 

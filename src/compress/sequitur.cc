@@ -318,30 +318,30 @@ Status Sequitur::CheckInvariants() const {
                               std::to_string(rid));
     }
   }
-  // Digram index entries must point at live matching digrams, and each
-  // must be found from its key.
   Status status;
   digram_index_.ForEach([&](uint64_t key, uint32_t first) {
-    if (!status.ok()) return;
-    if (first >= nodes_.size()) {
-      status = Status::Internal("index node oob");
-      return;
-    }
-    const Node& fn = nodes_[first];
-    if (fn.sym == kFreeSym || fn.sym == kGuardSym) {
-      status = Status::Internal("index entry points at dead/guard node");
-      return;
-    }
-    const Node& sn = nodes_[fn.next];
-    if (sn.sym == kFreeSym || sn.sym == kGuardSym) {
-      status = Status::Internal("index entry second node dead/guard");
-    } else if (DigramKey(fn.sym, sn.sym) != key) {
-      status = Status::Internal("index entry key mismatch");
-    } else if (digram_index_.Find(key) != first) {
-      status = Status::Internal("index entry not found from its key");
-    }
+    if (status.ok()) status = CheckIndexEntry(key, first);
   });
   return status;
+}
+
+Status Sequitur::CheckIndexEntry(uint64_t key, uint32_t first) const {
+  if (first >= nodes_.size()) return Status::Internal("index node oob");
+  const Node& fn = nodes_[first];
+  if (fn.sym == kFreeSym || fn.sym == kGuardSym) {
+    return Status::Internal("index entry points at dead/guard node");
+  }
+  const Node& sn = nodes_[fn.next];
+  if (sn.sym == kFreeSym || sn.sym == kGuardSym) {
+    return Status::Internal("index entry second node dead/guard");
+  }
+  if (DigramKey(fn.sym, sn.sym) != key) {
+    return Status::Internal("index entry key mismatch");
+  }
+  if (digram_index_.Find(key) != first) {
+    return Status::Internal("index entry not found from its key");
+  }
+  return Status::OK();
 }
 
 }  // namespace ntadoc::compress

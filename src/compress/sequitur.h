@@ -116,6 +116,10 @@ class Sequitur {
   /// If `n` is live and references a rule with use count 1, expands it.
   void MaybeExpandUnderused(uint32_t n);
 
+  /// CheckInvariants for one digram index entry: it points at a live
+  /// digram with its key and is found from that key.
+  Status CheckIndexEntry(uint64_t key, uint32_t first) const;
+
   std::vector<Node> nodes_;
   std::vector<uint32_t> free_nodes_;
   std::vector<RuleRec> rules_;
