@@ -208,13 +208,9 @@ std::vector<DatasetBundle> LoadDatasets(const BenchConfig& config) {
 }
 
 uint64_t CorpusDramBytes(const CompressedCorpus& corpus) {
-  uint64_t bytes =
-      corpus.grammar.TotalSymbols() * sizeof(compress::Symbol) +
-      corpus.grammar.NumRules() * sizeof(void*) * 3;  // vector headers
-  for (compress::WordId w = 0; w < corpus.dict.size(); ++w) {
-    bytes += corpus.dict.Spell(w).size() + 48;  // string + index entry
-  }
-  return bytes;
+  return corpus.grammar.TotalSymbols() * sizeof(compress::Symbol) +
+         corpus.grammar.NumRules() * sizeof(void*) * 3 +  // vector headers
+         DictDramBytes(corpus);
 }
 
 uint64_t DictDramBytes(const CompressedCorpus& corpus) {
@@ -254,11 +250,7 @@ RunResult RunBaseline(const CompressedCorpus& corpus, Task task,
   dopts.profile = profile;
   auto device = nvm::NvmDevice::Create(dopts);
   NTADOC_CHECK(device.ok()) << device.status();
-  // Host counters are charged at DRAM cost on the same simulated clock.
-  nvm::MemoryModel host_model(nvm::DramProfile(), (*device)->clock_ptr());
-  baseline::UncompressedAnalytics::Options bopts;
-  bopts.dram_model = &host_model;
-  baseline::UncompressedAnalytics engine(&corpus, device->get(), bopts);
+  baseline::UncompressedAnalytics engine(&corpus, device->get());
   RunResult result;
   DramUsageScope dram;
   auto got = engine.Run(task, opts, &result.metrics);
@@ -267,43 +259,38 @@ RunResult RunBaseline(const CompressedCorpus& corpus, Task task,
   return result;
 }
 
-RunResult RunTadocDram(const CompressedCorpus& corpus, Task task,
-                       const AnalyticsOptions& opts,
-                       TraversalStrategy strategy) {
-  auto clock = nvm::MakeSimClock();
-  nvm::MemoryModel model(nvm::DramProfile(), clock);
-  tadoc::EngineOptions eopts;
-  eopts.model = &model;
-  eopts.traversal = strategy;
-  eopts.charge_source_disk = true;
-  tadoc::TadocEngine engine(&corpus, eopts);
+namespace {
+
+// DRAM TADOC with every data access charged through `profile` on a fresh
+// clock.
+RunResult RunTadocCharged(const CompressedCorpus& corpus, Task task,
+                          const AnalyticsOptions& opts,
+                          const nvm::DeviceProfile& profile) {
+  nvm::MemoryModel model(profile, nvm::MakeSimClock());
+  tadoc::TadocEngine engine(&corpus, {.model = &model});
   RunResult result;
   DramUsageScope dram;
   auto got = engine.Run(task, opts, &result.metrics);
   NTADOC_CHECK(got.ok()) << got.status();
   result.dram_peak_bytes = dram.PeakDelta();
   return result;
+}
+
+}  // namespace
+
+RunResult RunTadocDram(const CompressedCorpus& corpus, Task task,
+                       const AnalyticsOptions& opts) {
+  return RunTadocCharged(corpus, task, opts, nvm::DramProfile());
 }
 
 RunResult RunNaiveNvmTadoc(const CompressedCorpus& corpus, Task task,
                            const AnalyticsOptions& opts) {
-  auto clock = nvm::MakeSimClock();
   // The naive port scatters TADOC's structures across a PMDK pool with no
   // locality, so cache reuse collapses: only the device's own XPBuffer
   // fronts the media.
   auto profile = nvm::OptaneProfile();
   profile.buffer_blocks = 64;  // 16 KiB XPBuffer only
-  nvm::MemoryModel model(profile, clock);
-  tadoc::EngineOptions eopts;
-  eopts.model = &model;
-  eopts.charge_source_disk = true;
-  tadoc::TadocEngine engine(&corpus, eopts);
-  RunResult result;
-  DramUsageScope dram;
-  auto got = engine.Run(task, opts, &result.metrics);
-  NTADOC_CHECK(got.ok()) << got.status();
-  result.dram_peak_bytes = dram.PeakDelta();
-  return result;
+  return RunTadocCharged(corpus, task, opts, profile);
 }
 
 double GeoMean(const std::vector<double>& values) {
@@ -313,63 +300,34 @@ double GeoMean(const std::vector<double>& values) {
   return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-namespace {
-
-// Pool-end planning block: capacities are rounded to whole MiB so the
-// placement region and pool tail land on the same boundaries every
-// bench binary (and the CLI's --device-mb=) produces.
-constexpr uint64_t kPoolPlanBlock = 1ull << 20;
-
-uint64_t RoundUpToPlanBlock(uint64_t bytes) {
-  return (bytes + kPoolPlanBlock - 1) / kPoolPlanBlock * kPoolPlanBlock;
+std::string DatasetNames(const std::vector<DatasetBundle>& datasets) {
+  std::vector<std::string> names;
+  for (const DatasetBundle& d : datasets) names.push_back(d.spec.name);
+  return Join(names, "+");
 }
 
-}  // namespace
+void ClockRatios::Add(uint64_t num_sim_ns, uint64_t den_sim_ns,
+                      uint64_t num_wall_ns, uint64_t den_wall_ns) {
+  sim.push_back(static_cast<double>(num_sim_ns) /
+                static_cast<double>(den_sim_ns));
+  wall.push_back(static_cast<double>(num_wall_ns) /
+                 static_cast<double>(den_wall_ns));
+}
+
+void ClockRatios::Add(const RunMetrics& num, const RunMetrics& den) {
+  Add(num.TotalSimNs(), den.TotalSimNs(), num.TotalWallNs(),
+      den.TotalWallNs());
+}
 
 uint64_t TieredDeviceCapacity(uint64_t base_capacity,
                               const nvm::TierConfig& config) {
-  return RoundUpToPlanBlock(base_capacity +
-                            nvm::TieredPool::PlacementReserve(config));
-}
-
-std::vector<uint64_t> PlanTierCapacities(uint64_t total_bytes,
-                                        const nvm::TierConfig& config) {
-  std::vector<uint64_t> plan(config.tiers.size(), 0);
-  uint64_t remaining = total_bytes;
-  for (size_t i = 0; i < config.tiers.size(); ++i) {
-    uint64_t want = remaining;
-    if (i + 1 < config.tiers.size() && config.tiers[i].budget_bytes > 0) {
-      want = std::min<uint64_t>(remaining, config.tiers[i].budget_bytes);
-    }
-    plan[i] = RoundUpToPlanBlock(want);
-    remaining -= want;
-  }
-  return plan;
-}
-
-void PrintTitle(const std::string& title, const std::string& paper_ref) {
-  std::printf("\n==== %s ====\n", title.c_str());
-  std::printf("     (reproduces %s; shapes, not absolute times)\n\n",
-              paper_ref.c_str());
-}
-
-void PrintRow(const std::vector<std::string>& cells, int width) {
-  for (size_t i = 0; i < cells.size(); ++i) {
-    std::printf("%-*s", i == 0 ? 24 : width, cells[i].c_str());
-  }
-  std::printf("\n");
-}
-
-std::string Ratio(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2fx", v);
-  return buf;
-}
-
-std::string Secs(uint64_t ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(ns) * 1e-9);
-  return buf;
+  // Pool-end planning block: capacities are rounded to whole MiB so the
+  // placement region and pool tail land on the same boundaries every
+  // bench binary (and the CLI's --device-mb=) produces.
+  constexpr uint64_t kPoolPlanBlock = 1ull << 20;
+  const uint64_t bytes =
+      base_capacity + nvm::TieredPool::PlacementReserve(config);
+  return (bytes + kPoolPlanBlock - 1) / kPoolPlanBlock * kPoolPlanBlock;
 }
 
 void Row::Key(std::string_view key) {
@@ -409,6 +367,16 @@ Row& Row::Real(std::string_view key, double value, int digits) {
   return *this;
 }
 
+Row& Row::Clocks(std::string_view engine, const RunMetrics& metrics) {
+  return Num(std::string(engine) + "_sim_ns", metrics.TotalSimNs())
+      .Num(std::string(engine) + "_wall_ns", metrics.TotalWallNs());
+}
+
+Row& Row::Ratios(const ClockRatios& ratios) {
+  return Real("sim_x", GeoMean(ratios.sim), 3)
+      .Real("wall_x", GeoMean(ratios.wall), 3);
+}
+
 RowSink::RowSink(std::string_view bench, const BenchConfig& config)
     : bench_(bench), scale_(config.scale), json_path_(config.json_path) {}
 
@@ -425,7 +393,6 @@ Row RowSink::Start(std::string_view row, std::string_view dataset) const {
 void RowSink::Emit(const Row& row) { rows_.push_back(row.text_ + "}"); }
 
 int RowSink::Finish() const {
-  std::printf("\n");
   for (const std::string& row : rows_) std::printf("%s\n", row.c_str());
   if (json_path_.empty()) return 0;
   std::string text = "[\n";

@@ -4,13 +4,13 @@
 // evaluation (see DESIGN.md's per-experiment index). Common pieces here:
 // flag parsing, dataset generation + compression (cached on disk), engine
 // run wrappers that meter simulated device time, wall time and tracked
-// DRAM, fixed-width table printers, and the result-row writer that is the
-// only machine-readable output of the gated benches.
+// DRAM, and the result-row writer that is every bench's only output.
 //
-// Reported "cost" = simulated device nanoseconds (deterministic, from
-// the calibrated profiles) + host wall nanoseconds. Ratios are the
-// reproduction target; absolute values are not comparable to the paper's
-// Optane testbed.
+// A result keeps its two clocks apart: simulated device nanoseconds
+// (deterministic, from the calibrated profiles) and host wall
+// nanoseconds, which include the emulator's per-access bookkeeping.
+// Ratios are the reproduction target; absolute values are not comparable
+// to the paper's Optane testbed.
 
 #ifndef NTADOC_BENCH_BENCH_COMMON_H_
 #define NTADOC_BENCH_BENCH_COMMON_H_
@@ -130,14 +130,6 @@ uint64_t DictDramBytes(const CompressedCorpus& corpus);
 struct RunResult {
   RunMetrics metrics;
   uint64_t dram_peak_bytes = 0;
-
-  uint64_t cost_ns() const { return metrics.TotalCostNs(); }
-  uint64_t init_ns() const {
-    return metrics.init_wall_ns + metrics.init_sim_ns;
-  }
-  uint64_t traversal_ns() const {
-    return metrics.traversal_wall_ns + metrics.traversal_sim_ns;
-  }
 };
 
 /// N-TADOC on a fresh emulated device with `profile`.
@@ -148,8 +140,7 @@ RunResult RunNTadoc(const CompressedCorpus& corpus, Task task,
                     uint64_t device_capacity,
                     core::NTadocRunInfo* info = nullptr);
 
-/// Uncompressed baseline on a fresh emulated device with `profile`; host
-/// counters charged at DRAM cost on the same clock.
+/// Uncompressed baseline on a fresh emulated device with `profile`.
 RunResult RunBaseline(const CompressedCorpus& corpus, Task task,
                       const AnalyticsOptions& opts,
                       const nvm::DeviceProfile& profile,
@@ -157,8 +148,7 @@ RunResult RunBaseline(const CompressedCorpus& corpus, Task task,
 
 /// Classic TADOC on DRAM (the paper's efficiency upper bound).
 RunResult RunTadocDram(const CompressedCorpus& corpus, Task task,
-                       const AnalyticsOptions& opts,
-                       TraversalStrategy strategy = TraversalStrategy::kAuto);
+                       const AnalyticsOptions& opts);
 
 /// Naive TADOC port to NVM: same DRAM engine, every data access charged
 /// at NVM cost against scattered heap addresses (Section III-B).
@@ -167,6 +157,22 @@ RunResult RunNaiveNvmTadoc(const CompressedCorpus& corpus, Task task,
 
 /// Geometric mean of ratios.
 double GeoMean(const std::vector<double>& values);
+
+/// The datasets' names joined by '+' ("A+B+C+D"): the `dataset` of a row
+/// that summarizes all of them.
+std::string DatasetNames(const std::vector<DatasetBundle>& datasets);
+
+/// Per-cell ratios num/den on each clock, for a summary row's geometric
+/// means (Row::Ratios).
+struct ClockRatios {
+  std::vector<double> sim;
+  std::vector<double> wall;
+
+  void Add(uint64_t num_sim_ns, uint64_t den_sim_ns, uint64_t num_wall_ns,
+           uint64_t den_wall_ns);
+  /// Whole runs: TotalSimNs() over TotalSimNs(), and the same for wall.
+  void Add(const RunMetrics& num, const RunMetrics& den);
+};
 
 // ---- tiered capacity planning ----
 
@@ -177,42 +183,27 @@ double GeoMean(const std::vector<double>& values);
 uint64_t TieredDeviceCapacity(uint64_t base_capacity,
                               const nvm::TierConfig& config);
 
-/// Per-tier capacity plan over `total_bytes` of pool-resident data:
-/// capped tiers get their budget, the final (slowest) tier absorbs the
-/// remainder, and every tier's plan is rounded up to the 1 MiB planning
-/// block. Bench reporting only — the engine enforces raw budgets.
-std::vector<uint64_t> PlanTierCapacities(uint64_t total_bytes,
-                                         const nvm::TierConfig& config);
-
-// ---- table printing ----
-
-/// Prints "== <title> ==" with the reproduction context line.
-void PrintTitle(const std::string& title, const std::string& paper_ref);
-
-/// Prints one row of fixed-width cells.
-void PrintRow(const std::vector<std::string>& cells, int width = 14);
-
-/// Formats a ratio as "2.04x".
-std::string Ratio(double v);
-
-/// Formats nanoseconds as seconds with 3 decimals.
-std::string Secs(uint64_t ns);
-
 // ---- result rows ----
 
-/// One machine-readable result: a flat JSON object on one line. `bench`,
-/// `row` (the kind of result), `dataset` and `scale` come first, then the
-/// fields in the order they are added: identity fields, then measurements
-/// named by unit (`*_sim_ns`, `*_wall_ns`, `*_bytes`). Keys are
-/// [a-z0-9_]+ and string values hold no quote, comma, space, '=',
-/// backslash or control character (both checked), so a line reader splits
-/// a row exactly (tools/bench_gates.sh).
+/// One result: a flat JSON object on one line. `bench`, `row` (the kind
+/// of result: `cell` for one measured configuration, `summary` for a
+/// figure's or section's geometric means), `dataset` and `scale` come
+/// first, then the fields in the order they are added: identity fields,
+/// then measurements named by unit (`*_sim_ns`, `*_wall_ns`, `*_bytes`,
+/// `*_x` for a ratio). Keys are [a-z0-9_]+ and string values hold no
+/// quote, comma, space, '=', backslash or control character (both
+/// checked), so a line reader splits a row exactly
+/// (tools/bench_gates.sh).
 class Row {
  public:
   Row& Str(std::string_view key, std::string_view value);
   Row& Num(std::string_view key, uint64_t value);
   /// A finite `value` with `digits` decimals.
   Row& Real(std::string_view key, double value, int digits);
+  /// Both clocks of a whole run: `<engine>_sim_ns` and `<engine>_wall_ns`.
+  Row& Clocks(std::string_view engine, const RunMetrics& metrics);
+  /// The geometric means of `ratios`: `sim_x` and `wall_x`.
+  Row& Ratios(const ClockRatios& ratios);
 
  private:
   friend class RowSink;
@@ -221,8 +212,8 @@ class Row {
   std::string text_;  // the object so far, without its closing brace
 };
 
-/// The only machine-readable output of a bench: the emitted rows go to
-/// stdout and, with --json=PATH, to PATH as a JSON array, one row per line.
+/// The only output of a bench: the emitted rows go to stdout and, with
+/// --json=PATH, to PATH as a JSON array, one row per line.
 class RowSink {
  public:
   RowSink(std::string_view bench, const BenchConfig& config);
@@ -232,10 +223,9 @@ class RowSink {
 
   void Emit(const Row& row);
 
-  /// Prints every emitted row to stdout, one per line, after the bench's
-  /// tables, and writes the --json file if one was asked for. Returns the
-  /// bench's exit code: 1, after a message on stderr, if the file cannot
-  /// be written.
+  /// Prints every emitted row to stdout, one per line, and writes the
+  /// --json file if one was asked for. Returns the bench's exit code: 1,
+  /// after a message on stderr, if the file cannot be written.
   int Finish() const;
 
  private:

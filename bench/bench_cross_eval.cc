@@ -2,8 +2,14 @@
 //  * Section III-B: naively porting TADOC to NVM (allocator pointed at
 //    NVM, algorithms unchanged) costs ~13.37x vs TADOC on DRAM;
 //  * Section VI-F: N-TADOC is ~5x faster than that naive TADOC-on-NVM.
-
-#include <cstdio>
+//
+// Result rows (bench_common.h's row format, bench "cross_eval"):
+//   cell     task; dram_sim_ns, dram_wall_ns (TADOC on DRAM),
+//            naive_sim_ns, naive_wall_ns (the naive NVM port),
+//            ntadoc_sim_ns, ntadoc_wall_ns
+//   summary  ratio (naive_over_dram or naive_over_ntadoc); sim_x and
+//            wall_x, the geometric mean over the cells on each clock,
+//            and paper_x
 
 #include "bench/bench_common.h"
 
@@ -13,13 +19,10 @@ int main(int argc, char** argv) {
   const BenchConfig config = ParseArgs(argc, argv);
   const auto datasets = LoadDatasets(config);
   const AnalyticsOptions opts;
+  RowSink sink("cross_eval", config);
 
-  PrintTitle("Cross-evaluation: naive NVM port vs TADOC vs N-TADOC",
-             "paper III-B (13.37x overhead) and VI-F (5x speedup)");
-  PrintRow({"Dataset/Benchmark", "TADOC-DRAM", "Naive-NVM", "N-TADOC",
-            "NaiveOvhd", "N-TADOCspd"});
-  std::vector<double> overheads;
-  std::vector<double> speedups;
+  ClockRatios overheads;
+  ClockRatios speedups;
   for (const auto& d : datasets) {
     for (Task task : tadoc::kAllTasks) {
       const RunResult dram = RunTadocDram(d.corpus, task, opts);
@@ -28,20 +31,23 @@ int main(int argc, char** argv) {
       const RunResult nt = RunNTadoc(d.corpus, task, opts, nopts,
                                      nvm::OptaneProfile(),
                                      d.device_capacity);
-      const double overhead = static_cast<double>(naive.cost_ns()) /
-                              static_cast<double>(dram.cost_ns());
-      const double speedup = static_cast<double>(naive.cost_ns()) /
-                             static_cast<double>(nt.cost_ns());
-      overheads.push_back(overhead);
-      speedups.push_back(speedup);
-      PrintRow({d.spec.name + " " + tadoc::TaskToString(task),
-                Secs(dram.cost_ns()), Secs(naive.cost_ns()),
-                Secs(nt.cost_ns()), Ratio(overhead), Ratio(speedup)});
+      overheads.Add(naive.metrics, dram.metrics);
+      speedups.Add(naive.metrics, nt.metrics);
+      sink.Emit(sink.Start("cell", d.spec.name)
+                    .Str("task", TaskRowName(task))
+                    .Clocks("dram", dram.metrics)
+                    .Clocks("naive", naive.metrics)
+                    .Clocks("ntadoc", nt.metrics));
     }
   }
-  std::printf(
-      "\nnaive NVM port overhead vs DRAM TADOC: geomean %s (paper: 13.37x)\n"
-      "N-TADOC speedup over naive NVM port:   geomean %s (paper: ~5x)\n",
-      Ratio(GeoMean(overheads)).c_str(), Ratio(GeoMean(speedups)).c_str());
-  return 0;
+  const std::string names = DatasetNames(datasets);
+  sink.Emit(sink.Start("summary", names)
+                .Str("ratio", "naive_over_dram")
+                .Ratios(overheads)
+                .Real("paper_x", 13.37, 2));
+  sink.Emit(sink.Start("summary", names)
+                .Str("ratio", "naive_over_ntadoc")
+                .Ratios(speedups)
+                .Real("paper_x", 5, 2));
+  return sink.Finish();
 }

@@ -6,11 +6,14 @@
 // memory + its tracked analytics intermediates. N-TADOC keeps the DAG and
 // all counters in the NVM pool; its DRAM cost is only the transient
 // tracked host scratch.
-
-#include <cstdio>
+//
+// Result rows (bench_common.h's row format, bench "dram_savings"):
+//   cell     task; tadoc_bytes (resident corpus + tracked peak),
+//            ntadoc_bytes (resident dictionary + tracked peak),
+//            saving_pct
+//   summary  saving_pct, the mean over the cells, and paper_pct
 
 #include "bench/bench_common.h"
-#include "util/string_util.h"
 
 int main(int argc, char** argv) {
   using namespace ntadoc;
@@ -18,52 +21,35 @@ int main(int argc, char** argv) {
   const BenchConfig config = ParseArgs(argc, argv);
   const auto datasets = LoadDatasets(config);
   const AnalyticsOptions opts;
+  RowSink sink("dram_savings", config);
 
-  PrintTitle("Section VI-C: DRAM space savings vs TADOC",
-             "paper VI-C, avg 70.7% saving");
-  std::vector<std::string> header = {"Benchmark"};
-  for (const auto& d : datasets) header.push_back("Dataset " + d.spec.name);
-  header.push_back("mean");
-  PrintRow(header);
-
-  std::vector<double> all;
-  std::vector<std::vector<double>> per_dataset(datasets.size());
+  double saving_sum = 0;
+  int cells = 0;
   for (Task task : tadoc::kAllTasks) {
-    std::vector<std::string> row = {tadoc::TaskToString(task)};
-    std::vector<double> task_savings;
-    for (size_t i = 0; i < datasets.size(); ++i) {
-      const auto& d = datasets[i];
-      const uint64_t corpus_dram = CorpusDramBytes(d.corpus);
+    for (const auto& d : datasets) {
       const RunResult dram_run = RunTadocDram(d.corpus, task, opts);
       NTadocOptions nopts;
       const RunResult ntadoc_run =
           RunNTadoc(d.corpus, task, opts, nopts, nvm::OptaneProfile(),
                     d.device_capacity);
-      const double tadoc_dram =
-          static_cast<double>(corpus_dram + dram_run.dram_peak_bytes);
-      const double ntadoc_dram = static_cast<double>(
-          ntadoc_run.dram_peak_bytes + DictDramBytes(d.corpus));
-      const double saving = 100.0 * (1.0 - ntadoc_dram / tadoc_dram);
-      task_savings.push_back(saving);
-      per_dataset[i].push_back(saving);
-      all.push_back(saving);
-      row.push_back(FormatDouble(saving, 1) + "%");
+      const uint64_t tadoc_bytes =
+          CorpusDramBytes(d.corpus) + dram_run.dram_peak_bytes;
+      const uint64_t ntadoc_bytes =
+          ntadoc_run.dram_peak_bytes + DictDramBytes(d.corpus);
+      const double saving =
+          100.0 * (1.0 - static_cast<double>(ntadoc_bytes) /
+                             static_cast<double>(tadoc_bytes));
+      saving_sum += saving;
+      ++cells;
+      sink.Emit(sink.Start("cell", d.spec.name)
+                    .Str("task", TaskRowName(task))
+                    .Num("tadoc_bytes", tadoc_bytes)
+                    .Num("ntadoc_bytes", ntadoc_bytes)
+                    .Real("saving_pct", saving, 1));
     }
-    double mean = 0;
-    for (double v : task_savings) mean += v;
-    row.push_back(FormatDouble(mean / task_savings.size(), 1) + "%");
-    PrintRow(row);
   }
-  double mean = 0;
-  for (double v : all) mean += v;
-  std::printf("\noverall mean DRAM saving: %.1f%%   (paper: 70.7%%)\n",
-              mean / all.size());
-  std::printf("per-dataset mean saving (paper: 65.6 / 70.7 / 72.2 / 74.3):\n");
-  for (size_t i = 0; i < datasets.size(); ++i) {
-    double m = 0;
-    for (double v : per_dataset[i]) m += v;
-    std::printf("  %s: %.1f%%\n", datasets[i].spec.name.c_str(),
-                m / per_dataset[i].size());
-  }
-  return 0;
+  sink.Emit(sink.Start("summary", DatasetNames(datasets))
+                .Real("saving_pct", saving_sum / cells, 1)
+                .Real("paper_pct", 70.7, 1));
+  return sink.Finish();
 }

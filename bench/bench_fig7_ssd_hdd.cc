@@ -1,8 +1,17 @@
 // Reproduces Figure 7: N-TADOC on NVM vs the same compressed analytics
 // on SSD and HDD (file path swapped to the block device, 20% memory
 // budget as page cache). Paper headline: 1.87x over SSD, 2.92x over HDD.
+//
+// Result rows (bench_common.h's row format, bench "fig7"):
+//   cell     task; nvm_sim_ns, nvm_wall_ns, ssd_sim_ns, ssd_wall_ns,
+//            hdd_sim_ns, hdd_wall_ns (whole phase-level runs)
+//   summary  medium (ssd or hdd); sim_x and wall_x, the geometric mean
+//            over the cells of that medium over NVM on each clock, and
+//            paper_x
+// tools/bench_gates.sh's gate_fig7 holds NVM < SSD < HDD on the sim clock
+// in every cell.
 
-#include <cstdio>
+#include <algorithm>
 
 #include "bench/bench_common.h"
 
@@ -12,52 +21,46 @@ int main(int argc, char** argv) {
   const BenchConfig config = ParseArgs(argc, argv);
   const auto datasets = LoadDatasets(config);
   const AnalyticsOptions opts;
+  RowSink sink("fig7", config);
 
-  for (const nvm::MediumKind medium :
-       {nvm::MediumKind::kSsd, nvm::MediumKind::kHdd}) {
-    const bool ssd = medium == nvm::MediumKind::kSsd;
-    PrintTitle(std::string("Figure 7: N-TADOC(NVM) speedup over N-TADOC(") +
-                   (ssd ? "SSD" : "HDD") + ")",
-               ssd ? "paper Fig. 7, avg 1.87x over SSD"
-                   : "paper Fig. 7, avg 2.92x over HDD");
-    std::vector<std::string> header = {"Benchmark"};
-    for (const auto& d : datasets) header.push_back("Dataset " + d.spec.name);
-    header.push_back("geomean");
-    PrintRow(header);
-
-    std::vector<double> all;
-    for (Task task : tadoc::kAllTasks) {
-      std::vector<std::string> row = {tadoc::TaskToString(task)};
-      std::vector<double> speedups;
-      for (const auto& d : datasets) {
-        NTadocOptions nopts;
-        nopts.persistence = PersistenceMode::kPhase;
-        const RunResult nvm_run =
-            RunNTadoc(d.corpus, task, opts, nopts, nvm::OptaneProfile(),
-                      d.device_capacity);
-        // The paper caps the memory budget at 20% of the *uncompressed*
-        // dataset — roughly 6 bytes/token of original text, so the page
-        // cache comfortably holds the (much smaller) compressed working
-        // set, exactly as on the paper's platform.
-        const uint64_t cache =
-            std::max<uint64_t>(d.raw_text_bytes / 5 + d.token_count * 12,
-                               256 * 1024);
-        const auto block_profile =
-            ssd ? nvm::SsdProfile(cache) : nvm::HddProfile(cache);
-        const RunResult block_run = RunNTadoc(
-            d.corpus, task, opts, nopts, block_profile,
-            d.device_capacity);
-        const double speedup = static_cast<double>(block_run.cost_ns()) /
-                               static_cast<double>(nvm_run.cost_ns());
-        speedups.push_back(speedup);
-        all.push_back(speedup);
-        row.push_back(Ratio(speedup));
-      }
-      row.push_back(Ratio(GeoMean(speedups)));
-      PrintRow(row);
+  ClockRatios over_ssd;
+  ClockRatios over_hdd;
+  for (Task task : tadoc::kAllTasks) {
+    for (const auto& d : datasets) {
+      NTadocOptions nopts;
+      nopts.persistence = PersistenceMode::kPhase;
+      // The paper caps the memory budget at 20% of the *uncompressed*
+      // dataset — roughly 6 bytes/token of original text, so the page
+      // cache comfortably holds the (much smaller) compressed working
+      // set, exactly as on the paper's platform.
+      const uint64_t cache = std::max<uint64_t>(
+          d.raw_text_bytes / 5 + d.token_count * 12, 256 * 1024);
+      const RunResult nvm_run = RunNTadoc(d.corpus, task, opts, nopts,
+                                          nvm::OptaneProfile(),
+                                          d.device_capacity);
+      const RunResult ssd = RunNTadoc(d.corpus, task, opts, nopts,
+                                      nvm::SsdProfile(cache),
+                                      d.device_capacity);
+      const RunResult hdd = RunNTadoc(d.corpus, task, opts, nopts,
+                                      nvm::HddProfile(cache),
+                                      d.device_capacity);
+      over_ssd.Add(ssd.metrics, nvm_run.metrics);
+      over_hdd.Add(hdd.metrics, nvm_run.metrics);
+      sink.Emit(sink.Start("cell", d.spec.name)
+                    .Str("task", TaskRowName(task))
+                    .Clocks("nvm", nvm_run.metrics)
+                    .Clocks("ssd", ssd.metrics)
+                    .Clocks("hdd", hdd.metrics));
     }
-    std::printf("\noverall geomean speedup: %s   (paper: %s)\n",
-                Ratio(GeoMean(all)).c_str(), ssd ? "1.87x" : "2.92x");
   }
-  return 0;
+  const std::string names = DatasetNames(datasets);
+  sink.Emit(sink.Start("summary", names)
+                .Str("medium", "ssd")
+                .Ratios(over_ssd)
+                .Real("paper_x", 1.87, 2));
+  sink.Emit(sink.Start("summary", names)
+                .Str("medium", "hdd")
+                .Ratios(over_hdd)
+                .Real("paper_x", 2.92, 2));
+  return sink.Finish();
 }

@@ -29,7 +29,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -331,10 +330,6 @@ int main(int argc, char** argv) {
       std::move(tier_config);
 
   for (const auto& d : datasets) {
-    PrintTitle("Traversal hot path on dataset " + d.spec.name,
-               "zero-copy extent reads + batched charging");
-    PrintRow({"Task", "Mode", "Variant", "Cache", "InitWall", "InitSim",
-              "TravWall", "TravSim", "Hits"});
     constexpr PersistenceMode kModes[] = {
         PersistenceMode::kNone, PersistenceMode::kPhase,
         PersistenceMode::kOperation};
@@ -380,22 +375,11 @@ int main(int argc, char** argv) {
                 std::min(rows[v].traversal_wall_ns, r.traversal_wall_ns);
           }
         }
-        for (const HotpathResult& r : rows) {
-          PrintRow({r.task, r.mode, r.variant,
-                    std::to_string(r.dram_cache_mb) + "MB",
-                    Secs(r.init_wall_ns), Secs(r.init_sim_ns),
-                    Secs(r.traversal_wall_ns), Secs(r.traversal_sim_ns),
-                    std::to_string(r.counters.rule_cache_hits)});
-          EmitRun(&sink, d.spec.name, r);
-        }
+        for (const HotpathResult& r : rows) EmitRun(&sink, d.spec.name, r);
       }
     }
 
     if (!all_tasks) continue;
-    PrintTitle("RunBatch on dataset " + d.spec.name,
-               "six tasks sharing one initialization");
-    PrintRow({"Task", "Mode", "Variant", "InitWall", "InitSim", "TravWall",
-              "TravSim"});
     struct BatchConfigRow {
       PersistenceMode mode;
       uint32_t ci;
@@ -406,20 +390,13 @@ int main(int argc, char** argv) {
         {PersistenceMode::kOperation, 8}};
     for (const auto& [mode, ci] : batch_modes) {
       for (const HotpathResult& r : RunBatchRows(d, mode, ci, repeat)) {
-        PrintRow({r.task, r.mode, r.variant, Secs(r.init_wall_ns),
-                  Secs(r.init_sim_ns), Secs(r.traversal_wall_ns),
-                  Secs(r.traversal_sim_ns)});
         EmitRun(&sink, d.spec.name, r);
       }
     }
   }
 
   if (all_tasks && !datasets.empty()) {
-    std::printf("\nTraversal kernels (structure-level hot path):\n");
-    PrintRow({"Kernel", "Iters", "Wall", "Sim"});
     for (const KernelResult& k : RunKernels(datasets[0], repeat)) {
-      PrintRow({k.name, std::to_string(k.iters), Secs(k.wall_ns),
-                Secs(k.sim_ns)});
       sink.Emit(sink.Start("kernel", datasets[0].spec.name)
                     .Str("kernel", k.name)
                     .Num("iters", k.iters)

@@ -37,7 +37,6 @@
 //   --json=PATH          also write the result rows to PATH
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
@@ -172,10 +171,6 @@ int main(int argc, char** argv) {
       ParseArgs(argc, argv, kJsonFlag | kRepeatFlag | kThreadsListFlag);
   RowSink sink("ingest", config);
 
-  PrintTitle("Chunk-parallel ingest",
-             "container build throughput (TADOC compression; rapidgzip-style "
-             "chunking)");
-
   for (const auto& spec : textgen::AllDatasets(config.scale)) {
     if (!config.datasets.empty() &&
         std::find(config.datasets.begin(), config.datasets.end(),
@@ -194,18 +189,9 @@ int main(int argc, char** argv) {
     const uint64_t device_capacity =
         (std::max<uint64_t>(config.device_capacity, raw_bytes * 72) +
          (1ull << 20) - 1) & ~((1ull << 20) - 1);
-
-    PrintRow({"dataset=" + spec.name, "threads", "chunks", "wall_s",
-              "lane_s", "MB/s", "bytes", "dedup", "init_sim_s"});
     for (uint32_t t : config.threads_list) {
       IngestResult r = RunIngest(spec.name, files, raw_bytes,
                                  device_capacity, t, config.repeat);
-      char mbps[32];
-      std::snprintf(mbps, sizeof(mbps), "%.2f", r.mb_per_s);
-      PrintRow({"", std::to_string(r.threads), std::to_string(r.chunks),
-                Secs(r.wall_ns), Secs(r.lane_makespan_ns), mbps,
-                std::to_string(r.bytes), std::to_string(r.deduped_rules),
-                Secs(r.init_sim_ns)});
       sink.Emit(sink.Start("compress", r.dataset)
                     .Num("threads", r.threads)
                     .Num("chunks", r.chunks)

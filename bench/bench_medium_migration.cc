@@ -1,8 +1,15 @@
 // Section VI-F vision: migrating N-TADOC to other NVM architectures.
 // Runs the full task suite on ReRAM-like and PCM-like profiles and
-// compares against the Optane-like baseline medium.
-
-#include <cstdio>
+// compares against the Optane-like baseline medium. PCM's steeper write
+// penalty shows as a consistent slowdown; ReRAM's finer granularity
+// helps the random-access-heavy tasks (sequence count) most.
+//
+// Result rows (bench_common.h's row format, bench "medium_migration"):
+//   cell     task; optane_sim_ns, optane_wall_ns, reram_sim_ns,
+//            reram_wall_ns, pcm_sim_ns, pcm_wall_ns
+//   summary  medium (reram or pcm); sim_x and wall_x, the geometric mean
+//            over the tasks of Optane over that medium on each clock
+//            (above 1: the medium is faster)
 
 #include "bench/bench_common.h"
 
@@ -13,12 +20,11 @@ int main(int argc, char** argv) {
   if (config.datasets.empty()) config.datasets = {"C"};
   const auto datasets = LoadDatasets(config);
   const AnalyticsOptions opts;
+  RowSink sink("medium_migration", config);
 
   for (const auto& d : datasets) {
-    PrintTitle("Medium migration on dataset " + d.spec.name,
-               "paper VI-F (ReRAM / PCM migration vision)");
-    PrintRow({"Benchmark", "Optane", "ReRAM", "PCM", "ReRAM spd",
-              "PCM spd"});
+    ClockRatios over_reram;
+    ClockRatios over_pcm;
     for (Task task : tadoc::kAllTasks) {
       NTadocOptions nopts;
       const RunResult optane = RunNTadoc(d.corpus, task, opts, nopts,
@@ -29,17 +35,20 @@ int main(int argc, char** argv) {
                                         d.device_capacity);
       const RunResult pcm = RunNTadoc(d.corpus, task, opts, nopts,
                                       nvm::PcmProfile(), d.device_capacity);
-      PrintRow({tadoc::TaskToString(task), Secs(optane.cost_ns()),
-                Secs(reram.cost_ns()), Secs(pcm.cost_ns()),
-                Ratio(static_cast<double>(optane.cost_ns()) /
-                      reram.cost_ns()),
-                Ratio(static_cast<double>(optane.cost_ns()) /
-                      pcm.cost_ns())});
+      over_reram.Add(optane.metrics, reram.metrics);
+      over_pcm.Add(optane.metrics, pcm.metrics);
+      sink.Emit(sink.Start("cell", d.spec.name)
+                    .Str("task", TaskRowName(task))
+                    .Clocks("optane", optane.metrics)
+                    .Clocks("reram", reram.metrics)
+                    .Clocks("pcm", pcm.metrics));
     }
+    sink.Emit(sink.Start("summary", d.spec.name)
+                  .Str("medium", "reram")
+                  .Ratios(over_reram));
+    sink.Emit(sink.Start("summary", d.spec.name)
+                  .Str("medium", "pcm")
+                  .Ratios(over_pcm));
   }
-  std::printf(
-      "\nPCM's steeper write penalty shows as a consistent slowdown;\n"
-      "ReRAM's finer granularity helps the random-access-heavy tasks\n"
-      "(sequence count) most — at this scale host time damps the rest.\n");
-  return 0;
+  return sink.Finish();
 }

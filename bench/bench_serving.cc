@@ -27,7 +27,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -258,23 +257,14 @@ int main(int argc, char** argv) {
   NTADOC_CHECK(sealed.ok()) << sealed.status();
 
   RowSink sink("serving", config);
-  PrintTitle("Concurrent serving on dataset " + d.spec.name,
-             "sealed pool, per-session clones, per-worker sim lanes");
-  PrintRow({"Workers", "Faults", "Queries", "QPS(sim)", "p50", "p99",
-            "Makespan", "Repairs"});
 
-  std::vector<ServeResult> results;
+  // The refresh-under-load run below uses the same fleet size and query
+  // count as the clean 16-worker row, which doubles as its gate baseline.
+  uint64_t baseline_p99 = 0;
   for (uint32_t workers : {1u, 4u, 16u}) {
     for (uint32_t fault_pct : {0u, 25u}) {
       const ServeResult r =
           RunFleet(*sealed, workers, queries, fault_pct, bad_block);
-      PrintRow({std::to_string(r.workers),
-                std::to_string(r.fault_pct) + "%",
-                std::to_string(r.queries),
-                std::to_string(r.qps).substr(0, 8), Secs(r.p50_sim_ns),
-                Secs(r.p99_sim_ns), Secs(r.makespan_sim_ns),
-                std::to_string(r.sessions.scoped_repairs +
-                               r.sessions.salvage_restarts)});
       sink.Emit(sink.Start("fleet", d.spec.name)
                     .Num("workers", r.workers)
                     .Num("fault_pct", r.fault_pct)
@@ -287,20 +277,11 @@ int main(int argc, char** argv) {
                     .Num("scoped_repairs", r.sessions.scoped_repairs)
                     .Num("salvage_restarts", r.sessions.salvage_restarts)
                     .Num("degraded", r.degraded));
-      results.push_back(r);
+      if (workers == 16 && fault_pct == 0) baseline_p99 = r.p99_sim_ns;
     }
   }
 
-  // Refresh under load: same fleet size and query count as the clean
-  // 16-worker row, which doubles as the gate baseline.
-  uint64_t baseline_p99 = 0;
-  for (const ServeResult& r : results) {
-    if (r.workers == 16 && r.fault_pct == 0) baseline_p99 = r.p99_sim_ns;
-  }
   const RefreshResult refresh = RunRefreshFleet(d, so, queries, baseline_p99);
-  PrintRow({"16+refresh", "0%", std::to_string(refresh.queries), "-",
-            "-", Secs(refresh.p99_sim_ns), Secs(refresh.makespan_sim_ns),
-            std::to_string(refresh.generations_published) + " gen"});
   sink.Emit(sink.Start("refresh", d.spec.name)
                 .Num("workers", refresh.workers)
                 .Num("queries", refresh.queries)

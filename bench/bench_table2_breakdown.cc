@@ -1,9 +1,23 @@
 // Reproduces Table II + Section VI-D: per-phase time breakdown of
 // N-TADOC on datasets C and D, and per-phase speedups vs the
 // uncompressed-on-NVM baseline (paper: init 1.96x / 1.23x, traversal
-// 2.53x / 2.87x for C / D).
+// 2.53x / 2.87x for C / D; the traversal speedup exceeds the overall
+// speedup).
+//
+// Result rows (bench_common.h's row format, bench "table2"):
+//   cell     task; ntadoc_init_sim_ns, ntadoc_init_wall_ns,
+//            ntadoc_traversal_sim_ns, ntadoc_traversal_wall_ns, and the
+//            same four of the baseline (baseline_init_sim_ns, ...)
+//   summary  phase (init, traversal or overall); sim_x and wall_x, the
+//            geometric mean over the dataset's tasks of baseline over
+//            N-TADOC in that phase on each clock, and paper_x where the
+//            paper gives one
+// tools/bench_gates.sh's gate_table2 holds, on C, the traversal sim_x
+// above the overall one.
 
-#include <cstdio>
+#include <map>
+#include <string>
+#include <utility>
 
 #include "bench/bench_common.h"
 
@@ -15,37 +29,53 @@ int main(int argc, char** argv) {
   const auto datasets = LoadDatasets(config);
   const auto profile = nvm::OptaneProfile();
   const AnalyticsOptions opts;
+  RowSink sink("table2", config);
+  // Paper Table II's (init, traversal) speedups.
+  const std::map<std::string, std::pair<double, double>> paper = {
+      {"C", {1.96, 2.53}}, {"D", {1.23, 2.87}}};
 
-  PrintTitle("Table II: time breakdown (seconds, simulated + host)",
-             "paper Table II");
-  PrintRow({"Dataset/Benchmark", "Init", "Traversal", "Init spd",
-            "Trav spd"});
   for (const auto& d : datasets) {
-    std::vector<double> init_spd;
-    std::vector<double> trav_spd;
+    ClockRatios init;
+    ClockRatios traversal;
+    ClockRatios overall;
     for (Task task : tadoc::kAllTasks) {
       NTadocOptions nopts;
-      const RunResult nt = RunNTadoc(d.corpus, task, opts, nopts, profile,
-                                     d.device_capacity);
-      const RunResult base =
-          RunBaseline(d.corpus, task, opts, profile, d.device_capacity);
-      const double is =
-          static_cast<double>(base.init_ns()) / nt.init_ns();
-      const double ts =
-          static_cast<double>(base.traversal_ns()) / nt.traversal_ns();
-      init_spd.push_back(is);
-      trav_spd.push_back(ts);
-      PrintRow({d.spec.name + " " + tadoc::TaskToString(task),
-                Secs(nt.init_ns()), Secs(nt.traversal_ns()), Ratio(is),
-                Ratio(ts)});
+      const RunMetrics nt =
+          RunNTadoc(d.corpus, task, opts, nopts, profile, d.device_capacity)
+              .metrics;
+      const RunMetrics base =
+          RunBaseline(d.corpus, task, opts, profile, d.device_capacity)
+              .metrics;
+      init.Add(base.init_sim_ns, nt.init_sim_ns, base.init_wall_ns,
+               nt.init_wall_ns);
+      traversal.Add(base.traversal_sim_ns, nt.traversal_sim_ns,
+                    base.traversal_wall_ns, nt.traversal_wall_ns);
+      overall.Add(base, nt);
+      sink.Emit(sink.Start("cell", d.spec.name)
+                    .Str("task", TaskRowName(task))
+                    .Num("ntadoc_init_sim_ns", nt.init_sim_ns)
+                    .Num("ntadoc_init_wall_ns", nt.init_wall_ns)
+                    .Num("ntadoc_traversal_sim_ns", nt.traversal_sim_ns)
+                    .Num("ntadoc_traversal_wall_ns", nt.traversal_wall_ns)
+                    .Num("baseline_init_sim_ns", base.init_sim_ns)
+                    .Num("baseline_init_wall_ns", base.init_wall_ns)
+                    .Num("baseline_traversal_sim_ns", base.traversal_sim_ns)
+                    .Num("baseline_traversal_wall_ns",
+                         base.traversal_wall_ns));
     }
-    std::printf(
-        "  dataset %s phase speedup geomeans: init %s, traversal %s\n",
-        d.spec.name.c_str(), Ratio(GeoMean(init_spd)).c_str(),
-        Ratio(GeoMean(trav_spd)).c_str());
+    const auto paper_x = paper.find(d.spec.name);
+    const bool has_paper = paper_x != paper.end();
+    Row init_row = sink.Start("summary", d.spec.name);
+    init_row.Str("phase", "init").Ratios(init);
+    if (has_paper) init_row.Real("paper_x", paper_x->second.first, 2);
+    sink.Emit(init_row);
+    Row traversal_row = sink.Start("summary", d.spec.name);
+    traversal_row.Str("phase", "traversal").Ratios(traversal);
+    if (has_paper) traversal_row.Real("paper_x", paper_x->second.second, 2);
+    sink.Emit(traversal_row);
+    sink.Emit(sink.Start("summary", d.spec.name)
+                  .Str("phase", "overall")
+                  .Ratios(overall));
   }
-  std::printf(
-      "\npaper reference: C init 1.96x / traversal 2.53x; D init 1.23x /\n"
-      "traversal 2.87x; traversal speedup should exceed overall speedup.\n");
-  return 0;
+  return sink.Finish();
 }

@@ -4,7 +4,10 @@
 // medium-comparison harness):
 //   1. Budget sweep — DRAM tier over the Optane home medium at 10/25/
 //      40/100% of the pool-resident bytes, against the untiered all-NVM
-//      run. Shows how much top-tier capacity buys how much latency.
+//      run. Shows how much top-tier capacity buys how much latency; the
+//      40% row is the headline: most of the all-DRAM win at well under
+//      half the top-tier capacity, because placement follows heat, not
+//      size.
 //   2. DRAM+SSD vs all-SSD — an uncapped DRAM tier over an SSD home
 //      with a tight page cache (capacity pressure is the scenario
 //      tiering exists for).
@@ -24,7 +27,6 @@
 // Extra flag on top of the shared ones (see bench_common.h):
 //   --json=PATH   also write the result rows to PATH
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -110,10 +112,6 @@ int Main(int argc, char** argv) {
 
   for (const auto& d : datasets) {
     // ---- 1. budget sweep over the Optane home ----
-    PrintTitle("Tiered capacity/latency curve on dataset " + d.spec.name,
-               "paper's capacity pitch + placement layer (DESIGN.md S10)");
-    PrintRow({"Task / budget", "all-NVM", "tiered", "speedup", "top MiB",
-              "plan top/home"});
     uint64_t total_resident = 0;  // of the sweep's last run
     for (Task task : kCurveTasks) {
       NTadocOptions base;
@@ -143,31 +141,16 @@ int Main(int argc, char** argv) {
                       TieredDeviceCapacity(d.device_capacity,
                                            *nopts.tiering),
                       &info);
-        const uint64_t tiered_sim_ns = tiered.metrics.TotalSimNs();
-        const uint64_t allnvm_sim_ns = allnvm.metrics.TotalSimNs();
-        const uint64_t top_resident = info.tier_resident_bytes[0];
         total_resident = TotalResident(info);
         sink.Emit(sink.Start("curve", d.spec.name)
                       .Str("task", TaskToken(task))
                       .Num("budget_pct", pct)
-                      .Num("tiered_sim_ns", tiered_sim_ns)
-                      .Num("allnvm_sim_ns", allnvm_sim_ns)
-                      .Num("top_resident_bytes", top_resident)
+                      .Num("tiered_sim_ns", tiered.metrics.TotalSimNs())
+                      .Num("allnvm_sim_ns", allnvm.metrics.TotalSimNs())
+                      .Num("top_resident_bytes", info.tier_resident_bytes[0])
                       .Num("total_resident_bytes", total_resident)
                       .Num("promotions", info.promotions)
                       .Num("demotions", info.demotions));
-        const auto plan = PlanTierCapacities(total_resident, *nopts.tiering);
-        char label[64], plan_cell[48];
-        std::snprintf(label, sizeof(label), "%s @%d%%", TaskToken(task),
-                      pct);
-        std::snprintf(plan_cell, sizeof(plan_cell), "%llu/%llu MiB",
-                      static_cast<unsigned long long>(plan[0] >> 20),
-                      static_cast<unsigned long long>(
-                          plan.size() > 1 ? plan[1] >> 20 : 0));
-        PrintRow({label, Secs(allnvm_sim_ns), Secs(tiered_sim_ns),
-                  Ratio(static_cast<double>(allnvm_sim_ns) /
-                        static_cast<double>(tiered_sim_ns)),
-                  std::to_string(top_resident >> 20), plan_cell});
       }
     }
 
@@ -175,8 +158,6 @@ int Main(int argc, char** argv) {
     // Tight page cache: capacity pressure is the scenario the placement
     // layer exists for (fig7's generous cache would hide it).
     const auto ssd_profile = nvm::SsdProfile(256 * 1024);
-    PrintRow({"", "", "", "", "", ""});
-    PrintRow({"Task", "all-SSD", "DRAM+SSD", "speedup"});
     for (Task task : kCurveTasks) {
       NTadocOptions base;
       base.persistence = PersistenceMode::kPhase;
@@ -188,15 +169,10 @@ int Main(int argc, char** argv) {
           RunNTadoc(d.corpus, task, opts, nopts, ssd_profile,
                     TieredDeviceCapacity(d.device_capacity,
                                          *nopts.tiering));
-      const uint64_t tiered_sim_ns = tiered.metrics.TotalSimNs();
-      const uint64_t allssd_sim_ns = allssd.metrics.TotalSimNs();
       sink.Emit(sink.Start("ssd", d.spec.name)
                     .Str("task", TaskToken(task))
-                    .Num("tiered_sim_ns", tiered_sim_ns)
-                    .Num("allssd_sim_ns", allssd_sim_ns));
-      PrintRow({TaskToken(task), Secs(allssd_sim_ns), Secs(tiered_sim_ns),
-                Ratio(static_cast<double>(allssd_sim_ns) /
-                      static_cast<double>(tiered_sim_ns))});
+                    .Num("tiered_sim_ns", tiered.metrics.TotalSimNs())
+                    .Num("allssd_sim_ns", allssd.metrics.TotalSimNs()));
     }
 
     // ---- 3. online migration vs frozen placement ----
@@ -227,19 +203,8 @@ int Main(int argc, char** argv) {
                     .Num("on_sim_ns", mig_on.sim_ns)
                     .Num("off_sim_ns", mig_off.sim_ns)
                     .Num("promotions", mig_on.promotions));
-      PrintRow({"", "", "", "", "", ""});
-      PrintRow({"Migration (3 runs)", "frozen", "online", "speedup"});
-      PrintRow({"word_count on SSD", Secs(mig_off.sim_ns),
-                Secs(mig_on.sim_ns),
-                Ratio(static_cast<double>(mig_off.sim_ns) /
-                      static_cast<double>(mig_on.sim_ns))});
     }
   }
-
-  std::printf(
-      "\nThe 40%% budget row is the headline: most of the all-DRAM win\n"
-      "at well under half the top-tier capacity, because placement\n"
-      "follows heat, not size.\n");
   return sink.Finish();
 }
 

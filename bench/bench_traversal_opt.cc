@@ -1,8 +1,13 @@
 // Reproduces Section VI-E: top-down vs bottom-up traversal on the
 // many-small-files dataset B. Paper: top-down is ~1000x slower than
-// bottom-up there, because it re-traverses the DAG once per file.
-
-#include <cstdio>
+// bottom-up there on 134,631 files, because it re-traverses the DAG once
+// per file; the slowdown scales with the file count.
+//
+// Result rows (bench_common.h's row format, bench "traversal_opt"):
+//   cell     task; bottom_up_sim_ns, bottom_up_wall_ns, top_down_sim_ns,
+//            top_down_wall_ns
+//   summary  files; sim_x and wall_x, the geometric mean over the tasks
+//            of top-down over bottom-up on each clock, and paper_x
 
 #include "bench/bench_common.h"
 
@@ -14,12 +19,10 @@ int main(int argc, char** argv) {
   const auto datasets = LoadDatasets(config);
   const auto profile = nvm::OptaneProfile();
   const AnalyticsOptions opts;
+  RowSink sink("traversal_opt", config);
 
-  PrintTitle("Section VI-E: traversal strategy on many-file dataset B",
-             "paper VI-E, top-down ~1000x slower than bottom-up");
-  PrintRow({"Benchmark", "Bottom-up", "Top-down", "Slowdown"});
   for (const auto& d : datasets) {
-    std::vector<double> ratios;
+    ClockRatios slowdowns;
     for (Task task :
          {Task::kTermVector, Task::kInvertedIndex,
           Task::kRankedInvertedIndex}) {
@@ -31,17 +34,16 @@ int main(int argc, char** argv) {
       td.traversal = TraversalStrategy::kTopDown;
       const RunResult top = RunNTadoc(d.corpus, task, opts, td, profile,
                                       d.device_capacity);
-      const double ratio = static_cast<double>(top.cost_ns()) /
-                           static_cast<double>(bottom.cost_ns());
-      ratios.push_back(ratio);
-      PrintRow({tadoc::TaskToString(task), Secs(bottom.cost_ns()),
-                Secs(top.cost_ns()), Ratio(ratio)});
+      slowdowns.Add(top.metrics, bottom.metrics);
+      sink.Emit(sink.Start("cell", d.spec.name)
+                    .Str("task", TaskRowName(task))
+                    .Clocks("bottom_up", bottom.metrics)
+                    .Clocks("top_down", top.metrics));
     }
-    std::printf(
-        "\ndataset %s (%u files): top-down geomean slowdown %s "
-        "(paper: ~1000x on 134k files; scales with file count)\n",
-        d.spec.name.c_str(), d.corpus.num_files(),
-        Ratio(GeoMean(ratios)).c_str());
+    sink.Emit(sink.Start("summary", d.spec.name)
+                  .Num("files", d.corpus.num_files())
+                  .Ratios(slowdowns)
+                  .Real("paper_x", 1000, 0));
   }
-  return 0;
+  return sink.Finish();
 }

@@ -95,12 +95,13 @@ int main() {
     if (!nt.ok() || !base.ok()) return 1;
 
     std::printf(
-        "%-16s N-TADOC %-10s baseline %-10s speedup %.2fx  (results %s)\n",
+        "%-16s simulated device time: N-TADOC %-10s baseline %-10s "
+        "speedup %.2fx  (results %s)\n",
         tadoc::TaskToString(task),
-        HumanDuration(nt_metrics.TotalCostNs()).c_str(),
-        HumanDuration(base_metrics.TotalCostNs()).c_str(),
-        static_cast<double>(base_metrics.TotalCostNs()) /
-            static_cast<double>(nt_metrics.TotalCostNs()),
+        HumanDuration(nt_metrics.TotalSimNs()).c_str(),
+        HumanDuration(base_metrics.TotalSimNs()).c_str(),
+        static_cast<double>(base_metrics.TotalSimNs()) /
+            static_cast<double>(nt_metrics.TotalSimNs()),
         *nt == *base ? "identical" : "DIFFER (bug!)");
   }
   return 0;

@@ -17,7 +17,6 @@ using compress::Symbol;
 using compress::WordId;
 using core::NvmHashTable;
 using core::NvmVector;
-using tadoc::AccessCharger;
 using tadoc::CanonicalSort;
 using tadoc::CanonicalTopK;
 using tadoc::CanonicalWordCounts;
@@ -52,9 +51,8 @@ Status GramAdd(GramTable* table, nvm::NvmPool* pool, const NgramKey& key) {
 }  // namespace
 
 UncompressedAnalytics::UncompressedAnalytics(const CompressedCorpus* corpus,
-                                             nvm::NvmDevice* device,
-                                             Options options)
-    : corpus_(corpus), device_(device), options_(options) {
+                                             nvm::NvmDevice* device)
+    : corpus_(corpus), device_(device) {
   NTADOC_CHECK(corpus != nullptr);
   NTADOC_CHECK(device != nullptr);
 }
@@ -70,7 +68,7 @@ Result<uint64_t> UncompressedAnalytics::LoadStream() {
   }
   device_->clock().Charge(
       static_cast<uint64_t>(raw_text_bytes * nvm::kSourceDiskNsPerByte));
-  if (options_.base + bytes > device_->capacity()) {
+  if (bytes > device_->capacity()) {
     return Status::ResourceExhausted(
         "token stream does not fit the device: need " +
         std::to_string(bytes) + " bytes");
@@ -78,11 +76,10 @@ Result<uint64_t> UncompressedAnalytics::LoadStream() {
   // Bulk load with streaming stores; the write charge is the persistence
   // cost, only a fence follows.
   constexpr uint64_t kChunk = 4096;
-  uint64_t off = options_.base;
   const auto* src = reinterpret_cast<const uint8_t*>(stream.data());
   for (uint64_t pos = 0; pos < bytes; pos += kChunk) {
     const uint64_t n = std::min(kChunk, bytes - pos);
-    device_->WriteBytes(off + pos, src + pos, n);
+    device_->WriteBytes(pos, src + pos, n);
   }
   device_->Drain();
   stream_bytes_ = bytes;
@@ -95,14 +92,13 @@ Result<AnalyticsOutput> UncompressedAnalytics::Run(Task task,
   if (opts.ngram < 2 || opts.ngram > NgramKey::kMaxNgram) {
     return Status::InvalidArgument("ngram must be in [2, 4]");
   }
-  const AccessCharger dram(options_.dram_model);
   WallTimer timer;
   const uint64_t sim0 = device_->clock().NowNanos();
 
   // ---- Initialization: load the uncompressed stream onto the device and
   // set up the device-resident counter region ----
   NTADOC_ASSIGN_OR_RETURN(const uint64_t num_symbols, LoadStream());
-  const uint64_t pool_base = (options_.base + stream_bytes_ + 4095) & ~4095ull;
+  const uint64_t pool_base = (stream_bytes_ + 4095) & ~4095ull;
   NTADOC_ASSIGN_OR_RETURN(
       auto pool, nvm::NvmPool::Create(device_, pool_base,
                                       device_->capacity() - pool_base));
@@ -134,7 +130,7 @@ Result<AnalyticsOutput> UncompressedAnalytics::Run(Task task,
   auto for_each_symbol = [&](auto&& fn) -> Status {
     for (uint64_t pos = 0; pos < num_symbols; pos += kChunkSyms) {
       const uint64_t n = std::min(kChunkSyms, num_symbols - pos);
-      device_->ReadBytes(options_.base + pos * sizeof(Symbol), buf.data(),
+      device_->ReadBytes(pos * sizeof(Symbol), buf.data(),
                          n * sizeof(Symbol));
       for (uint64_t i = 0; i < n; ++i) {
         NTADOC_RETURN_IF_ERROR(fn(buf[i]));
@@ -263,7 +259,6 @@ Result<AnalyticsOutput> UncompressedAnalytics::Run(Task task,
       break;
     }
   }
-  (void)dram;
 
   if (metrics != nullptr) {
     metrics->init_wall_ns = init_wall;

@@ -1,20 +1,18 @@
 // Uncompressed text analytics on a storage device — the paper's baseline.
 //
 // The baseline stores the dictionary-converted token stream (no
-// compression) on the device and scans it per task. Counters and results
-// live in host DRAM and are charged to a DRAM-profile MemoryModel sharing
-// the run's clock, so baseline and N-TADOC costs are directly comparable.
+// compression) on the device and scans it per task. Its counters live on
+// the device too and are charged to the device's clock; the host-side
+// result assembly is not charged.
 
 #ifndef NTADOC_BASELINE_UNCOMPRESSED_H_
 #define NTADOC_BASELINE_UNCOMPRESSED_H_
 
 #include <cstdint>
-#include <memory>
 
 #include "compress/compressor.h"
 #include "nvm/nvm_device.h"
 #include "tadoc/analytics.h"
-#include "tadoc/charge.h"
 #include "tadoc/engine.h"
 #include "util/status.h"
 
@@ -29,25 +27,12 @@ using tadoc::Task;
 /// Uncompressed scan-based analytics over a device-resident token stream.
 class UncompressedAnalytics {
  public:
-  /// Construction options.
-  struct Options {
-    /// Device offset where the token stream is written.
-    uint64_t base = 0;
-
-    /// DRAM-side cost model for host counters (nullable).
-    nvm::MemoryModel* dram_model = nullptr;
-  };
-
   /// `device` must outlive the engine; the corpus token stream is
-  /// expanded and written to the device during each Run()'s init phase
-  /// (the paper times dataset loading as part of initialization).
+  /// expanded and written to the device at offset 0 during each Run()'s
+  /// init phase (the paper times dataset loading as part of
+  /// initialization).
   UncompressedAnalytics(const CompressedCorpus* corpus,
-                        nvm::NvmDevice* device, Options options);
-
-  /// Defaults: stream at device offset 0, no DRAM-side charging.
-  UncompressedAnalytics(const CompressedCorpus* corpus,
-                        nvm::NvmDevice* device)
-      : UncompressedAnalytics(corpus, device, Options()) {}
+                        nvm::NvmDevice* device);
 
   /// Runs one analytics task; fills `metrics` if non-null.
   Result<AnalyticsOutput> Run(Task task, const AnalyticsOptions& opts = {},
@@ -63,7 +48,6 @@ class UncompressedAnalytics {
 
   const CompressedCorpus* corpus_;
   nvm::NvmDevice* device_;
-  Options options_;
   uint64_t stream_bytes_ = 0;
 };
 

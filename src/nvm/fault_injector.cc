@@ -123,14 +123,13 @@ int FaultInjector::OnFlush(uint64_t offset, uint64_t len) {
   return -1;
 }
 
-uint32_t FaultInjector::TornKeepBytes(int spec_index, uint64_t salt) {
+uint32_t FaultInjector::TornKeepBytes(int spec_index) {
   const FaultSpec& s = plan_.faults[static_cast<size_t>(spec_index)];
   if (s.torn_keep_bytes != FaultSpec::kAuto) {
     return std::min<uint32_t>(s.torn_keep_bytes & ~7u, 56);
   }
   // Seeded multiple of 8 in [8, 56]: always a real tear, never a full
   // persist and never a clean drop (those are SimulateCrash territory).
-  (void)salt;
   return static_cast<uint32_t>(8 * (1 + rng_.Uniform(7)));
 }
 

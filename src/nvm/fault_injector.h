@@ -143,9 +143,9 @@ class FaultInjector {
   int OnFlush(uint64_t offset, uint64_t len);
 
   /// For a fired torn-flush spec: how many bytes of the new line content
-  /// to keep (multiple of 8 in [0, 64)). `salt` varies the seeded choice
-  /// per fired fault.
-  uint32_t TornKeepBytes(int spec_index, uint64_t salt);
+  /// to keep (multiple of 8 in [0, 64)), the spec's own count or a seeded
+  /// choice.
+  uint32_t TornKeepBytes(int spec_index);
 
   /// Seeded pick of one element out of `count` (for choosing which dirty
   /// line in the flushed range tears).

@@ -15,6 +15,13 @@ namespace ntadoc::nvm {
 
 namespace {
 
+// Bounded read retry for transient media errors: up to four retries after
+// the failed read, each charging a controller backoff (2 us, doubling per
+// attempt) plus the re-issued read, so absorbed faults still cost
+// simulated time. Retries never help against sticky-unreadable blocks.
+constexpr uint32_t kMaxReadRetries = 4;
+constexpr uint64_t kRetryBackoffNs = 2000;
+
 uint64_t PageSize() {
   static const uint64_t page = static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
   return page;
@@ -129,7 +136,6 @@ NvmDevice::NvmDevice(DeviceOptions options, Backing data)
       random_evict_probability_(options.random_evict_probability),
       evict_rng_(options.evict_seed),
       data_(std::move(data)),
-      retry_(options.retry),
       snapshot_at_drain_(options.snapshot_at_drain),
       snapshot_drains_begin_(options.snapshot_drains_begin),
       snapshot_drains_end_(options.snapshot_drains_end),
@@ -185,9 +191,9 @@ void NvmDevice::ReadBytes(uint64_t offset, void* dst, uint64_t len) {
 FaultInjector::ReadFault NvmDevice::RetryRead(uint64_t offset, uint64_t len,
                                               uint64_t quantum, bool extent) {
   FaultInjector::ReadFault f = FaultInjector::ReadFault::kTransient;
-  uint64_t backoff = retry_.backoff_ns;
+  uint64_t backoff = kRetryBackoffNs;
   for (uint32_t attempt = 0;
-       attempt < retry_.max_read_retries &&
+       attempt < kMaxReadRetries &&
        f == FaultInjector::ReadFault::kTransient;
        ++attempt) {
     ++transient_retries_;
@@ -338,7 +344,7 @@ uint64_t NvmDevice::MaybeTearFlush(uint64_t first, uint64_t last) {
   if (spec < 0) return kNoTornLine;
   std::sort(covered.begin(), covered.end());
   const uint64_t line = covered[injector_->PickIndex(covered.size())];
-  const uint32_t keep = injector_->TornKeepBytes(spec, line);
+  const uint32_t keep = injector_->TornKeepBytes(spec);
   // The media persisted only the first `keep` bytes of the line's new
   // content; the suffix still holds the old persisted bytes. Rewrite the
   // line's pre-image accordingly and keep it dirty: if the caller crashes

@@ -34,18 +34,6 @@
 
 namespace ntadoc::nvm {
 
-/// Bounded read-retry policy for transient media errors. Each retry
-/// charges an exponentially growing controller backoff to the simulated
-/// clock plus the re-issued read itself, so absorbed faults still cost
-/// simulated time. Retries never help against sticky-unreadable blocks.
-struct RetryPolicy {
-  /// Maximum retry attempts after the initial failed read (0 disables).
-  uint32_t max_read_retries = 4;
-
-  /// Backoff before the first retry; doubles each further attempt.
-  uint64_t backoff_ns = 2000;
-};
-
 class SealedImage;
 
 /// Construction options for NvmDevice.
@@ -79,9 +67,6 @@ struct DeviceOptions {
   /// Seed for all randomized fault choices; the same plan + seed
   /// reproduces byte-identical post-crash device states.
   uint64_t fault_seed = 1;
-
-  /// Read-retry policy for transient media errors (see RetryPolicy).
-  RetryPolicy retry;
 
   /// Run the PersistCheck persistency-order analyzer on every access
   /// (see nvm/persist_check.h). Independent of strict_persistence.
@@ -167,9 +152,9 @@ class NvmDevice {
     WriteBytes(offset, &value, sizeof(T));
   }
 
-  /// Charged bulk load. Transient media errors are absorbed by the retry
-  /// policy; if the range overlaps a sticky-unreadable block (or the
-  /// retry budget runs out) the destination is deterministically
+  /// Charged bulk load. Transient media errors are absorbed by bounded
+  /// retries (RetryRead); if the range overlaps a sticky-unreadable block
+  /// (or the retry budget runs out) the destination is deterministically
   /// zero-filled and the media error counter is bumped. Callers on
   /// recovery paths should prefer TryReadBytes.
   void ReadBytes(uint64_t offset, void* dst, uint64_t len);
@@ -396,7 +381,6 @@ class NvmDevice {
   std::unordered_map<uint64_t, std::array<uint8_t, kLine>> dirty_lines_;
   std::unique_ptr<FaultInjector> injector_;
   std::unique_ptr<PersistCheck> check_;
-  RetryPolicy retry_;
   uint64_t transient_retries_ = 0;
   uint64_t media_errors_ = 0;
   uint64_t drain_count_ = 0;

@@ -90,10 +90,11 @@ Result<TierConfig> TierConfig::Parse(const std::string& spec) {
 
 uint64_t TieredPool::PlacementReserve(const TierConfig& config) {
   (void)config;
-  // Header slot + 8K placement entries, rounded to the 1 MiB pool
-  // block so reserving it never misaligns the pool end. Deterministic
-  // from the config alone: the engine must be able to recompute the
-  // region offset from options at attach time.
+  // 256 KiB: the 64 B header slot plus 8,190 placement entries of 32 B.
+  // A multiple of the 256 B media block, so the pool end it moves stays
+  // block-aligned whenever the device capacity is. Deterministic from the
+  // config alone: the engine must be able to recompute the region offset
+  // from options at attach time.
   return 256 * 1024;
 }
 

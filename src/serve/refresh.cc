@@ -2,11 +2,21 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "util/logging.h"
 
 namespace ntadoc::serve {
+
+namespace {
+
+// Backoff before the second attempt of a durable step, doubling per
+// further attempt: a refresh under transient faults is visibly slower in
+// simulated time, never silently free.
+constexpr uint64_t kRetryBackoffSimNs = 4000;
+
+}  // namespace
 
 CorpusRefresher::CorpusRefresher(core::ContainerStore* store,
                                  ServingEngine* server,
@@ -22,27 +32,22 @@ RefreshStats CorpusRefresher::stats() const {
   return stats_;
 }
 
-Result<core::PendingAppend> CorpusRefresher::StageWithRetry(
-    const std::vector<compress::InputFile>& new_files) {
-  uint64_t backoff = options_.retry_backoff_sim_ns;
-  Status last = Status::OK();
-  for (uint32_t attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      // Writer-side backoff: charged to the store device's clock so a
-      // refresh absorbing faults is visibly slower in simulated time.
-      ++stats_.refresh_retries;
-      store_->device()->clock().Charge(backoff);
-      backoff *= 2;
-    }
-    auto staged = store_->StageAppend(new_files, options_.compress);
-    if (staged.ok()) return staged;
-    last = staged.status();
+Status CorpusRefresher::WithRetry(const std::function<Status()>& step) {
+  uint64_t backoff = kRetryBackoffSimNs;
+  for (uint32_t attempt = 1;; ++attempt) {
+    const Status s = step();
     // Only media trouble is worth retrying: the next attempt re-reads
-    // the container and re-stages from scratch, so a healed transient
-    // fault succeeds. Bad input or a full slot never heals.
-    if (last.code() != StatusCode::kDataLoss) break;
+    // the container and re-stages from scratch (or re-commits), so a
+    // healed transient fault succeeds. Bad input or a full slot never
+    // heals.
+    if (s.ok() || s.code() != StatusCode::kDataLoss ||
+        attempt >= options_.max_attempts) {
+      return s;
+    }
+    ++stats_.refresh_retries;
+    store_->device()->clock().Charge(backoff);
+    backoff *= 2;
   }
-  return last;
 }
 
 Result<SealedPool> CorpusRefresher::SealGeneration(
@@ -64,59 +69,25 @@ Status CorpusRefresher::Refresh(
   util::MutexLock lock(&mu_);
 
   // 1. Stage (durable shadow write, old descriptor still live).
-  auto staged = StageWithRetry(new_files);
+  std::optional<core::PendingAppend> staged;
+  const Status stage = WithRetry([&] {
+    Result<core::PendingAppend> got =
+        store_->StageAppend(new_files, options_.compress);
+    if (!got.ok()) return got.status();
+    staged = std::move(*got);
+    return Status::OK();
+  });
 
-  std::shared_ptr<compress::CompressedCorpus> holder;
+  std::shared_ptr<compress::CompressedCorpus> corpus;
   uint64_t gen_id = 0;
-
-  if (staged.ok()) {
+  if (stage.ok()) {
     gen_id = staged->sequence;
-    // 2./3. Seal the replacement generation, then flip the descriptor.
-    // Sealing happens BETWEEN stage and commit: if it fails, the store
-    // has not cut over and the old generation keeps serving.
-    holder = std::make_shared<compress::CompressedCorpus>(
+    corpus = std::make_shared<compress::CompressedCorpus>(
         std::move(staged->merged));
-    core::PendingAppend pending;
-    pending.length = staged->length;
-    pending.target_slot = staged->target_slot;
-    pending.sequence = staged->sequence;
-
-    auto sealed = SealGeneration(holder.get(), gen_id);
-    if (!sealed.ok()) {
-      ++stats_.refresh_aborts;
-      return sealed.status();
-    }
-
-    uint64_t backoff = options_.retry_backoff_sim_ns;
-    Status commit = Status::OK();
-    for (uint32_t attempt = 0; attempt < options_.max_attempts; ++attempt) {
-      if (attempt > 0) {
-        ++stats_.refresh_retries;
-        store_->device()->clock().Charge(backoff);
-        backoff *= 2;
-      }
-      commit = store_->CommitAppend(pending);
-      if (commit.ok() || commit.code() != StatusCode::kDataLoss) break;
-    }
-    if (!commit.ok()) {
-      if (!options_.allow_degraded) {
-        // Abort: descriptor untouched, old generation keeps serving;
-        // the staged slot is unreferenced garbage the next stage reuses.
-        ++stats_.refresh_aborts;
-        return commit;
-      }
-      // Escalate to degraded: serve the merged corpus from memory.
-      // Nothing durable changed — a crash recovers the old generation.
-      ++stats_.degraded_refreshes;
-    }
-    server_->PublishGeneration(
-        std::make_shared<const SealedPool>(std::move(*sealed)), gen_id,
-        holder, options_.drain_deadline_sim_ns);
   } else if (options_.allow_degraded) {
     // Stage never produced a merged corpus (the container itself was
-    // unreadable after retries). Degraded refresh: merge in memory
-    // against the corpus the fleet is serving right now and publish
-    // without durability.
+    // unreadable after retries): merge in memory against the corpus the
+    // fleet is serving right now.
     std::shared_ptr<const SealedPool> current = server_->current_pool();
     NTADOC_CHECK(current != nullptr && current->corpus != nullptr);
     auto merged =
@@ -125,24 +96,42 @@ Status CorpusRefresher::Refresh(
       ++stats_.refresh_aborts;
       return merged.status();
     }
-    holder = std::make_shared<compress::CompressedCorpus>(std::move(*merged));
+    corpus = std::make_shared<compress::CompressedCorpus>(std::move(*merged));
     gen_id = server_->current_generation() + 1;
-    auto sealed = SealGeneration(holder.get(), gen_id);
-    if (!sealed.ok()) {
-      ++stats_.refresh_aborts;
-      return sealed.status();
-    }
-    ++stats_.degraded_refreshes;
-    server_->PublishGeneration(
-        std::make_shared<const SealedPool>(std::move(*sealed)), gen_id,
-        holder, options_.drain_deadline_sim_ns);
   } else {
     ++stats_.refresh_aborts;
-    return staged.status();
+    return stage;
   }
 
+  // 2. Seal the replacement generation. Sealing happens BETWEEN stage and
+  // commit: if it fails, the store has not cut over and the old
+  // generation keeps serving.
+  auto sealed = SealGeneration(corpus.get(), gen_id);
+  if (!sealed.ok()) {
+    ++stats_.refresh_aborts;
+    return sealed.status();
+  }
+
+  // 3. Flip the descriptor, if the stage gave a durable slot to flip to.
+  const Status commit =
+      stage.ok() ? WithRetry([&] { return store_->CommitAppend(*staged); })
+                 : stage;
+  if (!commit.ok()) {
+    if (!options_.allow_degraded) {
+      // Abort: descriptor untouched, old generation keeps serving;
+      // the staged slot is unreferenced garbage the next stage reuses.
+      ++stats_.refresh_aborts;
+      return commit;
+    }
+    // Degraded: serve the merged corpus from memory. Nothing durable
+    // changed — a crash recovers the old generation.
+    ++stats_.degraded_refreshes;
+  }
+
+  // 4. Publish.
+  server_->PublishGeneration(
+      std::make_shared<const SealedPool>(std::move(*sealed)), gen_id, corpus);
   ++stats_.generations_published;
-  if (options_.wait_for_drain) server_->WaitGenerationDrained();
   return Status::OK();
 }
 

@@ -15,13 +15,13 @@
 //      fence recovers to exactly the old or the new container, never a
 //      hybrid (tests/crash_sweep_test.cc GenerationCutoverSweepTest).
 //   4. Publish — ServingEngine::PublishGeneration installs the new pool;
-//      new sessions attach to it, old sessions drain under the
-//      configured deadline.
+//      new sessions attach to it, old sessions drain without a deadline
+//      (ServingEngine::WaitGenerationDrained waits for them).
 //
 // Escalation ladder when media faults hit the writer:
 //   retry    — Stage/Commit failures that look transient (DataLoss) are
 //              retried up to max_attempts with exponential backoff
-//              charged to the store device's sim clock.
+//              (4 us, doubling) charged to the store device's sim clock.
 //   abort    — anything else (or retry exhaustion) aborts the refresh;
 //              the old generation keeps serving untouched
 //              (`refresh_aborts`). A poisoned append can never take the
@@ -40,6 +40,7 @@
 #define NTADOC_SERVE_REFRESH_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "compress/parallel_compress.h"
@@ -60,22 +61,9 @@ struct RefreshOptions {
   /// per step (>= 1).
   uint32_t max_attempts = 3;
 
-  /// Backoff before the second attempt, doubling per further attempt,
-  /// charged to the store device's simulated clock (a refresh under
-  /// transient faults is visibly slower, never silently free).
-  uint64_t retry_backoff_sim_ns = 4000;
-
-  /// Drain deadline for the retired generation (simulated time past the
-  /// publish point before stragglers are cooperatively cancelled);
-  /// 0 = wait forever.
-  uint64_t drain_deadline_sim_ns = 0;
-
   /// Opt-in degraded refresh: publish from memory when durability is
   /// unavailable (see file comment).
   bool allow_degraded = false;
-
-  /// Block Refresh() until the retired generation fully drained.
-  bool wait_for_drain = false;
 };
 
 /// Counters across a refresher's lifetime (ntadoc serve --stats).
@@ -107,11 +95,11 @@ class CorpusRefresher {
   RefreshStats stats() const NTADOC_EXCLUDES(mu_);
 
  private:
-  /// Stage with bounded retry. DataLoss is retryable (transient media);
-  /// anything else aborts immediately.
-  Result<core::PendingAppend> StageWithRetry(
-      const std::vector<compress::InputFile>& new_files)
-      NTADOC_REQUIRES(mu_);
+  /// Runs `step` (a durable stage or commit) up to max_attempts times
+  /// while it fails with DataLoss (transient media), charging the backoff
+  /// before each retry to the store device's clock; anything else stops
+  /// at once. Returns the last attempt's status.
+  Status WithRetry(const std::function<Status()>& step) NTADOC_REQUIRES(mu_);
 
   /// Seals `corpus` into a pool stamped with generation `gen`, growing
   /// capacity if the merged corpus outgrew the current pool's device.

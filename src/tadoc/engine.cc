@@ -139,7 +139,7 @@ Result<AnalyticsOutput> TadocEngine::Run(Task task,
   WallTimer timer;
   const uint64_t sim0 =
       options_.model ? options_.model->clock().NowNanos() : 0;
-  if (options_.charge_source_disk && options_.model != nullptr) {
+  if (options_.model != nullptr) {
     uint64_t container_bytes =
         corpus_->grammar.TotalSymbols() * sizeof(Symbol) +
         16 * corpus_->grammar.NumRules();

@@ -53,15 +53,13 @@ TraversalStrategy ResolveStrategy(TraversalStrategy requested, Task task,
 /// Engine construction options.
 struct EngineOptions {
   /// Access-cost model; null disables charging (pure wall-clock runs).
+  /// With a model, initialization also charges reading the compressed
+  /// container from the source disk (the paper's timing includes dataset
+  /// IO).
   nvm::MemoryModel* model = nullptr;
 
   /// Traversal strategy; kAuto picks per task and file count.
   TraversalStrategy traversal = TraversalStrategy::kAuto;
-
-  /// Charge reading the compressed container from the source disk during
-  /// initialization (the paper's timing includes dataset IO). Requires
-  /// `model` to be set.
-  bool charge_source_disk = false;
 };
 
 /// Phase timing and accounting of one Run().
@@ -83,8 +81,6 @@ struct RunMetrics {
 
   uint64_t TotalWallNs() const { return init_wall_ns + traversal_wall_ns; }
   uint64_t TotalSimNs() const { return init_sim_ns + traversal_sim_ns; }
-  /// Headline metric: simulated device time plus host CPU time.
-  uint64_t TotalCostNs() const { return TotalWallNs() + TotalSimNs(); }
 };
 
 /// DRAM TADOC engine. Stateless between runs; each Run() performs the

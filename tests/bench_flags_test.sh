@@ -55,7 +55,10 @@ expect 2 bench_serving --threads-list=1,8
 expect 2 bench_serving --tasks=sort
 
 for bench in bench_hotpath bench_ingest bench_serving bench_tiering \
-             bench_fig5_speedup; do
+             bench_table1_datasets bench_fig5_speedup bench_fig6_dram_gap \
+             bench_fig7_ssd_hdd bench_dram_savings bench_table2_breakdown \
+             bench_traversal_opt bench_cross_eval bench_ablation \
+             bench_medium_migration; do
   expect 0 "$bench" --help
 done
 grep -q -- '--queries=N' <("$BIN/bench_serving" --help) ||

@@ -7,9 +7,9 @@
 #   * one doctored row set per threshold and per missing-row check fails
 #     with that gate's message. Each doctored value lies just past its
 #     threshold, so a loosened threshold lets it pass and fails the test.
-# The wall and Fig. 6 gates have no committed record, so each starts
-# from a small passing row set of its own (the wall gate's alone and as
-# one of three runs).
+# The wall, stdout and paper-claim gates (Fig. 5, 6 and 7, Table II)
+# have no committed record, so each starts from a small passing row set
+# of its own (the wall gate's alone and as one of three runs).
 #
 # Usage: tests/bench_gates_test.sh
 set -euo pipefail
@@ -35,6 +35,22 @@ FIG6=$(for d in A B C D; do
       "$d" "$task"
   done
 done)
+FIG7=$(for d in A B C D; do
+  for task in word_count sort term_vector inverted_index sequence_count \
+              ranked_inverted_index; do
+    printf 'bench=fig7 row=cell dataset=%s task=%s nvm_sim_ns=100 ssd_sim_ns=101 hdd_sim_ns=102\n' \
+      "$d" "$task"
+  done
+done)
+FIG5=$(printf 'bench=fig5 row=summary persistence=%s sim_x=%s\n' \
+  phase-level 1.622 operation-level 1.010)
+# D's traversal speedup below its overall one is ungated.
+TABLE2=$(printf 'bench=table2 row=summary dataset=%s phase=%s sim_x=%s\n' \
+  C init 1.115 C traversal 2.709 C overall 1.892 D traversal 2.04 \
+  D overall 2.07)
+STDOUT=$(printf '%s\n' \
+  '{"bench": "fig5", "row": "cell", "dataset": "A", "scale": 0.05}' \
+  '{"bench": "fig5", "row": "summary", "dataset": "A", "scale": 0.05}')
 fails=0
 
 # edit SEL FIELD VALUE: in the key=value rows on stdin that hold every
@@ -171,6 +187,39 @@ edit "dataset=C task=ranked_inverted_index" ntadoc_sim_ns 100 <<<"$FIG6" |
   fail "DRAM TADOC sim not below N-TADOC on C ranked_inverted_index" gate_fig6
 edit "dataset=D task=sort" dram_sim_ns - <<<"$FIG6" |
   fail "missing fig6 cell D sort" gate_fig6
+
+# Fig. 7 on the sim clock: every cell present, NVM < SSD < HDD.
+pass gate_fig7 <<<"$FIG7"
+edit "dataset=C task=sort" ssd_sim_ns 100 <<<"$FIG7" |
+  fail "NVM sim not below SSD on C sort" gate_fig7
+edit "dataset=D task=word_count" hdd_sim_ns 101 <<<"$FIG7" |
+  fail "SSD sim not below HDD on D word_count" gate_fig7
+edit "dataset=A task=ranked_inverted_index" nvm_sim_ns - <<<"$FIG7" |
+  fail "missing fig7 cell A ranked_inverted_index" gate_fig7
+
+# Fig. 5: the phase-level geomean sim speedup above the operation-level.
+pass gate_fig5 <<<"$FIG5"
+edit "persistence=phase-level" sim_x 1.010 <<<"$FIG5" |
+  fail "phase-level sim speedup 1.010x not above operation-level 1.010x" \
+    gate_fig5
+edit "persistence=operation-level" sim_x - <<<"$FIG5" |
+  fail "missing fig5 summary rows" gate_fig5
+
+# Table II on C: the traversal sim speedup above the overall one.
+pass gate_table2 <<<"$TABLE2"
+edit "dataset=C phase=traversal" sim_x 1.892 <<<"$TABLE2" |
+  fail "traversal sim speedup 1.892x not above overall 1.892x on C" \
+    gate_table2
+edit "dataset=C phase=overall" sim_x - <<<"$TABLE2" |
+  fail "missing table2 summary rows on C" gate_table2
+
+# A bench's stdout: result rows only, and a summary row if asked for.
+pass gate_stdout summary <<<"$STDOUT"
+printf 'Benchmark  A  B\n%s\n' "$STDOUT" |
+  fail "stdout line 1 is not a result row: Benchmark" gate_stdout
+printf '%s\n\n' "$STDOUT" | fail "stdout line 3 is not a result row" gate_stdout
+grep -v summary <<<"$STDOUT" | pass gate_stdout
+grep -v summary <<<"$STDOUT" | fail "no summary row" gate_stdout summary
 
 # Sim clock drift against the baseline.
 pass gate_drift "$BASELINE" <"$BASELINE"

@@ -848,9 +848,9 @@ TEST(RefresherTest, RefreshPublishesDurableGeneration) {
 
   RefreshOptions ropts;
   ropts.compress.min_chunk_bytes = 1;
-  ropts.wait_for_drain = true;
   CorpusRefresher refresher(h.store.get(), h.server.get(), ropts);
   ASSERT_TRUE(refresher.Refresh(h.batch_b).ok());
+  h.server->WaitGenerationDrained();
 
   // Durable: the container cut over...
   EXPECT_EQ(h.store->generation(), 2u);
