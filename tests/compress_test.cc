@@ -74,6 +74,22 @@ TEST(GrammarTest, ValidateRejectsUnreferencedRule) {
   EXPECT_EQ(g.Validate().code(), StatusCode::kDataLoss);
 }
 
+TEST(GrammarTest, ValidateRejectsWordOutsideDictionary) {
+  Grammar g = TinyGrammar();
+  g.rules[1].push_back(g.dict_size);  // one past the last assigned id
+  const Status st = g.Validate();
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+  EXPECT_NE(st.message().find("dictionary"), std::string::npos) << st;
+}
+
+TEST(GrammarTest, ValidateRejectsSeparatorCountMismatch) {
+  Grammar g = TinyGrammar();
+  g.num_files = 2;  // the root holds one separator
+  const Status st = g.Validate();
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+  EXPECT_NE(st.message().find("separator count"), std::string::npos) << st;
+}
+
 TEST(GrammarTest, ExpandAndLengths) {
   const Grammar g = TinyGrammar();
   EXPECT_EQ(g.ExpandAll(),
