@@ -39,4 +39,9 @@ Status Dictionary::AddWithId(std::string_view word, WordId id) {
   return Status::OK();
 }
 
+void Dictionary::Reserve(uint32_t size) {
+  words_.reserve(size);
+  index_.reserve(size);
+}
+
 }  // namespace ntadoc::compress

@@ -49,6 +49,11 @@ class Dictionary {
   /// arrive densely in increasing order.
   Status AddWithId(std::string_view word, WordId id);
 
+  /// Sizes the id table and the index for `size` ids (the separator
+  /// included), so loading that many words allocates only their strings
+  /// and index nodes.
+  void Reserve(uint32_t size);
+
  private:
   // Transparent hash so find(string_view) needs no temporary string.
   struct TransparentHash {

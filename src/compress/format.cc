@@ -1,5 +1,6 @@
 #include "compress/format.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
@@ -22,16 +23,18 @@ void PutString(std::string* out, const std::string& s) {
   out->append(s);
 }
 
-/// Bounds-checked sequential reader.
+/// Bounds-checked sequential reader over the bytes before the checksum.
 class Reader {
  public:
-  explicit Reader(const std::string& bytes) : bytes_(bytes) {}
+  Reader(const char* data, size_t size) : data_(data), size_(size) {}
+
+  /// Bytes not read yet: the bound on every count and length a header
+  /// field claims, checked before anything is allocated for it.
+  size_t remaining() const { return size_ - pos_; }
 
   Status ReadRaw(void* dst, size_t n) {
-    if (pos_ + n > bytes_.size()) {
-      return Status::DataLoss("container truncated");
-    }
-    std::memcpy(dst, bytes_.data() + pos_, n);
+    if (n > remaining()) return Status::DataLoss("container truncated");
+    std::memcpy(dst, data_ + pos_, n);
     pos_ += n;
     return Status::OK();
   }
@@ -48,15 +51,15 @@ class Reader {
   }
   Result<std::string> ReadString() {
     NTADOC_ASSIGN_OR_RETURN(const uint32_t len, ReadU32());
-    std::string s(len, '\0');
-    NTADOC_RETURN_IF_ERROR(ReadRaw(s.data(), len));
+    if (len > remaining()) return Status::DataLoss("container truncated");
+    std::string s(data_ + pos_, len);
+    pos_ += len;
     return s;
   }
 
-  size_t pos() const { return pos_; }
-
  private:
-  const std::string& bytes_;
+  const char* data_;
+  size_t size_;
   size_t pos_ = 0;
 };
 
@@ -96,7 +99,7 @@ Result<CompressedCorpus> DeserializeCorpus(const std::string& bytes) {
     return Status::DataLoss("container checksum mismatch");
   }
 
-  Reader r(bytes);
+  Reader r(bytes.data(), bytes.size() - sizeof(uint64_t));
   char magic[4];
   NTADOC_RETURN_IF_ERROR(r.ReadRaw(magic, sizeof(magic)));
   if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
@@ -109,8 +112,17 @@ Result<CompressedCorpus> DeserializeCorpus(const std::string& bytes) {
   NTADOC_ASSIGN_OR_RETURN(const uint64_t num_files, r.ReadU64());
   NTADOC_ASSIGN_OR_RETURN(const uint64_t dict_size, r.ReadU64());
   NTADOC_ASSIGN_OR_RETURN(const uint64_t num_rules, r.ReadU64());
-  if (dict_size < kFirstWordId) {
+  // Each file name and word takes at least its u32 length and each rule
+  // its u64 length, so no count may exceed what the bytes left could
+  // hold (checked before anything is sized by it); ids must also fit a
+  // Symbol below the rule flag.
+  if (dict_size < kFirstWordId || dict_size > kRuleFlag ||
+      dict_size - kFirstWordId > r.remaining() / sizeof(uint32_t)) {
     return Status::DataLoss("container dictionary size invalid");
+  }
+  if (num_files > UINT32_MAX ||
+      num_files > r.remaining() / sizeof(uint32_t)) {
+    return Status::DataLoss("container file count invalid");
   }
 
   CompressedCorpus corpus;
@@ -119,6 +131,7 @@ Result<CompressedCorpus> DeserializeCorpus(const std::string& bytes) {
     NTADOC_ASSIGN_OR_RETURN(std::string name, r.ReadString());
     corpus.file_names.push_back(std::move(name));
   }
+  corpus.dict.Reserve(static_cast<uint32_t>(dict_size));
   for (uint64_t id = kFirstWordId; id < dict_size; ++id) {
     NTADOC_ASSIGN_OR_RETURN(const std::string word, r.ReadString());
     NTADOC_RETURN_IF_ERROR(
@@ -126,10 +139,13 @@ Result<CompressedCorpus> DeserializeCorpus(const std::string& bytes) {
   }
   corpus.grammar.num_files = static_cast<uint32_t>(num_files);
   corpus.grammar.dict_size = static_cast<uint32_t>(dict_size);
+  if (num_rules > kRuleFlag || num_rules > r.remaining() / sizeof(uint64_t)) {
+    return Status::DataLoss("container rule count invalid");
+  }
   corpus.grammar.rules.resize(num_rules);
   for (uint64_t i = 0; i < num_rules; ++i) {
     NTADOC_ASSIGN_OR_RETURN(const uint64_t len, r.ReadU64());
-    if (len * sizeof(Symbol) > bytes.size()) {
+    if (len > r.remaining() / sizeof(Symbol)) {
       return Status::DataLoss("rule length corrupt");
     }
     auto& body = corpus.grammar.rules[i];

@@ -1,6 +1,7 @@
 #include "compress/grammar.h"
 
 #include <algorithm>
+#include <string>
 
 #include "util/logging.h"
 
@@ -69,9 +70,43 @@ std::vector<std::pair<uint32_t, uint32_t>> Grammar::RootSegments() const {
   return segments;
 }
 
-Status Grammar::Validate() const {
+namespace {
+
+/// Kahn's walk over rule -> subrule edges, consuming `indeg` (each rule's
+/// reference count). The stack starts with the unreferenced rules in id
+/// order and pops the most recent push first; a rule's children are
+/// pushed in body order as their last reference is consumed. Returns the
+/// rules reached, parents before children: all of them unless the graph
+/// has a cycle.
+std::vector<uint32_t> KahnOrder(const Grammar& g,
+                                std::vector<uint32_t>* indeg) {
+  const uint32_t n = g.NumRules();
+  std::vector<uint32_t> stack;
+  std::vector<uint32_t> order;
+  order.reserve(n);
+  for (uint32_t r = 0; r < n; ++r) {
+    if ((*indeg)[r] == 0) stack.push_back(r);
+  }
+  while (!stack.empty()) {
+    const uint32_t r = stack.back();
+    stack.pop_back();
+    order.push_back(r);
+    for (Symbol s : g.rules[r]) {
+      if (IsRule(s) && --(*indeg)[RuleIndex(s)] == 0) {
+        stack.push_back(RuleIndex(s));
+      }
+    }
+  }
+  return order;
+}
+
+}  // namespace
+
+Status Grammar::Validate(std::vector<uint32_t>* topo_order) const {
   if (rules.empty()) return Status::InvalidArgument("grammar has no rules");
   const uint32_t n = NumRules();
+  // One counting pass: the reference counts are the in-degrees the cycle
+  // check consumes.
   std::vector<uint32_t> uses(n, 0);
   uint64_t sep_count = 0;
   for (uint32_t r = 0; r < n; ++r) {
@@ -99,31 +134,14 @@ Status Grammar::Validate() const {
   if (sep_count != num_files) {
     return Status::DataLoss("separator count != num_files");
   }
-  // Cycle check: Kahn's algorithm over rule->subrule edges must consume
-  // every rule reachable from the root.
-  // (TopologicalOrder CHECK-fails on cycles; do a non-fatal version here.)
-  std::vector<uint32_t> indeg(n, 0);
-  for (uint32_t r = 0; r < n; ++r) {
-    for (Symbol s : rules[r]) {
-      if (IsRule(s)) ++indeg[RuleIndex(s)];
-    }
+  // Cycle check: the walk must reach every rule. (TopologicalOrder
+  // CHECK-fails on a cycle; this is the non-fatal version of the same
+  // walk, so on success its order is TopologicalOrder()'s.)
+  std::vector<uint32_t> order = KahnOrder(*this, &uses);
+  if (order.size() != n) {
+    return Status::DataLoss("grammar contains a rule cycle");
   }
-  std::vector<uint32_t> queue;
-  for (uint32_t r = 0; r < n; ++r) {
-    if (indeg[r] == 0) queue.push_back(r);
-  }
-  uint32_t seen = 0;
-  while (!queue.empty()) {
-    const uint32_t r = queue.back();
-    queue.pop_back();
-    ++seen;
-    for (Symbol s : rules[r]) {
-      if (IsRule(s) && --indeg[RuleIndex(s)] == 0) {
-        queue.push_back(RuleIndex(s));
-      }
-    }
-  }
-  if (seen != n) return Status::DataLoss("grammar contains a rule cycle");
+  if (topo_order != nullptr) *topo_order = std::move(order);
   return Status::OK();
 }
 
@@ -135,22 +153,7 @@ std::vector<uint32_t> Grammar::TopologicalOrder() const {
       if (IsRule(s)) ++indeg[RuleIndex(s)];
     }
   }
-  std::vector<uint32_t> stack;
-  std::vector<uint32_t> order;
-  order.reserve(n);
-  for (uint32_t r = 0; r < n; ++r) {
-    if (indeg[r] == 0) stack.push_back(r);
-  }
-  while (!stack.empty()) {
-    const uint32_t r = stack.back();
-    stack.pop_back();
-    order.push_back(r);
-    for (Symbol s : rules[r]) {
-      if (IsRule(s) && --indeg[RuleIndex(s)] == 0) {
-        stack.push_back(RuleIndex(s));
-      }
-    }
-  }
+  std::vector<uint32_t> order = KahnOrder(*this, &indeg);
   NTADOC_CHECK_EQ(order.size(), n) << "grammar contains a rule cycle";
   return order;
 }

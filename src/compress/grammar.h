@@ -46,8 +46,10 @@ struct Grammar {
 
   /// Structural validation: root exists, symbol references in range,
   /// rule graph acyclic, every non-root rule referenced, separators only
-  /// in the root, separator count == num_files.
-  Status Validate() const;
+  /// in the root, separator count == num_files. On success, a non-null
+  /// `topo_order` receives TopologicalOrder()'s order, taken from the
+  /// validating walk.
+  Status Validate(std::vector<uint32_t>* topo_order = nullptr) const;
 
   /// Rule ids in a topological order where every rule precedes the rules
   /// it references (root first). Reverse it for bottom-up traversal.

@@ -32,14 +32,12 @@ Result<GrammarMerger> GrammarMerger::FromCorpus(CompressedCorpus corpus) {
   NTADOC_RETURN_IF_ERROR(corpus.grammar.Validate());
   GrammarMerger m;
   m.corpus_ = std::move(corpus);
-  for (uint32_t r = 1; r < m.corpus_.grammar.NumRules(); ++r) {
-    m.IndexRule(r);
+  const std::vector<std::vector<Symbol>>& rules = m.corpus_.grammar.rules;
+  m.dedup_.Reserve(rules.size());
+  for (uint32_t r = 1; r < rules.size(); ++r) {
+    m.dedup_.Insert(HashBody(rules[r]), r);
   }
   return m;
-}
-
-void GrammarMerger::IndexRule(uint32_t rule_id) {
-  dedup_[HashBody(corpus_.grammar.rules[rule_id])].push_back(rule_id);
 }
 
 Status GrammarMerger::MergeChunk(const Grammar& grammar,
@@ -91,22 +89,15 @@ Status GrammarMerger::MergeChunk(const Grammar& grammar,
     }
     // Hash-cons: reuse any already-merged rule with the same body.
     const uint64_t h = HashBody(body);
-    uint32_t merged_id = kUnmapped;
-    auto bucket = dedup_.find(h);
-    if (bucket != dedup_.end()) {
-      for (uint32_t cand : bucket->second) {
-        if (corpus_.grammar.rules[cand] == body) {
-          merged_id = cand;
-          break;
-        }
-      }
-    }
-    if (merged_id != kUnmapped) {
+    uint32_t merged_id = dedup_.FindIf(h, [&](uint32_t cand) {
+      return corpus_.grammar.rules[cand] == body;
+    });
+    if (merged_id != HashMultimap::kNone) {
       ++stats_.deduped_rules;
     } else {
       merged_id = corpus_.grammar.NumRules();
       corpus_.grammar.rules.push_back(body);
-      dedup_[h].push_back(merged_id);
+      dedup_.Insert(h, merged_id);
     }
     rule_map[r] = merged_id;
   }
@@ -158,7 +149,8 @@ void GrammarMerger::DedupByExpansion() {
   // Expansion hash (mixed with length) -> canonical rule ids. A hash hit
   // is confirmed by comparing the actual expansions, so a collision can
   // never merge rules that expand differently.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> by_expansion;
+  HashMultimap by_expansion;
+  by_expansion.Reserve(num_rules);
   std::vector<Symbol> expansion_a;
   std::vector<Symbol> expansion_b;
   // Children before parents: a parent's hash is computed over already
@@ -180,66 +172,61 @@ void GrammarMerger::DedupByExpansion() {
         x.len += 1;
       }
     }
-    std::vector<uint32_t>& bucket =
-        by_expansion[x.hash ^ (x.len * 0x2545f4914f6cdd1dull)];
-    bool merged = false;
-    for (uint32_t cand : bucket) {
-      if (exp[cand].len != x.len || exp[cand].hash != x.hash) continue;
+    const uint64_t key = x.hash ^ (x.len * 0x2545f4914f6cdd1dull);
+    const uint32_t cand = by_expansion.FindIf(key, [&](uint32_t c) {
+      if (exp[c].len != x.len || exp[c].hash != x.hash) return false;
       expansion_a.clear();
       expansion_b.clear();
       g.ExpandRule(r, &expansion_a);
-      g.ExpandRule(cand, &expansion_b);
-      if (expansion_a == expansion_b) {
-        remap[r] = cand;
-        ++stats_.deduped_rules;
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) {
-      bucket.push_back(r);
+      g.ExpandRule(c, &expansion_b);
+      return expansion_a == expansion_b;
+    });
+    if (cand != HashMultimap::kNone) {
+      remap[r] = cand;
+      ++stats_.deduped_rules;
+    } else {
+      by_expansion.Insert(key, r);
       exp[r] = x;
     }
   }
 
-  // Rewrite the surviving bodies through the remap, then drop rules no
-  // longer reachable from the root (the duplicates themselves plus any
-  // rules only they referenced), renumbering in stable order.
-  for (uint32_t r = 0; r < num_rules; ++r) {
-    if (remap[r] != r) continue;
-    for (Symbol& s : g.rules[r]) {
-      if (IsRule(s)) s = MakeRuleSymbol(remap[RuleIndex(s)]);
-    }
-  }
-  std::vector<uint8_t> live(num_rules, 0);
-  live[0] = 1;
+  // Keep the rules the root reaches through the remap: a duplicate is
+  // never reached, and neither is a rule only duplicates referenced.
+  // remap sends every reference to a canonical rule, whose own remap
+  // entry is itself.
+  constexpr uint32_t kDropped = 0xffffffffu;
+  std::vector<uint32_t> new_id(num_rules, kDropped);
+  new_id[0] = 0;
   std::vector<uint32_t> stack = {0};
   while (!stack.empty()) {
     const uint32_t r = stack.back();
     stack.pop_back();
     for (Symbol s : g.rules[r]) {
       if (!IsRule(s)) continue;
-      const uint32_t child = RuleIndex(s);
-      if (!live[child]) {
-        live[child] = 1;
+      const uint32_t child = remap[RuleIndex(s)];
+      if (new_id[child] == kDropped) {
+        new_id[child] = 0;
         stack.push_back(child);
       }
     }
   }
-  std::vector<uint32_t> new_id(num_rules, 0);
-  std::vector<std::vector<Symbol>> compacted;
-  compacted.reserve(num_rules);
+  // Renumber the survivors in stable order, then move each down to its
+  // new id and rewrite its references through remap and the new ids in
+  // the same pass (new_id[r] <= r, so no survivor is overwritten before
+  // it moves).
+  uint32_t kept = 0;
   for (uint32_t r = 0; r < num_rules; ++r) {
-    if (!live[r]) continue;
-    new_id[r] = static_cast<uint32_t>(compacted.size());
-    compacted.push_back(std::move(g.rules[r]));
+    if (new_id[r] != kDropped) new_id[r] = kept++;
   }
-  for (std::vector<Symbol>& rule : compacted) {
-    for (Symbol& s : rule) {
-      if (IsRule(s)) s = MakeRuleSymbol(new_id[RuleIndex(s)]);
+  for (uint32_t r = 0; r < num_rules; ++r) {
+    if (new_id[r] == kDropped) continue;
+    std::vector<Symbol>& body = g.rules[new_id[r]];
+    if (new_id[r] != r) body = std::move(g.rules[r]);
+    for (Symbol& s : body) {
+      if (IsRule(s)) s = MakeRuleSymbol(new_id[remap[RuleIndex(s)]]);
     }
   }
-  g.rules = std::move(compacted);
+  g.rules.resize(kept);
 }
 
 Result<CompressedCorpus> GrammarMerger::Finish() && {

@@ -42,10 +42,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "compress/format.h"
+#include "compress/hash_multimap.h"
 #include "util/status.h"
 
 namespace ntadoc::compress {
@@ -83,18 +83,15 @@ class GrammarMerger {
   const Stats& stats() const { return stats_; }
 
  private:
-  /// Registers `rule_id`'s body in the dedup index.
-  void IndexRule(uint32_t rule_id);
-
   /// Collapses rules with equal full expansions and sweeps unreachable
   /// ones (see file comment). Deterministic: candidates are visited in
   /// reverse topological order of the (deterministic) merged grammar.
   void DedupByExpansion();
 
   CompressedCorpus corpus_;
-  /// FNV-1a64 body hash -> merged rule ids with that hash (bucket list;
-  /// exact body compare resolves collisions). Never contains the root.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> dedup_;
+  /// Body hash -> merged rule ids with that hash (exact body compare
+  /// resolves collisions). Never contains the root.
+  HashMultimap dedup_;
   Stats stats_;
 };
 

@@ -14,41 +14,50 @@ using compress::RuleIndex;
 
 namespace {
 
-/// Algorithm 1's bucket step: unique ids with frequencies, sorted by id
-/// for deterministic layout.
-void BucketCount(std::span<const Symbol> seq,
-                 std::vector<PrunedEntry>* subrules,
-                 std::vector<PrunedEntry>* words) {
-  std::vector<uint32_t> subs;
-  std::vector<uint32_t> ws;
-  for (Symbol s : seq) {
-    if (IsRule(s)) {
-      subs.push_back(RuleIndex(s));
-    } else if (!IsFileSep(s)) {
-      ws.push_back(s);
-    }
+/// Sorts `entries` (distinct ids, counted in `freq`) by id and moves
+/// each count from `freq` into its entry, leaving `freq` zero again.
+void SettleBuckets(std::vector<PrunedEntry>* entries,
+                   std::vector<uint32_t>* freq) {
+  std::sort(entries->begin(), entries->end(),
+            [](const PrunedEntry& a, const PrunedEntry& b) {
+              return a.id < b.id;
+            });
+  for (PrunedEntry& e : *entries) {
+    e.freq = (*freq)[e.id];
+    (*freq)[e.id] = 0;
   }
-  auto fold = [](std::vector<uint32_t>* ids, std::vector<PrunedEntry>* out) {
-    std::sort(ids->begin(), ids->end());
-    for (size_t i = 0; i < ids->size();) {
-      size_t j = i;
-      while (j < ids->size() && (*ids)[j] == (*ids)[i]) ++j;
-      out->push_back({(*ids)[i], static_cast<uint32_t>(j - i)});
-      i = j;
-    }
-  };
-  fold(&subs, subrules);
-  fold(&ws, words);
 }
 
-/// Writes one payload (pruned entries or raw symbols) and fills meta
-/// counts. Returns the payload device offset.
-Result<uint64_t> WritePrunedPayload(nvm::NvmPool* pool,
-                                    const std::vector<PrunedEntry>& subrules,
-                                    const std::vector<PrunedEntry>& words) {
-  const uint64_t n = subrules.size() + words.size();
-  NTADOC_ASSIGN_OR_RETURN(const nvm::PoolOffset off,
-                          pool->AllocArray<PrunedEntry>(n));
+}  // namespace
+
+BucketCounter::BucketCounter(uint32_t num_rules, uint32_t dict_size)
+    : rule_freq_(num_rules, 0), word_freq_(dict_size, 0) {}
+
+void BucketCounter::Count(std::span<const Symbol> seq) {
+  subrules_.clear();
+  words_.clear();
+  for (Symbol s : seq) {
+    if (IsRule(s)) {
+      const uint32_t id = RuleIndex(s);
+      NTADOC_DCHECK_LT(id, rule_freq_.size());
+      if (rule_freq_[id]++ == 0) subrules_.push_back({id, 0});
+    } else if (!IsFileSep(s)) {
+      NTADOC_DCHECK_LT(s, word_freq_.size());
+      if (word_freq_[s]++ == 0) words_.push_back({s, 0});
+    }
+  }
+  SettleBuckets(&subrules_, &rule_freq_);
+  SettleBuckets(&words_, &word_freq_);
+}
+
+namespace {
+
+/// Stores the bucketed entries at device offset `off`: subrules, then
+/// words.
+void StoreBuckets(nvm::NvmPool* pool, uint64_t off,
+                  const BucketCounter& buckets) {
+  const std::vector<PrunedEntry>& subrules = buckets.subrules();
+  const std::vector<PrunedEntry>& words = buckets.words();
   if (!subrules.empty()) {
     pool->device().WriteBytes(off, subrules.data(),
                               subrules.size() * sizeof(PrunedEntry));
@@ -58,6 +67,16 @@ Result<uint64_t> WritePrunedPayload(nvm::NvmPool* pool,
                               words.data(),
                               words.size() * sizeof(PrunedEntry));
   }
+}
+
+/// Allocates and writes one pruned payload. Returns its device offset.
+Result<uint64_t> WritePrunedPayload(nvm::NvmPool* pool,
+                                    const BucketCounter& buckets) {
+  NTADOC_ASSIGN_OR_RETURN(
+      const nvm::PoolOffset off,
+      pool->AllocArray<PrunedEntry>(buckets.subrules().size() +
+                                    buckets.words().size()));
+  StoreBuckets(pool, off, buckets);
   return static_cast<uint64_t>(off);
 }
 
@@ -75,12 +94,11 @@ Result<uint64_t> WriteRawPayload(nvm::NvmPool* pool,
 
 Result<PrunedDag> BuildPrunedDag(const Grammar& grammar, nvm::NvmPool* pool,
                                  bool enable_pruning, PruneStats* stats) {
-  NTADOC_RETURN_IF_ERROR(grammar.Validate());
   PrunedDag dag;
+  NTADOC_RETURN_IF_ERROR(grammar.Validate(&dag.layout_order));
   dag.pruned = enable_pruning;
   dag.num_rules = grammar.NumRules();
   dag.num_files = grammar.num_files;
-  dag.layout_order = grammar.TopologicalOrder();
 
   NTADOC_ASSIGN_OR_RETURN(dag.rule_meta,
                           NvmVector<RuleMeta>::Create(pool, dag.num_rules));
@@ -90,6 +108,7 @@ Result<PrunedDag> BuildPrunedDag(const Grammar& grammar, nvm::NvmPool* pool,
   dag.seg_meta.Resize(dag.num_files);
 
   const uint64_t payload_begin = pool->top();
+  BucketCounter buckets(dag.num_rules, grammar.dict_size);
   std::vector<uint32_t> in_degree(dag.num_rules, 0);
   std::vector<RuleMeta> metas(dag.num_rules, RuleMeta{});
   uint64_t raw_symbols = 0;
@@ -100,29 +119,24 @@ Result<PrunedDag> BuildPrunedDag(const Grammar& grammar, nvm::NvmPool* pool,
       grammar.RootSegments();
   NTADOC_CHECK_EQ(segments.size(), dag.num_files);
 
-  // Rule payloads, adjacent, in topological (traversal) order. The root's
-  // content lives in the segment payloads instead.
-  for (uint32_t r : dag.layout_order) {
-    if (r == 0) continue;
-    const auto& body = grammar.rules[r];
-    raw_symbols += body.size();
-    RuleMeta& m = metas[r];
-    m.raw_len = static_cast<uint32_t>(body.size());
+  // Writes the payload of `seq` (pruned entries or raw symbols), sets its
+  // meta fields and counts its subrule edges into in_degree.
+  auto write_payload = [&](std::span<const Symbol> seq, uint64_t* off,
+                           uint32_t* num_subrules,
+                           uint32_t* num_words) -> Status {
+    raw_symbols += seq.size();
     if (enable_pruning) {
-      std::vector<PrunedEntry> subrules;
-      std::vector<PrunedEntry> words;
-      BucketCount(body, &subrules, &words);
-      NTADOC_ASSIGN_OR_RETURN(m.payload_off,
-                              WritePrunedPayload(pool, subrules, words));
-      m.num_subrules = static_cast<uint32_t>(subrules.size());
-      m.num_words = static_cast<uint32_t>(words.size());
-      pruned_entries += subrules.size() + words.size();
-      for (const auto& e : subrules) ++in_degree[e.id];
+      buckets.Count(seq);
+      NTADOC_ASSIGN_OR_RETURN(*off, WritePrunedPayload(pool, buckets));
+      *num_subrules = static_cast<uint32_t>(buckets.subrules().size());
+      *num_words = static_cast<uint32_t>(buckets.words().size());
+      pruned_entries += buckets.subrules().size() + buckets.words().size();
+      for (const auto& e : buckets.subrules()) ++in_degree[e.id];
     } else {
-      NTADOC_ASSIGN_OR_RETURN(m.payload_off, WriteRawPayload(pool, body));
+      NTADOC_ASSIGN_OR_RETURN(*off, WriteRawPayload(pool, seq));
       uint32_t subs = 0;
       uint32_t ws = 0;
-      for (Symbol s : body) {
+      for (Symbol s : seq) {
         if (IsRule(s)) {
           ++subs;
           ++in_degree[RuleIndex(s)];
@@ -130,10 +144,22 @@ Result<PrunedDag> BuildPrunedDag(const Grammar& grammar, nvm::NvmPool* pool,
           ++ws;
         }
       }
-      m.num_subrules = subs;
-      m.num_words = ws;
-      pruned_entries += body.size();
+      *num_subrules = subs;
+      *num_words = ws;
+      pruned_entries += seq.size();
     }
+    return Status::OK();
+  };
+
+  // Rule payloads, adjacent, in topological (traversal) order. The root's
+  // content lives in the segment payloads instead.
+  for (uint32_t r : dag.layout_order) {
+    if (r == 0) continue;
+    const auto& body = grammar.rules[r];
+    RuleMeta& m = metas[r];
+    m.raw_len = static_cast<uint32_t>(body.size());
+    NTADOC_RETURN_IF_ERROR(
+        write_payload(body, &m.payload_off, &m.num_subrules, &m.num_words));
     m.out_degree = m.num_subrules;
     m.weight = 0;
   }
@@ -141,35 +167,10 @@ Result<PrunedDag> BuildPrunedDag(const Grammar& grammar, nvm::NvmPool* pool,
   // Segment payloads (the pruned root).
   for (uint32_t f = 0; f < dag.num_files; ++f) {
     const auto [begin, end] = segments[f];
-    const std::span<const Symbol> seg(root.data() + begin, end - begin);
-    raw_symbols += seg.size();
     SegmentMeta sm{};
-    if (enable_pruning) {
-      std::vector<PrunedEntry> subrules;
-      std::vector<PrunedEntry> words;
-      BucketCount(seg, &subrules, &words);
-      NTADOC_ASSIGN_OR_RETURN(sm.payload_off,
-                              WritePrunedPayload(pool, subrules, words));
-      sm.num_subrules = static_cast<uint32_t>(subrules.size());
-      sm.num_words = static_cast<uint32_t>(words.size());
-      pruned_entries += subrules.size() + words.size();
-      for (const auto& e : subrules) ++in_degree[e.id];
-    } else {
-      NTADOC_ASSIGN_OR_RETURN(sm.payload_off, WriteRawPayload(pool, seg));
-      uint32_t subs = 0;
-      uint32_t ws = 0;
-      for (Symbol s : seg) {
-        if (IsRule(s)) {
-          ++subs;
-          ++in_degree[RuleIndex(s)];
-        } else {
-          ++ws;
-        }
-      }
-      sm.num_subrules = subs;
-      sm.num_words = ws;
-      pruned_entries += seg.size();
-    }
+    NTADOC_RETURN_IF_ERROR(write_payload(
+        std::span<const Symbol>(root.data() + begin, end - begin),
+        &sm.payload_off, &sm.num_subrules, &sm.num_words));
     dag.seg_meta.Set(f, sm);
   }
 
@@ -290,36 +291,29 @@ namespace {
 /// the (possibly damaged) metadata against the re-derivation, without
 /// flushing them. The encoded bytes are identical to what BuildPrunedDag
 /// wrote, so healed blocks still match the init-region integrity hash.
-Status RewritePayload(const PrunedDag& dag, nvm::NvmPool* pool,
-                      uint64_t payload_off, uint32_t num_subrules,
-                      uint32_t num_words, std::span<const Symbol> body,
-                      uint32_t raw_len, bool check_raw_len) {
+Status RewritePayload(const Grammar& grammar, const PrunedDag& dag,
+                      nvm::NvmPool* pool, uint64_t payload_off,
+                      uint32_t num_subrules, uint32_t num_words,
+                      std::span<const Symbol> body, uint32_t raw_len,
+                      bool check_raw_len) {
   auto bad = [](const char* what) {
     return Status::DataLoss(std::string("rederive: metadata mismatch: ") +
                             what);
   };
   if (dag.pruned) {
-    std::vector<PrunedEntry> subrules;
-    std::vector<PrunedEntry> words;
-    BucketCount(body, &subrules, &words);
-    if (num_subrules != subrules.size() || num_words != words.size()) {
+    BucketCounter buckets(grammar.NumRules(), grammar.dict_size);
+    buckets.Count(body);
+    const uint64_t entries = buckets.subrules().size() + buckets.words().size();
+    if (num_subrules != buckets.subrules().size() ||
+        num_words != buckets.words().size()) {
       return bad("entry counts");
     }
-    const uint64_t bytes =
-        (subrules.size() + words.size()) * sizeof(PrunedEntry);
+    const uint64_t bytes = entries * sizeof(PrunedEntry);
     if (payload_off < dag.payload_begin ||
         payload_off + bytes > dag.payload_end) {
       return bad("payload bounds");
     }
-    if (!subrules.empty()) {
-      pool->device().WriteBytes(payload_off, subrules.data(),
-                                subrules.size() * sizeof(PrunedEntry));
-    }
-    if (!words.empty()) {
-      pool->device().WriteBytes(
-          payload_off + subrules.size() * sizeof(PrunedEntry), words.data(),
-          words.size() * sizeof(PrunedEntry));
-    }
+    StoreBuckets(pool, payload_off, buckets);
   } else {
     if (check_raw_len && raw_len != body.size()) return bad("raw length");
     uint32_t subs = 0;
@@ -353,7 +347,7 @@ Status RederiveRulePayload(const Grammar& grammar, const PrunedDag& dag,
   }
   const RuleMeta m = dag.rule_meta.Get(r);
   const auto& body = grammar.rules[r];
-  return RewritePayload(dag, pool, m.payload_off, m.num_subrules,
+  return RewritePayload(grammar, dag, pool, m.payload_off, m.num_subrules,
                         m.num_words, body, m.raw_len,
                         /*check_raw_len=*/true);
 }
@@ -373,7 +367,7 @@ Status RederiveSegmentPayload(const Grammar& grammar, const PrunedDag& dag,
   const auto [sb, se] = segments[f];
   const std::span<const Symbol> seg(root.data() + sb, se - sb);
   const SegmentMeta m = dag.seg_meta.Get(f);
-  return RewritePayload(dag, pool, m.payload_off, m.num_subrules,
+  return RewritePayload(grammar, dag, pool, m.payload_off, m.num_subrules,
                         m.num_words, seg, 0, /*check_raw_len=*/false);
 }
 

@@ -15,6 +15,7 @@
 #define NTADOC_CORE_PRUNING_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "compress/grammar.h"
@@ -91,6 +92,32 @@ struct PrunedDag {
 
   /// Grammar bytes before pruning (for the redundancy-elimination stat).
   uint64_t raw_bytes = 0;
+};
+
+/// Algorithm 1's bucket step: the distinct subrule ids and the distinct
+/// word ids of one rule body or root segment, each with its frequency and
+/// each list sorted by id (the deterministic payload layout). File
+/// separators are skipped. Counts into dense per-id scratch sized for one
+/// grammar and sorts only the distinct ids, so a call allocates nothing
+/// once the output lists have grown to the largest body.
+class BucketCounter {
+ public:
+  /// Scratch for rule ids below `num_rules` and word ids below
+  /// `dict_size`.
+  BucketCounter(uint32_t num_rules, uint32_t dict_size);
+
+  /// Buckets `seq`, whose ids must be below the constructor's bounds.
+  /// The lists stay valid until the next call.
+  void Count(std::span<const Symbol> seq);
+
+  const std::vector<PrunedEntry>& subrules() const { return subrules_; }
+  const std::vector<PrunedEntry>& words() const { return words_; }
+
+ private:
+  std::vector<uint32_t> rule_freq_;  // zero between calls
+  std::vector<uint32_t> word_freq_;  // zero between calls
+  std::vector<PrunedEntry> subrules_;
+  std::vector<PrunedEntry> words_;
 };
 
 /// Statistics of one pruning run.

@@ -1,13 +1,21 @@
 // Unit tests for the compression substrate beyond Sequitur itself:
-// dictionary, grammar utilities, container format, end-to-end compressor,
-// and the synthetic corpus generator.
+// dictionary, grammar utilities, the merger's hash multimap, container
+// format, end-to-end compressor, and the synthetic corpus generator.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "compress/compressor.h"
 #include "compress/format.h"
 #include "compress/grammar.h"
+#include "compress/hash_multimap.h"
 #include "textgen/generator.h"
+#include "util/hash.h"
+#include "util/random.h"
 
 namespace ntadoc::compress {
 namespace {
@@ -114,6 +122,104 @@ TEST(GrammarTest, StatsComputeRatio) {
   EXPECT_DOUBLE_EQ(stats.compression_ratio, 1.0);
 }
 
+// ---- HashMultimap (the merger's rule indexes) ----
+
+/// Every value under `key`, in the order FindIf visits them.
+std::vector<uint32_t> Visit(const HashMultimap& map, uint64_t key) {
+  std::vector<uint32_t> seen;
+  EXPECT_EQ(map.FindIf(key,
+                       [&](uint32_t v) {
+                         seen.push_back(v);
+                         return false;
+                       }),
+            HashMultimap::kNone);
+  return seen;
+}
+
+TEST(HashMultimapTest, DuplicateKeysVisitedInInsertionOrder) {
+  HashMultimap map;
+  const uint64_t k = 0x1234'5678'9abc'def0ull;
+  map.Insert(k, 5);
+  map.Insert(7, 100);
+  map.Insert(k, 1);
+  map.Insert(k, 9);
+  map.Insert(8, 101);
+  map.Insert(k, 3);
+  EXPECT_EQ(Visit(map, k), (std::vector<uint32_t>{5, 1, 9, 3}));
+  EXPECT_EQ(Visit(map, 7), std::vector<uint32_t>{100});
+  EXPECT_TRUE(Visit(map, 9).empty());
+  // FindIf stops at the first accepted value.
+  EXPECT_EQ(map.FindIf(k, [](uint32_t v) { return v > 4; }), 5u);
+  EXPECT_EQ(map.FindIf(k, [](uint32_t v) { return v < 4; }), 1u);
+  EXPECT_EQ(map.FindIf(k, [](uint32_t v) { return v == 4; }),
+            HashMultimap::kNone);
+  EXPECT_EQ(map.size(), 6u);
+}
+
+TEST(HashMultimapTest, GrowthThroughSeveralDoublingsKeepsEachKeysOrder) {
+  HashMultimap map;
+  constexpr uint32_t kEntries = 1000;
+  constexpr uint64_t kKeys = 37;
+  for (uint32_t v = 0; v < kEntries; ++v) map.Insert(v % kKeys * 977, v);
+  EXPECT_EQ(map.size(), kEntries);
+  // At most half full: 16 -> 2048 slots is seven doublings.
+  EXPECT_EQ(map.capacity(), 2048u);
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    std::vector<uint32_t> want;
+    for (uint32_t v = static_cast<uint32_t>(k); v < kEntries; v += kKeys) {
+      want.push_back(v);
+    }
+    EXPECT_EQ(Visit(map, k * 977), want) << "key " << k;
+  }
+}
+
+TEST(HashMultimapTest, ReserveSizesForTheCountWithoutGrowth) {
+  HashMultimap map;
+  map.Reserve(100);
+  EXPECT_EQ(map.capacity(), 256u);
+  for (uint32_t v = 0; v < 100; ++v) map.Insert(v, v);
+  EXPECT_EQ(map.capacity(), 256u);
+  map.Reserve(10);  // never shrinks
+  EXPECT_EQ(map.capacity(), 256u);
+}
+
+TEST(HashMultimapTest, MatchesUnorderedMultimapUnderRandomInserts) {
+  // A small key pool keeps clusters long and duplicates frequent; the
+  // insert count takes the table through several doublings, so clusters
+  // wrap past the last slot and get re-inserted.
+  Rng rng(29);
+  std::vector<uint64_t> pool(300);
+  for (uint64_t& k : pool) k = rng.Next();
+  HashMultimap map;
+  std::unordered_multimap<uint64_t, uint32_t> ref;
+  std::vector<std::pair<uint64_t, uint32_t>> log;
+  for (uint32_t v = 0; v < 20000; ++v) {
+    const uint64_t key =
+        rng.Uniform(8) == 0 ? rng.Next() : pool[rng.Uniform(pool.size())];
+    map.Insert(key, v);
+    ref.emplace(key, v);
+    log.emplace_back(key, v);
+    if (v % 97 == 0) {
+      const uint64_t probe = pool[rng.Uniform(pool.size())];
+      std::vector<uint32_t> got = Visit(map, probe);
+      std::vector<uint32_t> in_order;
+      for (const auto& [k, x] : log) {
+        if (k == probe) in_order.push_back(x);
+      }
+      ASSERT_EQ(got, in_order) << "insert " << v;
+      std::vector<uint32_t> want;
+      const auto [b, e] = ref.equal_range(probe);
+      for (auto it = b; it != e; ++it) want.push_back(it->second);
+      std::sort(want.begin(), want.end());
+      std::sort(got.begin(), got.end());
+      ASSERT_EQ(got, want) << "insert " << v;
+    }
+  }
+  EXPECT_EQ(map.size(), ref.size());
+  EXPECT_GE(map.capacity(), 2 * ref.size());
+  for (uint64_t k : pool) EXPECT_EQ(Visit(map, k).size(), ref.count(k));
+}
+
 TEST(CompressorTest, RoundTripsText) {
   const std::vector<InputFile> files = {
       {"a.txt", "to be or not to be that is the question"},
@@ -174,6 +280,64 @@ TEST(FormatTest, DetectsTruncation) {
   std::string bytes = SerializeCorpus(*corpus);
   bytes.resize(bytes.size() / 2);
   EXPECT_FALSE(DeserializeCorpus(bytes).ok());
+}
+
+/// A container header (magic, version, the three counts) followed by
+/// `rest`, sealed with the FNV-1a64 trailer DeserializeCorpus checks
+/// first, so a crafted count reaches the parser.
+std::string Crafted(uint64_t num_files, uint64_t dict_size,
+                    uint64_t num_rules, const std::string& rest = "") {
+  std::string out = "NTDC";
+  auto put = [&out](auto v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(uint32_t{1});
+  put(num_files);
+  put(dict_size);
+  put(num_rules);
+  out += rest;
+  put(Fnv1a64(out.data(), out.size()));
+  return out;
+}
+
+std::string U32(uint32_t v) {
+  return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+std::string U64(uint64_t v) {
+  return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+TEST(FormatTest, CraftedCountsAreDataLossNotAborts) {
+  // Each count or length is far beyond what the bytes could hold; the
+  // parser must refuse it, with the check that names it, before
+  // allocating for it.
+  struct Case {
+    const char* what;
+    std::string bytes;
+    const char* error;
+  };
+  const Case cases[] = {
+      {"num_files 2^60", Crafted(1ull << 60, 1, 1), "file count"},
+      {"dict_size 2^40", Crafted(0, 1ull << 40, 1), "dictionary size"},
+      {"num_rules 2^60", Crafted(0, 1, 1ull << 60), "rule count"},
+      {"rule length 2^62", Crafted(0, 1, 1, U64(1ull << 62)), "rule length"},
+      {"file name length 2^32-1", Crafted(1, 1, 1, U32(0xffffffffu) + "ab"),
+       "truncated"},
+      {"word length 2^32-1", Crafted(0, 2, 1, U32(0xffffffffu) + "ab"),
+       "truncated"},
+  };
+  for (const Case& c : cases) {
+    const Status st = DeserializeCorpus(c.bytes).status();
+    EXPECT_EQ(st.code(), StatusCode::kDataLoss) << c.what;
+    EXPECT_NE(st.message().find(c.error), std::string::npos)
+        << c.what << ": " << st;
+  }
+  // The same header with honest counts still parses: one empty file, a
+  // root holding its separator.
+  auto ok = DeserializeCorpus(
+      Crafted(1, 1, 1, U32(1) + "f" + U64(1) + U32(kFileSepWord)));
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(ok->file_names, std::vector<std::string>{"f"});
 }
 
 TEST(FormatTest, FileRoundTrip) {

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "compress/compressor.h"
 #include "core/nvm_hash_table.h"
@@ -248,6 +250,73 @@ TEST(PruningTest, SegmentsPreservePerFileContent) {
   const auto seg1 = ReadSegmentPayload(*dag, &*fx.pool, 1);
   EXPECT_GT(seg0.subrules.size() + seg0.words.size(), 0u);
   EXPECT_GT(seg1.subrules.size() + seg1.words.size(), 0u);
+}
+
+/// The sort-based bucket step BucketCounter replaces: sort every id, then
+/// fold runs into (id, frequency) pairs.
+std::vector<PrunedEntry> SortedBuckets(std::vector<uint32_t> ids) {
+  std::sort(ids.begin(), ids.end());
+  std::vector<PrunedEntry> out;
+  for (size_t i = 0; i < ids.size();) {
+    size_t j = i;
+    while (j < ids.size() && ids[j] == ids[i]) ++j;
+    out.push_back({ids[i], static_cast<uint32_t>(j - i)});
+    i = j;
+  }
+  return out;
+}
+
+bool SameEntries(const std::vector<PrunedEntry>& a,
+                 const std::vector<PrunedEntry>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const PrunedEntry& x, const PrunedEntry& y) {
+                      return x.id == y.id && x.freq == y.freq;
+                    });
+}
+
+TEST(PruningTest, BucketCounterMatchesSortBasedReference) {
+  // One counter across every span, as BuildPrunedDag uses it, so a count
+  // left behind by one call would corrupt a later one. Spans run from
+  // empty to 6k symbols (root segments pass 4k), over narrow and wide id
+  // ranges.
+  constexpr uint32_t kRules = 5000;
+  constexpr uint32_t kDict = 3000;
+  BucketCounter counter(kRules, kDict);
+  Rng rng(31);
+  for (int round = 0; round < 300; ++round) {
+    const uint32_t len = static_cast<uint32_t>(
+        round % 10 == 0 ? 4096 + rng.Uniform(2048) : rng.Uniform(64));
+    const uint32_t rule_span = 1 + static_cast<uint32_t>(rng.Uniform(kRules));
+    const uint32_t word_span =
+        1 + static_cast<uint32_t>(rng.Uniform(kDict - 1));
+    std::vector<Symbol> seq;
+    std::vector<uint32_t> subs;
+    std::vector<uint32_t> words;
+    for (uint32_t i = 0; i < len; ++i) {
+      switch (rng.Uniform(5)) {
+        case 0:
+          seq.push_back(kFileSepWord);
+          break;
+        case 1:
+        case 2: {
+          const auto id = static_cast<uint32_t>(rng.Uniform(rule_span));
+          seq.push_back(MakeRuleSymbol(id));
+          subs.push_back(id);
+          break;
+        }
+        default: {
+          const auto w = 1 + static_cast<uint32_t>(rng.Uniform(word_span));
+          seq.push_back(w);
+          words.push_back(w);
+        }
+      }
+    }
+    counter.Count(seq);
+    ASSERT_TRUE(SameEntries(counter.subrules(), SortedBuckets(subs)))
+        << "round " << round << ", " << len << " symbols";
+    ASSERT_TRUE(SameEntries(counter.words(), SortedBuckets(words)))
+        << "round " << round << ", " << len << " symbols";
+  }
 }
 
 // ---- Bottom-up summation (Algorithm 2) ----
