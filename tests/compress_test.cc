@@ -186,38 +186,41 @@ TEST(HashMultimapTest, ReserveSizesForTheCountWithoutGrowth) {
 TEST(HashMultimapTest, MatchesUnorderedMultimapUnderRandomInserts) {
   // A small key pool keeps clusters long and duplicates frequent; the
   // insert count takes the table through several doublings, so clusters
-  // wrap past the last slot and get re-inserted.
+  // wrap past the last slot and get re-inserted. Every pool key's order
+  // is checked after each doubling.
   Rng rng(29);
   std::vector<uint64_t> pool(300);
   for (uint64_t& k : pool) k = rng.Next();
   HashMultimap map;
   std::unordered_multimap<uint64_t, uint32_t> ref;
-  std::vector<std::pair<uint64_t, uint32_t>> log;
+  std::unordered_map<uint64_t, std::vector<uint32_t>> in_order;
+  auto check = [&](uint64_t key) {
+    std::vector<uint32_t> got = Visit(map, key);
+    EXPECT_EQ(got, in_order[key]) << "key " << key;
+    std::vector<uint32_t> want;
+    const auto [b, e] = ref.equal_range(key);
+    for (auto it = b; it != e; ++it) want.push_back(it->second);
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << "key " << key;
+  };
+  int doublings = 0;
   for (uint32_t v = 0; v < 20000; ++v) {
     const uint64_t key =
         rng.Uniform(8) == 0 ? rng.Next() : pool[rng.Uniform(pool.size())];
+    const size_t capacity = map.capacity();
     map.Insert(key, v);
     ref.emplace(key, v);
-    log.emplace_back(key, v);
-    if (v % 97 == 0) {
-      const uint64_t probe = pool[rng.Uniform(pool.size())];
-      std::vector<uint32_t> got = Visit(map, probe);
-      std::vector<uint32_t> in_order;
-      for (const auto& [k, x] : log) {
-        if (k == probe) in_order.push_back(x);
-      }
-      ASSERT_EQ(got, in_order) << "insert " << v;
-      std::vector<uint32_t> want;
-      const auto [b, e] = ref.equal_range(probe);
-      for (auto it = b; it != e; ++it) want.push_back(it->second);
-      std::sort(want.begin(), want.end());
-      std::sort(got.begin(), got.end());
-      ASSERT_EQ(got, want) << "insert " << v;
+    in_order[key].push_back(v);
+    if (map.capacity() != capacity) {
+      ++doublings;
+      for (uint64_t k : pool) check(k);
+      check(key);
     }
   }
   EXPECT_EQ(map.size(), ref.size());
-  EXPECT_GE(map.capacity(), 2 * ref.size());
-  for (uint64_t k : pool) EXPECT_EQ(Visit(map, k).size(), ref.count(k));
+  EXPECT_GE(doublings, 10);
+  for (uint64_t k : pool) check(k);
 }
 
 TEST(CompressorTest, RoundTripsText) {
